@@ -12,14 +12,10 @@ import argparse
 
 import numpy as np
 
+from glmamp.channels import Mode
 from glmamp.cli import generate_problem
 from glmamp.engine import SolverConfig, nmse, run_gamp, run_modular
 from glmamp.specs import parse_channel, parse_prior
-
-
-def _mode(name):
-    from glmamp.channels import Mode
-    return {"mmse": Mode.SUM_PRODUCT, "map": Mode.MAX_SUM}[name]
 
 
 def main():
@@ -39,7 +35,7 @@ def main():
                             parse_channel(args.channel), args.seed)
     cfg = SolverConfig(max_iter=args.max_iter, tol=1e-10, damping=args.damping,
                        slm_backend=args.slm_backend)
-    mode = _mode(args.mode)
+    mode = Mode(args.mode)
     sol_g, tr_g = run_gamp(prob, mode, cfg)
     sol_m, tr_m = run_modular(prob, mode, cfg)
 

@@ -311,11 +311,13 @@ def _gh_nodes(order: int):
     return t[keep], np.log(w[keep])
 
 
-def _gh_moments(log_target, center, sigma, order):
+def _gh_moments(log_target, center, sigma, order, to_z=None):
     """Normalized mean and variance of exp(log_target) via GH at a proposal.
 
     ``center``/``sigma`` locate the Gaussian proposal; ``log_target`` maps an
     array of abscissas (nodes x samples) to log unnormalized density values.
+    ``to_z``, when given, is a change of variable applied to the abscissas
+    after the weights are formed: the moments are then those of ``to_z(x)``.
     """
     t, log_w = _gh_nodes(order)
     x = center[None, :] + np.sqrt(2.0) * sigma[None, :] * t[:, None]
@@ -323,18 +325,19 @@ def _gh_moments(log_target, center, sigma, order):
     log_pi -= np.max(log_pi, axis=0, keepdims=True)
     pi = np.exp(log_pi)
     pi /= np.sum(pi, axis=0, keepdims=True)
-    mean = np.sum(pi * x, axis=0)
-    var = np.sum(pi * (x - mean[None, :]) ** 2, axis=0)
+    z = x if to_z is None else to_z(x)
+    mean = np.sum(pi * z, axis=0)
+    var = np.sum(pi * (z - mean[None, :]) ** 2, axis=0)
     return mean, var
 
 
-def _adaptive_gh(log_target, center, sigma, scale):
+def _adaptive_gh(log_target, center, sigma, scale, to_z=None):
     """Double the order until mean and variance stabilize to QUAD_RTOL."""
     order = QUAD_START_ORDER
-    mean, var = _gh_moments(log_target, center, sigma, order)
+    mean, var = _gh_moments(log_target, center, sigma, order, to_z)
     while order < QUAD_MAX_ORDER:
         order = min(2 * order + 1, QUAD_MAX_ORDER)
-        mean2, var2 = _gh_moments(log_target, center, sigma, order)
+        mean2, var2 = _gh_moments(log_target, center, sigma, order, to_z)
         resid = max(
             np.max(np.abs(mean2 - mean) / scale),
             np.max(np.abs(var2 - var) / scale ** 2),
@@ -382,31 +385,7 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
             return (y[None, :] + 1.0) * u - z - (z - p_hat[None, :]) ** 2 / (2.0 * tau_p[None, :])
 
         # moments of z = e^u under the u-density
-        def z_moments(order):
-            t, log_w = _gh_nodes(order)
-            u = u_mode[None, :] + np.sqrt(2.0) * sigma_u[None, :] * t[:, None]
-            log_pi = log_target(u) + (t * t + log_w)[:, None]
-            log_pi -= np.max(log_pi, axis=0, keepdims=True)
-            pi = np.exp(log_pi)
-            pi /= np.sum(pi, axis=0, keepdims=True)
-            z = np.exp(u)
-            mean = np.sum(pi * z, axis=0)
-            var = np.sum(pi * (z - mean[None, :]) ** 2, axis=0)
-            return mean, var
-
-        order = QUAD_START_ORDER
-        mean, var = z_moments(order)
-        resid = np.inf
-        while order < QUAD_MAX_ORDER:
-            order = min(2 * order + 1, QUAD_MAX_ORDER)
-            mean2, var2 = z_moments(order)
-            resid = max(np.max(np.abs(mean2 - mean) / scale),
-                        np.max(np.abs(var2 - var) / scale ** 2))
-            mean, var = mean2, var2
-            if resid <= QUAD_RTOL:
-                break
-        if resid > 1e-7:
-            raise QuadratureError(float(resid), order)
+        mean, var = _adaptive_gh(log_target, u_mode, sigma_u, scale, to_z=np.exp)
     else:
         lap = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
         sigma = np.sqrt(np.asarray(lap.variance))

@@ -53,10 +53,6 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _mode(name: str) -> Mode:
-    return {"mmse": Mode.SUM_PRODUCT, "map": Mode.MAX_SUM}[name]
-
-
 def _make_matrix(m, n, dist, rng):
     if dist == "gaussian":
         return rng.standard_normal((m, n)) / np.sqrt(n)
@@ -118,7 +114,7 @@ def load_problem(path) -> ProblemInstance:
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(max_iter=args.max_iter, tol=args.tol,
                         damping=args.damping,
-                        variance_floor=args.variance_floor, seed=args.seed,
+                        variance_floor=args.variance_floor,
                         slm_backend=args.slm_backend)
 
 
@@ -133,7 +129,7 @@ def cmd_solve(args) -> int:
     except (UsageError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    mode = _mode(args.mode)
+    mode = Mode(args.mode)
     config = _solver_config(args)
     runner = run_gamp if args.engine == "gamp" else run_modular
     t0 = time.perf_counter()
@@ -177,9 +173,8 @@ def _verify_reports(args):
                 continue
             prob = generate_problem(64, 128, parse_prior(prior_spec),
                                     parse_channel(spec), args.seed)
-            cfg = SolverConfig(max_iter=300, tol=1e-10, damping=0.8,
-                               seed=args.seed, slm_backend="amp")
-            reports.append(check_equivalence(prob, _mode(mode_name), cfg))
+            cfg = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
+            reports.append(check_equivalence(prob, Mode(mode_name), cfg, seed=args.seed))
     return reports
 
 
@@ -226,7 +221,7 @@ def _sweep_cell(cell):
                               channel, prior, x_true=x)
     rows = []
     for engine, runner in (("gamp", run_gamp), ("modular", run_modular)):
-        cfg = SolverConfig(max_iter=200, tol=1e-10, seed=seed,
+        cfg = SolverConfig(max_iter=200, tol=1e-10,
                            slm_backend="amp" if engine == "modular" else "exact")
         try:
             sol, trace = runner(problem, Mode.SUM_PRODUCT, cfg)

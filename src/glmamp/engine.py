@@ -1,18 +1,29 @@
-"""GLM solvers: the monolithic GAMP loop and the modular SLM + module-B loop.
+"""GLM solvers: one iteration loop with a swappable module A and module B.
 
-``run_gamp`` is the classic componentwise GAMP schedule using the channel's
-output score in the requested mode and the prior's matching denoiser.
+Every engine runs the same loop, ``_iterate``.  Each iteration, module A
+turns the current estimate of x into Gaussian beliefs N(p_hat, tau_p) on
+z = A x; module B refines those beliefs through the likelihood and divides
+the belief back out (EP), which leaves Gaussian pseudo-observations on z;
+module A turns these into a Gaussian cavity N(r, tau_r) on x, and the
+prior's denoiser refines the cavity into the next estimate.  The loop owns
+the estimate, the trace, the divergence test and the convergence test.
 
-``run_modular`` alternates a standard-linear-model step (module A) with the
-scalar output module (module B): module A produces per-component beliefs
-(mean, variance) on z = A x, module B refines them through the likelihood
-and returns Gaussian pseudo-observations via EP division.  Module A comes in
-two flavors selected by ``SolverConfig.slm_backend``:
+Module B comes in two forms, which ``verify.check_equivalence`` compares:
 
+* monolithic (``run_gamp``) -- the channel's output score in the requested
+  mode, from ``g_out_with_stats``;
+* modular (``run_modular``) -- the scalar posterior (``posterior_mmse`` or
+  ``posterior_map``) followed by ``ep_extrinsic``; module A sees only the
+  resulting pseudo-observations.
+
+Module A comes in two flavors, selected for ``run_modular`` by
+``SolverConfig.slm_backend`` (``run_gamp`` always uses ``"amp"``):
+
+* ``"amp"``   -- the AWGN-GAMP linear step (Onsager-corrected matvecs),
+  which makes the modular loop reproduce the monolithic GAMP trajectory
+  exactly;
 * ``"exact"`` -- the dense exact Gaussian solve of :mod:`glmamp.slm`, with
-  EP messages carrying non-Gaussian priors on the x side;
-* ``"amp"``   -- the AWGN-GAMP linear step, which makes the modular loop
-  reproduce the monolithic GAMP trajectory exactly.
+  damped EP messages carrying non-Gaussian priors on the x side.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -21,11 +32,12 @@ JSON lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Mode, OutputChannel, awgn_g_out, g_out_with_stats
+from .channels import (Mode, OutputChannel, awgn_g_out, g_out_with_stats,
+                       posterior_map, posterior_mmse)
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic)
 from .priors import InputPrior
@@ -65,7 +77,6 @@ class SolverConfig:
     tol: float = 1e-8
     damping: float | None = None  # default 1.0 monolithic, 0.7 modular
     variance_floor: float = DEFAULT_VARIANCE_FLOOR
-    seed: int = 0
     slm_backend: str = "exact"  # run_modular module A: "exact" | "amp"
 
     def __post_init__(self):
@@ -116,200 +127,143 @@ def _iter_nmse(problem, x_hat):
     return nmse(x_hat, problem.x_true) if problem.x_true is not None else float("nan")
 
 
-def run_gamp(problem: ProblemInstance, mode: Mode,
-             config: SolverConfig = SolverConfig()):
-    """Monolithic GAMP; returns (solution PosteriorStats, IterationTrace)."""
-    A = problem.model.A
-    A2 = A * A
-    y = problem.y
-    eps = config.variance_floor
-    damp = 1.0 if config.damping is None else config.damping
+class _AmpStep:
+    """Module A as the AWGN-GAMP linear step: Onsager-corrected matvecs."""
 
-    x_hat = np.full(problem.model.n, problem.prior.marginal_mean(), dtype=float)
-    tau_x = np.full(problem.model.n, problem.prior.marginal_variance(), dtype=float)
-    s = np.zeros(problem.model.m)
-    tau_s = np.zeros(problem.model.m)
+    def __init__(self, problem, config):
+        self.A = problem.model.A
+        self.A2 = self.A * self.A
+        self.eps = config.variance_floor
+        self.damp = 1.0 if config.damping is None else config.damping
+        self.s = np.zeros(problem.model.m)
+        self.tau_s = np.zeros(problem.model.m)
+
+    def z_belief(self, x_hat, tau_x):
+        tau_p = np.maximum(self.A2 @ tau_x, self.eps)
+        return self.A @ x_hat - tau_p * self.s, tau_p, 0
+
+    def x_cavity(self, x_hat, belief, ext, score):
+        # the monolithic module B hands over its score; the modular one only
+        # its pseudo-observations, which the closed-form AWGN score consumes
+        val, nd = awgn_g_out(ext, belief) if score is None else score
+        damp = self.damp
+        self.s = damp * val + (1.0 - damp) * self.s
+        self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
+        tau_r = 1.0 / np.maximum(self.A2.T @ self.tau_s, self.eps)
+        r = x_hat + tau_r * (self.A.T @ self.s)
+        return r, tau_r, ext.pseudo_mean, ext.pseudo_variance
+
+    def absorb_x(self, xstats, r, tau_r):
+        return 0
+
+
+def _absorb(lam, eta, ext, damp):
+    """Damped EP update in natural parameters; floored components keep the old message."""
+    v = np.asarray(ext.pseudo_variance)
+    lam_new = (1.0 - damp) * lam + damp * (1.0 / v)
+    eta_new = (1.0 - damp) * eta + damp * (np.asarray(ext.pseudo_mean) / v)
+    return np.where(ext.floored, lam, lam_new), np.where(ext.floored, eta, eta_new)
+
+
+class _ExactStep:
+    """Module A as the exact dense SLM solve; EP messages carry the prior on x."""
+
+    def __init__(self, problem, config):
+        model, prior = problem.model, problem.prior
+        self.model = model
+        self.eps = eps = config.variance_floor
+        self.damp = 0.7 if config.damping is None else config.damping
+        # pseudo-observations on z, natural parameters (precision, precision*mean)
+        v0 = 1e6 * max(1.0, prior.marginal_variance())
+        self.lam_z = np.full(model.m, 1.0 / v0)
+        self.eta_z = np.zeros(model.m)
+        # x-side prior approximation messages
+        self.lam_x = np.full(model.n, 1.0 / max(prior.marginal_variance(), eps))
+        self.eta_x = np.full(model.n, prior.marginal_mean()) * self.lam_x
+        self.res = None
+
+    def z_belief(self, x_hat, tau_x):
+        pseudo = ExtrinsicMessage(pseudo_mean=self.eta_z / self.lam_z,
+                                  pseudo_variance=1.0 / self.lam_z)
+        prior_x = GaussianBelief(self.eta_x / self.lam_x, 1.0 / self.lam_x)
+        self.res = slm_solve(self.model, pseudo, prior_x, eps=self.eps)
+        ext = self.res.z_extrinsic
+        return (np.asarray(ext.pseudo_mean), np.asarray(ext.pseudo_variance),
+                int(np.count_nonzero(ext.floored)))
+
+    def x_cavity(self, x_hat, belief, ext, score):
+        self.lam_z, self.eta_z = _absorb(self.lam_z, self.eta_z, ext, self.damp)
+        # cavity on x: the SLM posterior with the x-side message divided out
+        xv = np.asarray(self.res.x_stats.variance)
+        xm = np.asarray(self.res.x_stats.point)
+        lam_r = np.maximum(1.0 / xv - self.lam_x, self.eps)
+        eta_r = xm / xv - self.eta_x
+        return eta_r / lam_r, 1.0 / lam_r, self.eta_z / self.lam_z, 1.0 / self.lam_z
+
+    def absorb_x(self, xstats, r, tau_r):
+        ext = ep_extrinsic(xstats, GaussianBelief(r, tau_r), eps=self.eps)
+        self.lam_x, self.eta_x = _absorb(self.lam_x, self.eta_x, ext, self.damp)
+        return int(np.count_nonzero(ext.floored))
+
+
+def _iterate(problem, mode, config, step, monolithic):
+    """The GLM loop: module A ``step``, module B, the prior's denoiser.
+
+    ``step`` supplies the beliefs on z, the cavity on x and the absorption
+    of the denoised x; ``monolithic`` selects module B's form (see the
+    module docstring).  Returns (solution PosteriorStats, IterationTrace).
+    """
+    channel, y, prior = problem.channel, problem.y, problem.prior
+    eps = config.variance_floor
+    x_hat = np.full(problem.model.n, prior.marginal_mean(), dtype=float)
+    tau_x = np.full(problem.model.n, prior.marginal_variance(), dtype=float)
 
     trace = IterationTrace()
     for it in range(config.max_iter):
-        tau_p = np.maximum(A2 @ tau_x, eps)
-        p_hat = A @ x_hat - tau_p * s
+        p_hat, tau_p, floors = step.z_belief(x_hat, tau_x)
         if not (np.all(np.isfinite(p_hat)) and np.all(np.isfinite(tau_p))):
             trace.diverged = True
             break
-        belief = GaussianBelief(p_hat, tau_p)
-        val, nd, stats = g_out_with_stats(problem.channel, mode, y, belief)
-        ext = ep_extrinsic(stats, belief, eps=eps)
-        floors = int(np.count_nonzero(ext.floored))
-        trace.floor_events += floors
-        s = damp * val + (1.0 - damp) * s
-        tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * tau_s
-        tau_r = 1.0 / np.maximum(A2.T @ tau_s, eps)
-        r = x_hat + tau_r * (A.T @ s)
-        x_old = x_hat
-        xstats = problem.prior.denoise(mode, r, tau_r)
-        x_hat = np.asarray(xstats.point, dtype=float)
-        tau_x = np.maximum(np.asarray(xstats.variance, dtype=float), eps)
-        if not np.all(np.isfinite(x_hat)):
-            trace.diverged = True
-            x_hat, tau_x = x_old, trace.records[-1]["tau_x"] if trace.records else tau_x
-            break
-        delta = np.linalg.norm(x_hat - x_old) / max(np.linalg.norm(x_hat), 1e-300)
-        trace.append(iter=it, x_hat=x_hat, tau_x=tau_x, p_hat=p_hat, tau_p=tau_p,
-                     z0=np.asarray(stats.point), z_var=np.asarray(stats.variance),
-                     y_tilde=np.asarray(ext.pseudo_mean),
-                     sigma2_tilde=np.asarray(ext.pseudo_variance),
-                     nmse=_iter_nmse(problem, x_hat), floor_events=floors)
-        if it >= 2 and delta < config.tol:
-            trace.converged = True
-            break
-    solution = PosteriorStats(point=x_hat, variance=tau_x)
-    return solution, trace
-
-
-def _damp_natural(lam_old, eta_old, lam_new, eta_new, damp, keep):
-    """Linear interpolation in natural parameters; ``keep`` freezes entries."""
-    lam = (1.0 - damp) * lam_old + damp * lam_new
-    eta = (1.0 - damp) * eta_old + damp * eta_new
-    lam = np.where(keep, lam_old, lam)
-    eta = np.where(keep, eta_old, eta)
-    return lam, eta
-
-
-def _run_modular_exact(problem, mode, config):
-    """Module A = exact dense SLM; x side handled by EP messages."""
-    model, y, channel, prior = problem.model, problem.y, problem.channel, problem.prior
-    eps = config.variance_floor
-    damp = 0.7 if config.damping is None else config.damping
-
-    # pseudo-observations on z, natural parameters (precision, precision*mean)
-    v0 = 1e6 * max(1.0, prior.marginal_variance())
-    lam_z = np.full(model.m, 1.0 / v0)
-    eta_z = np.zeros(model.m)
-    # x-side prior approximation messages
-    lam_x = np.full(model.n, 1.0 / max(prior.marginal_variance(), eps))
-    eta_x = np.full(model.n, prior.marginal_mean()) * lam_x
-
-    x_hat = np.full(model.n, prior.marginal_mean(), dtype=float)
-    trace = IterationTrace()
-    for it in range(config.max_iter):
-        pseudo = ExtrinsicMessage(pseudo_mean=eta_z / lam_z, pseudo_variance=1.0 / lam_z)
-        res = slm_solve(model, pseudo, GaussianBelief(eta_x / lam_x, 1.0 / lam_x), eps=eps)
-        p_hat = np.asarray(res.z_extrinsic.pseudo_mean)
-        tau_p = np.asarray(res.z_extrinsic.pseudo_variance)
-        floors = int(np.count_nonzero(res.z_extrinsic.floored))
 
         # module B: scalar refinement through the likelihood, then EP division
         belief = GaussianBelief(p_hat, tau_p)
-        if mode is Mode.SUM_PRODUCT:
-            from .channels import posterior_mmse as _post
+        if monolithic:
+            val, nd, stats = g_out_with_stats(channel, mode, y, belief)
+            score = (val, nd)
         else:
-            from .channels import posterior_map as _post
-        stats = _post(channel, y, belief)
+            post = posterior_mmse if mode is Mode.SUM_PRODUCT else posterior_map
+            stats, score = post(channel, y, belief), None
         ext = ep_extrinsic(stats, belief, eps=eps)
-        flagged_z = np.broadcast_to(np.asarray(ext.floored), (model.m,))
-        floors += int(np.count_nonzero(flagged_z))
-        lam_z, eta_z = _damp_natural(
-            lam_z, eta_z, 1.0 / np.asarray(ext.pseudo_variance),
-            np.asarray(ext.pseudo_mean) / np.asarray(ext.pseudo_variance),
-            damp, flagged_z)
+        floors += int(np.count_nonzero(ext.floored))
 
-        # x side: cavity from the SLM posterior, denoise with the true prior
-        xv = np.asarray(res.x_stats.variance)
-        xm = np.asarray(res.x_stats.point)
-        lam_r = np.maximum(1.0 / xv - lam_x, eps)
-        eta_r = xm / xv - eta_x
-        tau_r = 1.0 / lam_r
-        r = eta_r / lam_r
+        r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, belief, ext, score)
         xstats = prior.denoise(mode, r, tau_r)
+        floors += step.absorb_x(xstats, r, tau_r)
         x_old = x_hat
-        x_hat = np.asarray(xstats.point, dtype=float)
-        ext_x = ep_extrinsic(xstats, GaussianBelief(r, tau_r), eps=eps)
-        flagged_x = np.broadcast_to(np.asarray(ext_x.floored), (model.n,))
-        floors += int(np.count_nonzero(flagged_x))
-        lam_x, eta_x = _damp_natural(
-            lam_x, eta_x, 1.0 / np.asarray(ext_x.pseudo_variance),
-            np.asarray(ext_x.pseudo_mean) / np.asarray(ext_x.pseudo_variance),
-            damp, flagged_x)
-
-        trace.floor_events += floors
-        if not np.all(np.isfinite(x_hat)):
-            trace.diverged = True
-            x_hat = x_old
-            break
-        tau_x = np.maximum(np.asarray(xstats.variance, dtype=float) + 0.0 * x_hat, eps)
-        delta = np.linalg.norm(x_hat - x_old) / max(np.linalg.norm(x_hat), 1e-300)
-        trace.append(iter=it, x_hat=x_hat, tau_x=tau_x, p_hat=p_hat, tau_p=tau_p,
-                     z0=np.asarray(stats.point), z_var=np.asarray(stats.variance),
-                     y_tilde=eta_z / lam_z, sigma2_tilde=1.0 / lam_z,
-                     nmse=_iter_nmse(problem, x_hat), floor_events=floors)
-        if it >= 2 and delta < config.tol:
-            trace.converged = True
-            break
-    solution = PosteriorStats(point=x_hat,
-                              variance=np.maximum(np.asarray(xstats.variance) + 0.0 * x_hat, eps))
-    return solution, trace
-
-
-def _run_modular_amp(problem, mode, config):
-    """Module A = AWGN-GAMP linear step; trajectory-exact GAMP decomposition."""
-    A = problem.model.A
-    A2 = A * A
-    y = problem.y
-    channel, prior = problem.channel, problem.prior
-    eps = config.variance_floor
-    damp = 1.0 if config.damping is None else config.damping
-
-    x_hat = np.full(problem.model.n, prior.marginal_mean(), dtype=float)
-    tau_x = np.full(problem.model.n, prior.marginal_variance(), dtype=float)
-    s = np.zeros(problem.model.m)
-    tau_s = np.zeros(problem.model.m)
-
-    trace = IterationTrace()
-    for it in range(config.max_iter):
-        tau_p = np.maximum(A2 @ tau_x, eps)
-        p_hat = A @ x_hat - tau_p * s
-        if not np.all(np.isfinite(p_hat)):
-            trace.diverged = True
-            break
-        belief = GaussianBelief(p_hat, tau_p)
-        if mode is Mode.SUM_PRODUCT:
-            from .channels import posterior_mmse as _post
-        else:
-            from .channels import posterior_map as _post
-        stats = _post(channel, y, belief)
-        ext = ep_extrinsic(stats, belief, eps=eps)
-        floors = int(np.count_nonzero(ext.floored))
-        trace.floor_events += floors
-        val, nd = awgn_g_out(ext, belief)
-        s = damp * val + (1.0 - damp) * s
-        tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * tau_s
-        tau_r = 1.0 / np.maximum(A2.T @ tau_s, eps)
-        r = x_hat + tau_r * (A.T @ s)
-        x_old = x_hat
-        xstats = prior.denoise(mode, r, tau_r)
         x_hat = np.asarray(xstats.point, dtype=float)
         tau_x = np.maximum(np.asarray(xstats.variance, dtype=float), eps)
-        if not np.all(np.isfinite(x_hat)):
-            trace.diverged = True
-            x_hat = x_old
-            break
+
+        trace.floor_events += floors
         delta = np.linalg.norm(x_hat - x_old) / max(np.linalg.norm(x_hat), 1e-300)
         trace.append(iter=it, x_hat=x_hat, tau_x=tau_x, p_hat=p_hat, tau_p=tau_p,
                      z0=np.asarray(stats.point), z_var=np.asarray(stats.variance),
-                     y_tilde=np.asarray(ext.pseudo_mean),
-                     sigma2_tilde=np.asarray(ext.pseudo_variance),
+                     y_tilde=np.asarray(y_tilde),
+                     sigma2_tilde=np.asarray(sigma2_tilde),
                      nmse=_iter_nmse(problem, x_hat), floor_events=floors)
         if it >= 2 and delta < config.tol:
             trace.converged = True
             break
-    solution = PosteriorStats(point=x_hat, variance=tau_x)
-    return solution, trace
+    return PosteriorStats(point=x_hat, variance=tau_x), trace
+
+
+def run_gamp(problem: ProblemInstance, mode: Mode,
+             config: SolverConfig = SolverConfig()):
+    """Monolithic GAMP; returns (solution PosteriorStats, IterationTrace)."""
+    return _iterate(problem, mode, config, _AmpStep(problem, config), monolithic=True)
 
 
 def run_modular(problem: ProblemInstance, mode: Mode,
                 config: SolverConfig = SolverConfig()):
     """Modular SLM + module-B solver; see module docstring for backends."""
-    if config.slm_backend == "exact":
-        return _run_modular_exact(problem, mode, config)
-    return _run_modular_amp(problem, mode, config)
+    step = _ExactStep if config.slm_backend == "exact" else _AmpStep
+    return _iterate(problem, mode, config, step(problem, config), monolithic=False)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,15 +104,20 @@ class TestModular:
             assert rec["z0"][0] == pytest.approx(SQRT3, abs=1e-5)
             assert rec["z_var"][0] == pytest.approx(0.5, abs=1e-5)
 
-    def test_amp_backend_matches_monolithic_trajectory(self):
-        prob = _make_problem(2)
-        cfg = SolverConfig(max_iter=40, tol=1e-12)
-        _, tg = run_gamp(prob, Mode.SUM_PRODUCT, cfg)
-        _, tm = run_modular(prob, Mode.SUM_PRODUCT,
-                            SolverConfig(max_iter=40, tol=1e-12, slm_backend="amp"))
-        for rg, rm in zip(tg.records, tm.records):
-            np.testing.assert_allclose(rg["x_hat"], rm["x_hat"], rtol=1e-12, atol=1e-13)
-            np.testing.assert_allclose(rg["p_hat"], rm["p_hat"], rtol=1e-12, atol=1e-13)
+    @pytest.mark.parametrize("mode, prior, damping", [
+        (Mode.SUM_PRODUCT, None, None),
+        (Mode.MAX_SUM, LaplacePrior(1.0), 0.8),
+    ], ids=["mmse", "map"])
+    def test_amp_backend_matches_monolithic_trajectory(self, mode, prior, damping):
+        prob = _make_problem(2, prior=prior)
+        cfg = SolverConfig(max_iter=40, tol=1e-12, damping=damping)
+        _, tg = run_gamp(prob, mode, cfg)
+        _, tm = run_modular(prob, mode, replace(cfg, slm_backend="amp"))
+        assert len(tg) == len(tm)
+        assert tg.floor_events == tm.floor_events
+        for name in TRACE_FIELDS:
+            np.testing.assert_allclose(tg.column(name), tm.column(name),
+                                       rtol=1e-12, atol=1e-13, err_msg=name)
 
     def test_exact_backend_converges_probit_bg(self):
         prob = _make_problem(5)
@@ -119,6 +125,16 @@ class TestModular:
                                  SolverConfig(max_iter=300, tol=1e-9))
         assert trace.converged
         assert nmse(sol.point, prob.x_true) < 1.0
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=SOLVERS)
+def test_trace_bookkeeping(solver):
+    # the loop's totals agree with its per-iteration records
+    prob = _make_problem(0, prior=LaplacePrior(1.0))
+    _, trace = SOLVERS[solver](prob, Mode.MAX_SUM,
+                               SolverConfig(max_iter=300, tol=1e-10, damping=0.8))
+    assert trace.floor_events == sum(trace.column("floor_events"))
+    assert not (trace.converged and trace.diverged)
 
 
 class TestTrace:
