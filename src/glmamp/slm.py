@@ -2,9 +2,15 @@
 
 Given per-component Gaussian priors on x and independent Gaussian
 pseudo-observations on z = A x, ``slm_solve`` computes the exact joint
-Gaussian posterior (dense Cholesky of the n x n precision), the marginal
-stats of each z_i, and the extrinsic message on each z_i with its own
-pseudo-observation factor divided out.
+Gaussian posterior, the marginal stats of each z_i, and the extrinsic
+message on each z_i with its own pseudo-observation factor divided out.
+
+The posterior covariance P^-1 of the n x n precision P = L L^T is never
+formed.  Only its diagonal and the m quadratic forms a_i^T P^-1 a_i are
+needed, and both are squared column norms: of L^-1 for x, and of
+W = L^-1 A^T for z.  So each call is one Cholesky factorization, one
+triangular inverse and one n x m matrix product, all LAPACK/BLAS-3, for
+O(m n^2 + n^3) flops and O(m n) extra memory.
 
 Also defines the on-disk matrix formats: CSV (one row per line) and a
 binary format with magic ``GLMA``, uint64 dims, little-endian float64 data.
@@ -16,7 +22,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dtrtri
 
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic)
@@ -62,6 +69,12 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     ``pseudo`` holds the m pseudo-observations (means, variances); ``prior_x``
     the n per-component Gaussian priors.  Returns componentwise posterior
     stats on x, marginal stats on z = A x, and the EP extrinsic on z.
+
+    The precision P = A^T diag(1/sv) A + diag(1/prior var) is factored once,
+    P = L L^T.  The mean is two triangular solves with L.  The variances
+    come from L^-1 without forming P^-1: var(x_j) is the squared norm of
+    column j of L^-1, and var(z_i) that of column i of W = L^-1 A^T.
+    Raises ``numpy.linalg.LinAlgError`` when P is not positive definite.
     """
     A = model.A
     py = np.broadcast_to(np.asarray(pseudo.pseudo_mean, dtype=float), (model.m,))
@@ -72,13 +85,17 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     prec = (A.T * (1.0 / pv)) @ A
     prec[np.diag_indices_from(prec)] += 1.0 / pvar
     rhs = pm / pvar + A.T @ (py / pv)
-    chol = cho_factor(prec, lower=True)
-    mu = cho_solve(chol, rhs)
-    cov = cho_solve(chol, np.eye(model.n))
+    # cholesky zeroes the strict upper triangle, which dtrtri leaves untouched
+    chol = cholesky(prec, lower=True)
+    mu = cho_solve((chol, True), rhs)
+    chol_inv, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtri: singular Cholesky factor (info={info})")
+    w = chol_inv @ A.T
 
-    x_var = np.maximum(np.diag(cov).copy(), eps)
+    x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv), eps)
     z_mean = A @ mu
-    z_var = np.maximum(np.einsum("ij,jk,ik->i", A, cov, A), eps)
+    z_var = np.maximum(np.einsum("ij,ij->j", w, w), eps)
 
     x_stats = PosteriorStats(point=mu, variance=x_var)
     z_stats = PosteriorStats(point=z_mean, variance=z_var)

@@ -4,13 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from glmamp import engine
 from glmamp.channels import AwgnChannel, Mode, PoissonChannel, ProbitChannel
 from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
                            nmse, run_gamp, run_modular)
+from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
+                             ep_extrinsic)
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
-from glmamp.slm import LinearModel
+from glmamp.slm import LinearModel, SlmResult
 
-from oracles import lmmse_solution
+from oracles import dense_gaussian_posterior, lmmse_solution
 
 SQRT3 = np.sqrt(3.0)
 
@@ -125,6 +128,26 @@ class TestModular:
                                  SolverConfig(max_iter=300, tol=1e-9))
         assert trace.converged
         assert nmse(sol.point, prob.x_true) < 1.0
+
+    def test_exact_backend_fixed_point_matches_dense_reference(self, monkeypatch):
+        # module A rebuilt from the explicit-inverse oracle, same eps floors
+        def reference_slm_solve(model, pseudo, prior_x, eps=DEFAULT_VARIANCE_FLOOR):
+            py, pv = pseudo.pseudo_mean, pseudo.pseudo_variance
+            mu, xv, zm, zv = dense_gaussian_posterior(model.A, prior_x.mean,
+                                                      prior_x.variance, py, pv)
+            z_stats = PosteriorStats(point=zm, variance=np.maximum(zv, eps))
+            return SlmResult(PosteriorStats(point=mu, variance=np.maximum(xv, eps)),
+                             z_stats, ep_extrinsic(z_stats, GaussianBelief(py, pv), eps=eps))
+
+        prob = _make_problem(5)
+        cfg = SolverConfig(max_iter=300, tol=1e-9)
+        sol, trace = run_modular(prob, Mode.SUM_PRODUCT, cfg)
+        monkeypatch.setattr(engine, "slm_solve", reference_slm_solve)
+        ref, ref_trace = run_modular(prob, Mode.SUM_PRODUCT, cfg)
+        assert trace.converged and ref_trace.converged
+        assert len(trace) == len(ref_trace)
+        dist = np.linalg.norm(sol.point - ref.point) / np.linalg.norm(ref.point)
+        assert dist <= 1e-12
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVERS)

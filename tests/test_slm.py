@@ -36,11 +36,15 @@ class TestSlmSolve:
         np.testing.assert_allclose(res.x_stats.point, prior.mean, atol=1e-9)
         np.testing.assert_allclose(res.x_stats.variance, prior.variance, rtol=1e-9)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_against_brute_force_oracle(self, seed):
+    # shape None draws n, m <= 8; the fixed shapes exceed the LAPACK/BLAS
+    # block sizes, so the blocked triangular-inverse and GEMM code runs too
+    @pytest.mark.parametrize("seed, shape", [
+        pytest.param(seed, shape, id=f"{seed}" if shape is None
+                     else f"n{shape[0]}-m{shape[1]}-{seed}")
+        for shape in (None, (48, 96), (96, 48), (130, 260)) for seed in range(5)])
+    def test_against_brute_force_oracle(self, seed, shape):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 9))
+        n, m = shape or (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         A = rng.standard_normal((m, n))
         pm = rng.standard_normal(n)
         pv = rng.uniform(0.2, 3.0, n)
