@@ -14,6 +14,12 @@ Two builds that print the same lines produce byte-identical traces:
 
     python scripts/trace_digest.py --seed 0 > new.txt   # on each build
     diff old.txt new.txt
+
+``--save DIR`` also writes each cell that solves to ``DIR/<cell>.npz``: the
+solution's ``point`` and ``variance`` and the trace's ``iterations``,
+``converged``, ``diverged`` and ``floor_events``, one row per solve of the
+cell.  ``scripts/compare_fixed_points.py OLD NEW`` reports how far two such
+directories' fixed points lie apart.
 """
 
 import argparse
@@ -41,8 +47,7 @@ EQUIVALENCE = (("probit(scale=1.0)", "bg(rho=0.1,mean=0,var=1)", "mmse"),
 EQUIVALENCE_CONFIG = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
 
 
-def _solve_bytes(runner, problem, mode, config, scratch: Path) -> bytes:
-    solution, trace = runner(problem, mode, config)
+def _solve_bytes(solution, trace, scratch: Path) -> bytes:
     trace.to_jsonl(scratch)
     flags = f"{trace.converged} {trace.diverged} {trace.floor_events}".encode()
     return (scratch.read_bytes() + flags
@@ -50,21 +55,41 @@ def _solve_bytes(runner, problem, mode, config, scratch: Path) -> bytes:
             + np.asarray(solution.variance, dtype=float).tobytes())
 
 
-def _line(cell, solves, scratch):
+def _save(path: Path, results):
+    """Write the solves' fixed points and bookkeeping, one row per solve."""
+    solutions, traces = zip(*results)
+    np.savez(path,
+             point=np.array([s.point for s in solutions], dtype=float),
+             variance=np.array([s.variance for s in solutions], dtype=float),
+             iterations=np.array([len(t) for t in traces]),
+             converged=np.array([t.converged for t in traces]),
+             diverged=np.array([t.diverged for t in traces]),
+             floor_events=np.array([t.floor_events for t in traces]))
+
+
+def _line(cell, solves, scratch, save_dir):
     """Digest of the solves' bytes, or the first exception they raise."""
     h = hashlib.sha256()
+    results = []
     try:
         for runner, problem, mode, config in solves:
-            h.update(_solve_bytes(runner, problem, mode, config, scratch))
+            results.append(runner(problem, mode, config))
+            h.update(_solve_bytes(*results[-1], scratch))
     except Exception as exc:  # an exception is an outcome to compare, not an error
         return f"{cell} EXC {type(exc).__name__}: {exc}".replace("\n", " ")
+    if save_dir is not None:
+        _save(save_dir / f"{cell}.npz", results)
     return f"{cell} {h.hexdigest()}"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--save", type=Path, metavar="DIR",
+                    help="also write each cell's fixed point to DIR/<cell>.npz")
     args = ap.parse_args()
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp) / "trace.jsonl"
@@ -74,14 +99,16 @@ def main():
             for mode, (engine, (runner, backend)) in product(Mode, ENGINES.items()):
                 config = SolverConfig(slm_backend=backend)
                 print(_line(f"{prior}|{channel}|{mode.value}|{engine}",
-                            [(runner, problem, mode, config)], scratch), flush=True)
+                            [(runner, problem, mode, config)], scratch, args.save),
+                      flush=True)
         for channel, prior, mode_name in EQUIVALENCE:
             problem = generate_problem(64, 128, parse_prior(prior),
                                        parse_channel(channel), args.seed)
             mode = Mode(mode_name)
             print(_line(f"equivalence|{prior}|{channel}|{mode_name}",
                         [(run_gamp, problem, mode, EQUIVALENCE_CONFIG),
-                         (run_modular, problem, mode, EQUIVALENCE_CONFIG)], scratch),
+                         (run_modular, problem, mode, EQUIVALENCE_CONFIG)],
+                        scratch, args.save),
                   flush=True)
 
 

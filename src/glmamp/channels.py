@@ -5,7 +5,9 @@ its first two z-derivatives.  On top of that sit the two scalar posterior
 summaries used by the solvers:
 
 * ``posterior_mmse`` -- mean/variance of z ~ N(mean, var) tilted by p(y|z)
-  (closed form for AWGN, adaptive Gauss-Hermite otherwise), and
+  (closed form for AWGN; otherwise Gauss-Hermite centred on the Laplace fit,
+  whose order doubles from 11 up to 1025 for each component separately
+  until that component's moments settle), and
 * ``posterior_map``  -- mode of the tilted density with Laplace variance
   1/var = -f''(mode, y) + 1/belief_variance.
 
@@ -36,7 +38,7 @@ POISSON_Z_FLOOR = 1e-12
 MAP_MAX_ITER = 100
 MAP_TOL = 1e-12
 
-QUAD_START_ORDER = 61
+QUAD_START_ORDER = 11
 QUAD_MAX_ORDER = 1025
 QUAD_RTOL = 1e-9
 
@@ -311,42 +313,54 @@ def _gh_nodes(order: int):
     return t[keep], np.log(w[keep])
 
 
-def _gh_moments(log_target, center, sigma, order, to_z=None):
+def _gh_moments(log_target, idx, center, sigma, order, to_z=None):
     """Normalized mean and variance of exp(log_target) via GH at a proposal.
 
-    ``center``/``sigma`` locate the Gaussian proposal; ``log_target`` maps an
-    array of abscissas (nodes x samples) to log unnormalized density values.
-    ``to_z``, when given, is a change of variable applied to the abscissas
-    after the weights are formed: the moments are then those of ``to_z(x)``.
+    Only the components ``idx`` are integrated.  ``center``/``sigma`` locate
+    each component's Gaussian proposal; ``log_target(x, idx)`` maps abscissas
+    (one row of nodes per component of ``idx``) to log unnormalized density
+    values.  ``to_z``, when given, is a change of variable applied to the
+    abscissas after the weights are formed: the moments are then those of
+    ``to_z(x)``.  Nodes run along the last axis, so each component's sums
+    are the same bits whichever other components share the call.
     """
     t, log_w = _gh_nodes(order)
-    x = center[None, :] + np.sqrt(2.0) * sigma[None, :] * t[:, None]
-    log_pi = log_target(x) + (t * t + log_w)[:, None]
-    log_pi -= np.max(log_pi, axis=0, keepdims=True)
+    x = center[idx, None] + np.sqrt(2.0) * sigma[idx, None] * t[None, :]
+    log_pi = log_target(x, idx) + (t * t + log_w)[None, :]
+    log_pi -= np.max(log_pi, axis=1, keepdims=True)
     pi = np.exp(log_pi)
-    pi /= np.sum(pi, axis=0, keepdims=True)
+    pi /= np.sum(pi, axis=1, keepdims=True)
     z = x if to_z is None else to_z(x)
-    mean = np.sum(pi * z, axis=0)
-    var = np.sum(pi * (z - mean[None, :]) ** 2, axis=0)
+    mean = np.sum(pi * z, axis=1)
+    var = np.sum(pi * (z - mean[:, None]) ** 2, axis=1)
     return mean, var
 
 
 def _adaptive_gh(log_target, center, sigma, scale, to_z=None):
-    """Double the order until mean and variance stabilize to QUAD_RTOL."""
+    """Per-component order doubling until mean and variance reach QUAD_RTOL.
+
+    Every component starts at QUAD_START_ORDER; the order then doubles
+    (2k + 1, capped at QUAD_MAX_ORDER) for the components still open only.
+    A component closes once its own change in mean over ``scale`` and in
+    variance over ``scale**2`` is at most QUAD_RTOL, and keeps the moments of
+    its last order.  Components still open at QUAD_MAX_ORDER are returned if
+    their residual is at most 1e-7 and raise QuadratureError otherwise; a
+    residual never measured counts as infinite.
+    """
+    open_ = np.arange(center.shape[0])
+    resid = np.full(open_.shape, np.inf)
     order = QUAD_START_ORDER
-    mean, var = _gh_moments(log_target, center, sigma, order, to_z)
-    while order < QUAD_MAX_ORDER:
+    mean, var = _gh_moments(log_target, open_, center, sigma, order, to_z)
+    while open_.size and order < QUAD_MAX_ORDER:
         order = min(2 * order + 1, QUAD_MAX_ORDER)
-        mean2, var2 = _gh_moments(log_target, center, sigma, order, to_z)
-        resid = max(
-            np.max(np.abs(mean2 - mean) / scale),
-            np.max(np.abs(var2 - var) / scale ** 2),
-        )
-        mean, var = mean2, var2
-        if resid <= QUAD_RTOL:
-            return mean, var
-    if resid > 1e-7:
-        raise QuadratureError(float(resid), order)
+        mean2, var2 = _gh_moments(log_target, open_, center, sigma, order, to_z)
+        resid = np.maximum(np.abs(mean2 - mean[open_]) / scale[open_],
+                           np.abs(var2 - var[open_]) / scale[open_] ** 2)
+        mean[open_], var[open_] = mean2, var2
+        still = ~(resid <= QUAD_RTOL)  # a NaN residual never converges
+        open_, resid = open_[still], resid[still]
+    if open_.size and np.max(resid) > 1e-7:
+        raise QuadratureError(float(np.max(resid)), order)
     return mean, var
 
 
@@ -355,7 +369,10 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
 
     AWGN is conjugate; the other channels are integrated by adaptive
     Gauss-Hermite quadrature centered on the Laplace fit of the posterior
-    (for Poisson, in log z so iterates stay in the valid domain).
+    (for Poisson, in log z so iterates stay in the valid domain).  Each
+    component refines its own order (see ``_adaptive_gh``), so one hard
+    belief does not raise the order of the others; a component unresolved at
+    order QUAD_MAX_ORDER beyond 1e-7 raises QuadratureError.
     """
     p_hat = np.asarray(belief.mean, dtype=float)
     tau_p = np.asarray(belief.variance, dtype=float)
@@ -380,9 +397,10 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
         sigma_u = 1.0 / np.sqrt(np.maximum(curv, 1e-8))
         sigma_u = np.minimum(sigma_u, 10.0)
 
-        def log_target(u):
+        def log_target(u, idx):
             z = np.exp(u)
-            return (y[None, :] + 1.0) * u - z - (z - p_hat[None, :]) ** 2 / (2.0 * tau_p[None, :])
+            return (y[idx, None] + 1.0) * u - z \
+                - (z - p_hat[idx, None]) ** 2 / (2.0 * tau_p[idx, None])
 
         # moments of z = e^u under the u-density
         mean, var = _adaptive_gh(log_target, u_mode, sigma_u, scale, to_z=np.exp)
@@ -391,9 +409,9 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
         sigma = np.sqrt(np.asarray(lap.variance))
         center = np.asarray(lap.point)
 
-        def log_target(z):
-            return channel.log_likelihood(z, y[None, :]) \
-                - (z - p_hat[None, :]) ** 2 / (2.0 * tau_p[None, :])
+        def log_target(z, idx):
+            return channel.log_likelihood(z, y[idx, None]) \
+                - (z - p_hat[idx, None]) ** 2 / (2.0 * tau_p[idx, None])
 
         mean, var = _adaptive_gh(log_target, center, sigma, scale)
 

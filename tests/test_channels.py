@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
-                             ProbitChannel, awgn_g_out, g_out, posterior_map,
+from glmamp import channels
+from glmamp.channels import (QUAD_MAX_ORDER, QUAD_START_ORDER, AwgnChannel,
+                             LogisticChannel, Mode, PoissonChannel, ProbitChannel,
+                             QuadratureError, awgn_g_out, g_out, posterior_map,
                              posterior_mmse)
 from glmamp.gaussian import ExtrinsicMessage, GaussianBelief
 
@@ -80,7 +82,7 @@ class TestPosteriorMmse:
     ], ids=["probit+", "probit-", "logistic", "poisson3", "poisson0"])
     def test_against_dense_grid(self, channel, y):
         lower = 1e-12 if channel.domain == "positive" else None
-        for (mean, var) in [(0.0, 1.0), (1.0, 4.0), (-2.0, 0.5)]:
+        for (mean, var) in [(0.0, 1.0), (1.0, 4.0), (-2.0, 0.5), (3.0, 10.0)]:
             st_ = posterior_mmse(channel, y, GaussianBelief(mean, var))
 
             def logw(z):
@@ -116,6 +118,81 @@ class TestPosteriorMmse:
             posterior_mmse(ProbitChannel(1.0), 0.5, GaussianBelief(0.0, 1.0))
         with pytest.raises(ValueError):
             posterior_mmse(PoissonChannel(), -1.0, GaussianBelief(1.0, 1.0))
+
+
+def _probit_quadrature(mean, var, y, cols, scale=1.0):
+    """``_adaptive_gh`` arguments for the probit tilted densities ``cols``.
+
+    The Laplace fit is taken once over the whole batch, so a column's
+    arguments are the same bits whether it is integrated alone or not.
+    """
+    ch = ProbitChannel(scale)
+    mean, var, y = (np.asarray(a, dtype=float) for a in (mean, var, y))
+    lap = posterior_map(ch, y, GaussianBelief(mean, var))
+    mean, var, y = mean[cols], var[cols], y[cols]
+
+    def log_target(z, idx):
+        return ch.log_likelihood(z, y[idx, None]) \
+            - (z - mean[idx, None]) ** 2 / (2.0 * var[idx, None])
+
+    return (log_target, np.asarray(lap.point)[cols],
+            np.sqrt(np.asarray(lap.variance))[cols], np.sqrt(var) + np.abs(mean))
+
+
+class TestAdaptiveQuadrature:
+    # an easy (narrow) and a hard (wide) belief under probit(1), y = +1
+    BATCH = ([0.5, 0.0], [0.01, 30.0], [1.0, 1.0])
+
+    def test_refines_only_unconverged_components(self, monkeypatch):
+        calls = []
+        gh_moments = channels._gh_moments
+
+        def spy(log_target, idx, center, sigma, order, to_z=None):
+            calls.append((order, len(idx)))
+            return gh_moments(log_target, idx, center, sigma, order, to_z)
+
+        monkeypatch.setattr(channels, "_gh_moments", spy)
+        mean, var = channels._adaptive_gh(*_probit_quadrature(*self.BATCH, [0, 1]))
+        first_doubling = 2 * QUAD_START_ORDER + 1
+        assert calls[:2] == [(QUAD_START_ORDER, 2), (first_doubling, 2)]
+        assert len(calls) > 2 and all(n == 1 for _, n in calls[2:])
+
+        monkeypatch.undo()
+        for j in (0, 1):
+            alone = channels._adaptive_gh(*_probit_quadrature(*self.BATCH, [j]))
+            assert alone[0][0] == mean[j] and alone[1][0] == var[j]
+
+    def test_unresolvable_target_raises_at_max_order(self):
+        def spike(x, idx):  # far outside the N(0, 1) proposal and narrower than any node gap
+            return -0.5 * ((x - 30.0) / 1e-3) ** 2
+
+        with pytest.raises(QuadratureError) as err:
+            channels._adaptive_gh(spike, np.zeros(1), np.ones(1), np.ones(1))
+        assert err.value.order == QUAD_MAX_ORDER
+        assert err.value.residual > 1e-7
+
+
+@given(
+    scale=st.floats(0.1, 3.0),
+    log_ratio=st.floats(np.log(1e-4), np.log(10.0)),
+    standardized_mean=st.floats(-8.0, 8.0),
+    y=st.sampled_from([-1.0, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_probit_mmse_matches_closed_form(scale, log_ratio, standardized_mean, y):
+    """Quadrature vs Gaussian-CDF conjugacy, to QUAD_RTOL's 1e-9 scale.
+
+    tau_p runs over [1e-4, 10] * scale^2 and |p_hat| / sqrt(scale^2 + tau_p)
+    stays at most 8, where the closed form is finite.  A low start order
+    whose first two refinements agree while both are wrong fails here.
+    """
+    var = float(np.exp(log_ratio)) * scale ** 2
+    mean = standardized_mean * np.sqrt(scale ** 2 + var)
+    stats = posterior_mmse(ProbitChannel(scale), y, GaussianBelief(mean, var))
+    m, v = probit_posterior_closed_form(y, mean, var, scale=scale)
+    size = np.sqrt(var) + abs(mean)
+    assert abs(stats.point - m) <= 1e-9 * size
+    assert abs(stats.variance - v) <= 1e-9 * size ** 2
 
 
 class TestPosteriorMap:
