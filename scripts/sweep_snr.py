@@ -2,7 +2,6 @@
 """SNR sweep with a quick text summary of median NMSE per cell.
 
 Thin wrapper over ``glmamp sweep`` that also aggregates the CSV it writes.
-Set GLMAMP_THREADS to parallelize cells.
 """
 
 import argparse

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from glmamp.channels import Mode
-from glmamp.cli import generate_problem
+from glmamp.cli import EQUIVALENCE_CASES, EQUIVALENCE_CONFIG, generate_problem
 from glmamp.engine import SolverConfig, run_gamp, run_modular
 from glmamp.specs import parse_channel, parse_prior
 
@@ -39,12 +39,6 @@ PRIORS = ("gaussian(mean=0,var=1)", "bg(rho=0.1,mean=0,var=1)", "laplace(lambda=
 CHANNELS = ("awgn(var=0.1)", "probit(scale=0.3)", "poisson()", "logistic(scale=0.3)")
 ENGINES = {"gamp": (run_gamp, "exact"), "modular-amp": (run_modular, "amp"),
            "modular-exact": (run_modular, "exact")}
-# (channel, prior, mode) of the equivalence instances in `glmamp verify`
-EQUIVALENCE = (("probit(scale=1.0)", "bg(rho=0.1,mean=0,var=1)", "mmse"),
-               ("probit(scale=1.0)", "laplace(lambda=1)", "map"),
-               ("poisson()", "gaussian(mean=2,var=0.25)", "mmse"),
-               ("poisson()", "gaussian(mean=2,var=0.25)", "map"))
-EQUIVALENCE_CONFIG = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
 
 
 def _solve_bytes(solution, trace, scratch: Path) -> bytes:
@@ -101,7 +95,7 @@ def main():
                 print(_line(f"{prior}|{channel}|{mode.value}|{engine}",
                             [(runner, problem, mode, config)], scratch, args.save),
                       flush=True)
-        for channel, prior, mode_name in EQUIVALENCE:
+        for channel, prior, mode_name in EQUIVALENCE_CASES:
             problem = generate_problem(64, 128, parse_prior(prior),
                                        parse_channel(channel), args.seed)
             mode = Mode(mode_name)

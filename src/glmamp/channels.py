@@ -12,8 +12,10 @@ summaries used by the solvers:
   1/var = -f''(mode, y) + 1/belief_variance.
 
 ``g_out`` packages either summary as the output score (point - mean)/var and
-its curvature correction; ``awgn_g_out`` is the closed-form AWGN special
-case driven by a pseudo-observation.
+its curvature correction (var - post_var)/var**2, taken from the posterior
+variance in both modes; that the MAP form equals f''/(var f'' - 1) is
+certified by ``verify.check_laplace_identity`` only.  ``awgn_g_out`` is the
+closed-form AWGN special case driven by a pseudo-observation.
 
 All operations are vectorized: scalars or same-shape arrays throughout.
 """
@@ -428,23 +430,16 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
 def g_out_with_stats(channel: OutputChannel, mode: Mode, y, belief: GaussianBelief):
     """``g_out`` returning also the posterior stats it was derived from.
 
-    In MAX_SUM mode the curvature correction is evaluated both directly from
-    f''(mode, y) and through the Laplace variance; the two are algebraically
-    identical and asserted to agree to 1e-10 relative.
+    In both modes the curvature correction is (var - post_var)/var**2 from
+    the posterior variance; in MAX_SUM mode that is the Laplace variance, so
+    this is the same arithmetic as ``posterior_map`` followed by the EP
+    division.  That it equals f''/(var f'' - 1) is certified by
+    ``verify.check_laplace_identity``, not re-checked here.
     """
     tau_p = np.asarray(belief.variance, dtype=float)
-    if mode is Mode.SUM_PRODUCT:
-        stats = posterior_mmse(channel, y, belief)
-        neg_deriv = (tau_p - np.asarray(stats.variance)) / tau_p ** 2
-    else:
-        stats = posterior_map(channel, y, belief)
-        f2 = channel.d2(stats.point, y)
-        direct = f2 / (tau_p * f2 - 1.0)
-        neg_deriv = (tau_p - np.asarray(stats.variance)) / tau_p ** 2
-        resid = np.abs(direct - neg_deriv) / np.maximum(
-            np.maximum(np.abs(direct), np.abs(neg_deriv)), 1e-300)
-        assert np.all((resid <= 1e-10) | (direct == neg_deriv)), \
-            "curvature identity violated beyond 1e-10"
+    posterior = posterior_mmse if mode is Mode.SUM_PRODUCT else posterior_map
+    stats = posterior(channel, y, belief)
+    neg_deriv = (tau_p - np.asarray(stats.variance)) / tau_p ** 2
     value = (np.asarray(stats.point) - np.asarray(belief.mean)) / tau_p
     return value, neg_deriv, stats
 

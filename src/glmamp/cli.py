@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -29,6 +27,14 @@ from .verify import (check_derivatives, check_ep_bridge, check_equivalence,
 POISSON_Z_CLAMP = 0.05
 
 ALL_CHANNELS = ("awgn(var=1.0)", "probit(scale=1.0)", "poisson()", "logistic(scale=1.0)")
+
+# (channel, prior, mode) of the instances whose GAMP / modular equivalence
+# `verify` certifies; each is generated at n=64, m=128 from the verify seed.
+EQUIVALENCE_CASES = (("probit(scale=1.0)", "bg(rho=0.1,mean=0,var=1)", "mmse"),
+                     ("probit(scale=1.0)", "laplace(lambda=1)", "map"),
+                     ("poisson()", "gaussian(mean=2,var=0.25)", "mmse"),
+                     ("poisson()", "gaussian(mean=2,var=0.25)", "map"))
+EQUIVALENCE_CONFIG = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
 
 
 class UsageError(Exception):
@@ -105,10 +111,11 @@ def load_problem(path) -> ProblemInstance:
         A = load_matrix(path / "A.bin")
         y = np.atleast_1d(np.loadtxt(path / "y.csv", delimiter=","))
         x_true = np.atleast_1d(np.loadtxt(path / "x_true.csv", delimiter=","))
-    except OSError as exc:
-        raise UsageError(f"cannot load problem from {path}: {exc}") from None
-    return ProblemInstance(LinearModel(A), y, parse_channel(meta["channel"]),
-                           parse_prior(meta["prior"]), x_true=x_true)
+        return ProblemInstance(LinearModel(A), y, parse_channel(meta["channel"]),
+                               parse_prior(meta["prior"]), x_true=x_true)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot load problem from {path}: "
+                         f"{type(exc).__name__}: {exc}") from None
 
 
 def _solver_config(args) -> SolverConfig:
@@ -120,17 +127,17 @@ def _solver_config(args) -> SolverConfig:
 
 def cmd_solve(args) -> int:
     try:
+        config = _solver_config(args)
         if args.problem:
             problem = load_problem(args.problem)
         else:
             prior = parse_prior(args.prior)
             channel = parse_channel(args.channel)
             problem = generate_problem(args.n, args.m, prior, channel, args.seed)
-    except (UsageError, SpecError) as exc:
+    except (UsageError, ValueError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     mode = Mode(args.mode)
-    config = _solver_config(args)
     runner = run_gamp if args.engine == "gamp" else run_modular
     t0 = time.perf_counter()
     solution, trace = runner(problem, mode, config)
@@ -164,17 +171,13 @@ def _verify_reports(args):
             for mode in (Mode.SUM_PRODUCT, Mode.MAX_SUM):
                 reports.append(check_ep_bridge(ch, mode, args.samples, args.seed))
     if which in ("all", "equivalence"):
-        for spec, prior_spec, mode_name in (
-                ("probit(scale=1.0)", "bg(rho=0.1,mean=0,var=1)", "mmse"),
-                ("probit(scale=1.0)", "laplace(lambda=1)", "map"),
-                ("poisson()", "gaussian(mean=2,var=0.25)", "mmse"),
-                ("poisson()", "gaussian(mean=2,var=0.25)", "map")):
+        for spec, prior_spec, mode_name in EQUIVALENCE_CASES:
             if args.channel and parse_channel(spec).name != parse_channel(args.channel).name:
                 continue
             prob = generate_problem(64, 128, parse_prior(prior_spec),
                                     parse_channel(spec), args.seed)
-            cfg = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
-            reports.append(check_equivalence(prob, Mode(mode_name), cfg, seed=args.seed))
+            reports.append(check_equivalence(prob, Mode(mode_name), EQUIVALENCE_CONFIG,
+                                             seed=args.seed))
     return reports
 
 
@@ -248,13 +251,7 @@ def cmd_sweep(args) -> int:
         return 2
     cells = [(s, r, q, rep, args.seed)
              for s, r, q, rep in product(snrs, rhos, ratios, range(args.reps))]
-    threads = int(os.environ.get("GLMAMP_THREADS", "1") or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_cell, cells))
-    else:
-        results = [_sweep_cell(c) for c in cells]
-    rows = [row for cell_rows in results for row in cell_rows]
+    rows = [row for cell in cells for row in _sweep_cell(cell)]
     rows.sort(key=lambda r: (r["snr_db"], r["rho"], r["m_over_n"],
                              r["rep"], r["engine"]))
     fields = ["snr_db", "rho", "m_over_n", "rep", "engine", "mode",
@@ -328,38 +325,32 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_sweep)
-    parser._subcommand_parsers = {"gen": g, "solve": s, "verify": v, "sweep": w}
     return parser
 
 
-_CONFIG_TYPES = {"n": int, "m": int, "max_iter": int, "seed": int,
-                 "tol": float, "damping": float, "variance_floor": float}
+def _apply_config_defaults(argv):
+    """Splice --config's ``key = value`` lines in as ``--key=value`` flags.
 
-
-def _apply_config_defaults(parser, argv):
-    """Seed parser defaults from --config so explicit flags still win."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
+    They go right after the subcommand, so argparse types and validates them
+    like any flag, an unknown key is a usage error, and the user's own flags,
+    coming later, win wherever they appear.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
     if "--config" not in argv:
         return argv
-    path = argv[argv.index("--config") + 1]
-    values = load_config_file(path)
-    defaults = {}
-    for key, raw in values.items():
-        key = key.replace("-", "_")
-        defaults[key] = _CONFIG_TYPES.get(key, str)(raw)
-    for sub in parser._subcommand_parsers.values():
-        known = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    return argv
+    values = load_config_file(argv[argv.index("--config") + 1])
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    # the top-level parser takes no valued options: the subcommand is the
+    # first token that is not a flag
+    at = next(i for i, tok in enumerate(argv) if not tok.startswith("-")) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        argv = _apply_config_defaults(parser, argv)
-    except (UsageError, IndexError, ValueError) as exc:
+        argv = _apply_config_defaults(argv)
+    except (UsageError, IndexError) as exc:
         print(f"error: bad config file: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)

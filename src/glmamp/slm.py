@@ -128,7 +128,10 @@ def load_matrix_binary(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != MATRIX_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
-        m, n = struct.unpack("<QQ", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"{path}: truncated matrix header")
+        m, n = struct.unpack("<QQ", header)
         data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
         if data.size != m * n:
             raise ValueError(f"{path}: truncated matrix payload")

@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import glmamp
 from glmamp.cli import load_problem, main
 
 
@@ -80,6 +85,43 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("flag", [("--damping", "1.5"), ("--max-iter", "0")],
+                             ids=["damping", "max-iter"])
+    def test_bad_solver_config_exits_2(self, capsys, flag):
+        code, out, err = _run(capsys, "solve", "--n", "8", "--m", "16", *flag)
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: (d / "meta.json").write_text("{bad"),
+        lambda d: (d / "meta.json").write_text('{"prior": "gaussian(mean=0,var=1)"}'),
+        lambda d: (d / "A.bin").write_bytes(b"GLMA" + b"\0" * 5),
+    ], ids=["malformed-meta", "missing-key", "unreadable-matrix"])
+    def test_corrupt_problem_dir_exits_2(self, tmp_path, capsys, corrupt):
+        gen = ["gen", "--n", "4", "--m", "8", "--prior", "gaussian(mean=0,var=1)",
+               "--channel", "awgn(var=0.1)", "--out", str(tmp_path / "prob")]
+        assert _run(capsys, *gen)[0] == 0
+        corrupt(tmp_path / "prob")
+        code, _, err = _run(capsys, "solve", "--problem", str(tmp_path / "prob"))
+        assert code == 2
+        assert err.startswith("error: cannot load problem")
+
+    def test_same_result_under_python_O(self):
+        # no assert changes what a solve does: BG-prior max-sum GAMP with a
+        # logistic channel runs in the cancelling curvature regime
+        env = dict(os.environ, PYTHONPATH=str(Path(glmamp.__file__).parents[1]))
+        argv = ["-m", "glmamp", "solve", "--prior", "bg(rho=0.1,mean=0,var=1)",
+                "--channel", "logistic(scale=0.3)", "--mode", "map", "--seed", "1"]
+        summaries = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, *argv], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            summary = json.loads(proc.stdout)
+            del summary["wall_time_s"]
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
+
     def test_modular_map_engine(self, capsys):
         code, out, _ = _run(capsys, "solve", "--engine", "modular", "--mode", "map",
                             "--prior", "laplace(lambda=1)",
@@ -108,6 +150,20 @@ class TestSolve:
                             "--max-iter", "50")
         assert code == 0
         assert json.loads(out)["iterations"] > 3
+        code, out, _ = _run(capsys, "solve", "--max-iter", "50", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["iterations"] > 3
+
+    @pytest.mark.parametrize("line", ["mode = xyz", "engine = foo", "max_iter = 2.5",
+                                      "no_such_key = 1"],
+                             ids=["mode", "engine", "max-iter", "unknown-key"])
+    def test_config_values_validated_like_flags(self, tmp_path, capsys, line):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"n = 8\nm = 16\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -135,8 +191,7 @@ class TestVerify:
 
 
 class TestSweep:
-    def test_sweep_csv_and_snr_trend(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GLMAMP_THREADS", "2")
+    def test_sweep_csv_and_snr_trend(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"
         code, out, _ = _run(capsys, "sweep", "--snr-db", "0,10,20,30",
                             "--rho", "0.1", "--m-over-n", "2.0",

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from glmamp import engine
-from glmamp.channels import AwgnChannel, Mode, PoissonChannel, ProbitChannel
+from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
+                             ProbitChannel)
 from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
                            nmse, run_gamp, run_modular)
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
@@ -121,6 +122,22 @@ class TestModular:
         for name in TRACE_FIELDS:
             np.testing.assert_allclose(tg.column(name), tm.column(name),
                                        rtol=1e-12, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("seed, channel", [
+        (3, LogisticChannel(0.3)), (6, LogisticChannel(0.3)), (8, ProbitChannel(0.3)),
+    ], ids=["logistic-3", "logistic-6", "probit-8"])
+    def test_amp_backend_matches_monolithic_map_fixed_point(self, seed, channel):
+        # BG-prior max-sum, where (tau_p - v)/tau_p**2 cancels: both output
+        # steps take the curvature from the Laplace variance, so they agree
+        prob = _make_problem(seed, prior=BernoulliGaussianPrior(0.1, 0.0, 1.0),
+                             channel=channel)
+        cfg = SolverConfig(max_iter=300, tol=1e-10)
+        sg, tg = run_gamp(prob, Mode.MAX_SUM, cfg)
+        sm, tm = run_modular(prob, Mode.MAX_SUM, replace(cfg, slm_backend="amp"))
+        assert tg.converged and tm.converged
+        assert len(tg) == len(tm)
+        for a, b in ((sg.point, sm.point), (sg.variance, sm.variance)):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_exact_backend_converges_probit_bg(self):
         prob = _make_problem(5)
