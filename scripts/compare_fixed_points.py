@@ -14,6 +14,10 @@ marks with ``unconverged`` a cell whose new solves did not all converge, so
 that its distance is one between end iterates, not fixed points.  Cells saved
 on one side only (the other raised) are listed as ``only in OLD``/``NEW``.
 
+The last line sums up the gate: the largest ``dist`` over converged cells and
+over unconverged ones, each with its cell, the number of cells whose
+iteration counts or flags changed, and the number found on one side only.
+
     python scripts/trace_digest.py --seed 0 --save old/   # on each build
     python scripts/compare_fixed_points.py old/ new/
 """
@@ -30,17 +34,27 @@ def _rel(new, old):
     return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
 
 
-def compare(old: dict, new: dict) -> str:
-    """One report line body for a cell saved in both runs."""
+def compare(old: dict, new: dict) -> tuple[float, bool, str]:
+    """Distance, whether iterations or flags changed, and the report line body
+    for a cell saved in both runs."""
     dist = max(_rel(new[k][i], old[k][i])
                for k in ("point", "variance") for i in range(len(old["point"])))
     iters_old, iters_new, delta = (",".join(str(n) for n in counts) for counts in (
         old["iterations"], new["iterations"], new["iterations"] - old["iterations"]))
     notes = [f"{k} {old[k].tolist()}->{new[k].tolist()}"
              for k in FLAGS if not np.array_equal(old[k], new[k])]
+    changed = bool(notes) or not np.array_equal(old["iterations"], new["iterations"])
     if not np.all(new["converged"]):
         notes.append("unconverged")
-    return f"dist={dist:.2e} iters={iters_old}->{iters_new} delta={delta} {' '.join(notes)}"
+    return dist, changed, (f"dist={dist:.2e} iters={iters_old}->{iters_new} "
+                           f"delta={delta} {' '.join(notes)}")
+
+
+def _largest(dists: dict) -> str:
+    if not dists:
+        return "none"
+    cell = max(dists, key=dists.get)
+    return f"{dists[cell]:.2e} ({cell})"
 
 
 def main():
@@ -51,6 +65,8 @@ def main():
 
     old_cells = {p.stem for p in args.old.glob("*.npz")}
     new_cells = {p.stem for p in args.new.glob("*.npz")}
+    dists = {True: {}, False: {}}  # keyed by: new solves all converged
+    changed = 0
     for cell in sorted(old_cells | new_cells):
         if cell not in new_cells:
             print(f"{cell} only in OLD")
@@ -59,7 +75,13 @@ def main():
         else:
             with np.load(args.old / f"{cell}.npz") as old, \
                     np.load(args.new / f"{cell}.npz") as new:
-                print(f"{cell} {compare(dict(old), dict(new))}".rstrip())
+                dist, moved, line = compare(dict(old), dict(new))
+                dists[bool(np.all(new["converged"]))][cell] = dist
+            changed += moved
+            print(f"{cell} {line}".rstrip())
+    print(f"summary: max dist converged={_largest(dists[True])} "
+          f"unconverged={_largest(dists[False])} changed={changed} "
+          f"one-sided={len(old_cells ^ new_cells)}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ connect the two.
 
 from .gaussian import GaussianBelief, ExtrinsicMessage, PosteriorStats, combine, ep_extrinsic, floor_variance
 from .channels import Mode, AwgnChannel, ProbitChannel, PoissonChannel, LogisticChannel, posterior_mmse, posterior_map, g_out, awgn_g_out
-from .priors import GaussianPrior, BernoulliGaussianPrior, LaplacePrior, denoise
+from .priors import GaussianPrior, BernoulliGaussianPrior, LaplacePrior
 from .slm import LinearModel, SlmResult, slm_solve
 from .engine import ProblemInstance, SolverConfig, IterationTrace, run_gamp, run_modular
 
@@ -17,7 +17,7 @@ __all__ = [
     "combine", "ep_extrinsic", "floor_variance",
     "Mode", "AwgnChannel", "ProbitChannel", "PoissonChannel", "LogisticChannel",
     "posterior_mmse", "posterior_map", "g_out", "awgn_g_out",
-    "GaussianPrior", "BernoulliGaussianPrior", "LaplacePrior", "denoise",
+    "GaussianPrior", "BernoulliGaussianPrior", "LaplacePrior",
     "LinearModel", "SlmResult", "slm_solve",
     "ProblemInstance", "SolverConfig", "IterationTrace", "run_gamp", "run_modular",
 ]

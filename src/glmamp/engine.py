@@ -111,9 +111,6 @@ class IterationTrace:
                 fh.write(json.dumps({k: rec[k] for k in TRACE_FIELDS},
                                     sort_keys=True) + "\n")
 
-    def column(self, name):
-        return [rec[name] for rec in self.records]
-
 
 def nmse(x_hat, x_true) -> float:
     """Normalized mean squared error ||x_hat - x_true||^2 / ||x_true||^2."""

@@ -71,11 +71,6 @@ class GaussianPrior(InputPrior):
         return f"gaussian(mean={self.mean},var={self.var})"
 
 
-def denoise(prior: InputPrior, mode: Mode, r, tau) -> PosteriorStats:
-    """Functional form of :meth:`InputPrior.denoise`."""
-    return prior.denoise(mode, r, tau)
-
-
 def _logsumexp2(a, b):
     m = np.maximum(a, b)
     return m + np.log(np.exp(a - m) + np.exp(b - m))

@@ -8,9 +8,12 @@ message on each z_i with its own pseudo-observation factor divided out.
 The posterior covariance P^-1 of the n x n precision P = L L^T is never
 formed.  Only its diagonal and the m quadratic forms a_i^T P^-1 a_i are
 needed, and both are squared column norms: of L^-1 for x, and of
-W = L^-1 A^T for z.  So each call is one Cholesky factorization, one
-triangular inverse and one n x m matrix product, all LAPACK/BLAS-3, for
-O(m n^2 + n^3) flops and O(m n) extra memory.
+W = L^-1 A^T for z.  Each call is four LAPACK/BLAS-3 steps, each using the
+structure of its operands: a symmetric rank-m update (SYRK, m n^2 flops) for
+the lower triangle of P, a Cholesky factorization and a triangular inverse
+(TRTRI; n^3/3 flops each), and a triangular-times-dense product (TRMM,
+m n^2) for W.  That is 2 m n^2 + 2 n^3/3 flops per call, where two general
+matrix products made it 4 m n^2 + 2 n^3/3, and O(m n) extra memory.
 
 Also defines the on-disk matrix formats: CSV (one row per line) and a
 binary format with magic ``GLMA``, uint64 dims, little-endian float64 data.
@@ -18,11 +21,13 @@ binary format with magic ``GLMA``, uint64 dims, little-endian float64 data.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.blas import dsyrk, dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
@@ -70,10 +75,11 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     the n per-component Gaussian priors.  Returns componentwise posterior
     stats on x, marginal stats on z = A x, and the EP extrinsic on z.
 
-    The precision P = A^T diag(1/sv) A + diag(1/prior var) is factored once,
-    P = L L^T.  The mean is two triangular solves with L.  The variances
-    come from L^-1 without forming P^-1: var(x_j) is the squared norm of
-    column j of L^-1, and var(z_i) that of column i of W = L^-1 A^T.
+    The lower triangle of the precision P = A^T diag(1/sv) A + diag(1/prior
+    var) comes from one SYRK, and P is factored once, P = L L^T.  The mean is
+    two triangular solves with L.  The variances come from L^-1 (TRTRI)
+    without forming P^-1: var(x_j) is the squared norm of column j of L^-1,
+    and var(z_i) that of column i of W = L^-1 A^T (TRMM).
     Raises ``numpy.linalg.LinAlgError`` when P is not positive definite.
     """
     A = model.A
@@ -82,16 +88,18 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     pm = np.broadcast_to(np.asarray(prior_x.mean, dtype=float), (model.n,))
     pvar = np.broadcast_to(np.asarray(prior_x.variance, dtype=float), (model.n,))
 
-    prec = (A.T * (1.0 / pv)) @ A
+    # SYRK on the Fortran-ordered n x m transpose (trans=0): with trans=1 on
+    # the C-ordered m x n array f2py would copy it first.  Lower triangle only.
+    prec = dsyrk(1.0, (A * np.sqrt(1.0 / pv)[:, None]).T, lower=1)
     prec[np.diag_indices_from(prec)] += 1.0 / pvar
     rhs = pm / pvar + A.T @ (py / pv)
     # cholesky zeroes the strict upper triangle, which dtrtri leaves untouched
-    chol = cholesky(prec, lower=True)
+    chol = cholesky(prec, lower=True, overwrite_a=True)
     mu = cho_solve((chol, True), rhs)
     chol_inv, info = dtrtri(chol, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtri: singular Cholesky factor (info={info})")
-    w = chol_inv @ A.T
+    w = dtrmm(1.0, chol_inv, A.T, lower=1)
 
     x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv), eps)
     z_mean = A @ mu
@@ -132,9 +140,10 @@ def load_matrix_binary(path) -> np.ndarray:
         if len(header) != 16:
             raise ValueError(f"{path}: truncated matrix header")
         m, n = struct.unpack("<QQ", header)
-        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-        if data.size != m * n:
+        # checked before reading: read() would try to allocate the claimed size
+        if 8 * m * n > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"{path}: truncated matrix payload")
+        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
     return data.reshape(m, n).astype(float)
 
 

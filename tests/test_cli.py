@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -96,7 +97,8 @@ class TestSolve:
         lambda d: (d / "meta.json").write_text("{bad"),
         lambda d: (d / "meta.json").write_text('{"prior": "gaussian(mean=0,var=1)"}'),
         lambda d: (d / "A.bin").write_bytes(b"GLMA" + b"\0" * 5),
-    ], ids=["malformed-meta", "missing-key", "unreadable-matrix"])
+        lambda d: (d / "A.bin").write_bytes(b"GLMA" + struct.pack("<QQ", 2**40, 2**30)),
+    ], ids=["malformed-meta", "missing-key", "unreadable-matrix", "oversized-matrix"])
     def test_corrupt_problem_dir_exits_2(self, tmp_path, capsys, corrupt):
         gen = ["gen", "--n", "4", "--m", "8", "--prior", "gaussian(mean=0,var=1)",
                "--channel", "awgn(var=0.1)", "--out", str(tmp_path / "prob")]

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmamp.channels import Mode
-from glmamp.priors import (BernoulliGaussianPrior, GaussianPrior, LaplacePrior,
-                           denoise)
+from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
 
 from oracles import grid_moments
 
@@ -21,7 +20,7 @@ def _prior_logpdf(prior, x):
 class TestGaussianPrior:
     @pytest.mark.parametrize("mode", [Mode.SUM_PRODUCT, Mode.MAX_SUM])
     def test_conjugate(self, mode):
-        st_ = denoise(GaussianPrior(0.0, 1.0), mode, 2.0, 1.0)
+        st_ = GaussianPrior(0.0, 1.0).denoise(mode, 2.0, 1.0)
         assert st_.point == pytest.approx(1.0, abs=1e-14)
         assert st_.variance == pytest.approx(0.5, abs=1e-14)
 
@@ -38,13 +37,13 @@ class TestGaussianPrior:
 
 class TestLaplacePrior:
     def test_soft_threshold_example(self):
-        st_ = denoise(LaplacePrior(1.0), Mode.MAX_SUM, 2.0, 0.5)
+        st_ = LaplacePrior(1.0).denoise(Mode.MAX_SUM, 2.0, 0.5)
         assert st_.point == pytest.approx(1.5, abs=1e-15)
 
     @given(r=st.floats(-10, 10), tau=st.floats(0.01, 10), rate=st.floats(0.1, 5))
     @settings(max_examples=200)
     def test_soft_threshold_piecewise(self, r, tau, rate):
-        st_ = denoise(LaplacePrior(rate), Mode.MAX_SUM, r, tau)
+        st_ = LaplacePrior(rate).denoise(Mode.MAX_SUM, r, tau)
         thresh = rate * tau
         if abs(r) <= thresh:
             assert st_.point == 0.0

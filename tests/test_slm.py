@@ -1,3 +1,6 @@
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,12 @@ from glmamp.slm import (LinearModel, load_matrix, load_matrix_binary,
                         slm_solve)
 
 from oracles import dense_gaussian_posterior
+
+
+def _fields(res):
+    return (res.x_stats.point, res.x_stats.variance, res.z_stats.point,
+            res.z_stats.variance, res.z_extrinsic.pseudo_mean,
+            res.z_extrinsic.pseudo_variance)
 
 
 class TestSlmSolve:
@@ -37,11 +46,13 @@ class TestSlmSolve:
         np.testing.assert_allclose(res.x_stats.variance, prior.variance, rtol=1e-9)
 
     # shape None draws n, m <= 8; the fixed shapes exceed the LAPACK/BLAS
-    # block sizes, so the blocked triangular-inverse and GEMM code runs too
+    # block sizes, so the blocked SYRK, triangular-inverse and TRMM code runs
+    # too; (384, 768) is the size of the exact-slm benchmark workload
     @pytest.mark.parametrize("seed, shape", [
         pytest.param(seed, shape, id=f"{seed}" if shape is None
                      else f"n{shape[0]}-m{shape[1]}-{seed}")
-        for shape in (None, (48, 96), (96, 48), (130, 260)) for seed in range(5)])
+        for shape in (None, (48, 96), (96, 48), (130, 260)) for seed in range(5)]
+        + [pytest.param(0, (384, 768), id="n384-m768-0")])
     def test_against_brute_force_oracle(self, seed, shape):
         rng = np.random.default_rng(seed)
         n, m = shape or (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
@@ -68,6 +79,33 @@ class TestSlmSolve:
         back = combine(res.z_extrinsic.as_belief(), GaussianBelief(py, pv))
         np.testing.assert_allclose(back.mean, res.z_stats.point, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(back.variance, res.z_stats.variance, rtol=1e-10)
+
+    # The messages validate their own fields, so these bypass them with a
+    # stand-in object to reach the checks inside slm_solve.
+    def test_nan_pseudo_variance_raises(self):
+        model = LinearModel(np.random.default_rng(0).standard_normal((6, 4)))
+        pseudo = SimpleNamespace(pseudo_mean=np.zeros(6),
+                                 pseudo_variance=np.array([1.0, np.nan, 1, 1, 1, 1]))
+        with pytest.raises(ValueError):
+            slm_solve(model, pseudo, GaussianBelief(np.zeros(4), np.ones(4)))
+
+    def test_indefinite_precision_raises(self):
+        model = LinearModel(np.random.default_rng(0).standard_normal((6, 4)))
+        prior_x = SimpleNamespace(mean=np.zeros(4),
+                                  variance=np.array([1.0, -1e-3, 1.0, 1.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            slm_solve(model, ExtrinsicMessage(np.zeros(6), np.ones(6)), prior_x)
+
+    def test_fortran_order_and_scalar_pseudo_variance(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((80, 40))
+        py = rng.standard_normal(80)
+        prior_x = GaussianBelief(rng.standard_normal(40), rng.uniform(0.2, 3.0, 40))
+        ref = slm_solve(LinearModel(A), ExtrinsicMessage(py, np.full(80, 0.7)), prior_x)
+        for A_in, pv in ((np.asfortranarray(A), np.full(80, 0.7)), (A, 0.7)):
+            res = slm_solve(LinearModel(A_in), ExtrinsicMessage(py, pv), prior_x)
+            for got, want in zip(_fields(res), _fields(ref)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
@@ -100,6 +138,17 @@ class TestMatrixFiles:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
+            load_matrix_binary(path)
+
+    # a header that claims more data than the file holds, by far or by one
+    # value, is rejected before the payload is read
+    @pytest.mark.parametrize("dims, payload", [((2**40, 2**30), b""),
+                                               ((2, 2), b"\0" * 24)],
+                             ids=["oversized-header", "short-payload"])
+    def test_truncated_payload_rejected(self, tmp_path, dims, payload):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"GLMA" + struct.pack("<QQ", *dims) + payload)
+        with pytest.raises(ValueError, match="truncated matrix payload"):
             load_matrix_binary(path)
 
     def test_load_matrix_dispatch(self, tmp_path):
