@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Demonstrate that the modular SLM + scalar-module solver tracks GAMP.
+"""Show how closely the modular SLM + scalar-module solver tracks GAMP.
 
-Runs both engines on the same instance and prints the per-iteration
-distance between their belief means plus the final fixed-point distance.
-With the default ``amp`` backend the trajectories coincide to machine
-precision; with ``--slm-backend exact`` the dense-Gaussian module settles
-on a nearby but distinct fixed point, which the table makes visible.
+A front end to ``glmamp.verify.check_equivalence`` on one generated
+instance, run with ``glmamp.cli.EQUIVALENCE_CONFIG`` and the chosen module-A
+backend.  It prints the report's distance between the two engines' belief
+means for the first 20 iterations, the fixed-point distance and both
+iteration counts.  With the default ``amp`` backend the trajectories
+coincide to machine precision; with ``--slm-backend exact`` the
+dense-Gaussian module settles on a nearby but distinct fixed point, which
+the table makes visible.
 """
 
 import argparse
-
-import numpy as np
+import dataclasses
 
 from glmamp.channels import Mode
-from glmamp.cli import generate_problem
-from glmamp.engine import SolverConfig, nmse, run_gamp, run_modular
+from glmamp.cli import EQUIVALENCE_CONFIG, generate_problem
 from glmamp.specs import parse_channel, parse_prior
+from glmamp.verify import check_equivalence
 
 
 def main():
@@ -27,32 +29,19 @@ def main():
     ap.add_argument("--mode", choices=("mmse", "map"), default="mmse")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--slm-backend", choices=("exact", "amp"), default="amp")
-    ap.add_argument("--max-iter", type=int, default=300)
-    ap.add_argument("--damping", type=float, default=0.8)
     args = ap.parse_args()
 
     prob = generate_problem(args.n, args.m, parse_prior(args.prior),
                             parse_channel(args.channel), args.seed)
-    cfg = SolverConfig(max_iter=args.max_iter, tol=1e-10, damping=args.damping,
-                       slm_backend=args.slm_backend)
-    mode = Mode(args.mode)
-    sol_g, tr_g = run_gamp(prob, mode, cfg)
-    sol_m, tr_m = run_modular(prob, mode, cfg)
+    config = dataclasses.replace(EQUIVALENCE_CONFIG, slm_backend=args.slm_backend)
+    report = check_equivalence(prob, Mode(args.mode), config, seed=args.seed)
 
     print(f"{'iter':>4}  {'|p_gamp - p_mod| / |p_gamp|':>28}")
-    for rg, rm in zip(tr_g.records, tr_m.records):
-        pg, pm = np.asarray(rg["p_hat"]), np.asarray(rm["p_hat"])
-        d = np.linalg.norm(pg - pm) / max(np.linalg.norm(pg), 1e-300)
-        print(f"{rg['iter']:>4}  {d:>28.3e}")
-
-    xg, xm = np.asarray(sol_g.point), np.asarray(sol_m.point)
-    dist = np.linalg.norm(xg - xm) / max(np.linalg.norm(xg), 1e-300)
-    print(f"\nfixed-point distance : {dist:.3e}")
-    print(f"gamp    : {len(tr_g)} iters, converged={tr_g.converged}, "
-          f"nmse={nmse(sol_g.point, prob.x_true):.4f}")
-    print(f"modular : {len(tr_m)} iters, converged={tr_m.converged}, "
-          f"nmse={nmse(sol_m.point, prob.x_true):.4f} "
-          f"(backend={args.slm_backend})")
+    for it, d in enumerate(report.extras["per_iter_belief_distance"]):
+        print(f"{it:>4}  {d:>28.3e}")
+    print(f"\nfixed-point distance : {report.max_rel_residual:.3e}")
+    print(f"iterations           : gamp {report.extras['iters_gamp']}, "
+          f"modular {report.extras['iters_modular']} (backend={args.slm_backend})")
 
 
 if __name__ == "__main__":

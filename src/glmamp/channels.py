@@ -84,9 +84,6 @@ class OutputChannel:
     def sample(self, z, rng: np.random.Generator):
         raise NotImplementedError
 
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class AwgnChannel(OutputChannel):
@@ -114,9 +111,6 @@ class AwgnChannel(OutputChannel):
 
     def sample(self, z, rng):
         return z + rng.normal(scale=np.sqrt(self.noise_variance), size=np.shape(z))
-
-    def spec_string(self):
-        return f"awgn(var={self.noise_variance})"
 
 
 def _norm_hazard(t):
@@ -157,9 +151,6 @@ class ProbitChannel(OutputChannel):
         p = np.exp(log_ndtr(np.asarray(z) / self.scale))
         return np.where(rng.uniform(size=np.shape(z)) < p, 1.0, -1.0)
 
-    def spec_string(self):
-        return f"probit(scale={self.scale})"
-
 
 def _sigmoid(t):
     return 0.5 * (1.0 + np.tanh(0.5 * t))
@@ -196,9 +187,6 @@ class LogisticChannel(OutputChannel):
         p = _sigmoid(np.asarray(z) / self.scale)
         return np.where(rng.uniform(size=np.shape(z)) < p, 1.0, -1.0)
 
-    def spec_string(self):
-        return f"logistic(scale={self.scale})"
-
 
 @dataclass(frozen=True)
 class PoissonChannel(OutputChannel):
@@ -229,9 +217,6 @@ class PoissonChannel(OutputChannel):
         if np.any(np.asarray(z) <= 0):
             raise ValueError("poisson channel requires z > 0 to sample")
         return rng.poisson(z).astype(float)
-
-    def spec_string(self):
-        return "poisson()"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from itertools import product
@@ -20,7 +21,7 @@ from .channels import Mode, PoissonChannel
 from .engine import ProblemInstance, SolverConfig, nmse, run_gamp, run_modular
 from .gaussian import DEFAULT_VARIANCE_FLOOR
 from .slm import LinearModel, load_matrix, save_matrix_binary
-from .specs import SpecError, parse_channel, parse_prior
+from .specs import SpecError, parse_channel, parse_prior, spec_string
 from .verify import (check_derivatives, check_ep_bridge, check_equivalence,
                      check_laplace_identity)
 
@@ -67,10 +68,15 @@ def _make_matrix(m, n, dist, rng):
     raise UsageError(f"unknown matrix distribution {dist!r}")
 
 
+def _default_matrix_dist(channel) -> str:
+    """Poisson needs a nonnegative A so that z = A x stays positive."""
+    return "abs_gaussian" if isinstance(channel, PoissonChannel) else "gaussian"
+
+
 def generate_problem(n, m, prior, channel, seed, matrix_dist=None):
     rng = np.random.default_rng(seed)
     if matrix_dist is None:
-        matrix_dist = "abs_gaussian" if isinstance(channel, PoissonChannel) else "gaussian"
+        matrix_dist = _default_matrix_dist(channel)
     A = _make_matrix(m, n, matrix_dist, rng)
     x = prior.sample(n, rng)
     z = A @ x
@@ -82,23 +88,19 @@ def generate_problem(n, m, prior, channel, seed, matrix_dist=None):
 
 
 def cmd_gen(args) -> int:
-    try:
-        prior = parse_prior(args.prior)
-        channel = parse_channel(args.channel)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prior = parse_prior(args.prior)
+    channel = parse_channel(args.channel)
+    matrix_dist = args.matrix_dist or _default_matrix_dist(channel)
     prob = generate_problem(args.n, args.m, prior, channel, args.seed,
-                            matrix_dist=args.matrix_dist)
+                            matrix_dist=matrix_dist)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix_binary(out / "A.bin", prob.model.A)
     np.savetxt(out / "x_true.csv", prob.x_true, delimiter=",")
     np.savetxt(out / "y.csv", prob.y, delimiter=",")
-    meta = {"n": args.n, "m": args.m, "prior": prior.spec_string(),
-            "channel": channel.spec_string(), "seed": args.seed,
-            "matrix_dist": args.matrix_dist or
-            ("abs_gaussian" if isinstance(channel, PoissonChannel) else "gaussian")}
+    meta = {"n": args.n, "m": args.m, "prior": spec_string(prior),
+            "channel": spec_string(channel), "seed": args.seed,
+            "matrix_dist": matrix_dist}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     print(f"wrote problem to {out}")
     return 0
@@ -128,15 +130,13 @@ def _solver_config(args) -> SolverConfig:
 def cmd_solve(args) -> int:
     try:
         config = _solver_config(args)
-        if args.problem:
-            problem = load_problem(args.problem)
-        else:
-            prior = parse_prior(args.prior)
-            channel = parse_channel(args.channel)
-            problem = generate_problem(args.n, args.m, prior, channel, args.seed)
-    except (UsageError, ValueError) as exc:  # SpecError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    if args.problem:
+        problem = load_problem(args.problem)
+    else:
+        problem = generate_problem(args.n, args.m, parse_prior(args.prior),
+                                   parse_channel(args.channel), args.seed)
     mode = Mode(args.mode)
     runner = run_gamp if args.engine == "gamp" else run_modular
     t0 = time.perf_counter()
@@ -182,11 +182,7 @@ def _verify_reports(args):
 
 
 def cmd_verify(args) -> int:
-    try:
-        reports = _verify_reports(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reports = _verify_reports(args)
     lines = [r.to_json() for r in reports]
     if args.report:
         Path(args.report).write_text("\n".join(lines) + "\n")
@@ -199,10 +195,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_axis(text):
-    values = [float(v) for v in text.split(",") if v.strip()]
+def _parse_axis(text, positive=False):
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"sweep axis {text!r}: expected comma-separated numbers") from None
     if not values:
         raise UsageError("empty sweep axis")
+    if positive and not all(0.0 < v < math.inf for v in values):
+        raise UsageError(f"sweep axis {text!r}: every value must be finite and > 0")
     return values
 
 
@@ -222,33 +223,27 @@ def _sweep_cell(cell):
     y = channel.sample(z, rng)
     problem = ProblemInstance(LinearModel(A), np.asarray(y, dtype=float),
                               channel, prior, x_true=x)
+    config = SolverConfig(max_iter=200, tol=1e-10)  # modular: exact module A
     rows = []
     for engine, runner in (("gamp", run_gamp), ("modular", run_modular)):
-        cfg = SolverConfig(max_iter=200, tol=1e-10,
-                           slm_backend="amp" if engine == "modular" else "exact")
+        row = {"snr_db": snr_db, "rho": rho, "m_over_n": ratio, "rep": rep,
+               "engine": engine, "mode": "mmse"}
         try:
-            sol, trace = runner(problem, Mode.SUM_PRODUCT, cfg)
-            rows.append({"snr_db": snr_db, "rho": rho, "m_over_n": ratio,
-                         "rep": rep, "engine": engine, "mode": "mmse",
-                         "nmse": nmse(sol.point, x), "iterations": len(trace),
-                         "floor_events": trace.floor_events,
-                         "status": "diverged" if trace.diverged else "ok"})
+            sol, trace = runner(problem, Mode.SUM_PRODUCT, config)
+            row.update(nmse=nmse(sol.point, x), iterations=len(trace),
+                       floor_events=trace.floor_events,
+                       status="diverged" if trace.diverged else "ok")
         except Exception as exc:  # per-cell failure: record, keep sweeping
-            rows.append({"snr_db": snr_db, "rho": rho, "m_over_n": ratio,
-                         "rep": rep, "engine": engine, "mode": "mmse",
-                         "nmse": float("nan"), "iterations": 0,
-                         "floor_events": 0, "status": f"error:{exc}"})
+            row.update(nmse=float("nan"), iterations=0, floor_events=0,
+                       status=f"error:{exc}")
+        rows.append(row)
     return rows
 
 
 def cmd_sweep(args) -> int:
-    try:
-        snrs = _parse_axis(args.snr_db)
-        rhos = _parse_axis(args.rho)
-        ratios = _parse_axis(args.m_over_n)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    snrs = _parse_axis(args.snr_db)
+    rhos = _parse_axis(args.rho)
+    ratios = _parse_axis(args.m_over_n, positive=True)
     cells = [(s, r, q, rep, args.seed)
              for s, r, q, rep in product(snrs, rhos, ratios, range(args.reps))]
     rows = [row for cell in cells for row in _sweep_cell(cell)]
@@ -262,6 +257,13 @@ def cmd_sweep(args) -> int:
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
+
+
+def positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)  # argparse reports "invalid positive_int value"
+    return value
 
 
 def _add_solver_flags(p):
@@ -282,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a problem instance on disk")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
+    g.add_argument("--n", type=positive_int, required=True)
+    g.add_argument("--m", type=positive_int, required=True)
     g.add_argument("--prior", required=True)
     g.add_argument("--channel", required=True)
     g.add_argument("--seed", type=int, default=0)
@@ -294,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve a problem with either engine")
     s.add_argument("--config", help="key = value config file; flags override it")
     s.add_argument("--problem", help="directory written by gen")
-    s.add_argument("--n", type=int, default=64)
-    s.add_argument("--m", type=int, default=128)
+    s.add_argument("--n", type=positive_int, default=64)
+    s.add_argument("--m", type=positive_int, default=128)
     s.add_argument("--prior", default="gaussian(mean=0,var=1)")
     s.add_argument("--channel", default="awgn(var=1.0)")
     s.add_argument("--engine", choices=("gamp", "modular"), default="gamp")
@@ -310,18 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
                                        "derivatives", "equivalence"),
                    default="all")
     v.add_argument("--channel", help="restrict to one channel spec")
-    v.add_argument("--samples", type=int, default=10_000)
+    v.add_argument("--samples", type=positive_int, default=10_000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--report", help="JSON report output path")
     v.set_defaults(func=cmd_verify)
 
-    w = sub.add_parser("sweep", help="SNR/sparsity/ratio sweep to CSV")
+    w = sub.add_parser("sweep", help="SNR/sparsity/ratio sweep to CSV: one gamp "
+                       "row and one modular (exact module A) row per cell")
     w.add_argument("--snr-db", default="0,10,20,30,40",
                    help="comma-separated SNR axis in dB")
     w.add_argument("--rho", default="0.1", help="comma-separated sparsity axis")
     w.add_argument("--m-over-n", default="2.0",
                    help="comma-separated measurement-ratio axis")
-    w.add_argument("--reps", type=int, default=5)
+    w.add_argument("--reps", type=positive_int, default=5)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_sweep)
@@ -336,7 +339,7 @@ def _apply_config_defaults(argv):
     coming later, win wherever they appear.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" not in argv:
+    if "--config" not in argv[:-1]:  # a trailing --config is argparse's to reject
         return argv
     values = load_config_file(argv[argv.index("--config") + 1])
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
@@ -347,19 +350,11 @@ def _apply_config_defaults(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the one place a usage or I/O error becomes exit 2."""
     try:
-        argv = _apply_config_defaults(argv)
-    except (UsageError, IndexError) as exc:
-        print(f"error: bad config file: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(_apply_config_defaults(argv))
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,9 +36,6 @@ class InputPrior:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class GaussianPrior(InputPrior):
@@ -66,9 +63,6 @@ class GaussianPrior(InputPrior):
 
     def sample(self, n, rng):
         return rng.normal(self.mean, np.sqrt(self.var), size=n)
-
-    def spec_string(self):
-        return f"gaussian(mean={self.mean},var={self.var})"
 
 
 def _logsumexp2(a, b):
@@ -131,9 +125,6 @@ class BernoulliGaussianPrior(InputPrior):
         active = rng.uniform(size=n) < self.rho
         return np.where(active, rng.normal(self.mean, np.sqrt(self.var), size=n), 0.0)
 
-    def spec_string(self):
-        return f"bg(rho={self.rho},mean={self.mean},var={self.var})"
-
 
 def _trunc_gauss_moments(alpha):
     """Mean/variance of a standard Gaussian truncated to (alpha, inf)."""
@@ -192,6 +183,3 @@ class LaplacePrior(InputPrior):
 
     def sample(self, n, rng):
         return rng.laplace(scale=1.0 / self.rate, size=n)
-
-    def spec_string(self):
-        return f"laplace(lambda={self.rate})"

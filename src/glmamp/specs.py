@@ -3,7 +3,8 @@
 Channel specs:  awgn(var=1.0) | probit(scale=1.0) | poisson() | logistic(scale=1.0)
 Prior specs:    gaussian(mean=0,var=1) | bg(rho=0.1,mean=0,var=1) | laplace(lambda=1)
 
-Errors carry the character position of the offending token.
+Errors carry the character position of the offending token.  ``spec_string``
+is the inverse of the two parsers: ``parse_*(spec_string(obj)) == obj``.
 """
 
 from __future__ import annotations
@@ -86,3 +87,12 @@ def parse_channel(text: str):
 
 def parse_prior(text: str):
     return _build(text, _PRIORS, "prior")
+
+
+def spec_string(obj) -> str:
+    """The spec of a channel or prior, e.g. ``bg(rho=0.1,mean=0.0,var=1.0)``."""
+    for name, (cls, keymap) in {**_CHANNELS, **_PRIORS}.items():
+        if type(obj) is cls:
+            args = ",".join(f"{key}={getattr(obj, attr)}" for key, attr in keymap.items())
+            return f"{name}({args})"
+    raise TypeError(f"no spec grammar for {type(obj).__name__}")

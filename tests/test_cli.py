@@ -204,20 +204,48 @@ class TestSweep:
         # 4 SNRs x 3 reps x 2 engines
         assert len(rows) == 24
         assert all(r["status"] == "ok" for r in rows)
-        snr = [float(r["snr_db"]) for r in rows if r["engine"] == "gamp"]
-        err = [float(r["nmse"]) for r in rows if r["engine"] == "gamp"]
-        corr, _ = spearmanr(snr, err)
-        assert corr < 0  # NMSE falls as SNR rises
-        # the amp-backed modular engine reproduces gamp cell by cell
+        for engine in ("gamp", "modular"):
+            snr = [float(r["snr_db"]) for r in rows if r["engine"] == engine]
+            err = [float(r["nmse"]) for r in rows if r["engine"] == engine]
+            corr, _ = spearmanr(snr, err)
+            assert corr < 0, engine  # NMSE falls as SNR rises
+        # the exact-backed modular engine lands near gamp's fixed point
+        # (ratio at most 1.44 on the default grid), not on it
         gamp = {(r["snr_db"], r["rep"]): float(r["nmse"])
                 for r in rows if r["engine"] == "gamp"}
         for r in rows:
             if r["engine"] == "modular":
-                assert float(r["nmse"]) == pytest.approx(
-                    gamp[(r["snr_db"], r["rep"])], rel=1e-6)
+                ratio = float(r["nmse"]) / gamp[(r["snr_db"], r["rep"])]
+                assert 0.5 <= ratio <= 2.0, r
 
     def test_empty_axis_exits_2(self, tmp_path, capsys):
         code, _, err = _run(capsys, "sweep", "--snr-db", ",", "--out",
                             str(tmp_path / "s.csv"))
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "0", "--m", "4"],
+    ["gen", "--n", "-3", "--m", "4"],
+    ["verify", "--samples", "0"],
+    ["verify", "--samples", "-1"],
+    ["sweep", "--rho", "0"],
+    ["sweep", "--rho", "1.5"],
+    ["sweep", "--snr-db", "abc"],
+    ["sweep", "--m-over-n", "-2"],
+], ids=["gen-n-0", "gen-n-neg", "verify-samples-0", "verify-samples-neg",
+        "sweep-rho-0", "sweep-rho-1.5", "sweep-snr-text", "sweep-ratio-neg"])
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    extra = {"gen": ["--prior", "gaussian(mean=0,var=1)", "--channel", "awgn(var=1)",
+                     "--out", str(out)],
+             "verify": ["--check", "laplace"],
+             "sweep": ["--reps", "1", "--out", str(out)]}[argv[0]]
+    try:  # argparse rejects a bad flag value with SystemExit(2)
+        code = main([*argv, *extra])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()

@@ -1,0 +1,40 @@
+import pytest
+
+from glmamp.channels import AwgnChannel, LogisticChannel, PoissonChannel, ProbitChannel
+from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
+from glmamp.specs import parse_channel, parse_prior, spec_string
+
+
+@pytest.mark.parametrize("parse, obj", [
+    (parse_channel, AwgnChannel()),
+    (parse_channel, AwgnChannel(noise_variance=2)),
+    (parse_channel, AwgnChannel(noise_variance=0.0123456789)),
+    (parse_channel, ProbitChannel()),
+    (parse_channel, ProbitChannel(scale=3)),
+    (parse_channel, ProbitChannel(scale=0.3)),
+    (parse_channel, LogisticChannel()),
+    (parse_channel, LogisticChannel(scale=1)),
+    (parse_channel, LogisticChannel(scale=1e-7)),
+    (parse_channel, PoissonChannel()),
+    (parse_prior, GaussianPrior()),
+    (parse_prior, GaussianPrior(mean=2, var=1)),
+    (parse_prior, GaussianPrior(mean=-0.1, var=0.25)),
+    (parse_prior, BernoulliGaussianPrior()),
+    (parse_prior, BernoulliGaussianPrior(rho=1, mean=0, var=4)),
+    (parse_prior, BernoulliGaussianPrior(rho=1 / 3, mean=1.5, var=2.5e-3)),
+    (parse_prior, LaplacePrior()),
+    (parse_prior, LaplacePrior(rate=2)),
+    (parse_prior, LaplacePrior(rate=0.7)),
+], ids=lambda v: spec_string(v) if not callable(v) else None)
+def test_spec_string_parses_back_to_equal_object(parse, obj):
+    text = spec_string(obj)
+    back = parse(text)
+    assert type(back) is type(obj) and back == obj
+
+
+def test_spec_string_matches_the_grammar():
+    assert spec_string(AwgnChannel(0.5)) == "awgn(var=0.5)"
+    assert spec_string(PoissonChannel()) == "poisson()"
+    assert spec_string(GaussianPrior(mean=2, var=0.25)) == "gaussian(mean=2,var=0.25)"
+    assert spec_string(BernoulliGaussianPrior()) == "bg(rho=0.1,mean=0.0,var=1.0)"
+    assert spec_string(LaplacePrior(1.0)) == "laplace(lambda=1.0)"
