@@ -5,9 +5,11 @@ its first two z-derivatives.  On top of that sit the two scalar posterior
 summaries used by the solvers:
 
 * ``posterior_mmse`` -- mean/variance of z ~ N(mean, var) tilted by p(y|z)
-  (closed form for AWGN; otherwise Gauss-Hermite centred on the Laplace fit,
-  whose order doubles from 11 up to 1025 for each component separately
-  until that component's moments settle), and
+  (closed form for AWGN; exact for Poisson counts up to
+  POISSON_RECURSION_MAX_COUNT, from a truncated-Gaussian ratio recursion;
+  otherwise Gauss-Hermite centred on the Laplace fit, whose order doubles
+  from 11 up to 1025 for each component separately until that component's
+  moments settle), and
 * ``posterior_map``  -- mode of the tilted density with Laplace variance
   1/var = -f''(mode, y) + 1/belief_variance.
 
@@ -43,6 +45,10 @@ MAP_TOL = 1e-12
 QUAD_START_ORDER = 11
 QUAD_MAX_ORDER = 1025
 QUAD_RTOL = 1e-9
+
+# Poisson counts up to this take their MMSE moments from the truncated-Gaussian
+# ratio recursion (``_poisson_recursion``); larger counts use log-space GH.
+POISSON_RECURSION_MAX_COUNT = 32
 
 
 class Mode(enum.Enum):
@@ -239,11 +245,12 @@ def _newton_map(channel, y, p_hat, tau_p):
     z = np.array(np.broadcast_arrays(p_hat + 0.0 * tau_p, y)[0], dtype=float)
     if channel.domain == "positive":
         z = np.maximum(z, 1.0)
-    scale = 1.0 + np.abs(channel.d1(z, y))
+    d1 = channel.d1(z, y)
+    scale = 1.0 + np.abs(d1)
     # rounding of (z - p_hat)/tau_p bounds the achievable residual
     fp_floor = 32.0 * np.finfo(float).eps * (1.0 + np.abs(p_hat)) / tau_p
+    g = d1 - (z - p_hat) / tau_p
     for _ in range(MAP_MAX_ITER):
-        g = channel.d1(z, y) - (z - p_hat) / tau_p
         if np.all(np.abs(g) <= MAP_TOL * scale + fp_floor):
             break
         h = channel.d2(z, y) - 1.0 / tau_p  # < 0 for concave f
@@ -258,8 +265,7 @@ def _newton_map(channel, y, p_hat, tau_p):
             if not np.any(bad):
                 break
             step = np.where(bad, 0.5 * step, step)
-        z = z_try
-    g = channel.d1(z, y) - (z - p_hat) / tau_p
+        z, g = z_try, g_try
     if not np.all(np.abs(g) <= 1e-9 * scale + fp_floor):
         raise RuntimeError("MAP Newton failed to reach stationarity")
     return z
@@ -289,7 +295,8 @@ def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> Posterio
 
 
 # ---------------------------------------------------------------------------
-# MMSE path: adaptive Gauss-Hermite centered on the Laplace fit.
+# MMSE path: the Poisson recursion, else adaptive Gauss-Hermite centered on
+# the Laplace fit.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -351,15 +358,87 @@ def _adaptive_gh(log_target, center, sigma, scale, to_z=None):
     return mean, var
 
 
+def _poisson_recursion(y, p_hat, tau_p):
+    """Exact Poisson moments from a three-term recursion, no quadrature.
+
+    z^y e^-z N(z; p_hat, tau_p) on z > 0 is z^y times N(p_hat - tau_p, tau_p)
+    cut off at 0.  With sigma = sqrt(tau_p), t = (p_hat - tau_p)/sigma and
+    J_k = int_0^inf w^k exp(-(w - t)^2/2) dw, the ratios R_k = J_k/J_{k-1}
+    obey R_1 = t + phi(t)/Phi(t) and R_{k+1} = t + k/R_k, and the moments are
+    mean = sigma R_{y+1} and var = tau_p R_{y+1} (R_{y+2} - R_{y+1}).
+
+    Where t sqrt(y + 1) >= -3 the recursion runs forward on the excess
+    d_k = R_k - t, which never forms t + k/R_k and amplifies rounding by at
+    most about e^6.  Elsewhere Miller's backward recursion R_k = k/(R_{k+1} - t)
+    runs down from the saddle-point value R_K ~ 2K/(s - t) (1 - 1/s^2),
+    s = sqrt(t^2 + 4K), whose relative error is O(1/s^4), at a depth
+    K = y + 16 + ceil((sqrt(y + 2) + 7/|t|)^2) that damps it below rounding.
+    Components run their own number of steps: sorting them makes the ones
+    still running a contiguous slice, and each one's bits do not depend on
+    the others.
+    """
+    sigma = np.sqrt(tau_p)
+    t = (p_hat - tau_p) / sigma
+    ratio, gap = np.empty_like(t), np.empty_like(t)  # R_{y+1}, R_{y+2} - R_{y+1}
+    fwd = t * np.sqrt(y + 1.0) >= -3.0
+    if np.any(fwd):
+        i = np.flatnonzero(fwd)
+        i = i[np.argsort(y[i], kind="stable")]
+        yi, ti = y[i], t[i]
+        d = _norm_hazard(ti)  # d_1
+        # step k takes d_k to d_{k+1} for the components with y >= k
+        for k, lo in enumerate(np.searchsorted(yi, np.arange(1.0, yi[-1] + 1.0)), 1):
+            d[lo:] = k / (ti[lo:] + d[lo:])
+        ratio[i], gap[i] = ti + d, (yi + 1.0) / (ti + d) - d
+    if not np.all(fwd):
+        i = np.flatnonzero(~fwd)
+        depth = y[i] + 16.0 + np.ceil((np.sqrt(y[i] + 2.0) - 7.0 / t[i]) ** 2)
+        steps = depth - y[i] - 2.0  # R_{K-1} down to R_{y+2}
+        order = np.argsort(-steps, kind="stable")
+        i, depth, steps = i[order], depth[order], steps[order]
+        ti = t[i]
+        s2 = ti * ti + 4.0 * depth
+        r = 2.0 * depth / (np.sqrt(s2) - ti) * (1.0 - 1.0 / s2)  # R_K
+        k = depth - 1.0
+        # step j runs the first n components, those with more than j steps
+        for n in np.searchsorted(-steps, -np.arange(steps[0])):
+            r[:n] = k[:n] / (r[:n] - ti[:n])
+            k[:n] -= 1.0
+        r_lo = (y[i] + 1.0) / (r - ti)
+        ratio[i], gap[i] = r_lo, r - r_lo
+    return sigma * ratio, tau_p * ratio * gap
+
+
+def _poisson_gh(y, p_hat, tau_p, scale):
+    """Poisson moments by adaptive GH in u = log z, centred on the log-z mode."""
+    z_mode = _poisson_map_point(y, p_hat, tau_p, shift=1.0)
+    u_mode = np.log(z_mode)
+    # curvature of (y+1)u - e^u - (e^u - p)^2 / (2 tau) at the mode
+    curv = z_mode + (2.0 * z_mode ** 2 - p_hat * z_mode) / tau_p
+    sigma_u = 1.0 / np.sqrt(np.maximum(curv, 1e-8))
+    sigma_u = np.minimum(sigma_u, 10.0)
+
+    def log_target(u, idx):  # includes the Jacobian e^u
+        z = np.exp(u)
+        return (y[idx, None] + 1.0) * u - z \
+            - (z - p_hat[idx, None]) ** 2 / (2.0 * tau_p[idx, None])
+
+    # moments of z = e^u under the u-density
+    return _adaptive_gh(log_target, u_mode, sigma_u, scale, to_z=np.exp)
+
+
 def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> PosteriorStats:
     """Exact posterior mean and variance of the tilted scalar model.
 
-    AWGN is conjugate; the other channels are integrated by adaptive
+    AWGN is conjugate.  Poisson counts y <= POISSON_RECURSION_MAX_COUNT are
+    exact too: the tilted density is z^y times a Gaussian cut off at 0, whose
+    moment ratios follow a three-term recursion (``_poisson_recursion``).
+    The other channels, and larger Poisson counts, are integrated by adaptive
     Gauss-Hermite quadrature centered on the Laplace fit of the posterior
-    (for Poisson, in log z so iterates stay in the valid domain).  Each
-    component refines its own order (see ``_adaptive_gh``), so one hard
-    belief does not raise the order of the others; a component unresolved at
-    order QUAD_MAX_ORDER beyond 1e-7 raises QuadratureError.
+    (for Poisson, in log z, where a large count's density is nearly
+    Gaussian).  Each component refines its own order (see ``_adaptive_gh``),
+    so one hard belief does not raise the order of the others; a component
+    unresolved at order QUAD_MAX_ORDER beyond 1e-7 raises QuadratureError.
     """
     p_hat = np.asarray(belief.mean, dtype=float)
     tau_p = np.asarray(belief.variance, dtype=float)
@@ -376,21 +455,15 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
     scale = np.sqrt(tau_p) + np.abs(p_hat)
 
     if isinstance(channel, PoissonChannel):
-        # integrate in u = log z; target includes the Jacobian e^u
-        z_mode = _poisson_map_point(y, p_hat, tau_p, shift=1.0)
-        u_mode = np.log(z_mode)
-        # curvature of (y+1)u - e^u - (e^u - p)^2 / (2 tau) at the mode
-        curv = z_mode + (2.0 * z_mode ** 2 - p_hat * z_mode) / tau_p
-        sigma_u = 1.0 / np.sqrt(np.maximum(curv, 1e-8))
-        sigma_u = np.minimum(sigma_u, 10.0)
-
-        def log_target(u, idx):
-            z = np.exp(u)
-            return (y[idx, None] + 1.0) * u - z \
-                - (z - p_hat[idx, None]) ** 2 / (2.0 * tau_p[idx, None])
-
-        # moments of z = e^u under the u-density
-        mean, var = _adaptive_gh(log_target, u_mode, sigma_u, scale, to_z=np.exp)
+        mean, var = np.empty_like(p_hat), np.empty_like(p_hat)
+        small = y <= POISSON_RECURSION_MAX_COUNT
+        if np.any(small):
+            mean[small], var[small] = _poisson_recursion(y[small], p_hat[small],
+                                                         tau_p[small])
+        if not np.all(small):
+            large = ~small
+            mean[large], var[large] = _poisson_gh(y[large], p_hat[large],
+                                                  tau_p[large], scale[large])
     else:
         lap = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
         sigma = np.sqrt(np.asarray(lap.variance))

@@ -195,25 +195,33 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_axis(text, positive=False):
+def _parse_axis(flag, text, positive=False):
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"sweep axis {text!r}: expected comma-separated numbers") from None
+        raise UsageError(f"{flag} {text!r}: expected comma-separated numbers") from None
     if not values:
-        raise UsageError("empty sweep axis")
-    if positive and not all(0.0 < v < math.inf for v in values):
-        raise UsageError(f"sweep axis {text!r}: every value must be finite and > 0")
+        raise UsageError(f"{flag}: empty sweep axis")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag} {text!r}: every value must be finite")
+    if positive and not all(v > 0.0 for v in values):
+        raise UsageError(f"{flag} {text!r}: every value must be > 0")
     return values
 
 
+def _sweep_prior(rho):
+    try:
+        return parse_prior(f"bg(rho={rho},mean=0,var=1)")
+    except SpecError as exc:
+        raise UsageError(f"--rho {rho}: {exc}") from None
+
+
 def _sweep_cell(cell):
-    snr_db, rho, ratio, rep, base_seed = cell
+    snr_db, rho, ratio, rep, base_seed, prior = cell
     n = 64
     m = max(1, int(round(ratio * n)))
     seed = base_seed + 1000 * rep + hash((snr_db, rho, ratio)) % 1000
     rng = np.random.default_rng(seed)
-    prior = parse_prior(f"bg(rho={rho},mean=0,var=1)")
     A = rng.standard_normal((m, n)) / np.sqrt(n)
     x = prior.sample(n, rng)
     z = A @ x
@@ -241,10 +249,12 @@ def _sweep_cell(cell):
 
 
 def cmd_sweep(args) -> int:
-    snrs = _parse_axis(args.snr_db)
-    rhos = _parse_axis(args.rho)
-    ratios = _parse_axis(args.m_over_n, positive=True)
-    cells = [(s, r, q, rep, args.seed)
+    # every axis value is checked before the first solve
+    snrs = _parse_axis("--snr-db", args.snr_db)
+    rhos = _parse_axis("--rho", args.rho)
+    priors = {rho: _sweep_prior(rho) for rho in rhos}
+    ratios = _parse_axis("--m-over-n", args.m_over_n, positive=True)
+    cells = [(s, r, q, rep, args.seed, priors[r])
              for s, r, q, rep in product(snrs, rhos, ratios, range(args.reps))]
     rows = [row for cell in cells for row in _sweep_cell(cell)]
     rows.sort(key=lambda r: (r["snr_db"], r["rho"], r["m_over_n"],

@@ -84,6 +84,10 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.damping is not None and not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
+        if not 0.0 <= self.tol < np.inf:  # NaN fails too
+            raise ValueError("tol must be finite and >= 0")
+        if not 0.0 < self.variance_floor < np.inf:
+            raise ValueError("variance_floor must be finite and > 0")
         if self.slm_backend not in ("exact", "amp"):
             raise ValueError("slm_backend must be 'exact' or 'amp'")
 
@@ -180,8 +184,10 @@ class _ExactStep:
         self.res = None
 
     def z_belief(self, x_hat, tau_x):
+        # a pseudo-variance below the floor (a Poisson zero count against a
+        # belief far below 0) would round A^T diag(1/pv) A to indefinite
         pseudo = ExtrinsicMessage(pseudo_mean=self.eta_z / self.lam_z,
-                                  pseudo_variance=1.0 / self.lam_z)
+                                  pseudo_variance=np.maximum(1.0 / self.lam_z, self.eps))
         prior_x = GaussianBelief(self.eta_x / self.lam_x, 1.0 / self.lam_x)
         self.res = slm_solve(self.model, pseudo, prior_x, eps=self.eps)
         ext = self.res.z_extrinsic

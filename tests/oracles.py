@@ -106,3 +106,22 @@ def probit_posterior_closed_form(y, mean, var, scale=1.0):
     post_mean = mean + y * var / s * r
     post_var = var - var ** 2 / s ** 2 * r * (r + t)
     return post_mean, post_var
+
+
+def poisson_tilted_moments_mp(y, mean, var, dps=30):
+    """Mean and variance of z ~ z^y e^-z N(z; mean, var) on z > 0, via mpmath.
+
+    The density is z^y times N(z; mean - var, var) cut off at 0, whose
+    moments J_k = int_0^inf w^k exp(-(w - t)^2 / 2) dw (z = sigma w,
+    t = (mean - var) / sigma) are J_k = k! exp(-t^2 / 4) D_{-k-1}(-t) with
+    D the parabolic cylinder function, evaluated at ``dps`` digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        sigma = mpmath.sqrt(mpmath.mpf(var))
+        t = (mpmath.mpf(mean) - mpmath.mpf(var)) / sigma
+        d = [mpmath.pcfd(-(y + 1 + j), -t) for j in range(3)]
+        r1 = (y + 1) * d[1] / d[0]  # J_{y+1} / J_y
+        r2 = (y + 2) * d[2] / d[1]  # J_{y+2} / J_{y+1}
+        return float(sigma * r1), float(var * r1 * (r2 - r1))

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmamp import channels
-from glmamp.channels import (QUAD_MAX_ORDER, QUAD_START_ORDER, AwgnChannel,
+from glmamp.channels import (POISSON_RECURSION_MAX_COUNT, QUAD_MAX_ORDER,
+                             QUAD_RTOL, QUAD_START_ORDER, AwgnChannel,
                              LogisticChannel, Mode, PoissonChannel, ProbitChannel,
                              QuadratureError, awgn_g_out, g_out, posterior_map,
                              posterior_mmse)
 from glmamp.gaussian import ExtrinsicMessage, GaussianBelief
 
 from oracles import (gauss_hermite_moments, golden_section_max, grid_moments,
-                     probit_posterior_closed_form)
+                     poisson_tilted_moments_mp, probit_posterior_closed_form)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -118,6 +119,77 @@ class TestPosteriorMmse:
             posterior_mmse(ProbitChannel(1.0), 0.5, GaussianBelief(0.0, 1.0))
         with pytest.raises(ValueError):
             posterior_mmse(PoissonChannel(), -1.0, GaussianBelief(1.0, 1.0))
+
+
+def _poisson_beliefs(y, t, tau):
+    """Beliefs N(p_hat, tau) whose tilted density for count y has the given
+    t = (p_hat - tau)/sqrt(tau), one per (y, t, tau) combination."""
+    y, t, tau = (a.ravel() for a in np.meshgrid(y, t, tau, indexing="ij"))
+    return y, t * np.sqrt(tau) + tau, tau
+
+
+def _poisson_spy(monkeypatch):
+    """Record the batch size of every ``_gh_moments`` call."""
+    calls = []
+    gh_moments = channels._gh_moments
+
+    def spy(log_target, idx, *args):
+        calls.append(len(idx))
+        return gh_moments(log_target, idx, *args)
+
+    monkeypatch.setattr(channels, "_gh_moments", spy)
+    return calls
+
+
+class TestPoissonMmse:
+    CUTOFF = POISSON_RECURSION_MAX_COUNT
+    # t = -3 / sqrt(y + 1) splits the forward and backward recursions
+    T_GRID = np.array([-3000.0, -300.0, -30.0, -3.0, -1.0, -0.3, -0.1, 0.0,
+                       0.1, 1.0, 3.0, 30.0, 300.0])
+
+    @pytest.mark.parametrize("y", [0, 1, 2, 5, 32, 33, 64])
+    def test_against_mpmath_oracle(self, y):
+        # the recursion (y <= cutoff) is exact up to rounding, so it must meet
+        # 1e-10 relative; quadrature above the cutoff is held to QUAD_RTOL
+        # relative (it measured 4.4e-10 on the variance at t = -3000)
+        rtol = 1e-10 if y <= self.CUTOFF else QUAD_RTOL
+        split = -3.0 / np.sqrt(y + 1.0) * np.array([1.01, 0.99])
+        ys, p_hat, tau = _poisson_beliefs(
+            float(y), np.concatenate([self.T_GRID, split]), np.array([1e-4, 1.0, 25.0]))
+        stats = posterior_mmse(PoissonChannel(), ys, GaussianBelief(p_hat, tau))
+        for j in range(ys.size):
+            m, v = poisson_tilted_moments_mp(y, p_hat[j], tau[j])
+            assert abs(stats.point[j] - m) <= rtol * m, (p_hat[j], tau[j])
+            assert abs(stats.variance[j] - v) <= rtol * v, (p_hat[j], tau[j])
+
+    def test_batch_bits_equal_one_at_a_time(self):
+        ys, p_hat, tau = _poisson_beliefs(
+            np.array([0.0, 1.0, 7.0, 32.0, 33.0]), np.array([-40.0, -0.6, 0.0, 2.0, 50.0]),
+            np.array([1e-3, 2.0]))
+        batch = posterior_mmse(PoissonChannel(), ys, GaussianBelief(p_hat, tau))
+        for j in range(ys.size):
+            alone = posterior_mmse(PoissonChannel(), ys[j], GaussianBelief(p_hat[j], tau[j]))
+            assert alone.point == batch.point[j] and alone.variance == batch.variance[j]
+
+    def test_small_counts_use_no_quadrature(self, monkeypatch):
+        calls = _poisson_spy(monkeypatch)
+        ys, p_hat, tau = _poisson_beliefs(np.arange(self.CUTOFF + 1.0), self.T_GRID,
+                                          np.array([1e-4, 1.0]))
+        posterior_mmse(PoissonChannel(), ys, GaussianBelief(p_hat, tau))
+        assert calls == []
+        ys[0] = self.CUTOFF + 1.0  # one larger count: only it is integrated
+        posterior_mmse(PoissonChannel(), ys, GaussianBelief(p_hat, tau))
+        assert calls and all(n == 1 for n in calls)
+
+    def test_zero_count_narrow_belief(self, monkeypatch):
+        # log-space quadrature needed order 1025 here: the mass piled against
+        # z = 0 is a slowly decaying tail in log z
+        calls = _poisson_spy(monkeypatch)
+        stats = posterior_mmse(PoissonChannel(), 0.0, GaussianBelief(0.04, 1e-4))
+        m, v = poisson_tilted_moments_mp(0, 0.04, 1e-4)
+        assert stats.point == pytest.approx(m, rel=1e-10, abs=0)
+        assert stats.variance == pytest.approx(v, rel=1e-10, abs=0)
+        assert calls == []
 
 
 def _probit_quadrature(mean, var, y, cols, scale=1.0):

@@ -12,6 +12,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import glmamp
+from glmamp import cli
 from glmamp.cli import load_problem, main
 
 
@@ -86,8 +87,11 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("flag", [("--damping", "1.5"), ("--max-iter", "0")],
-                             ids=["damping", "max-iter"])
+    @pytest.mark.parametrize("flag", [
+        ("--damping", "1.5"), ("--max-iter", "0"),
+        ("--variance-floor", "-1"), ("--variance-floor", "nan"),
+        ("--tol", "nan"), ("--tol", "-1"),
+    ], ids=["damping", "max-iter", "floor-neg", "floor-nan", "tol-nan", "tol-neg"])
     def test_bad_solver_config_exits_2(self, capsys, flag):
         code, out, err = _run(capsys, "solve", "--n", "8", "--m", "16", *flag)
         assert code == 2
@@ -217,6 +221,24 @@ class TestSweep:
             if r["engine"] == "modular":
                 ratio = float(r["nmse"]) / gamp[(r["snr_db"], r["rep"])]
                 assert 0.5 <= ratio <= 2.0, r
+
+    @pytest.mark.parametrize("flag,value", [("--rho", "0.1,0"), ("--snr-db", "10,inf")],
+                             ids=["rho-late-zero", "snr-late-inf"])
+    def test_axes_checked_before_first_solve(self, tmp_path, capsys, monkeypatch,
+                                             flag, value):
+        solves = []  # a raising stub would be caught as a failed cell
+
+        def spy(*args):
+            solves.append(args)
+            raise RuntimeError("no solve expected")
+
+        monkeypatch.setattr(cli, "run_gamp", spy)
+        monkeypatch.setattr(cli, "run_modular", spy)
+        out = tmp_path / "s.csv"
+        code, _, err = _run(capsys, "sweep", "--reps", "1", flag, value, "--out", str(out))
+        assert code == 2 and not solves
+        assert err.startswith(f"error: {flag} ")
+        assert not out.exists()
 
     def test_empty_axis_exits_2(self, tmp_path, capsys):
         code, _, err = _run(capsys, "sweep", "--snr-db", ",", "--out",

@@ -143,6 +143,18 @@ class TestModular:
         for a, b in ((sg.point, sm.point), (sg.variance, sm.variance)):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
+    def test_exact_backend_floors_pseudo_variance(self):
+        # pseudo-precisions of 1e28 (Poisson zero counts against beliefs far
+        # below 0) made the precision matrix round to indefinite
+        rng = np.random.default_rng(0)
+        A = np.abs(rng.standard_normal((128, 64))) / 8.0
+        prob = ProblemInstance(LinearModel(A), np.zeros(128), PoissonChannel(),
+                               GaussianPrior(0.0, 1.0))
+        step = engine._ExactStep(prob, SolverConfig())
+        step.lam_z[:8] = 1e28
+        step.z_belief(np.zeros(64), np.ones(64))
+        assert np.all(np.isfinite(step.res.x_stats.point))
+
     def test_exact_backend_converges_probit_bg(self):
         prob = _make_problem(5)
         sol, trace = run_modular(prob, Mode.SUM_PRODUCT,

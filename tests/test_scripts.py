@@ -1,10 +1,12 @@
-"""Smoke tests: the scripts under scripts/ run end to end."""
+"""Tests of the scripts under scripts/: each runs end to end, and
+compare_fixed_points.py reports every difference between two saved runs."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import glmamp
@@ -34,3 +36,47 @@ def test_sweep_snr(tmp_path):
                   "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path)
     assert "wrote 2 rows" in out
     assert "gamp" in out and "modular" in out
+
+
+def _save_cell(directory, cell, point, iterations=(12,), converged=(True,)):
+    """One cell as ``trace_digest.py --save`` writes it, one row per solve."""
+    directory.mkdir(exist_ok=True)
+    point = np.atleast_2d(point)
+    np.savez(directory / f"{cell}.npz", point=point, variance=0.5 * np.ones_like(point),
+             iterations=np.array(iterations), converged=np.array(converged),
+             diverged=~np.array(converged), floor_events=np.zeros(len(iterations), int))
+
+
+def _compare(old, new):
+    lines = _script("compare_fixed_points.py", str(old), str(new)).splitlines()
+    return {line.split()[0]: line for line in lines[:-1]}, lines[-1]
+
+
+def test_compare_fixed_points_identical(tmp_path):
+    for side in ("old", "new"):
+        _save_cell(tmp_path / side, "a|mmse", [1.0, 2.0])
+        _save_cell(tmp_path / side, "b|map", [[1.0, -1.0], [3.0, 0.0]], (5, 7), (True, True))
+    cells, summary = _compare(tmp_path / "old", tmp_path / "new")
+    assert sorted(cells) == ["a|mmse", "b|map"]
+    assert all("dist=0.00e+00" in line for line in cells.values())
+    assert "max dist converged=0.00e+00" in summary
+    assert "changed=0" in summary and "one-sided=0" in summary
+
+
+def test_compare_fixed_points_reports_every_difference(tmp_path):
+    _save_cell(tmp_path / "old", "moved", [3.0, 4.0])
+    _save_cell(tmp_path / "new", "moved", [3.0, 4.0 + 5e-3])  # |dp| / |p| = 1e-3
+    _save_cell(tmp_path / "old", "slower", [1.0], iterations=(12,))
+    _save_cell(tmp_path / "new", "slower", [1.0], iterations=(15,))
+    _save_cell(tmp_path / "old", "stalled", [1.0])
+    _save_cell(tmp_path / "new", "stalled", [1.0], converged=(False,))
+    _save_cell(tmp_path / "old", "gone", [1.0])
+    _save_cell(tmp_path / "new", "added", [1.0])
+    cells, summary = _compare(tmp_path / "old", tmp_path / "new")
+    assert "dist=1.00e-03 iters=12->12 delta=0" in cells["moved"]
+    assert cells["slower"] == "slower dist=0.00e+00 iters=12->15 delta=3"
+    assert "iters=12->12 delta=0 converged [True]->[False]" in cells["stalled"]
+    assert "unconverged" in cells["stalled"]
+    assert cells["gone"] == "gone only in OLD" and cells["added"] == "added only in NEW"
+    assert "max dist converged=1.00e-03 (moved)" in summary
+    assert "changed=2" in summary and "one-sided=2" in summary
