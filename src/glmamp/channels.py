@@ -5,11 +5,10 @@ its first two z-derivatives.  On top of that sit the two scalar posterior
 summaries used by the solvers:
 
 * ``posterior_mmse`` -- mean/variance of z ~ N(mean, var) tilted by p(y|z)
-  (closed form for AWGN; exact for Poisson counts up to
-  POISSON_RECURSION_MAX_COUNT, from a truncated-Gaussian ratio recursion;
-  otherwise Gauss-Hermite centred on the Laplace fit, whose order doubles
-  from 11 up to 1025 for each component separately until that component's
-  moments settle), and
+  (closed form for AWGN; exact for Poisson, from a truncated-Gaussian ratio
+  recursion; otherwise Gauss-Hermite centred on the Laplace fit, whose order
+  doubles from 11 up to 1025 for each component separately until that
+  component's moments settle), and
 * ``posterior_map``  -- mode of the tilted density with Laplace variance
   1/var = -f''(mode, y) + 1/belief_variance.
 
@@ -45,10 +44,6 @@ MAP_TOL = 1e-12
 QUAD_START_ORDER = 11
 QUAD_MAX_ORDER = 1025
 QUAD_RTOL = 1e-9
-
-# Poisson counts up to this take their MMSE moments from the truncated-Gaussian
-# ratio recursion (``_poisson_recursion``); larger counts use log-space GH.
-POISSON_RECURSION_MAX_COUNT = 32
 
 
 class Mode(enum.Enum):
@@ -229,14 +224,10 @@ class PoissonChannel(OutputChannel):
 # MAP path: mode of f(z, y) - (z - mean)^2 / (2 var), Laplace variance.
 # ---------------------------------------------------------------------------
 
-def _poisson_map_point(y, p_hat, tau_p, shift=0.0):
-    """Positive root of z^2 + z(tau - p) - (y + shift) tau = 0.
-
-    ``shift = 1`` gives the mode of the z-posterior expressed in log z
-    (used to center the Poisson quadrature).
-    """
+def _poisson_map_point(y, p_hat, tau_p):
+    """Positive root of z^2 + z(tau - p) - y tau = 0."""
     b = p_hat - tau_p
-    z = 0.5 * (b + np.sqrt(b * b + 4.0 * (np.asarray(y, dtype=float) + shift) * tau_p))
+    z = 0.5 * (b + np.sqrt(b * b + 4.0 * np.asarray(y, dtype=float) * tau_p))
     return np.maximum(z, POISSON_Z_FLOOR)
 
 
@@ -307,15 +298,13 @@ def _gh_nodes(order: int):
     return t[keep], np.log(w[keep])
 
 
-def _gh_moments(log_target, idx, center, sigma, order, to_z=None):
+def _gh_moments(log_target, idx, center, sigma, order):
     """Normalized mean and variance of exp(log_target) via GH at a proposal.
 
     Only the components ``idx`` are integrated.  ``center``/``sigma`` locate
     each component's Gaussian proposal; ``log_target(x, idx)`` maps abscissas
     (one row of nodes per component of ``idx``) to log unnormalized density
-    values.  ``to_z``, when given, is a change of variable applied to the
-    abscissas after the weights are formed: the moments are then those of
-    ``to_z(x)``.  Nodes run along the last axis, so each component's sums
+    values.  Nodes run along the last axis, so each component's sums
     are the same bits whichever other components share the call.
     """
     t, log_w = _gh_nodes(order)
@@ -324,13 +313,12 @@ def _gh_moments(log_target, idx, center, sigma, order, to_z=None):
     log_pi -= np.max(log_pi, axis=1, keepdims=True)
     pi = np.exp(log_pi)
     pi /= np.sum(pi, axis=1, keepdims=True)
-    z = x if to_z is None else to_z(x)
-    mean = np.sum(pi * z, axis=1)
-    var = np.sum(pi * (z - mean[:, None]) ** 2, axis=1)
+    mean = np.sum(pi * x, axis=1)
+    var = np.sum(pi * (x - mean[:, None]) ** 2, axis=1)
     return mean, var
 
 
-def _adaptive_gh(log_target, center, sigma, scale, to_z=None):
+def _adaptive_gh(log_target, center, sigma, scale):
     """Per-component order doubling until mean and variance reach QUAD_RTOL.
 
     Every component starts at QUAD_START_ORDER; the order then doubles
@@ -344,10 +332,10 @@ def _adaptive_gh(log_target, center, sigma, scale, to_z=None):
     open_ = np.arange(center.shape[0])
     resid = np.full(open_.shape, np.inf)
     order = QUAD_START_ORDER
-    mean, var = _gh_moments(log_target, open_, center, sigma, order, to_z)
+    mean, var = _gh_moments(log_target, open_, center, sigma, order)
     while open_.size and order < QUAD_MAX_ORDER:
         order = min(2 * order + 1, QUAD_MAX_ORDER)
-        mean2, var2 = _gh_moments(log_target, open_, center, sigma, order, to_z)
+        mean2, var2 = _gh_moments(log_target, open_, center, sigma, order)
         resid = np.maximum(np.abs(mean2 - mean[open_]) / scale[open_],
                            np.abs(var2 - var[open_]) / scale[open_] ** 2)
         mean[open_], var[open_] = mean2, var2
@@ -409,34 +397,14 @@ def _poisson_recursion(y, p_hat, tau_p):
     return sigma * ratio, tau_p * ratio * gap
 
 
-def _poisson_gh(y, p_hat, tau_p, scale):
-    """Poisson moments by adaptive GH in u = log z, centred on the log-z mode."""
-    z_mode = _poisson_map_point(y, p_hat, tau_p, shift=1.0)
-    u_mode = np.log(z_mode)
-    # curvature of (y+1)u - e^u - (e^u - p)^2 / (2 tau) at the mode
-    curv = z_mode + (2.0 * z_mode ** 2 - p_hat * z_mode) / tau_p
-    sigma_u = 1.0 / np.sqrt(np.maximum(curv, 1e-8))
-    sigma_u = np.minimum(sigma_u, 10.0)
-
-    def log_target(u, idx):  # includes the Jacobian e^u
-        z = np.exp(u)
-        return (y[idx, None] + 1.0) * u - z \
-            - (z - p_hat[idx, None]) ** 2 / (2.0 * tau_p[idx, None])
-
-    # moments of z = e^u under the u-density
-    return _adaptive_gh(log_target, u_mode, sigma_u, scale, to_z=np.exp)
-
-
 def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> PosteriorStats:
     """Exact posterior mean and variance of the tilted scalar model.
 
-    AWGN is conjugate.  Poisson counts y <= POISSON_RECURSION_MAX_COUNT are
-    exact too: the tilted density is z^y times a Gaussian cut off at 0, whose
-    moment ratios follow a three-term recursion (``_poisson_recursion``).
-    The other channels, and larger Poisson counts, are integrated by adaptive
-    Gauss-Hermite quadrature centered on the Laplace fit of the posterior
-    (for Poisson, in log z, where a large count's density is nearly
-    Gaussian).  Each component refines its own order (see ``_adaptive_gh``),
+    AWGN is conjugate.  Poisson is exact too: the tilted density is z^y
+    times a Gaussian cut off at 0, whose moment ratios follow a three-term
+    recursion (``_poisson_recursion``).  The other channels are integrated
+    by adaptive Gauss-Hermite quadrature centered on the Laplace fit of the
+    posterior.  Each component refines its own order (see ``_adaptive_gh``),
     so one hard belief does not raise the order of the others; a component
     unresolved at order QUAD_MAX_ORDER beyond 1e-7 raises QuadratureError.
     """
@@ -452,18 +420,9 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
     p_hat = np.atleast_1d(p_hat).astype(float)
     tau_p = np.atleast_1d(tau_p).astype(float)
     y = np.atleast_1d(y).astype(float)
-    scale = np.sqrt(tau_p) + np.abs(p_hat)
 
     if isinstance(channel, PoissonChannel):
-        mean, var = np.empty_like(p_hat), np.empty_like(p_hat)
-        small = y <= POISSON_RECURSION_MAX_COUNT
-        if np.any(small):
-            mean[small], var[small] = _poisson_recursion(y[small], p_hat[small],
-                                                         tau_p[small])
-        if not np.all(small):
-            large = ~small
-            mean[large], var[large] = _poisson_gh(y[large], p_hat[large],
-                                                  tau_p[large], scale[large])
+        mean, var = _poisson_recursion(y, p_hat, tau_p)
     else:
         lap = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
         sigma = np.sqrt(np.asarray(lap.variance))
@@ -473,6 +432,7 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
             return channel.log_likelihood(z, y[idx, None]) \
                 - (z - p_hat[idx, None]) ** 2 / (2.0 * tau_p[idx, None])
 
+        scale = np.sqrt(tau_p) + np.abs(p_hat)
         mean, var = _adaptive_gh(log_target, center, sigma, scale)
 
     var = np.maximum(var, 1e-300)

@@ -183,16 +183,25 @@ class _ExactStep:
         self.eta_x = np.full(model.n, prior.marginal_mean()) * self.lam_x
         self.res = None
 
+    def _pseudo_z(self):
+        """The z pseudo-observations, variances held at the floor or above.
+
+        A pseudo-precision above 1/floor (a noise variance below the floor,
+        or a Poisson zero count against a belief far below 0) would round
+        A^T diag(1/pv) A to indefinite.  Also returns how many were held.
+        """
+        v = 1.0 / self.lam_z
+        return (self.eta_z / self.lam_z, np.maximum(v, self.eps),
+                int(np.count_nonzero(v < self.eps)))
+
     def z_belief(self, x_hat, tau_x):
-        # a pseudo-variance below the floor (a Poisson zero count against a
-        # belief far below 0) would round A^T diag(1/pv) A to indefinite
-        pseudo = ExtrinsicMessage(pseudo_mean=self.eta_z / self.lam_z,
-                                  pseudo_variance=np.maximum(1.0 / self.lam_z, self.eps))
+        mean, var, held = self._pseudo_z()
+        pseudo = ExtrinsicMessage(pseudo_mean=mean, pseudo_variance=var)
         prior_x = GaussianBelief(self.eta_x / self.lam_x, 1.0 / self.lam_x)
         self.res = slm_solve(self.model, pseudo, prior_x, eps=self.eps)
         ext = self.res.z_extrinsic
         return (np.asarray(ext.pseudo_mean), np.asarray(ext.pseudo_variance),
-                int(np.count_nonzero(ext.floored)))
+                held + int(np.count_nonzero(ext.floored)))
 
     def x_cavity(self, x_hat, belief, ext, score):
         self.lam_z, self.eta_z = _absorb(self.lam_z, self.eta_z, ext, self.damp)
@@ -201,7 +210,8 @@ class _ExactStep:
         xm = np.asarray(self.res.x_stats.point)
         lam_r = np.maximum(1.0 / xv - self.lam_x, self.eps)
         eta_r = xm / xv - self.eta_x
-        return eta_r / lam_r, 1.0 / lam_r, self.eta_z / self.lam_z, 1.0 / self.lam_z
+        y_tilde, sigma2_tilde, _ = self._pseudo_z()
+        return eta_r / lam_r, 1.0 / lam_r, y_tilde, sigma2_tilde
 
     def absorb_x(self, xstats, r, tau_r):
         ext = ep_extrinsic(xstats, GaussianBelief(r, tau_r), eps=self.eps)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmamp import channels
-from glmamp.channels import (POISSON_RECURSION_MAX_COUNT, QUAD_MAX_ORDER,
-                             QUAD_RTOL, QUAD_START_ORDER, AwgnChannel,
+from glmamp.channels import (QUAD_MAX_ORDER, QUAD_START_ORDER, AwgnChannel,
                              LogisticChannel, Mode, PoissonChannel, ProbitChannel,
                              QuadratureError, awgn_g_out, g_out, posterior_map,
                              posterior_mmse)
@@ -129,30 +128,27 @@ def _poisson_beliefs(y, t, tau):
 
 
 def _poisson_spy(monkeypatch):
-    """Record the batch size of every ``_gh_moments`` call."""
+    """Record every ``_gh_moments`` call."""
     calls = []
     gh_moments = channels._gh_moments
 
-    def spy(log_target, idx, *args):
-        calls.append(len(idx))
-        return gh_moments(log_target, idx, *args)
+    def spy(*args):
+        calls.append(args)
+        return gh_moments(*args)
 
     monkeypatch.setattr(channels, "_gh_moments", spy)
     return calls
 
 
 class TestPoissonMmse:
-    CUTOFF = POISSON_RECURSION_MAX_COUNT
     # t = -3 / sqrt(y + 1) splits the forward and backward recursions
     T_GRID = np.array([-3000.0, -300.0, -30.0, -3.0, -1.0, -0.3, -0.1, 0.0,
                        0.1, 1.0, 3.0, 30.0, 300.0])
 
     @pytest.mark.parametrize("y", [0, 1, 2, 5, 32, 33, 64])
     def test_against_mpmath_oracle(self, y):
-        # the recursion (y <= cutoff) is exact up to rounding, so it must meet
-        # 1e-10 relative; quadrature above the cutoff is held to QUAD_RTOL
-        # relative (it measured 4.4e-10 on the variance at t = -3000)
-        rtol = 1e-10 if y <= self.CUTOFF else QUAD_RTOL
+        # the recursion is exact up to rounding
+        rtol = 1e-10
         split = -3.0 / np.sqrt(y + 1.0) * np.array([1.01, 0.99])
         ys, p_hat, tau = _poisson_beliefs(
             float(y), np.concatenate([self.T_GRID, split]), np.array([1e-4, 1.0, 25.0]))
@@ -171,15 +167,12 @@ class TestPoissonMmse:
             alone = posterior_mmse(PoissonChannel(), ys[j], GaussianBelief(p_hat[j], tau[j]))
             assert alone.point == batch.point[j] and alone.variance == batch.variance[j]
 
-    def test_small_counts_use_no_quadrature(self, monkeypatch):
+    def test_uses_no_quadrature(self, monkeypatch):
         calls = _poisson_spy(monkeypatch)
-        ys, p_hat, tau = _poisson_beliefs(np.arange(self.CUTOFF + 1.0), self.T_GRID,
-                                          np.array([1e-4, 1.0]))
+        ys, p_hat, tau = _poisson_beliefs(np.array([0.0, 1.0, 5.0, 32.0, 64.0, 300.0]),
+                                          self.T_GRID, np.array([1e-4, 1.0]))
         posterior_mmse(PoissonChannel(), ys, GaussianBelief(p_hat, tau))
         assert calls == []
-        ys[0] = self.CUTOFF + 1.0  # one larger count: only it is integrated
-        posterior_mmse(PoissonChannel(), ys, GaussianBelief(p_hat, tau))
-        assert calls and all(n == 1 for n in calls)
 
     def test_zero_count_narrow_belief(self, monkeypatch):
         # log-space quadrature needed order 1025 here: the mass piled against
@@ -219,9 +212,9 @@ class TestAdaptiveQuadrature:
         calls = []
         gh_moments = channels._gh_moments
 
-        def spy(log_target, idx, center, sigma, order, to_z=None):
+        def spy(log_target, idx, center, sigma, order):
             calls.append((order, len(idx)))
-            return gh_moments(log_target, idx, center, sigma, order, to_z)
+            return gh_moments(log_target, idx, center, sigma, order)
 
         monkeypatch.setattr(channels, "_gh_moments", spy)
         mean, var = channels._adaptive_gh(*_probit_quadrature(*self.BATCH, [0, 1]))

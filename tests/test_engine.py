@@ -152,8 +152,22 @@ class TestModular:
                                GaussianPrior(0.0, 1.0))
         step = engine._ExactStep(prob, SolverConfig())
         step.lam_z[:8] = 1e28
-        step.z_belief(np.zeros(64), np.ones(64))
+        _, _, floors = step.z_belief(np.zeros(64), np.ones(64))
         assert np.all(np.isfinite(step.res.x_stats.point))
+        # the 8 held pseudo-variances count as floor events
+        assert floors == 8 + np.count_nonzero(step.res.z_extrinsic.floored)
+        # and the cavity reports the pseudo-variances module A used
+        sigma2_tilde = step.x_cavity(None, None, step.res.z_extrinsic, None)[3]
+        assert np.all(sigma2_tilde >= DEFAULT_VARIANCE_FLOOR)
+
+    def test_awgn_noise_below_floor_solves_at_floor(self):
+        # noise variance 1e-12 < floor 1e-11: module A solves with the floor,
+        # and the trace shows the pseudo-variances it used
+        prob = _make_problem(0, channel=AwgnChannel(1e-12))
+        sol, trace = run_modular(prob, Mode.SUM_PRODUCT, SolverConfig(max_iter=5))
+        assert np.all(np.isfinite(sol.point)) and trace.floor_events > 0
+        for rec in trace.records:
+            assert min(rec["sigma2_tilde"]) >= DEFAULT_VARIANCE_FLOOR
 
     def test_exact_backend_converges_probit_bg(self):
         prob = _make_problem(5)
