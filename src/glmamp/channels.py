@@ -44,6 +44,7 @@ MAP_TOL = 1e-12
 QUAD_START_ORDER = 11
 QUAD_MAX_ORDER = 1025
 QUAD_RTOL = 1e-9
+GH_BLOCK_NODES = 2 ** 16  # abscissas per quadrature block: 512 KiB of float64
 
 
 class Mode(enum.Enum):
@@ -146,7 +147,8 @@ class ProbitChannel(OutputChannel):
         return -r * (t + r) / self.scale ** 2
 
     def in_support(self, y):
-        return np.isin(y, (-1, 1))
+        y = np.asarray(y)
+        return (y == 1) | (y == -1)
 
     def sample(self, z, rng):
         p = np.exp(log_ndtr(np.asarray(z) / self.scale))
@@ -182,7 +184,8 @@ class LogisticChannel(OutputChannel):
         return np.broadcast_arrays(-s * (1.0 - s) / self.scale ** 2, y)[0]
 
     def in_support(self, y):
-        return np.isin(y, (-1, 1))
+        y = np.asarray(y)
+        return (y == 1) | (y == -1)
 
     def sample(self, z, rng):
         p = _sigmoid(np.asarray(z) / self.scale)
@@ -305,16 +308,25 @@ def _gh_moments(log_target, idx, center, sigma, order):
     each component's Gaussian proposal; ``log_target(x, idx)`` maps abscissas
     (one row of nodes per component of ``idx``) to log unnormalized density
     values.  Nodes run along the last axis, so each component's sums
-    are the same bits whichever other components share the call.
+    are the same bits whichever other components share the call.  So ``idx``
+    is walked in blocks of at most GH_BLOCK_NODES // order components, which
+    caps each float64 temporary at 512 KiB however large the batch, and the
+    result is bit-identical to one unblocked pass.
     """
     t, log_w = _gh_nodes(order)
-    x = center[idx, None] + np.sqrt(2.0) * sigma[idx, None] * t[None, :]
-    log_pi = log_target(x, idx) + (t * t + log_w)[None, :]
-    log_pi -= np.max(log_pi, axis=1, keepdims=True)
-    pi = np.exp(log_pi)
-    pi /= np.sum(pi, axis=1, keepdims=True)
-    mean = np.sum(pi * x, axis=1)
-    var = np.sum(pi * (x - mean[:, None]) ** 2, axis=1)
+    shift = (t * t + log_w)[None, :]
+    mean, var = np.empty(idx.shape[0]), np.empty(idx.shape[0])
+    rows = GH_BLOCK_NODES // order
+    for lo in range(0, idx.shape[0], rows):
+        sub = idx[lo:lo + rows]
+        x = center[sub, None] + np.sqrt(2.0) * sigma[sub, None] * t[None, :]
+        log_pi = log_target(x, sub) + shift
+        log_pi -= np.max(log_pi, axis=1, keepdims=True)
+        pi = np.exp(log_pi)
+        pi /= np.sum(pi, axis=1, keepdims=True)
+        m = np.sum(pi * x, axis=1)
+        mean[lo:lo + rows] = m
+        var[lo:lo + rows] = np.sum(pi * (x - m[:, None]) ** 2, axis=1)
     return mean, var
 
 

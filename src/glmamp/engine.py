@@ -94,7 +94,13 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration record of every solver quantity, JSONL-exportable."""
+    """Per-iteration record of every solver quantity, JSONL-exportable.
+
+    Each record keeps its vectors as the float64 ndarrays the loop handed to
+    ``append`` (8 bytes a value); the loop builds them fresh every iteration
+    and never writes to them afterwards, so they are stored without a copy.
+    JSON lists exist only inside ``to_jsonl``, one line at a time.
+    """
 
     records: list = field(default_factory=list)
     converged: bool = False
@@ -102,9 +108,7 @@ class IterationTrace:
     floor_events: int = 0
 
     def append(self, **kw):
-        rec = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-               for k, v in kw.items()}
-        self.records.append(rec)
+        self.records.append(kw)
 
     def __len__(self):
         return len(self.records)
@@ -112,8 +116,9 @@ class IterationTrace:
     def to_jsonl(self, path) -> None:
         with open(path, "w") as fh:
             for rec in self.records:
-                fh.write(json.dumps({k: rec[k] for k in TRACE_FIELDS},
-                                    sort_keys=True) + "\n")
+                line = {k: (rec[k].tolist() if isinstance(rec[k], np.ndarray)
+                            else rec[k]) for k in TRACE_FIELDS}
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def nmse(x_hat, x_true) -> float:

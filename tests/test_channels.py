@@ -120,6 +120,16 @@ class TestPosteriorMmse:
             posterior_mmse(PoissonChannel(), -1.0, GaussianBelief(1.0, 1.0))
 
 
+@pytest.mark.parametrize("channel", [ProbitChannel(1.0), LogisticChannel(1.0)],
+                         ids=lambda c: c.name)
+def test_binary_support_truth_table(channel):
+    y = [1.0, -1.0, 0.0, 2.0, np.nan, np.inf, -np.inf]
+    expected = [True, True, False, False, False, False, False]
+    assert channel.in_support(np.array(y)).tolist() == expected
+    assert channel.in_support(y).tolist() == expected  # lists and scalars too
+    assert channel.in_support(-1) and not channel.in_support(0.5)
+
+
 def _poisson_beliefs(y, t, tau):
     """Beliefs N(p_hat, tau) whose tilted density for count y has the given
     t = (p_hat - tau)/sqrt(tau), one per (y, t, tau) combination."""
@@ -226,6 +236,28 @@ class TestAdaptiveQuadrature:
         for j in (0, 1):
             alone = channels._adaptive_gh(*_probit_quadrature(*self.BATCH, [j]))
             assert alone[0][0] == mean[j] and alone[1][0] == var[j]
+
+    @pytest.mark.parametrize("channel", [ProbitChannel(0.3), LogisticChannel(0.3)],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("order", [QUAD_START_ORDER, 47])
+    def test_blocks_bit_identical_to_one_component_calls(self, channel, order):
+        # three components more than one block holds, so the batch spans two
+        k = channels.GH_BLOCK_NODES // order + 3
+        rng = np.random.default_rng(order)
+        mean = rng.uniform(-3.0, 3.0, k)
+        var = np.exp(rng.uniform(np.log(0.1), np.log(10.0), k))
+        y = np.where(rng.uniform(size=k) < 0.5, 1.0, -1.0)
+        lap = posterior_map(channel, y, GaussianBelief(mean, var))
+        center, sigma = np.asarray(lap.point), np.sqrt(np.asarray(lap.variance))
+
+        def log_target(z, idx):
+            return channel.log_likelihood(z, y[idx, None]) \
+                - (z - mean[idx, None]) ** 2 / (2.0 * var[idx, None])
+
+        batch = channels._gh_moments(log_target, np.arange(k), center, sigma, order)
+        alone = np.array([channels._gh_moments(log_target, np.array([j]), center,
+                                               sigma, order) for j in range(k)])
+        assert np.array_equal(alone[:, :, 0].T, np.array(batch))
 
     def test_unresolvable_target_raises_at_max_order(self):
         def spike(x, idx):  # far outside the N(0, 1) proposal and narrower than any node gap

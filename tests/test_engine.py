@@ -88,7 +88,14 @@ class TestRunGamp:
         s2, t2 = run_gamp(prob, Mode.SUM_PRODUCT, cfg)
         assert np.array_equal(s1.point, s2.point)
         assert np.array_equal(s1.variance, s2.variance)
-        assert t1.records == t2.records
+        assert len(t1) == len(t2)
+        for r1, r2 in zip(t1.records, t2.records):
+            assert r1.keys() == r2.keys()
+            for k in r1:
+                if isinstance(r1[k], np.ndarray):
+                    assert np.array_equal(r1[k], r2[k]), k
+                else:
+                    assert r1[k] == r2[k], k
 
     def test_maxsum_laplace_runs(self):
         prob = _make_problem(0, prior=LaplacePrior(1.0))
@@ -223,6 +230,45 @@ class TestTrace:
             assert len(rec["p_hat"]) == 16
             assert isinstance(rec["floor_events"], int)
             assert isinstance(rec["nmse"], float)
+
+
+VECTOR_FIELDS = ("x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",
+                 "y_tilde", "sigma2_tilde")
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=SOLVERS)
+class TestTraceStorage:
+    def test_vectors_stored_as_float64_arrays(self, solver):
+        prob = _make_problem(1, n=8, m=16)
+        _, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig(max_iter=10))
+        assert len(trace) > 0
+        for rec in trace.records:
+            assert not any(isinstance(v, list) for v in rec.values())
+            for name in VECTOR_FIELDS:
+                assert isinstance(rec[name], np.ndarray), name
+                assert rec[name].dtype == np.float64, name
+
+    def test_jsonl_writes_the_values_seen_at_append(self, solver, monkeypatch, tmp_path):
+        # a stored array that the loop wrote to later would change these bytes
+        seen = []
+        append = engine.IterationTrace.append
+
+        def spy(self, **kw):
+            line = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                    for k, v in kw.items()}
+            seen.append(json.dumps(line, sort_keys=True) + "\n")
+            append(self, **kw)
+
+        monkeypatch.setattr(engine.IterationTrace, "append", spy)
+        prob = _make_problem(0, prior=LaplacePrior(1.0))
+        _, trace = SOLVERS[solver](prob, Mode.MAX_SUM,
+                                   SolverConfig(max_iter=30, damping=0.8))
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(seen) == len(lines) == len(trace) > 1
+        changed = [i for i, (line, want) in enumerate(zip(lines, seen)) if line != want]
+        assert changed == []
 
 
 class TestValidation:
