@@ -5,7 +5,9 @@ The cell set is the full grid of 3 priors x 4 channels x 2 modes x
 {gamp, modular-amp, modular-exact} at n=64, m=128 with the default
 ``SolverConfig``, plus the 4 instances that ``glmamp verify`` uses for its
 equivalence checks (gamp and modular-amp on each).  Every problem is built by
-``glmamp.cli.generate_problem`` from ``--seed``.
+``glmamp.cli.generate_problem`` from ``--seed``.  ``--n N`` builds every
+problem at n=N, m=2N instead, to reach code that only runs on larger
+problems; the default is the set above.
 
 Each line is ``<cell> <sha256>`` over the trace's ``to_jsonl`` bytes, its
 converged/diverged/floor_events bookkeeping and the solution's point and
@@ -79,16 +81,19 @@ def _line(cell, solves, scratch, save_dir):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--n", type=int, default=64, help="unknowns per problem; m = 2n")
     ap.add_argument("--save", type=Path, metavar="DIR",
                     help="also write each cell's fixed point to DIR/<cell>.npz")
     args = ap.parse_args()
+    if args.n < 1:
+        ap.error("--n must be a positive integer")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp) / "trace.jsonl"
         for prior, channel in product(PRIORS, CHANNELS):
-            problem = generate_problem(64, 128, parse_prior(prior),
+            problem = generate_problem(args.n, 2 * args.n, parse_prior(prior),
                                        parse_channel(channel), args.seed)
             for mode, (engine, (runner, backend)) in product(Mode, ENGINES.items()):
                 config = SolverConfig(slm_backend=backend)
@@ -96,7 +101,7 @@ def main():
                             [(runner, problem, mode, config)], scratch, args.save),
                       flush=True)
         for channel, prior, mode_name in EQUIVALENCE_CASES:
-            problem = generate_problem(64, 128, parse_prior(prior),
+            problem = generate_problem(args.n, 2 * args.n, parse_prior(prior),
                                        parse_channel(channel), args.seed)
             mode = Mode(mode_name)
             print(_line(f"equivalence|{prior}|{channel}|{mode_name}",

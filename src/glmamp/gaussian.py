@@ -17,9 +17,11 @@ DEFAULT_VARIANCE_FLOOR = 1e-11
 
 
 def _validate_gaussian(mean, variance, what):
-    if not np.all(np.isfinite(mean)):
+    # ndarray .all() rather than np.all: the checks run on every message built
+    if not np.isfinite(mean).all():
         raise ValueError(f"{what}: mean must be finite")
-    if not np.all(np.isfinite(variance)) or not np.all(np.asarray(variance) > 0):
+    variance = np.asarray(variance)
+    if not ((variance > 0) & (variance < np.inf)).all():
         raise ValueError(f"{what}: variance must be finite and > 0")
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief,
-                             PosteriorStats, combine, ep_extrinsic,
-                             floor_variance)
+from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage,
+                             GaussianBelief, PosteriorStats, combine,
+                             ep_extrinsic, floor_variance)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -32,6 +32,41 @@ class TestCombine:
             GaussianBelief(0.0, -1.0)
         with pytest.raises(ValueError):
             GaussianBelief(np.inf, 1.0)
+
+
+class TestValidation:
+    """Every value object rejects a non-finite mean and a variance that is
+    not finite and > 0, for scalars and arrays, with the same message."""
+
+    CLASSES = (GaussianBelief, PosteriorStats, ExtrinsicMessage)
+
+    @staticmethod
+    def _build(cls, mean, variance, shape):
+        if shape == "array":
+            mean = np.array([0.0, mean, 1.0])
+            variance = np.array([1.0, variance, 2.0])
+        return cls(mean, variance)
+
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf])
+    def test_bad_mean(self, cls, mean, shape):
+        with pytest.raises(ValueError, match=f"^{cls.__name__}: mean must be finite$"):
+            self._build(cls, mean, 1.0, shape)
+
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("variance", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_variance(self, cls, variance, shape):
+        with pytest.raises(ValueError,
+                           match=f"^{cls.__name__}: variance must be finite and > 0$"):
+            self._build(cls, 0.0, variance, shape)
+
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_extreme_finite_values_accepted(self, cls, shape):
+        self._build(cls, -1e308, 5e-324, shape)
+        self._build(cls, 1e308, 1e308, shape)
 
 
 class TestEpExtrinsic:

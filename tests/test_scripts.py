@@ -80,3 +80,14 @@ def test_compare_fixed_points_reports_every_difference(tmp_path):
     assert cells["gone"] == "gone only in OLD" and cells["added"] == "added only in NEW"
     assert "max dist converged=1.00e-03 (moved)" in summary
     assert "changed=2" in summary and "one-sided=2" in summary
+
+
+def test_trace_digest_n_sets_problem_size(tmp_path):
+    out = _script("trace_digest.py", "--n", "8", "--save", str(tmp_path))
+    lines = out.splitlines()
+    assert len(lines) == 3 * 4 * 2 * 3 + 4
+    saved = sorted(tmp_path.glob("*.npz"))
+    assert len(saved) == sum(" EXC " not in line for line in lines) > 0
+    for path in saved:
+        with np.load(path) as cell:
+            assert cell["point"].shape[1] == 8, path.name

@@ -3,11 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import dtrtri
 
-from glmamp.gaussian import ExtrinsicMessage, GaussianBelief, combine
-from glmamp.slm import (LinearModel, load_matrix, load_matrix_binary,
-                        load_matrix_csv, save_matrix_binary, save_matrix_csv,
-                        slm_solve)
+from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage,
+                             GaussianBelief, combine)
+from glmamp.slm import (TRI_INV_LEAF, LinearModel, _tri_inv, load_matrix,
+                        load_matrix_binary, load_matrix_csv, save_matrix_binary,
+                        save_matrix_csv, slm_solve)
 
 from oracles import dense_gaussian_posterior
 
@@ -47,12 +50,15 @@ class TestSlmSolve:
 
     # shape None draws n, m <= 8; the fixed shapes exceed the LAPACK/BLAS
     # block sizes, so the blocked SYRK, triangular-inverse and TRMM code runs
-    # too; (384, 768) is the size of the exact-slm benchmark workload
+    # too; n = 65, 130, 257 and 384 take the recursive triangular inverse one
+    # to three levels deep; (384, 768) is the size of the exact-slm workload
     @pytest.mark.parametrize("seed, shape", [
         pytest.param(seed, shape, id=f"{seed}" if shape is None
                      else f"n{shape[0]}-m{shape[1]}-{seed}")
-        for shape in (None, (48, 96), (96, 48), (130, 260)) for seed in range(5)]
-        + [pytest.param(0, (384, 768), id="n384-m768-0")])
+        for shape in (None, (48, 96), (96, 48), (65, 130), (130, 260))
+        for seed in range(5)]
+        + [pytest.param(0, (257, 514), id="n257-m514-0"),
+           pytest.param(0, (384, 768), id="n384-m768-0")])
     def test_against_brute_force_oracle(self, seed, shape):
         rng = np.random.default_rng(seed)
         n, m = shape or (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
@@ -68,6 +74,31 @@ class TestSlmSolve:
         np.testing.assert_allclose(res.x_stats.variance, xv_o, rtol=1e-10)
         np.testing.assert_allclose(res.z_stats.point, zm_o, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(res.z_stats.variance, zv_o, rtol=1e-10)
+
+    # Half the pseudo-variances at the floor weigh those rows by 1e11, so
+    # P's condition number is 1e4-1e6 and the dense oracle's inverse loses
+    # up to that factor times machine epsilon; the posterior variances of
+    # the floored rows, and of some x, fall below the floor and are held at it.
+    @pytest.mark.parametrize("seed", range(3))
+    def test_against_oracle_with_half_the_pseudo_variances_at_the_floor(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 130, 260
+        A = rng.standard_normal((m, n))
+        pm = rng.standard_normal(n)
+        pv = rng.uniform(0.2, 3.0, n)
+        py = rng.standard_normal(m)
+        pvv = rng.uniform(0.2, 3.0, m)
+        pvv[rng.permutation(m)[:m // 2]] = DEFAULT_VARIANCE_FLOOR
+        res = slm_solve(LinearModel(A), ExtrinsicMessage(py, pvv),
+                        GaussianBelief(pm, pv))
+        mu_o, xv_o, zm_o, zv_o = dense_gaussian_posterior(A, pm, pv, py, pvv)
+        assert np.sum(res.z_stats.variance == DEFAULT_VARIANCE_FLOOR) >= m // 2
+        np.testing.assert_allclose(res.x_stats.point, mu_o, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(res.x_stats.variance,
+                                   np.maximum(xv_o, DEFAULT_VARIANCE_FLOOR), rtol=1e-9)
+        np.testing.assert_allclose(res.z_stats.point, zm_o, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(res.z_stats.variance,
+                                   np.maximum(zv_o, DEFAULT_VARIANCE_FLOOR), rtol=1e-9)
 
     def test_extrinsic_times_pseudo_recovers_marginal(self):
         rng = np.random.default_rng(7)
@@ -96,6 +127,16 @@ class TestSlmSolve:
         with pytest.raises(np.linalg.LinAlgError):
             slm_solve(model, ExtrinsicMessage(np.zeros(6), np.ones(6)), prior_x)
 
+    # n = 130 takes the recursive triangular inverse; the negative prior
+    # variance sits in the second half of the factor
+    def test_indefinite_precision_raises_at_n130(self):
+        model = LinearModel(np.random.default_rng(0).standard_normal((132, 130)))
+        variance = np.ones(130)
+        variance[100] = -1e-3
+        prior_x = SimpleNamespace(mean=np.zeros(130), variance=variance)
+        with pytest.raises(np.linalg.LinAlgError):
+            slm_solve(model, ExtrinsicMessage(np.zeros(132), np.ones(132)), prior_x)
+
     def test_fortran_order_and_scalar_pseudo_variance(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((80, 40))
@@ -112,6 +153,34 @@ class TestSlmSolve:
             LinearModel(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LinearModel(np.array([[np.nan]]))
+
+
+def _cholesky_factor(n, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((2 * n, n))
+    return cholesky(A.T @ A + np.eye(n), lower=True)
+
+
+class TestTriInv:
+    @pytest.mark.parametrize("n", [1, 17, TRI_INV_LEAF])
+    def test_leaf_is_dtrtri_bit_for_bit(self, n):
+        L = _cholesky_factor(n)
+        assert np.array_equal(_tri_inv(L), dtrtri(L, lower=1)[0])
+
+    @pytest.mark.parametrize("n", [65, 127, 128, 129, 384])
+    def test_recursion_matches_dtrtri(self, n):
+        L = _cholesky_factor(n)
+        want = dtrtri(L, lower=1)[0]
+        got = _tri_inv(L)
+        assert got.flags.f_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.triu(got, 1).any()
+
+    def test_zero_diagonal_in_a_recursed_block_raises(self):
+        L = _cholesky_factor(130)
+        L[100, 100] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
+            _tri_inv(L)
 
 
 class TestMatrixFiles:
