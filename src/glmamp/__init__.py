@@ -6,7 +6,7 @@ and a numerical verification harness for the equivalence identities that
 connect the two.
 """
 
-from .gaussian import GaussianBelief, ExtrinsicMessage, PosteriorStats, combine, ep_extrinsic, floor_variance
+from .gaussian import GaussianBelief, ExtrinsicMessage, PosteriorStats, combine, ep_extrinsic
 from .channels import Mode, AwgnChannel, ProbitChannel, PoissonChannel, LogisticChannel, posterior_mmse, posterior_map, g_out, awgn_g_out
 from .priors import GaussianPrior, BernoulliGaussianPrior, LaplacePrior
 from .slm import LinearModel, SlmResult, slm_solve
@@ -14,7 +14,7 @@ from .engine import ProblemInstance, SolverConfig, IterationTrace, run_gamp, run
 
 __all__ = [
     "GaussianBelief", "ExtrinsicMessage", "PosteriorStats",
-    "combine", "ep_extrinsic", "floor_variance",
+    "combine", "ep_extrinsic",
     "Mode", "AwgnChannel", "ProbitChannel", "PoissonChannel", "LogisticChannel",
     "posterior_mmse", "posterior_map", "g_out", "awgn_g_out",
     "GaussianPrior", "BernoulliGaussianPrior", "LaplacePrior",

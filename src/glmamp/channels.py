@@ -235,10 +235,11 @@ def _poisson_map_point(y, p_hat, tau_p):
 
 
 def _newton_map(channel, y, p_hat, tau_p):
-    """Safeguarded vectorized Newton ascent of F(z) = f(z,y) - (z-p)^2/(2 tau)."""
+    """Safeguarded vectorized Newton ascent of F(z) = f(z,y) - (z-p)^2/(2 tau).
+
+    Real-domain channels only: Poisson's mode is ``_poisson_map_point``.
+    """
     z = np.array(np.broadcast_arrays(p_hat + 0.0 * tau_p, y)[0], dtype=float)
-    if channel.domain == "positive":
-        z = np.maximum(z, 1.0)
     d1 = channel.d1(z, y)
     scale = 1.0 + np.abs(d1)
     # rounding of (z - p_hat)/tau_p bounds the achievable residual
@@ -252,8 +253,6 @@ def _newton_map(channel, y, p_hat, tau_p):
         # backtrack where the gradient norm does not decrease
         for _ in range(40):
             z_try = z + step
-            if channel.domain == "positive":
-                z_try = np.maximum(z_try, POISSON_Z_FLOOR)
             g_try = channel.d1(z_try, y) - (z_try - p_hat) / tau_p
             bad = np.abs(g_try) > np.abs(g)
             if not np.any(bad):

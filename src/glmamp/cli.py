@@ -19,7 +19,6 @@ import numpy as np
 
 from .channels import Mode, PoissonChannel
 from .engine import ProblemInstance, SolverConfig, nmse, run_gamp, run_modular
-from .gaussian import DEFAULT_VARIANCE_FLOOR
 from .slm import LinearModel, load_matrix, save_matrix_binary
 from .specs import SpecError, parse_channel, parse_prior, spec_string
 from .verify import (check_derivatives, check_ep_bridge, check_equivalence,
@@ -123,7 +122,6 @@ def load_problem(path) -> ProblemInstance:
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(max_iter=args.max_iter, tol=args.tol,
                         damping=args.damping,
-                        variance_floor=args.variance_floor,
                         slm_backend=args.slm_backend)
 
 
@@ -222,7 +220,7 @@ def _sweep_cell(cell):
     m = max(1, int(round(ratio * n)))
     seed = base_seed + 1000 * rep + hash((snr_db, rho, ratio)) % 1000
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, n)) / np.sqrt(n)
+    A = _make_matrix(m, n, "gaussian", rng)
     x = prior.sample(n, rng)
     z = A @ x
     signal_power = max(float(np.mean(z ** 2)), 1e-12)
@@ -280,7 +278,6 @@ def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--variance-floor", type=float, default=DEFAULT_VARIANCE_FLOOR)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slm-backend", choices=("exact", "amp"), default="exact",
                    help="module-A backend for the modular engine")

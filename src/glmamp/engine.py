@@ -75,8 +75,7 @@ class ProblemInstance:
 class SolverConfig:
     max_iter: int = 100
     tol: float = 1e-8
-    damping: float | None = None  # default 1.0 monolithic, 0.7 modular
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR
+    damping: float | None = None  # None: module A's own, "amp" 1.0, "exact" 0.7
     slm_backend: str = "exact"  # run_modular module A: "exact" | "amp"
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class SolverConfig:
             raise ValueError("damping must be in (0, 1]")
         if not 0.0 <= self.tol < np.inf:  # NaN fails too
             raise ValueError("tol must be finite and >= 0")
-        if not 0.0 < self.variance_floor < np.inf:
-            raise ValueError("variance_floor must be finite and > 0")
         if self.slm_backend not in ("exact", "amp"):
             raise ValueError("slm_backend must be 'exact' or 'amp'")
 
@@ -139,13 +136,12 @@ class _AmpStep:
     def __init__(self, problem, config):
         self.A = problem.model.A
         self.A2 = self.A * self.A
-        self.eps = config.variance_floor
         self.damp = 1.0 if config.damping is None else config.damping
         self.s = np.zeros(problem.model.m)
         self.tau_s = np.zeros(problem.model.m)
 
     def z_belief(self, x_hat, tau_x):
-        tau_p = np.maximum(self.A2 @ tau_x, self.eps)
+        tau_p = np.maximum(self.A2 @ tau_x, DEFAULT_VARIANCE_FLOOR)
         return self.A @ x_hat - tau_p * self.s, tau_p, 0
 
     def x_cavity(self, x_hat, belief, ext, score):
@@ -155,7 +151,7 @@ class _AmpStep:
         damp = self.damp
         self.s = damp * val + (1.0 - damp) * self.s
         self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
-        tau_r = 1.0 / np.maximum(self.A2.T @ self.tau_s, self.eps)
+        tau_r = 1.0 / np.maximum(self.A2.T @ self.tau_s, DEFAULT_VARIANCE_FLOOR)
         r = x_hat + tau_r * (self.A.T @ self.s)
         return r, tau_r, ext.pseudo_mean, ext.pseudo_variance
 
@@ -177,14 +173,14 @@ class _ExactStep:
     def __init__(self, problem, config):
         model, prior = problem.model, problem.prior
         self.model = model
-        self.eps = eps = config.variance_floor
         self.damp = 0.7 if config.damping is None else config.damping
         # pseudo-observations on z, natural parameters (precision, precision*mean)
         v0 = 1e6 * max(1.0, prior.marginal_variance())
         self.lam_z = np.full(model.m, 1.0 / v0)
         self.eta_z = np.zeros(model.m)
         # x-side prior approximation messages
-        self.lam_x = np.full(model.n, 1.0 / max(prior.marginal_variance(), eps))
+        self.lam_x = np.full(model.n,
+                             1.0 / max(prior.marginal_variance(), DEFAULT_VARIANCE_FLOOR))
         self.eta_x = np.full(model.n, prior.marginal_mean()) * self.lam_x
         self.res = None
 
@@ -196,14 +192,14 @@ class _ExactStep:
         A^T diag(1/pv) A to indefinite.  Also returns how many were held.
         """
         v = 1.0 / self.lam_z
-        return (self.eta_z / self.lam_z, np.maximum(v, self.eps),
-                int(np.count_nonzero(v < self.eps)))
+        return (self.eta_z / self.lam_z, np.maximum(v, DEFAULT_VARIANCE_FLOOR),
+                int(np.count_nonzero(v < DEFAULT_VARIANCE_FLOOR)))
 
     def z_belief(self, x_hat, tau_x):
         mean, var, held = self._pseudo_z()
         pseudo = ExtrinsicMessage(pseudo_mean=mean, pseudo_variance=var)
         prior_x = GaussianBelief(self.eta_x / self.lam_x, 1.0 / self.lam_x)
-        self.res = slm_solve(self.model, pseudo, prior_x, eps=self.eps)
+        self.res = slm_solve(self.model, pseudo, prior_x)
         ext = self.res.z_extrinsic
         return (np.asarray(ext.pseudo_mean), np.asarray(ext.pseudo_variance),
                 held + int(np.count_nonzero(ext.floored)))
@@ -213,13 +209,13 @@ class _ExactStep:
         # cavity on x: the SLM posterior with the x-side message divided out
         xv = np.asarray(self.res.x_stats.variance)
         xm = np.asarray(self.res.x_stats.point)
-        lam_r = np.maximum(1.0 / xv - self.lam_x, self.eps)
+        lam_r = np.maximum(1.0 / xv - self.lam_x, DEFAULT_VARIANCE_FLOOR)
         eta_r = xm / xv - self.eta_x
         y_tilde, sigma2_tilde, _ = self._pseudo_z()
         return eta_r / lam_r, 1.0 / lam_r, y_tilde, sigma2_tilde
 
     def absorb_x(self, xstats, r, tau_r):
-        ext = ep_extrinsic(xstats, GaussianBelief(r, tau_r), eps=self.eps)
+        ext = ep_extrinsic(xstats, GaussianBelief(r, tau_r))
         self.lam_x, self.eta_x = _absorb(self.lam_x, self.eta_x, ext, self.damp)
         return int(np.count_nonzero(ext.floored))
 
@@ -232,7 +228,6 @@ def _iterate(problem, mode, config, step, monolithic):
     module docstring).  Returns (solution PosteriorStats, IterationTrace).
     """
     channel, y, prior = problem.channel, problem.y, problem.prior
-    eps = config.variance_floor
     x_hat = np.full(problem.model.n, prior.marginal_mean(), dtype=float)
     tau_x = np.full(problem.model.n, prior.marginal_variance(), dtype=float)
 
@@ -251,7 +246,7 @@ def _iterate(problem, mode, config, step, monolithic):
         else:
             post = posterior_mmse if mode is Mode.SUM_PRODUCT else posterior_map
             stats, score = post(channel, y, belief), None
-        ext = ep_extrinsic(stats, belief, eps=eps)
+        ext = ep_extrinsic(stats, belief)
         floors += int(np.count_nonzero(ext.floored))
 
         r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, belief, ext, score)
@@ -259,7 +254,8 @@ def _iterate(problem, mode, config, step, monolithic):
         floors += step.absorb_x(xstats, r, tau_r)
         x_old = x_hat
         x_hat = np.asarray(xstats.point, dtype=float)
-        tau_x = np.maximum(np.asarray(xstats.variance, dtype=float), eps)
+        tau_x = np.maximum(np.asarray(xstats.variance, dtype=float),
+                           DEFAULT_VARIANCE_FLOOR)
 
         trace.floor_events += floors
         delta = np.linalg.norm(x_hat - x_old) / max(np.linalg.norm(x_hat), 1e-300)

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default floor for variances and for extrinsic precisions.  An extrinsic
-# precision below this is treated as degenerate: it is floored and the
-# message flagged, which caps the pseudo-variance at 1/DEFAULT_VARIANCE_FLOOR.
+# The one floor for variances and for extrinsic precisions, used as is by
+# every module that floors.  An extrinsic precision below it is treated as
+# degenerate: it is floored and the message flagged, which caps the
+# pseudo-variance at 1/DEFAULT_VARIANCE_FLOOR.
 DEFAULT_VARIANCE_FLOOR = 1e-11
 
 
@@ -67,14 +68,6 @@ class ExtrinsicMessage:
         return GaussianBelief(self.pseudo_mean, self.pseudo_variance)
 
 
-def floor_variance(v, eps: float = DEFAULT_VARIANCE_FLOOR):
-    """Clamp a variance (or precision) from below at ``eps``.
-
-    Idempotent and monotone; accepts scalars or arrays.
-    """
-    return np.maximum(v, eps)
-
-
 def combine(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
     """Product of two Gaussian messages (precision sum, precision-weighted mean)."""
     la = 1.0 / np.asarray(a.variance, dtype=float)
@@ -84,8 +77,7 @@ def combine(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
     return GaussianBelief(mean=eta / lam, variance=1.0 / lam)
 
 
-def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief,
-                 eps: float = DEFAULT_VARIANCE_FLOOR) -> ExtrinsicMessage:
+def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief) -> ExtrinsicMessage:
     """EP division: the Gaussian factor that maps the cavity onto the posterior.
 
     Solves, elementwise,
@@ -93,17 +85,18 @@ def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief,
         1/pseudo_variance = 1/posterior.variance - 1/cavity.variance
         pseudo_mean/pseudo_variance = point/posterior.variance - mean/cavity.variance
 
-    Where the extrinsic precision is not positive (posterior at least as wide
-    as the cavity) it is floored at ``eps`` and the component flagged; the
-    precision-mean is kept exact so the degenerate message still carries the
-    correct linear information in the flat-message limit.
+    Where the extrinsic precision is below ``DEFAULT_VARIANCE_FLOOR`` (posterior
+    at least as wide as the cavity, or nearly so) it is floored at that
+    constant and the component flagged; the precision-mean is kept exact so
+    the degenerate message still carries the correct linear information in
+    the flat-message limit.
     """
     v_post = np.asarray(posterior.variance, dtype=float)
     v_cav = np.asarray(cavity.variance, dtype=float)
     lam_raw = 1.0 / v_post - 1.0 / v_cav
     eta = np.asarray(posterior.point) / v_post - np.asarray(cavity.mean) / v_cav
-    flagged = lam_raw < eps
-    lam = floor_variance(lam_raw, eps)
+    flagged = lam_raw < DEFAULT_VARIANCE_FLOOR
+    lam = np.maximum(lam_raw, DEFAULT_VARIANCE_FLOOR)
     out_flag = bool(np.any(flagged)) if np.ndim(flagged) == 0 else flagged
     return ExtrinsicMessage(pseudo_mean=eta / lam, pseudo_variance=1.0 / lam,
                             floored=out_flag)

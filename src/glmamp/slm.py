@@ -81,8 +81,7 @@ class SlmResult:
 
 
 def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
-              prior_x: GaussianBelief,
-              eps: float = DEFAULT_VARIANCE_FLOOR) -> SlmResult:
+              prior_x: GaussianBelief) -> SlmResult:
     """Exact posterior of x ~ prod N(prior) given y_i = (Ax)_i + N(0, sv_i).
 
     ``pseudo`` holds the m pseudo-observations (means, variances); ``prior_x``
@@ -115,13 +114,14 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     chol_inv = _tri_inv(chol)
     w = dtrmm(1.0, chol_inv, A.T, lower=1)
 
-    x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv), eps)
+    x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),
+                       DEFAULT_VARIANCE_FLOOR)
     z_mean = A @ mu
-    z_var = np.maximum(np.einsum("ij,ij->j", w, w), eps)
+    z_var = np.maximum(np.einsum("ij,ij->j", w, w), DEFAULT_VARIANCE_FLOOR)
 
     x_stats = PosteriorStats(point=mu, variance=x_var)
     z_stats = PosteriorStats(point=z_mean, variance=z_var)
-    z_ext = ep_extrinsic(z_stats, GaussianBelief(py, pv), eps=eps)
+    z_ext = ep_extrinsic(z_stats, GaussianBelief(py, pv))
     return SlmResult(x_stats=x_stats, z_stats=z_stats, z_extrinsic=z_ext)
 
 
@@ -165,7 +165,7 @@ def save_matrix_csv(path, A: np.ndarray) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
 
 def save_matrix_binary(path, A: np.ndarray) -> None:

@@ -70,8 +70,7 @@ def _rel_residual(a, b, floor=1e-300):
     return np.where(a == b, 0.0, resid)
 
 
-def sample_operating_points(channel: OutputChannel, samples: int, seed: int,
-                            mode: Mode = Mode.SUM_PRODUCT):
+def sample_operating_points(channel: OutputChannel, samples: int, seed: int):
     """Random beliefs and channel-consistent observations.
 
     Belief means uniform on [-3, 3], variances log-uniform on [0.1, 10],
@@ -102,7 +101,7 @@ def _worst(idx, p_hat, tau_p, y, resid):
 def check_laplace_identity(channel: OutputChannel, samples: int = 10_000,
                            seed: int = 0, threshold: float = 1e-10) -> CheckReport:
     """Direct curvature form vs. Laplace-variance form of the max-sum score."""
-    p_hat, tau_p, y = sample_operating_points(channel, samples, seed, Mode.MAX_SUM)
+    p_hat, tau_p, y = sample_operating_points(channel, samples, seed)
     stats = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
     f2 = channel.d2(np.asarray(stats.point), y)
     direct = f2 / (tau_p * f2 - 1.0)
@@ -122,7 +121,7 @@ def check_ep_bridge(channel: OutputChannel, mode: Mode, samples: int = 10_000,
     if threshold is None:
         quadrature = mode is Mode.SUM_PRODUCT and not isinstance(channel, AwgnChannel)
         threshold = 1e-9 if quadrature else 1e-10
-    p_hat, tau_p, y = sample_operating_points(channel, samples, seed, mode)
+    p_hat, tau_p, y = sample_operating_points(channel, samples, seed)
     belief = GaussianBelief(p_hat, tau_p)
     val_direct, nd_direct, stats = g_out_with_stats(channel, mode, y, belief)
     ext = ep_extrinsic(stats, belief)

@@ -336,6 +336,20 @@ class TestPosteriorMap:
             assert np.all(np.abs(grad[interior]) <= 1e-9 * scale[interior])
 
 
+def test_poisson_never_takes_newton(monkeypatch):
+    # Poisson, the one positive-domain channel, has its own MAP point and MMSE
+    def newton(*args):
+        raise AssertionError("_newton_map called for Poisson")
+
+    monkeypatch.setattr(channels, "_newton_map", newton)
+    y = np.array([0.0, 1.0, 7.0])
+    belief = GaussianBelief(np.array([-0.5, 0.3, 5.0]), np.array([0.2, 1.0, 4.0]))
+    for post in (posterior_map, posterior_mmse):
+        stats = post(PoissonChannel(), y, belief)
+        assert np.all(np.asarray(stats.point) > 0)
+        assert np.all(np.asarray(stats.variance) > 0)
+
+
 class TestGOut:
     def test_maxsum_poisson_worked_example(self):
         val, nd = g_out(PoissonChannel(), Mode.MAX_SUM, 3.0, GaussianBelief(1.0, 1.0))

@@ -89,9 +89,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", [
         ("--damping", "1.5"), ("--max-iter", "0"),
-        ("--variance-floor", "-1"), ("--variance-floor", "nan"),
         ("--tol", "nan"), ("--tol", "-1"),
-    ], ids=["damping", "max-iter", "floor-neg", "floor-nan", "tol-nan", "tol-neg"])
+    ], ids=["damping", "max-iter", "tol-nan", "tol-neg"])
     def test_bad_solver_config_exits_2(self, capsys, flag):
         code, out, err = _run(capsys, "solve", "--n", "8", "--m", "16", *flag)
         assert code == 2

@@ -33,6 +33,23 @@ def _make_problem(seed, n=64, m=128, prior=None, channel=None):
     return ProblemInstance(LinearModel(A), y, channel, prior, x_true=x)
 
 
+def _assert_same_run(run1, run2):
+    """Two (solution, trace) pairs agree bit for bit."""
+    (s1, t1), (s2, t2) = run1, run2
+    assert np.array_equal(s1.point, s2.point)
+    assert np.array_equal(s1.variance, s2.variance)
+    assert (t1.converged, t1.diverged, t1.floor_events) == \
+        (t2.converged, t2.diverged, t2.floor_events)
+    assert len(t1) == len(t2)
+    for r1, r2 in zip(t1.records, t2.records):
+        assert r1.keys() == r2.keys()
+        for k in r1:
+            if isinstance(r1[k], np.ndarray):
+                assert np.array_equal(r1[k], r2[k]), k
+            else:
+                assert r1[k] == r2[k], k
+
+
 SOLVERS = {
     "gamp": run_gamp,
     "modular-exact": lambda p, m, c: run_modular(p, m, c),
@@ -84,18 +101,8 @@ class TestRunGamp:
     def test_bitwise_determinism(self):
         prob = _make_problem(3)
         cfg = SolverConfig(max_iter=50, tol=1e-10)
-        s1, t1 = run_gamp(prob, Mode.SUM_PRODUCT, cfg)
-        s2, t2 = run_gamp(prob, Mode.SUM_PRODUCT, cfg)
-        assert np.array_equal(s1.point, s2.point)
-        assert np.array_equal(s1.variance, s2.variance)
-        assert len(t1) == len(t2)
-        for r1, r2 in zip(t1.records, t2.records):
-            assert r1.keys() == r2.keys()
-            for k in r1:
-                if isinstance(r1[k], np.ndarray):
-                    assert np.array_equal(r1[k], r2[k]), k
-                else:
-                    assert r1[k] == r2[k], k
+        _assert_same_run(run_gamp(prob, Mode.SUM_PRODUCT, cfg),
+                         run_gamp(prob, Mode.SUM_PRODUCT, cfg))
 
     def test_maxsum_laplace_runs(self):
         prob = _make_problem(0, prior=LaplacePrior(1.0))
@@ -184,14 +191,15 @@ class TestModular:
         assert nmse(sol.point, prob.x_true) < 1.0
 
     def test_exact_backend_fixed_point_matches_dense_reference(self, monkeypatch):
-        # module A rebuilt from the explicit-inverse oracle, same eps floors
-        def reference_slm_solve(model, pseudo, prior_x, eps=DEFAULT_VARIANCE_FLOOR):
+        # module A rebuilt from the explicit-inverse oracle, same floors
+        def reference_slm_solve(model, pseudo, prior_x):
+            eps = DEFAULT_VARIANCE_FLOOR
             py, pv = pseudo.pseudo_mean, pseudo.pseudo_variance
             mu, xv, zm, zv = dense_gaussian_posterior(model.A, prior_x.mean,
                                                       prior_x.variance, py, pv)
             z_stats = PosteriorStats(point=zm, variance=np.maximum(zv, eps))
             return SlmResult(PosteriorStats(point=mu, variance=np.maximum(xv, eps)),
-                             z_stats, ep_extrinsic(z_stats, GaussianBelief(py, pv), eps=eps))
+                             z_stats, ep_extrinsic(z_stats, GaussianBelief(py, pv)))
 
         prob = _make_problem(5)
         cfg = SolverConfig(max_iter=300, tol=1e-9)
@@ -202,6 +210,17 @@ class TestModular:
         assert len(trace) == len(ref_trace)
         dist = np.linalg.norm(sol.point - ref.point) / np.linalg.norm(ref.point)
         assert dist <= 1e-12
+
+
+# damping=None takes module A's default: 1.0 for "amp", 0.7 for "exact"
+@pytest.mark.parametrize("runner, backend, default", [
+    (run_gamp, "amp", 1.0), (run_modular, "amp", 1.0), (run_modular, "exact", 0.7),
+], ids=["gamp", "modular-amp", "modular-exact"])
+def test_damping_none_is_module_a_default(runner, backend, default):
+    prob = _make_problem(2)
+    cfg = SolverConfig(max_iter=30, tol=1e-10, slm_backend=backend)
+    _assert_same_run(runner(prob, Mode.SUM_PRODUCT, cfg),
+                     runner(prob, Mode.SUM_PRODUCT, replace(cfg, damping=default)))
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVERS)

@@ -190,6 +190,16 @@ class TestMatrixFiles:
         save_matrix_csv(path, A)
         np.testing.assert_allclose(load_matrix_csv(path), A, rtol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (1, 1), (3, 2)])
+    def test_csv_round_trip_keeps_shape(self, tmp_path, shape):
+        # a one-column file is m x 1, not a row
+        A = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7.0
+        path = tmp_path / "a.csv"
+        save_matrix_csv(path, A)
+        got = load_matrix(path)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, A, rtol=1e-15)
+
     def test_binary_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((5, 3))
