@@ -198,6 +198,7 @@ class PoissonChannel(OutputChannel):
 
     domain = "positive"
     name = "poisson"
+    SAMPLE_Z_MIN = 0.05  # smallest rate a count is drawn at, by gen and by verify
 
     def log_likelihood(self, z, y):
         from scipy.special import gammaln

@@ -24,8 +24,6 @@ from .specs import SpecError, parse_channel, parse_prior, spec_string
 from .verify import (check_derivatives, check_ep_bridge, check_equivalence,
                      check_laplace_identity)
 
-POISSON_Z_CLAMP = 0.05
-
 ALL_CHANNELS = ("awgn(var=1.0)", "probit(scale=1.0)", "poisson()", "logistic(scale=1.0)")
 
 # (channel, prior, mode) of the instances whose GAMP / modular equivalence
@@ -80,7 +78,7 @@ def generate_problem(n, m, prior, channel, seed, matrix_dist=None):
     x = prior.sample(n, rng)
     z = A @ x
     if isinstance(channel, PoissonChannel):
-        z = np.maximum(z, POISSON_Z_CLAMP)
+        z = np.maximum(z, PoissonChannel.SAMPLE_Z_MIN)
     y = channel.sample(z, rng)
     return ProblemInstance(LinearModel(A), np.asarray(y, dtype=float), channel,
                            prior, x_true=x)
@@ -184,13 +182,11 @@ def cmd_verify(args) -> int:
     lines = [r.to_json() for r in reports]
     if args.report:
         Path(args.report).write_text("\n".join(lines) + "\n")
-    ok = True
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        ok = ok and r.passed
-        print(f"{status} {r.check}: residual {r.max_rel_residual:.3e} "
-              f"(threshold {r.threshold:.0e}, skipped {r.skipped_floored})")
-    return 0 if ok else 1
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.check}: residual "
+              f"{r.max_rel_residual:.3e} (threshold {r.threshold:.0e}, "
+              f"skipped {r.skipped_floored})")
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _parse_axis(flag, text, positive=False):
@@ -338,28 +334,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(argv):
-    """Splice --config's ``key = value`` lines in as ``--key=value`` flags.
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; splice in the --config file it names, then parse again.
 
-    They go right after the subcommand, so argparse types and validates them
-    like any flag, an unknown key is a usage error, and the user's own flags,
-    coming later, win wherever they appear.
+    The file's ``key = value`` lines become ``--key=value`` flags right after
+    the subcommand, so argparse types and validates them like any flag, an
+    unknown key is a usage error, and the user's own flags win wherever they are.
     """
+    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" not in argv[:-1]:  # a trailing --config is argparse's to reject
-        return argv
-    values = load_config_file(argv[argv.index("--config") + 1])
-    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in load_config_file(args.config).items()]
     # the top-level parser takes no valued options: the subcommand is the
     # first token that is not a flag
     at = next(i for i, tok in enumerate(argv) if not tok.startswith("-")) + 1
-    return argv[:at] + flags + argv[at:]
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv=None) -> int:
     """Run one command; the one place a usage or I/O error becomes exit 2."""
     try:
-        args = build_parser().parse_args(_apply_config_defaults(argv))
+        args = _parse_args(argv)
         return args.func(args)
     except (UsageError, SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ JSON lines.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +80,12 @@ class SolverConfig:
     slm_backend: str = "exact"  # run_modular module A: "exact" | "amp"
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        try:
+            valid_max_iter = operator.index(self.max_iter) >= 1
+        except TypeError:
+            valid_max_iter = False
+        if not valid_max_iter:
+            raise ValueError("max_iter must be an integer >= 1")
         if self.damping is not None and not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
         if not 0.0 <= self.tol < np.inf:  # NaN fails too

@@ -24,13 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (AwgnChannel, Mode, OutputChannel, PoissonChannel,
-                       awgn_g_out, g_out_with_stats, posterior_map, posterior_mmse)
+                       awgn_g_out, g_out_with_stats, posterior_map)
 from .engine import ProblemInstance, SolverConfig, run_gamp, run_modular
 from .gaussian import GaussianBelief, ep_extrinsic
 
 P_HAT_RANGE = (-3.0, 3.0)
 TAU_P_RANGE = (0.1, 10.0)
-POISSON_Z_MIN = 0.05
+# The largest residual each check passes at; no argument sets them.  Sum-product
+# MMSE moments of a non-AWGN channel are numeric (quadrature, Poisson's recursion).
+GATES = {"laplace": 1e-10, "bridge": 1e-10, "bridge_numeric_mmse": 1e-9,
+         "derivatives": 1e-6, "equivalence": 1e-6}
+FD_STEP = 1e-5  # centred finite-difference step of check_derivatives
 
 
 @dataclass
@@ -47,7 +51,7 @@ class CheckReport:
     worst_sample: dict | None = None
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
         out = {"check": self.check, "samples": self.samples, "seed": self.seed,
                "max_rel_residual": self.max_rel_residual,
                "threshold": self.threshold, "pass": self.passed,
@@ -56,10 +60,7 @@ class CheckReport:
             out["worst_sample"] = self.worst_sample
         if self.extras:
             out.update(self.extras)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(out, sort_keys=True)
 
 
 def _rel_residual(a, b, floor=1e-300):
@@ -86,41 +87,41 @@ def sample_operating_points(channel: OutputChannel, samples: int, seed: int):
                                size=samples))
     z = p_hat + np.sqrt(tau_p) * rng.standard_normal(samples)
     if channel.domain == "positive":
-        z = np.maximum(z, POISSON_Z_MIN)
+        z = np.maximum(z, PoissonChannel.SAMPLE_Z_MIN)
     y = channel.sample(z, rng)
     if isinstance(channel, PoissonChannel):
         y = np.maximum(y, 1.0)
     return p_hat, tau_p, y
 
 
-def _worst(idx, p_hat, tau_p, y, resid):
-    return {"p_hat": float(p_hat[idx]), "tau_p": float(tau_p[idx]),
-            "y": float(y[idx]), "residual": float(resid[idx])}
+def _sampled_report(check, seed, resid, gate, skipped=0, **named) -> CheckReport:
+    """Gate ``resid``; a failed report names its worst sample by ``named``'s arrays."""
+    i = int(np.argmax(resid))
+    passed = bool(resid[i] <= gate)
+    worst = None if passed else {k: float(v[i]) for k, v in
+                                 dict(named, residual=resid).items()}
+    return CheckReport(check=check, samples=len(resid), seed=seed,
+                       max_rel_residual=float(resid[i]), threshold=gate,
+                       passed=passed, skipped_floored=skipped, worst_sample=worst)
 
 
 def check_laplace_identity(channel: OutputChannel, samples: int = 10_000,
-                           seed: int = 0, threshold: float = 1e-10) -> CheckReport:
+                           seed: int = 0) -> CheckReport:
     """Direct curvature form vs. Laplace-variance form of the max-sum score."""
     p_hat, tau_p, y = sample_operating_points(channel, samples, seed)
     stats = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
     f2 = channel.d2(np.asarray(stats.point), y)
     direct = f2 / (tau_p * f2 - 1.0)
     via_laplace = (tau_p - np.asarray(stats.variance)) / tau_p ** 2
-    resid = _rel_residual(direct, via_laplace)
-    imax = int(np.argmax(resid))
-    passed = bool(np.max(resid) <= threshold)
-    return CheckReport(check=f"laplace_identity[{channel.name}]", samples=samples,
-                       seed=seed, max_rel_residual=float(np.max(resid)),
-                       threshold=threshold, passed=passed,
-                       worst_sample=None if passed else _worst(imax, p_hat, tau_p, y, resid))
+    return _sampled_report(f"laplace_identity[{channel.name}]", seed,
+                           _rel_residual(direct, via_laplace), GATES["laplace"],
+                           p_hat=p_hat, tau_p=tau_p, y=y)
 
 
 def check_ep_bridge(channel: OutputChannel, mode: Mode, samples: int = 10_000,
-                    seed: int = 0, threshold: float | None = None) -> CheckReport:
+                    seed: int = 0) -> CheckReport:
     """Pseudo-observation route vs. direct output score, both modes."""
-    if threshold is None:
-        quadrature = mode is Mode.SUM_PRODUCT and not isinstance(channel, AwgnChannel)
-        threshold = 1e-9 if quadrature else 1e-10
+    numeric_mmse = mode is Mode.SUM_PRODUCT and not isinstance(channel, AwgnChannel)
     p_hat, tau_p, y = sample_operating_points(channel, samples, seed)
     belief = GaussianBelief(p_hat, tau_p)
     val_direct, nd_direct, stats = g_out_with_stats(channel, mode, y, belief)
@@ -129,44 +130,35 @@ def check_ep_bridge(channel: OutputChannel, mode: Mode, samples: int = 10_000,
     flagged = np.broadcast_to(np.asarray(ext.floored), (samples,))
     resid = np.maximum(_rel_residual(val_direct, val_bridge),
                        _rel_residual(nd_direct, nd_bridge))
-    resid = np.where(flagged, 0.0, resid)
-    imax = int(np.argmax(resid))
-    passed = bool(np.max(resid) <= threshold)
-    return CheckReport(check=f"ep_bridge[{channel.name},{mode.value}]",
-                       samples=samples, seed=seed,
-                       max_rel_residual=float(np.max(resid)), threshold=threshold,
-                       passed=passed, skipped_floored=int(np.count_nonzero(flagged)),
-                       worst_sample=None if passed else _worst(imax, p_hat, tau_p, y, resid))
+    return _sampled_report(f"ep_bridge[{channel.name},{mode.value}]", seed,
+                           np.where(flagged, 0.0, resid),
+                           GATES["bridge_numeric_mmse" if numeric_mmse else "bridge"],
+                           skipped=int(np.count_nonzero(flagged)),
+                           p_hat=p_hat, tau_p=tau_p, y=y)
 
 
 def check_derivatives(channel: OutputChannel, samples: int = 10_000,
-                      seed: int = 0, threshold: float = 1e-6,
-                      step: float = 1e-5) -> CheckReport:
+                      seed: int = 0) -> CheckReport:
     """Centered finite-difference validation of d1 (from f) and d2 (from d1)."""
     p_hat, tau_p, y = sample_operating_points(channel, samples, seed)
     rng = np.random.default_rng(seed + 1)
     z = p_hat + np.sqrt(tau_p) * rng.standard_normal(samples)
     if channel.domain == "positive":
-        z = np.maximum(z, POISSON_Z_MIN)
-    fd1 = (channel.log_likelihood(z + step, y)
-           - channel.log_likelihood(z - step, y)) / (2.0 * step)
-    fd2 = (channel.d1(z + step, y) - channel.d1(z - step, y)) / (2.0 * step)
+        z = np.maximum(z, PoissonChannel.SAMPLE_Z_MIN)
+    fd1 = (channel.log_likelihood(z + FD_STEP, y)
+           - channel.log_likelihood(z - FD_STEP, y)) / (2.0 * FD_STEP)
+    fd2 = (channel.d1(z + FD_STEP, y) - channel.d1(z - FD_STEP, y)) / (2.0 * FD_STEP)
     d1 = channel.d1(z, y)
     d2 = channel.d2(z, y)
     resid = np.maximum(np.abs(d1 - fd1) / np.maximum(np.abs(d1), 1.0),
                        np.abs(d2 - fd2) / np.maximum(np.abs(d2), 1.0))
-    imax = int(np.argmax(resid))
-    passed = bool(np.max(resid) <= threshold)
-    worst = {"z": float(z[imax]), "y": float(y[imax]), "residual": float(resid[imax])}
-    return CheckReport(check=f"derivatives[{channel.name}]", samples=samples,
-                       seed=seed, max_rel_residual=float(np.max(resid)),
-                       threshold=threshold, passed=passed,
-                       worst_sample=None if passed else worst)
+    return _sampled_report(f"derivatives[{channel.name}]", seed, resid,
+                           GATES["derivatives"], z=z, y=y)
 
 
 def check_equivalence(problem: ProblemInstance, mode: Mode,
                       config: SolverConfig = SolverConfig(),
-                      threshold: float = 1e-6, seed: int = 0) -> CheckReport:
+                      seed: int = 0) -> CheckReport:
     """Fixed-point distance between the monolithic and modular solvers.
 
     ``seed`` only labels the report: it names the seed the problem was
@@ -182,11 +174,12 @@ def check_equivalence(problem: ProblemInstance, mode: Mode,
     for rg, rm in zip(trace_g.records[:20], trace_m.records[:20]):
         pg, pm = rg["p_hat"], rm["p_hat"]
         diag.append(float(np.linalg.norm(pg - pm) / max(np.linalg.norm(pg), 1e-300)))
-    passed = bool(dist <= threshold and not trace_g.diverged and not trace_m.diverged)
+    passed = bool(dist <= GATES["equivalence"]
+                  and not trace_g.diverged and not trace_m.diverged)
     return CheckReport(
         check=f"equivalence[{problem.channel.name},{mode.value},{config.slm_backend}]",
         samples=len(trace_g), seed=seed, max_rel_residual=dist,
-        threshold=threshold, passed=passed,
+        threshold=GATES["equivalence"], passed=passed,
         skipped_floored=trace_g.floor_events + trace_m.floor_events,
         extras={"iters_gamp": len(trace_g), "iters_modular": len(trace_m),
                 "diverged": bool(trace_g.diverged or trace_m.diverged),

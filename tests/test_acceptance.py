@@ -42,7 +42,8 @@ def test_criterion_1_laplace_identity():
     worst = 0.0
     ok = True
     for ch in CHANNELS:
-        rep = check_laplace_identity(ch, samples=10_000, seed=0, threshold=1e-10)
+        rep = check_laplace_identity(ch, samples=10_000, seed=0)
+        assert rep.threshold == 1e-10
         worst = max(worst, rep.max_rel_residual)
         ok = ok and rep.passed
     elapsed = time.perf_counter() - t0
@@ -178,7 +179,8 @@ def test_criterion_5_modular_monolithic_equivalence():
         for ch_spec, prior_spec, mode in cells:
             prob = generate_problem(64, 128, parse_prior(prior_spec),
                                     parse_channel(ch_spec), seed)
-            rep = check_equivalence(prob, mode, cfg, threshold=1e-6)
+            rep = check_equivalence(prob, mode, cfg)
+            assert rep.threshold == 1e-6
             worst = max(worst, rep.max_rel_residual)
             if not rep.passed:
                 fails.append(f"{rep.check} seed {seed}: {rep.max_rel_residual:.2e}")
@@ -192,7 +194,8 @@ def test_criterion_6_derivative_checks():
     worst = 0.0
     ok = True
     for ch in CHANNELS:
-        rep = check_derivatives(ch, samples=10_000, seed=0, threshold=1e-6)
+        rep = check_derivatives(ch, samples=10_000, seed=0)
+        assert rep.threshold == 1e-6
         worst = max(worst, rep.max_rel_residual)
         ok = ok and rep.passed
     _verdict("derivative-checks", ok, f"max residual {worst:.2e}")

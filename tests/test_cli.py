@@ -159,6 +159,26 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["iterations"] > 3
 
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"],
+                                          ["--conf", "{}"]],
+                             ids=["separate", "equals", "prefix"])
+    def test_config_read_in_every_spelling_argparse_accepts(self, tmp_path, capsys,
+                                                            spelling):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("max_iter = 3\n")
+        flags = [tok.format(cfg) for tok in spelling]
+        code, out, _ = _run(capsys, "solve", "--n", "8", "--m", "16", *flags)
+        assert code == 0
+        assert json.loads(out)["iterations"] == 3
+        code, out, _ = _run(capsys, "solve", *flags, "--n", "8", "--m", "16",
+                            "--max-iter", "5", "--tol", "0")
+        assert code == 0
+        assert json.loads(out)["iterations"] == 5
+        missing = [tok.format(tmp_path / "missing.cfg") for tok in spelling]
+        code, out, err = _run(capsys, "solve", "--n", "8", "--m", "16", *missing)
+        assert code == 2
+        assert err.startswith("error: cannot read config") and out == ""
+
     @pytest.mark.parametrize("line", ["mode = xyz", "engine = foo", "max_iter = 2.5",
                                       "no_such_key = 1"],
                              ids=["mode", "engine", "max-iter", "unknown-key"])

@@ -304,6 +304,9 @@ class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            SolverConfig(max_iter=2.5)
+        assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
         with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ import pytest
 
 from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
                              ProbitChannel)
+from glmamp.cli import main
 from glmamp.engine import ProblemInstance, SolverConfig
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior
 from glmamp.slm import LinearModel
-from glmamp.verify import (CheckReport, check_derivatives, check_ep_bridge,
+from glmamp.verify import (GATES, CheckReport, check_derivatives, check_ep_bridge,
                            check_equivalence, check_laplace_identity,
                            sample_operating_points)
 
@@ -55,12 +56,53 @@ def test_report_json_fields():
     assert d["samples"] == 200
 
 
-def test_failed_report_carries_worst_sample():
-    rep = check_ep_bridge(ProbitChannel(1.0), Mode.MAX_SUM, samples=200, seed=0,
-                          threshold=0.0)
+def test_failed_report_carries_worst_sample(monkeypatch):
+    monkeypatch.setitem(GATES, "bridge", 0.0)
+    monkeypatch.setitem(GATES, "derivatives", 0.0)
+    rep = check_ep_bridge(ProbitChannel(1.0), Mode.MAX_SUM, samples=200, seed=0)
     assert not rep.passed
     assert rep.worst_sample is not None
     assert {"p_hat", "tau_p", "y", "residual"} <= set(rep.worst_sample)
+    rep = check_derivatives(ProbitChannel(1.0), samples=200, seed=0)
+    assert not rep.passed
+    assert set(rep.worst_sample) == {"z", "y", "residual"}
+    assert rep.worst_sample["residual"] == rep.max_rel_residual
+
+
+# the gates as they stand; a change here must tighten them, never loosen
+PINNED_GATES = {"laplace": 1e-10, "bridge": 1e-10, "bridge_numeric_mmse": 1e-9,
+                "derivatives": 1e-6, "equivalence": 1e-6}
+
+
+def _gate_of(check):
+    family, args = check.rstrip("]").split("[")
+    if family != "ep_bridge":
+        return {"laplace_identity": "laplace"}.get(family, family)
+    channel, mode = args.split(",")[:2]
+    return "bridge_numeric_mmse" if mode == "mmse" and channel != "awgn" else "bridge"
+
+
+def test_report_lines_carry_the_fixed_gates(tmp_path, capsys):
+    assert GATES == PINNED_GATES
+    report = tmp_path / "r.jsonl"
+    assert main(["verify", "--samples", "200", "--report", str(report)]) == 0
+    capsys.readouterr()
+    lines = [json.loads(line) for line in report.read_text().splitlines()]
+    assert {_gate_of(d["check"]) for d in lines} == set(GATES)
+    for d in lines:
+        assert d["threshold"] == GATES[_gate_of(d["check"])], d["check"]
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_laplace_identity, (ProbitChannel(1.0), 50, 0)),
+    (check_ep_bridge, (ProbitChannel(1.0), Mode.MAX_SUM, 50, 0)),
+    (check_derivatives, (ProbitChannel(1.0), 50, 0)),
+    (check_equivalence, (None, Mode.SUM_PRODUCT)),
+], ids=["laplace", "bridge", "derivatives", "equivalence"])
+def test_gates_take_no_argument(check, args):
+    for kwarg in ("threshold", "step"):
+        with pytest.raises(TypeError):
+            check(*args, **{kwarg: 1.0})
 
 
 def test_sample_operating_points_respects_domains():
@@ -96,7 +138,7 @@ def test_equivalence_exact_backend_diagnostic():
     # still run end to end and expose per-iteration distances
     prob = _equivalence_problem()
     cfg = SolverConfig(max_iter=100, tol=1e-9)
-    rep = check_equivalence(prob, Mode.SUM_PRODUCT, cfg, threshold=1.0)
+    rep = check_equivalence(prob, Mode.SUM_PRODUCT, cfg)
     assert isinstance(rep, CheckReport)
     assert rep.extras["per_iter_belief_distance"]
     assert np.isfinite(rep.max_rel_residual)
