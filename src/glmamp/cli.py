@@ -40,7 +40,12 @@ class UsageError(Exception):
 
 
 def load_config_file(path) -> dict:
-    """Key = value lines; '#' comments; values stay strings."""
+    """Key = value lines; '#' comments; values stay strings.
+
+    A ``config`` key (or any prefix argparse would expand to ``--config``) is
+    a usage error: the file is spliced in as flags, so it would be read as a
+    second ``--config`` that the command line's own silently overrides.
+    """
     out = {}
     try:
         text = Path(path).read_text()
@@ -53,7 +58,11 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key and "config".startswith(key):
+            raise UsageError(f"{path}:{lineno}: a config file cannot name "
+                             f"another config file (key {key!r})")
+        out[key] = value.strip()
     return out
 
 

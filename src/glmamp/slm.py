@@ -7,13 +7,19 @@ message on each z_i with its own pseudo-observation factor divided out.
 
 The posterior covariance P^-1 of the n x n precision P = L L^T is never
 formed.  Only its diagonal and the m quadratic forms a_i^T P^-1 a_i are
-needed, and both are squared column norms: of L^-1 for x, and of
-W = L^-1 A^T for z.  Each call is four LAPACK/BLAS-3 steps, each using the
-structure of its operands: a symmetric rank-m update (SYRK, m n^2 flops) for
-the lower triangle of P, a Cholesky factorization and a triangular inverse
-(n^3/3 flops each), and a triangular-times-dense product (TRMM, m n^2) for
-W.  That is 2 m n^2 + 2 n^3/3 flops per call, where two general matrix
-products made it 4 m n^2 + 2 n^3/3, and O(m n) extra memory.
+needed, and both come from squared column norms: of L^-1 for x, and of
+W_s = L^-1 B^T for z, where B = A diag(sv)^-1/2 is A with row i scaled by
+the pseudo-observation's 1/sqrt(sv_i), so var(z_i) = ||w_s,i||^2 sv_i.  Each
+call is four LAPACK/BLAS-3 steps, each using the structure of its operands:
+a symmetric rank-m update (SYRK, m n^2 flops) for the lower triangle of
+P = B^T B + diag(1/prior var), a Cholesky factorization and a triangular
+inverse (n^3/3 flops each), and a triangular-times-dense product (TRMM,
+m n^2) for W_s.  That is 2 m n^2 + 2 n^3/3 flops per call, where two general
+matrix products made it 4 m n^2 + 2 n^3/3.
+
+Memory is one n x m buffer and one n x n buffer per call.  B^T is built
+once, Fortran-ordered, and read by SYRK; TRMM then overwrites it with W_s.
+P is factored in place, and L^-1 is written over L once the mean is solved.
 
 The triangular inverse is recursive (Elmroth, Gustavson, Jonsson & Kagstrom,
 SIAM Review 2004): L is split into 2 x 2 blocks, both diagonal blocks are
@@ -88,13 +94,16 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     the n per-component Gaussian priors.  Returns componentwise posterior
     stats on x, marginal stats on z = A x, and the EP extrinsic on z.
 
-    The lower triangle of the precision P = A^T diag(1/sv) A + diag(1/prior
-    var) comes from one SYRK, and P is factored once, P = L L^T.  The mean is
+    One Fortran-ordered n x m buffer holds B^T = (A diag(sv)^-1/2)^T.  The
+    lower triangle of the precision P = B^T B + diag(1/prior var) comes from
+    one SYRK on it, and P is factored once in place, P = L L^T.  The mean is
     two triangular solves with L.  The variances come from L^-1 without
     forming P^-1: var(x_j) is the squared norm of column j of L^-1, and
-    var(z_i) that of column i of W = L^-1 A^T (TRMM).  L^-1 is TRTRI for
+    var(z_i) = ||w_s,i||^2 sv_i, where w_s,i is column i of W_s = L^-1 B^T,
+    which one TRMM writes over B^T.  L^-1 is written over L; it is TRTRI for
     n <= 64 and a recursive 2 x 2-block inverse above, whose off-diagonal
-    blocks are TRMMs (see the module docstring for why).
+    blocks are TRMMs (see the module docstring for why).  The inputs are
+    never written to.
     Raises ``numpy.linalg.LinAlgError`` when P is not positive definite.
     """
     A = model.A
@@ -103,21 +112,24 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     pm = np.broadcast_to(np.asarray(prior_x.mean, dtype=float), (model.n,))
     pvar = np.broadcast_to(np.asarray(prior_x.variance, dtype=float), (model.n,))
 
-    # SYRK on the Fortran-ordered n x m transpose (trans=0): with trans=1 on
-    # the C-ordered m x n array f2py would copy it first.  Lower triangle only.
-    prec = dsyrk(1.0, (A * np.sqrt(1.0 / pv)[:, None]).T, lower=1)
+    # The one n x m buffer: B^T = (A diag(pv)^-1/2)^T, Fortran-ordered whatever
+    # A's layout, so neither SYRK (trans=0) nor TRMM makes f2py copy it.
+    bt = np.multiply(A.T, np.sqrt(1.0 / pv), order="F")
+    prec = dsyrk(1.0, bt, lower=1)
     prec[np.diag_indices_from(prec)] += 1.0 / pvar
     rhs = pm / pvar + A.T @ (py / pv)
     # cholesky zeroes the strict upper triangle, which dtrtri leaves untouched
     chol = cholesky(prec, lower=True, overwrite_a=True)
     mu = cho_solve((chol, True), rhs)
-    chol_inv = _tri_inv(chol)
-    w = dtrmm(1.0, chol_inv, A.T, lower=1)
+    # L is not needed past cho_solve: L^-1 overwrites it, and W_s = L^-1 B^T
+    # overwrites B^T (bt is never a view of A)
+    chol_inv = _tri_inv(chol, out=chol)
+    w_s = dtrmm(1.0, chol_inv, bt, lower=1, overwrite_b=1)
 
     x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),
                        DEFAULT_VARIANCE_FLOOR)
     z_mean = A @ mu
-    z_var = np.maximum(np.einsum("ij,ij->j", w, w), DEFAULT_VARIANCE_FLOOR)
+    z_var = np.maximum(np.einsum("ij,ij->j", w_s, w_s) * pv, DEFAULT_VARIANCE_FLOOR)
 
     x_stats = PosteriorStats(point=mu, variance=x_var)
     z_stats = PosteriorStats(point=z_mean, variance=z_var)
@@ -131,9 +143,10 @@ def _tri_inv(L: np.ndarray, out: np.ndarray | None = None, offset: int = 0) -> n
     With L = [[L11, 0], [L21, L22]], L^-1 = [[X11, 0], [X21, X22]] where
     X11 = L11^-1 and X22 = L22^-1 recurse and X21 = -X22 L21 X11 is two TRMMs.
     Every block is written into ``out`` (a Fortran-ordered n x n array,
-    allocated when not given), which is returned; ``offset`` is L's first row
-    in the whole factor.  Raises ``numpy.linalg.LinAlgError`` when a diagonal
-    entry of L is zero.
+    allocated when not given), which is returned; ``out`` may be L itself,
+    since each block of L is read before its block of ``out`` is written.
+    ``offset`` is L's first row in the whole factor.  Raises
+    ``numpy.linalg.LinAlgError`` when a diagonal entry of L is zero.
     """
     n = L.shape[0]
     if n <= TRI_INV_LEAF:

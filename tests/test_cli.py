@@ -179,6 +179,17 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error: cannot read config") and out == ""
 
+    # the file is spliced in as flags, so a config key would be a second
+    # --config that the command line's own overrides without a word
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_config_key_in_config_file_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"max_iter = 3\n{key} = {tmp_path / 'missing.cfg'}\n")
+        code, out, err = _run(capsys, "solve", "--n", "8", "--m", "16",
+                              "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}:2: a config file cannot name")
+
     @pytest.mark.parametrize("line", ["mode = xyz", "engine = foo", "max_iter = 2.5",
                                       "no_such_key = 1"],
                              ids=["mode", "engine", "max-iter", "unknown-key"])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,6 +149,39 @@ class TestSlmSolve:
             for got, want in zip(_fields(res), _fields(ref)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
+    # W_s is written over the scaled copy of A^T and L^-1 over L; A.T is a
+    # view of model.A, so an in-place BLAS call on it would change the input
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_are_never_written(self, order):
+        rng = np.random.default_rng(4)
+        n, m = 130, 260
+        A = np.asarray(rng.standard_normal((m, n)), order=order)
+        arrays = (A, rng.standard_normal(m), rng.uniform(0.2, 3.0, m),
+                  rng.standard_normal(n), rng.uniform(0.2, 3.0, n))
+        before = [a.copy() for a in arrays]
+        model = LinearModel(arrays[0])
+        assert model.A is A
+        slm_solve(model, ExtrinsicMessage(*arrays[1:3]), GaussianBelief(*arrays[3:]))
+        for got, want in zip(arrays, before):
+            assert np.array_equal(got, want)
+
+    # one n x m buffer (B^T, then W_s) and one n x n (P, L, then L^-1), plus
+    # the inverse's block temporaries: below two n x m arrays
+    def test_one_call_peaks_below_two_n_by_m_buffers(self):
+        rng = np.random.default_rng(0)
+        n, m = 384, 768
+        model = LinearModel(rng.standard_normal((m, n)) / np.sqrt(n))
+        pseudo = ExtrinsicMessage(rng.standard_normal(m), rng.uniform(0.2, 3.0, m))
+        prior_x = GaussianBelief(np.zeros(n), np.ones(n))
+        slm_solve(model, pseudo, prior_x)
+        tracemalloc.start()
+        try:
+            slm_solve(model, pseudo, prior_x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.9 * 8 * n * m
+
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
             LinearModel(np.array([1.0, 2.0]))
@@ -181,6 +215,20 @@ class TestTriInv:
         L[100, 100] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
             _tri_inv(L)
+        work = L.copy(order="F")
+        with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
+            _tri_inv(work, out=work)
+
+    # slm_solve writes L^-1 over L; each block of L is read before its block
+    # of the output is written, so the result is the same bits
+    @pytest.mark.parametrize("n", [64, 65, 130, 384])
+    def test_in_place_matches_new_array_bit_for_bit(self, n):
+        L = _cholesky_factor(n)
+        want = _tri_inv(L)
+        work = L.copy(order="F")
+        got = _tri_inv(work, out=work)
+        assert got is work
+        assert np.array_equal(got, want)
 
 
 class TestMatrixFiles:
