@@ -15,8 +15,9 @@ that its distance is one between end iterates, not fixed points.  Cells saved
 on one side only (the other raised) are listed as ``only in OLD``/``NEW``.
 
 The last line sums up the gate: the largest ``dist`` over converged cells and
-over unconverged ones, each with its cell, the number of cells whose
-iteration counts or flags changed, and the number found on one side only.
+over unconverged ones, each with its cell, the number of cells whose solutions
+moved at all (``dist > 0``), the number whose iteration counts or flags
+changed, and the number found on one side only.
 
     python scripts/trace_digest.py --seed 0 --save old/   # on each build
     python scripts/compare_fixed_points.py old/ new/
@@ -75,12 +76,13 @@ def main():
         else:
             with np.load(args.old / f"{cell}.npz") as old, \
                     np.load(args.new / f"{cell}.npz") as new:
-                dist, moved, line = compare(dict(old), dict(new))
+                dist, differs, line = compare(dict(old), dict(new))
                 dists[bool(np.all(new["converged"]))][cell] = dist
-            changed += moved
+            changed += differs
             print(f"{cell} {line}".rstrip())
+    moved = sum(d > 0 for side in dists.values() for d in side.values())
     print(f"summary: max dist converged={_largest(dists[True])} "
-          f"unconverged={_largest(dists[False])} changed={changed} "
+          f"unconverged={_largest(dists[False])} moved={moved} changed={changed} "
           f"one-sided={len(old_cells ^ new_cells)}")
 
 

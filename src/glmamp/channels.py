@@ -1,16 +1,22 @@
 """Scalar output likelihood channels and their estimation functions.
 
 Each channel exposes the log-likelihood f(z, y) = log p(y|z) together with
-its first two z-derivatives.  On top of that sit the two scalar posterior
+its first two z-derivatives, singly (``d1``, ``d2``) and as the pair
+``d12``, which shares their work: the probit hazard phi/Phi or the logistic
+tanh.  On top of that sit the two scalar posterior
 summaries used by the solvers:
 
 * ``posterior_mmse`` -- mean/variance of z ~ N(mean, var) tilted by p(y|z)
   (closed form for AWGN; exact for Poisson, from a truncated-Gaussian ratio
   recursion; otherwise Gauss-Hermite centred on the Laplace fit, whose order
   doubles from 11 up to 1025 for each component separately until that
-  component's moments settle), and
+  component's moments settle).  The quadrature holds nodes on axis 0 and
+  components on the contiguous axis 1, and adds each component's nodes in
+  node order, so its bits do not depend on the batch; and
 * ``posterior_map``  -- mode of the tilted density with Laplace variance
-  1/var = -f''(mode, y) + 1/belief_variance.
+  1/var = -f''(mode, y) + 1/belief_variance.  The Newton ascent takes f'
+  and f'' from one ``d12`` call per trial point and keeps the f'' of the
+  mode for the variance.
 
 ``g_out`` packages either summary as the output score (point - mean)/var and
 its curvature correction (var - post_var)/var**2, taken from the posterior
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from .gaussian import GaussianBelief, PosteriorStats
 
@@ -37,6 +43,12 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
 # or below the z = 0 boundary (only possible for y = 0).
 POISSON_Z_FLOOR = 1e-12
+
+# Below this t the probit hazard phi(t)/Phi(t) is taken from erfcx and its
+# excess t + phi/Phi from MILLS_TERMS terms of the Mills-ratio continued
+# fraction, which are enough for rounding accuracy at t <= -8.
+HAZARD_TAIL_T = -8.0
+MILLS_TERMS = 24
 
 MAP_MAX_ITER = 100
 MAP_TOL = 1e-12
@@ -80,6 +92,10 @@ class OutputChannel:
     def d2(self, z, y):
         raise NotImplementedError
 
+    def d12(self, z, y):
+        """(d1, d2) from one evaluation: the same bits as the two calls."""
+        return self.d1(z, y), self.d2(z, y)
+
     def in_support(self, y):
         raise NotImplementedError
 
@@ -116,9 +132,28 @@ class AwgnChannel(OutputChannel):
 
 
 def _norm_hazard(t):
-    """phi(t) / Phi(t), computed stably via log_ndtr."""
-    log_phi = -0.5 * t * t - _LOG_SQRT_2PI
-    return np.exp(log_phi - log_ndtr(t))
+    """The hazard r = phi(t) / Phi(t) and its excess t + r over -t.
+
+    Both come from log_ndtr down to HAZARD_TAIL_T.  Below it the log_ndtr
+    ratio loses digits and t + r cancels, so there r = sqrt(2/pi) /
+    erfcx(-t/sqrt(2)) and t + r = 1/(u + 2/(u + 3/(u + ...))), u = -t, the
+    Mills-ratio continued fraction run back from MILLS_TERMS terms.
+    """
+    t = np.asarray(t, dtype=float)
+    head = np.maximum(t, HAZARD_TAIL_T)  # the tail's values are replaced below
+    log_phi = -0.5 * head * head - _LOG_SQRT_2PI
+    r = np.exp(log_phi - log_ndtr(head))
+    excess = t + r
+    tail = t < HAZARD_TAIL_T
+    if np.any(tail):
+        u = -t[tail]
+        r, excess = np.array(r), np.array(excess)
+        r[tail] = np.sqrt(2.0 / np.pi) / erfcx(u / np.sqrt(2.0))
+        denom = u
+        for k in range(MILLS_TERMS, 1, -1):
+            denom = u + k / denom
+        excess[tail] = 1.0 / denom
+    return r, excess
 
 
 @dataclass(frozen=True)
@@ -139,12 +174,14 @@ class ProbitChannel(OutputChannel):
         return log_ndtr(self._t(z, y))
 
     def d1(self, z, y):
-        return np.asarray(y) * _norm_hazard(self._t(z, y)) / self.scale
+        return self.d12(z, y)[0]
 
     def d2(self, z, y):
-        t = self._t(z, y)
-        r = _norm_hazard(t)
-        return -r * (t + r) / self.scale ** 2
+        return self.d12(z, y)[1]
+
+    def d12(self, z, y):
+        r, excess = _norm_hazard(self._t(z, y))
+        return np.asarray(y) * r / self.scale, -r * excess / self.scale ** 2
 
     def in_support(self, y):
         y = np.asarray(y)
@@ -176,12 +213,18 @@ class LogisticChannel(OutputChannel):
         return np.minimum(t, 0.0) - np.log1p(np.exp(-np.abs(t)))
 
     def d1(self, z, y):
-        t = np.asarray(y) * np.asarray(z) / self.scale
-        return np.asarray(y) * _sigmoid(-t) / self.scale
+        return self.d12(z, y)[0]
 
     def d2(self, z, y):
-        s = _sigmoid(np.asarray(z) / self.scale)
-        return np.broadcast_arrays(-s * (1.0 - s) / self.scale ** 2, y)[0]
+        return self.d12(z, y)[1]
+
+    def d12(self, z, y):
+        y = np.asarray(y)
+        th = np.tanh(0.5 * (np.asarray(z) / self.scale))
+        s = 0.5 * (1.0 + th)
+        # sigmoid(-y z / scale) = (1 - y th) / 2 for y = +-1, as tanh is odd
+        d1 = y * (0.5 * (1.0 - y * th)) / self.scale
+        return d1, np.broadcast_arrays(-s * (1.0 - s) / self.scale ** 2, y)[0]
 
     def in_support(self, y):
         y = np.asarray(y)
@@ -238,10 +281,13 @@ def _poisson_map_point(y, p_hat, tau_p):
 def _newton_map(channel, y, p_hat, tau_p):
     """Safeguarded vectorized Newton ascent of F(z) = f(z,y) - (z-p)^2/(2 tau).
 
-    Real-domain channels only: Poisson's mode is ``_poisson_map_point``.
+    Returns the mode and f''(mode, y).  ``channel.d12`` runs once at the
+    start and once per trial point, and the f'' of the accepted point feeds
+    the next step.  Real-domain channels only: Poisson's mode is
+    ``_poisson_map_point``.
     """
     z = np.array(np.broadcast_arrays(p_hat + 0.0 * tau_p, y)[0], dtype=float)
-    d1 = channel.d1(z, y)
+    d1, d2 = channel.d12(z, y)
     scale = 1.0 + np.abs(d1)
     # rounding of (z - p_hat)/tau_p bounds the achievable residual
     fp_floor = 32.0 * np.finfo(float).eps * (1.0 + np.abs(p_hat)) / tau_p
@@ -249,20 +295,20 @@ def _newton_map(channel, y, p_hat, tau_p):
     for _ in range(MAP_MAX_ITER):
         if np.all(np.abs(g) <= MAP_TOL * scale + fp_floor):
             break
-        h = channel.d2(z, y) - 1.0 / tau_p  # < 0 for concave f
-        step = -g / h
+        step = -g / (d2 - 1.0 / tau_p)  # F'' < 0 for concave f
         # backtrack where the gradient norm does not decrease
         for _ in range(40):
             z_try = z + step
-            g_try = channel.d1(z_try, y) - (z_try - p_hat) / tau_p
+            d1_try, d2_try = channel.d12(z_try, y)
+            g_try = d1_try - (z_try - p_hat) / tau_p
             bad = np.abs(g_try) > np.abs(g)
             if not np.any(bad):
                 break
             step = np.where(bad, 0.5 * step, step)
-        z, g = z_try, g_try
+        z, g, d2 = z_try, g_try, d2_try
     if not np.all(np.abs(g) <= 1e-9 * scale + fp_floor):
         raise RuntimeError("MAP Newton failed to reach stationarity")
-    return z
+    return z, d2
 
 
 def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> PosteriorStats:
@@ -270,7 +316,8 @@ def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> Posterio
 
     The variance solves 1/var = -f''(mode, y) + 1/belief.variance; for the
     log-concave shipped channels this is always positive and at most the
-    belief variance.
+    belief variance.  The f'' is the one ``_newton_map`` evaluated at the
+    mode together with f', not a second evaluation.
     """
     p_hat = np.asarray(belief.mean, dtype=float)
     tau_p = np.asarray(belief.variance, dtype=float)
@@ -282,9 +329,10 @@ def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> Posterio
         return PosteriorStats(point=point, variance=1.0 / lam)
     if isinstance(channel, PoissonChannel):
         point = _poisson_map_point(y, p_hat, tau_p)
+        f2 = channel.d2(point, y)
     else:
-        point = _newton_map(channel, y, p_hat, tau_p)
-    prec = -channel.d2(point, y) + 1.0 / tau_p
+        point, f2 = _newton_map(channel, y, p_hat, tau_p)
+    prec = -f2 + 1.0 / tau_p
     return PosteriorStats(point=point, variance=1.0 / prec)
 
 
@@ -301,38 +349,61 @@ def _gh_nodes(order: int):
     return t[keep], np.log(w[keep])
 
 
+def _column_sums(a):
+    """Sums down axis 0, each column added in row order.
+
+    numpy adds the column of an (order, k >= 2) array in row order, but
+    sums an (order, 1) array pairwise; accumulating the single column keeps
+    its bits those of any wider batch.
+    """
+    if a.shape[1] == 1:
+        return np.add.accumulate(a, axis=0)[-1]
+    return np.sum(a, axis=0)
+
+
 def _gh_moments(log_target, idx, center, sigma, order):
     """Normalized mean and variance of exp(log_target) via GH at a proposal.
 
     Only the components ``idx`` are integrated.  ``center``/``sigma`` locate
-    each component's Gaussian proposal; ``log_target(x, idx)`` maps abscissas
-    (one row of nodes per component of ``idx``) to log unnormalized density
-    values.  Nodes run along the last axis, so each component's sums
-    are the same bits whichever other components share the call.  So ``idx``
-    is walked in blocks of at most GH_BLOCK_NODES // order components, which
-    caps each float64 temporary at 512 KiB however large the batch, and the
-    result is bit-identical to one unblocked pass.
+    each component's Gaussian proposal; ``log_target(x, idx)`` maps an
+    (order, k) array of abscissas, node j of component idx[i] at x[j, i], to
+    log unnormalized density values of the same shape.  Nodes run down axis
+    0 and components along the contiguous axis 1, so every reduction over
+    nodes is a vector operation across components.  Each column is summed
+    in node order (``_column_sums``), so each component's moments are the
+    same bits whichever other components share the call.  ``idx`` is walked
+    in blocks of at most GH_BLOCK_NODES // order components, which caps each
+    float64 temporary at 512 KiB however large the batch, and the result is
+    bit-identical to one unblocked pass.  Abscissas, log-target, weights and
+    the variance terms are built in place.
     """
     t, log_w = _gh_nodes(order)
-    shift = (t * t + log_w)[None, :]
+    shift = (t * t + log_w)[:, None]
     mean, var = np.empty(idx.shape[0]), np.empty(idx.shape[0])
-    rows = GH_BLOCK_NODES // order
-    for lo in range(0, idx.shape[0], rows):
-        sub = idx[lo:lo + rows]
-        x = center[sub, None] + np.sqrt(2.0) * sigma[sub, None] * t[None, :]
-        log_pi = log_target(x, sub) + shift
-        log_pi -= np.max(log_pi, axis=1, keepdims=True)
-        pi = np.exp(log_pi)
-        pi /= np.sum(pi, axis=1, keepdims=True)
-        m = np.sum(pi * x, axis=1)
-        mean[lo:lo + rows] = m
-        var[lo:lo + rows] = np.sum(pi * (x - m[:, None]) ** 2, axis=1)
+    cols = GH_BLOCK_NODES // order
+    for lo in range(0, idx.shape[0], cols):
+        sub = idx[lo:lo + cols]
+        x = t[:, None] * (np.sqrt(2.0) * sigma[sub])
+        x += center[sub]
+        pi = log_target(x, sub)
+        pi += shift
+        pi -= np.max(pi, axis=0)
+        np.exp(pi, out=pi)
+        pi /= _column_sums(pi)
+        m = _column_sums(pi * x)
+        x -= m
+        np.square(x, out=x)
+        x *= pi
+        mean[lo:lo + cols] = m
+        var[lo:lo + cols] = _column_sums(x)
     return mean, var
 
 
 def _adaptive_gh(log_target, center, sigma, scale):
     """Per-component order doubling until mean and variance reach QUAD_RTOL.
 
+    ``log_target`` follows the ``_gh_moments`` contract: it takes an
+    (order, k) array of abscissas and the k component indices.
     Every component starts at QUAD_START_ORDER; the order then doubles
     (2k + 1, capped at QUAD_MAX_ORDER) for the components still open only.
     A component closes once its own change in mean over ``scale`` and in
@@ -385,7 +456,7 @@ def _poisson_recursion(y, p_hat, tau_p):
         i = np.flatnonzero(fwd)
         i = i[np.argsort(y[i], kind="stable")]
         yi, ti = y[i], t[i]
-        d = _norm_hazard(ti)  # d_1
+        d = _norm_hazard(ti)[0]  # d_1
         # step k takes d_k to d_{k+1} for the components with y >= k
         for k, lo in enumerate(np.searchsorted(yi, np.arange(1.0, yi[-1] + 1.0)), 1):
             d[lo:] = k / (ti[lo:] + d[lo:])
@@ -441,8 +512,12 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
         center = np.asarray(lap.point)
 
         def log_target(z, idx):
-            return channel.log_likelihood(z, y[idx, None]) \
-                - (z - p_hat[idx, None]) ** 2 / (2.0 * tau_p[idx, None])
+            quad = z - p_hat[idx]
+            np.square(quad, out=quad)
+            quad /= 2.0 * tau_p[idx]
+            out = channel.log_likelihood(z, y[idx])
+            out -= quad
+            return out
 
         scale = np.sqrt(tau_p) + np.abs(p_hat)
         mean, var = _adaptive_gh(log_target, center, sigma, scale)

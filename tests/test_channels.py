@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from oracles import (gauss_hermite_moments, golden_section_max, grid_moments,
                      poisson_tilted_moments_mp, probit_posterior_closed_form)
 
 SQRT3 = np.sqrt(3.0)
+EPS = np.finfo(float).eps
 
 CHANNELS = [AwgnChannel(1.0), ProbitChannel(1.0), PoissonChannel(), LogisticChannel(1.0)]
 
@@ -48,6 +52,79 @@ class TestDerivatives:
         rng = np.random.default_rng(2)
         z, y = _valid_zy(channel, rng)
         assert np.all(channel.d2(z, y) <= 0.0)
+
+
+class TestDerivativePair:
+    @pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: c.name)
+    def test_pair_is_d1_and_d2_bit_for_bit(self, channel):
+        z, y = _valid_zy(channel, np.random.default_rng(3))
+        for zz, yy in [(z, y), (float(z[0]), float(y[0])), (z[:, None], y[None, :5])]:
+            f1, f2 = channel.d12(zz, yy)
+            assert np.array_equal(f1, channel.d1(zz, yy))
+            assert np.array_equal(f2, channel.d2(zz, yy))
+            assert np.shape(f1) == np.shape(f2) == np.broadcast_shapes(np.shape(zz),
+                                                                        np.shape(yy))
+
+    def test_logistic_one_tanh_is_two_sigmoids(self):
+        # d1 = y sigmoid(-y z / scale) / scale from the tanh that d2 uses
+        ch = LogisticChannel(0.3)
+        rng = np.random.default_rng(4)
+        z = np.concatenate([rng.normal(0.0, 3.0, 1000), [0.0, -0.0, 1e-300, 40.0, -40.0]])
+        for y in (1.0, -1.0):
+            t = y * z / ch.scale
+            assert np.array_equal(ch.d12(z, y)[0], y * channels._sigmoid(-t) / ch.scale)
+
+    @pytest.mark.parametrize("channel", [ProbitChannel(0.3), LogisticChannel(1.0)],
+                             ids=lambda c: c.name)
+    def test_newton_takes_derivatives_only_from_the_pair(self, channel, monkeypatch):
+        calls = []
+        d12 = type(channel).d12
+
+        def d12_spy(self, z, y):
+            calls.append((np.array(z), *d12(self, z, y)))
+            return calls[-1][1:]
+
+        def alone(self, z, y):
+            raise AssertionError("derivative evaluated outside the pair")
+
+        monkeypatch.setattr(type(channel), "d12", d12_spy)
+        monkeypatch.setattr(type(channel), "d1", alone)
+        monkeypatch.setattr(type(channel), "d2", alone)
+        rng = np.random.default_rng(6)
+        mean = rng.uniform(-3.0, 3.0, 50)
+        var = np.exp(rng.uniform(np.log(0.01), np.log(100.0), 50))
+        y = np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0)
+        stats = posterior_map(channel, y, GaussianBelief(mean, var))
+        assert len(calls) > 2 and np.array_equal(calls[0][0], mean)
+        # the last trial point is the mode, and its f'' gives the variance
+        mode, _, f2 = calls[-1]
+        assert np.array_equal(mode, stats.point)
+        assert np.array_equal(1.0 / (-f2 + 1.0 / var), stats.variance)
+
+
+def _probit_tail_reference(t):
+    """d1 and d2 of log Phi at t (scale 1), from 50-digit mpmath."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(float(t))
+        r = mpmath.npdf(t) / mpmath.ncdf(t)
+        return float(r), float(-r * (t + r))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+def test_probit_derivatives_against_mpmath_down_to_far_tail(scale):
+    # the log_ndtr ratio loses every digit of d2 by t = -1e4
+    ch = ProbitChannel(scale)
+    t = np.concatenate([-np.logspace(0.0, 8.0, 81), np.linspace(-12.0, 40.0, 105),
+                        [-8.0, np.nextafter(-8.0, 0.0), np.nextafter(-8.0, -9.0)]])
+    for y in (1.0, -1.0):
+        z = y * t * scale
+        f1, f2 = ch.d12(z, y)
+        for j, tj in enumerate(ch._t(z, y)):
+            r1, r2 = _probit_tail_reference(tj)
+            # relative error, counting values below the smallest normal as zero
+            assert abs(f1[j] * scale * y - r1) <= 1e-12 * abs(r1) + np.finfo(float).tiny, tj
+            assert abs(f2[j] * scale ** 2 - r2) <= 1e-12 * abs(r2) + np.finfo(float).tiny, tj
+        assert np.all((f2 >= -1.0 / scale ** 2) & (f2 <= 0.0))
 
 
 class TestPosteriorMmse:
@@ -206,9 +283,8 @@ def _probit_quadrature(mean, var, y, cols, scale=1.0):
     lap = posterior_map(ch, y, GaussianBelief(mean, var))
     mean, var, y = mean[cols], var[cols], y[cols]
 
-    def log_target(z, idx):
-        return ch.log_likelihood(z, y[idx, None]) \
-            - (z - mean[idx, None]) ** 2 / (2.0 * var[idx, None])
+    def log_target(z, idx):  # z is (order, len(idx))
+        return ch.log_likelihood(z, y[idx]) - (z - mean[idx]) ** 2 / (2.0 * var[idx])
 
     return (log_target, np.asarray(lap.point)[cols],
             np.sqrt(np.asarray(lap.variance))[cols], np.sqrt(var) + np.abs(mean))
@@ -241,7 +317,8 @@ class TestAdaptiveQuadrature:
                              ids=lambda c: c.name)
     @pytest.mark.parametrize("order", [QUAD_START_ORDER, 47])
     def test_blocks_bit_identical_to_one_component_calls(self, channel, order):
-        # three components more than one block holds, so the batch spans two
+        # three components more than one block holds, so the batch spans two;
+        # numpy sums a width-1 block pairwise unless told otherwise
         k = channels.GH_BLOCK_NODES // order + 3
         rng = np.random.default_rng(order)
         mean = rng.uniform(-3.0, 3.0, k)
@@ -250,14 +327,80 @@ class TestAdaptiveQuadrature:
         lap = posterior_map(channel, y, GaussianBelief(mean, var))
         center, sigma = np.asarray(lap.point), np.sqrt(np.asarray(lap.variance))
 
-        def log_target(z, idx):
-            return channel.log_likelihood(z, y[idx, None]) \
-                - (z - mean[idx, None]) ** 2 / (2.0 * var[idx, None])
+        def log_target(z, idx):  # z is (order, len(idx))
+            return channel.log_likelihood(z, y[idx]) \
+                - (z - mean[idx]) ** 2 / (2.0 * var[idx])
 
-        batch = channels._gh_moments(log_target, np.arange(k), center, sigma, order)
-        alone = np.array([channels._gh_moments(log_target, np.array([j]), center,
-                                               sigma, order) for j in range(k)])
-        assert np.array_equal(alone[:, :, 0].T, np.array(batch))
+        batch = np.array(channels._gh_moments(log_target, np.arange(k), center, sigma, order))
+        for width in (1, 2):
+            parts = [channels._gh_moments(log_target, np.arange(lo, min(lo + width, k)),
+                                          center, sigma, order) for lo in range(0, k, width)]
+            assert np.array_equal(np.hstack([np.array(p) for p in parts]), batch), width
+
+    @pytest.mark.parametrize("order", [11, 23, 47, 95, 191, 383, 767, 1025])
+    def test_moments_match_fsum_reference(self, order):
+        # each component against the same terms summed with one rounding
+        ch = LogisticChannel(0.3)
+        mean = np.array([0.0, 1.5, -2.0, 0.2, 4.0])
+        var = np.array([1.0, 0.02, 6.0, 30.0, 0.5])
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        lap = posterior_map(ch, y, GaussianBelief(mean, var))
+        center, sigma = np.asarray(lap.point), np.sqrt(np.asarray(lap.variance))
+
+        def log_target(z, idx):
+            return ch.log_likelihood(z, y[idx]) - (z - mean[idx]) ** 2 / (2.0 * var[idx])
+
+        got_mean, got_var = channels._gh_moments(log_target, np.arange(5), center,
+                                                 sigma, order)
+        t, log_w = channels._gh_nodes(order)
+        scale = np.sqrt(var) + np.abs(mean)
+        for j in range(5):
+            x = center[j] + np.sqrt(2.0) * sigma[j] * t
+            log_pi = log_target(x[:, None], np.array([j]))[:, 0] + t * t + log_w
+            pi = np.exp(log_pi - np.max(log_pi))
+            pi /= math.fsum(pi)
+            m = math.fsum(pi * x)
+            v = math.fsum(pi * (x - m) ** 2)
+            # the ~40 nodes that carry mass are summed in node order
+            assert abs(got_mean[j] - m) <= 8 * EPS * scale[j], j
+            assert abs(got_var[j] - v) <= 8 * EPS * scale[j] ** 2, j
+
+    def test_large_mmse_regime_closes_at_order_23(self, monkeypatch):
+        # probit(0.3) beliefs with the spread of large-mmse's GAMP iterations
+        # after the first: each component needs the 11- and 23-node rules,
+        # 34 likelihood nodes, and Newton takes full steps from the belief mean
+        ch = ProbitChannel(0.3)
+        rng = np.random.default_rng(0)
+        tau = rng.uniform(0.017, 0.045, 2048)
+        mean = rng.normal(0.0, 0.28, 2048)
+        y = ch.sample(mean + np.sqrt(tau) * rng.standard_normal(2048), rng)
+        gh_calls, nodes, pairs = [], [0], []
+        gh_moments, log_likelihood, d12 = (channels._gh_moments,
+                                           ProbitChannel.log_likelihood, ProbitChannel.d12)
+
+        def gh_spy(log_target, idx, center, sigma, order):
+            gh_calls.append((order, len(idx)))
+            return gh_moments(log_target, idx, center, sigma, order)
+
+        def ll_spy(self, z, y):
+            nodes[0] += np.size(z)
+            return log_likelihood(self, z, y)
+
+        def d12_spy(self, z, y):
+            out = d12(self, z, y)
+            pairs.append((np.array(z), *out))
+            return out
+
+        monkeypatch.setattr(channels, "_gh_moments", gh_spy)
+        monkeypatch.setattr(ProbitChannel, "log_likelihood", ll_spy)
+        monkeypatch.setattr(ProbitChannel, "d12", d12_spy)
+        posterior_mmse(ch, y, GaussianBelief(mean, tau))
+        assert gh_calls == [(QUAD_START_ORDER, 2048), (2 * QUAD_START_ORDER + 1, 2048)]
+        assert nodes[0] == 34 * 2048
+        assert np.array_equal(pairs[0][0], mean)
+        for (z, f1, f2), (z_next, _, _) in zip(pairs, pairs[1:]):
+            step = -(f1 - (z - mean) / tau) / (f2 - 1.0 / tau)
+            assert np.array_equal(z_next, z + step)  # no backtracking
 
     def test_unresolvable_target_raises_at_max_order(self):
         def spike(x, idx):  # far outside the N(0, 1) proposal and narrower than any node gap
