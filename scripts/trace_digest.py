@@ -12,7 +12,10 @@ problems; the default is the set above.
 Each line is ``<cell> <sha256>`` over the trace's ``to_jsonl`` bytes, its
 converged/diverged/floor_events bookkeeping and the solution's point and
 variance bytes, or ``<cell> EXC <Type>: <message>`` when the solve raises.
-Two builds that print the same lines produce byte-identical traces:
+A last line, ``verify|seed=<N> <sha256>``, hashes the file that
+``glmamp verify --seed N --report`` writes (independent of ``--n``).
+Two builds that print the same lines produce byte-identical traces and
+verify reports:
 
     python scripts/trace_digest.py --seed 0 > new.txt   # on each build
     diff old.txt new.txt
@@ -25,7 +28,9 @@ directories' fixed points lie apart.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -34,6 +39,7 @@ import numpy as np
 
 from glmamp.channels import Mode
 from glmamp.cli import EQUIVALENCE_CASES, EQUIVALENCE_CONFIG, generate_problem
+from glmamp.cli import main as glmamp_main
 from glmamp.engine import SolverConfig, run_gamp, run_modular
 from glmamp.specs import parse_channel, parse_prior
 
@@ -78,6 +84,13 @@ def _line(cell, solves, scratch, save_dir):
     return f"{cell} {h.hexdigest()}"
 
 
+def _verify_line(seed, report: Path):
+    """Digest of the ``glmamp verify --report`` file at ``seed``."""
+    with contextlib.redirect_stdout(io.StringIO()):  # its PASS/FAIL lines
+        glmamp_main(["verify", "--seed", str(seed), "--report", str(report)])
+    return f"verify|seed={seed} {hashlib.sha256(report.read_bytes()).hexdigest()}"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -109,6 +122,7 @@ def main():
                          (run_modular, problem, mode, EQUIVALENCE_CONFIG)],
                         scratch, args.save),
                   flush=True)
+        print(_verify_line(args.seed, Path(tmp) / "verify.jsonl"), flush=True)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ connect the two.
 """
 
 from .gaussian import GaussianBelief, ExtrinsicMessage, PosteriorStats, combine, ep_extrinsic
-from .channels import Mode, AwgnChannel, ProbitChannel, PoissonChannel, LogisticChannel, posterior_mmse, posterior_map, g_out, awgn_g_out
+from .channels import Mode, AwgnChannel, ProbitChannel, PoissonChannel, LogisticChannel, posterior_mmse, posterior_map, g_out_with_stats, awgn_g_out
 from .priors import GaussianPrior, BernoulliGaussianPrior, LaplacePrior
 from .slm import LinearModel, SlmResult, slm_solve
 from .engine import ProblemInstance, SolverConfig, IterationTrace, run_gamp, run_modular
@@ -16,7 +16,7 @@ __all__ = [
     "GaussianBelief", "ExtrinsicMessage", "PosteriorStats",
     "combine", "ep_extrinsic",
     "Mode", "AwgnChannel", "ProbitChannel", "PoissonChannel", "LogisticChannel",
-    "posterior_mmse", "posterior_map", "g_out", "awgn_g_out",
+    "posterior_mmse", "posterior_map", "g_out_with_stats", "awgn_g_out",
     "GaussianPrior", "BernoulliGaussianPrior", "LaplacePrior",
     "LinearModel", "SlmResult", "slm_solve",
     "ProblemInstance", "SolverConfig", "IterationTrace", "run_gamp", "run_modular",

@@ -1,10 +1,10 @@
 """Scalar output likelihood channels and their estimation functions.
 
-Each channel exposes the log-likelihood f(z, y) = log p(y|z) together with
-its first two z-derivatives, singly (``d1``, ``d2``) and as the pair
-``d12``, which shares their work: the probit hazard phi/Phi or the logistic
-tanh.  On top of that sit the two scalar posterior
-summaries used by the solvers:
+Each channel gives what module B reads: the log-likelihood f(z, y) =
+log p(y|z), the pair ``d12`` = (f', f'') from one evaluation (probit shares
+one hazard phi/Phi, logistic one tanh), ``in_support`` and ``sample``;
+probit and logistic share ``BinaryChannel``.  On top of that sit the two
+scalar posterior summaries used by the solvers:
 
 * ``posterior_mmse`` -- mean/variance of z ~ N(mean, var) tilted by p(y|z)
   (closed form for AWGN; exact for Poisson, from a truncated-Gaussian ratio
@@ -18,11 +18,12 @@ summaries used by the solvers:
   and f'' from one ``d12`` call per trial point and keeps the f'' of the
   mode for the variance.
 
-``g_out`` packages either summary as the output score (point - mean)/var and
-its curvature correction (var - post_var)/var**2, taken from the posterior
-variance in both modes; that the MAP form equals f''/(var f'' - 1) is
-certified by ``verify.check_laplace_identity`` only.  ``awgn_g_out`` is the
-closed-form AWGN special case driven by a pseudo-observation.
+``g_out_with_stats``, the one output score, packages either summary as
+(point - mean)/var and the curvature correction (var - post_var)/var**2,
+taken from the posterior variance in both modes, and returns it too; that
+the MAP form equals f''/(var f'' - 1) is certified by
+``verify.check_laplace_identity`` only.  ``awgn_g_out`` is the closed-form
+AWGN special case driven by a pseudo-observation.
 
 All operations are vectorized: scalars or same-shape arrays throughout.
 """
@@ -77,7 +78,7 @@ class QuadratureError(RuntimeError):
 
 
 class OutputChannel:
-    """Interface: log p(y|z) and derivatives, support checks, sampling."""
+    """Interface: log p(y|z), its z-derivative pair, support checks, sampling."""
 
     #: "real" or "positive" -- valid z domain
     domain = "real"
@@ -86,15 +87,9 @@ class OutputChannel:
     def log_likelihood(self, z, y):
         raise NotImplementedError
 
-    def d1(self, z, y):
-        raise NotImplementedError
-
-    def d2(self, z, y):
-        raise NotImplementedError
-
     def d12(self, z, y):
-        """(d1, d2) from one evaluation: the same bits as the two calls."""
-        return self.d1(z, y), self.d2(z, y)
+        """(f', f'') at (z, y), each of the shape z and y broadcast to."""
+        raise NotImplementedError
 
     def in_support(self, y):
         raise NotImplementedError
@@ -118,11 +113,9 @@ class AwgnChannel(OutputChannel):
         return -0.5 * (y - z) ** 2 / self.noise_variance \
             - 0.5 * np.log(self.noise_variance) - _LOG_SQRT_2PI
 
-    def d1(self, z, y):
-        return (y - z) / self.noise_variance
-
-    def d2(self, z, y):
-        return np.broadcast_arrays(-1.0 / self.noise_variance + 0.0 * z, y)[0]
+    def d12(self, z, y):
+        return ((y - z) / self.noise_variance,
+                np.broadcast_arrays(-1.0 / self.noise_variance + 0.0 * z, y)[0])
 
     def in_support(self, y):
         return np.isfinite(y)
@@ -157,66 +150,59 @@ def _norm_hazard(t):
 
 
 @dataclass(frozen=True)
-class ProbitChannel(OutputChannel):
-    """P(y = +1 | z) = Phi(z / scale), y in {-1, +1}."""
+class BinaryChannel(OutputChannel):
+    """P(y = +1 | z) = cdf(z / scale), y in {-1, +1}; subclasses give the cdf."""
 
     scale: float = 1.0
-    name = "probit"
 
     def __post_init__(self):
         if not self.scale > 0:
-            raise ValueError("probit scale must be > 0")
+            raise ValueError(f"{self.name} scale must be > 0")
 
     def _t(self, z, y):
         return np.asarray(y) * np.asarray(z) / self.scale
-
-    def log_likelihood(self, z, y):
-        return log_ndtr(self._t(z, y))
-
-    def d1(self, z, y):
-        return self.d12(z, y)[0]
-
-    def d2(self, z, y):
-        return self.d12(z, y)[1]
-
-    def d12(self, z, y):
-        r, excess = _norm_hazard(self._t(z, y))
-        return np.asarray(y) * r / self.scale, -r * excess / self.scale ** 2
 
     def in_support(self, y):
         y = np.asarray(y)
         return (y == 1) | (y == -1)
 
     def sample(self, z, rng):
-        p = np.exp(log_ndtr(np.asarray(z) / self.scale))
+        p = self._cdf(np.asarray(z) / self.scale)
         return np.where(rng.uniform(size=np.shape(z)) < p, 1.0, -1.0)
 
 
-def _sigmoid(t):
-    return 0.5 * (1.0 + np.tanh(0.5 * t))
+@dataclass(frozen=True)
+class ProbitChannel(BinaryChannel):
+    """P(y = +1 | z) = Phi(z / scale), y in {-1, +1}."""
+
+    name = "probit"
+
+    @staticmethod
+    def _cdf(t):
+        return np.exp(log_ndtr(t))
+
+    def log_likelihood(self, z, y):
+        return log_ndtr(self._t(z, y))
+
+    def d12(self, z, y):
+        r, excess = _norm_hazard(self._t(z, y))
+        return np.asarray(y) * r / self.scale, -r * excess / self.scale ** 2
 
 
 @dataclass(frozen=True)
-class LogisticChannel(OutputChannel):
+class LogisticChannel(BinaryChannel):
     """P(y = +1 | z) = sigmoid(z / scale), y in {-1, +1}."""
 
-    scale: float = 1.0
     name = "logistic"
 
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("logistic scale must be > 0")
+    @staticmethod
+    def _cdf(t):
+        return 0.5 * (1.0 + np.tanh(0.5 * t))
 
     def log_likelihood(self, z, y):
-        t = np.asarray(y) * np.asarray(z) / self.scale
+        t = self._t(z, y)
         # -softplus(-t), stable on both tails
         return np.minimum(t, 0.0) - np.log1p(np.exp(-np.abs(t)))
-
-    def d1(self, z, y):
-        return self.d12(z, y)[0]
-
-    def d2(self, z, y):
-        return self.d12(z, y)[1]
 
     def d12(self, z, y):
         y = np.asarray(y)
@@ -225,14 +211,6 @@ class LogisticChannel(OutputChannel):
         # sigmoid(-y z / scale) = (1 - y th) / 2 for y = +-1, as tanh is odd
         d1 = y * (0.5 * (1.0 - y * th)) / self.scale
         return d1, np.broadcast_arrays(-s * (1.0 - s) / self.scale ** 2, y)[0]
-
-    def in_support(self, y):
-        y = np.asarray(y)
-        return (y == 1) | (y == -1)
-
-    def sample(self, z, rng):
-        p = _sigmoid(np.asarray(z) / self.scale)
-        return np.where(rng.uniform(size=np.shape(z)) < p, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -251,11 +229,9 @@ class PoissonChannel(OutputChannel):
             out = y * np.log(z) - z - gammaln(y + 1.0)
         return np.where(z > 0, out, -np.inf)
 
-    def d1(self, z, y):
-        return np.asarray(y) / np.asarray(z, dtype=float) - 1.0
-
-    def d2(self, z, y):
-        return -np.asarray(y) / np.asarray(z, dtype=float) ** 2
+    def d12(self, z, y):
+        y, z = np.asarray(y), np.asarray(z, dtype=float)
+        return y / z - 1.0, -y / z ** 2
 
     def in_support(self, y):
         y = np.asarray(y)
@@ -329,7 +305,7 @@ def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> Posterio
         return PosteriorStats(point=point, variance=1.0 / lam)
     if isinstance(channel, PoissonChannel):
         point = _poisson_map_point(y, p_hat, tau_p)
-        f2 = channel.d2(point, y)
+        f2 = channel.d12(point, y)[1]
     else:
         point, f2 = _newton_map(channel, y, p_hat, tau_p)
     prec = -f2 + 1.0 / tau_p
@@ -533,7 +509,7 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
 # ---------------------------------------------------------------------------
 
 def g_out_with_stats(channel: OutputChannel, mode: Mode, y, belief: GaussianBelief):
-    """``g_out`` returning also the posterior stats it was derived from.
+    """Output score (point - mean)/var, curvature correction and the posterior.
 
     In both modes the curvature correction is (var - post_var)/var**2 from
     the posterior variance; in MAX_SUM mode that is the Laplace variance, so
@@ -547,12 +523,6 @@ def g_out_with_stats(channel: OutputChannel, mode: Mode, y, belief: GaussianBeli
     neg_deriv = (tau_p - np.asarray(stats.variance)) / tau_p ** 2
     value = (np.asarray(stats.point) - np.asarray(belief.mean)) / tau_p
     return value, neg_deriv, stats
-
-
-def g_out(channel: OutputChannel, mode: Mode, y, belief: GaussianBelief):
-    """Output score (point - mean)/var and its curvature correction."""
-    value, neg_deriv, _ = g_out_with_stats(channel, mode, y, belief)
-    return value, neg_deriv
 
 
 def awgn_g_out(pseudo, belief: GaussianBelief):

@@ -137,14 +137,14 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     return SlmResult(x_stats=x_stats, z_stats=z_stats, z_extrinsic=z_ext)
 
 
-def _tri_inv(L: np.ndarray, out: np.ndarray | None = None, offset: int = 0) -> np.ndarray:
+def _tri_inv(L: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
     """Inverse of a lower-triangular L whose strict upper triangle is zero.
 
     With L = [[L11, 0], [L21, L22]], L^-1 = [[X11, 0], [X21, X22]] where
     X11 = L11^-1 and X22 = L22^-1 recurse and X21 = -X22 L21 X11 is two TRMMs.
-    Every block is written into ``out`` (a Fortran-ordered n x n array,
-    allocated when not given), which is returned; ``out`` may be L itself,
-    since each block of L is read before its block of ``out`` is written.
+    Every block is written into ``out`` (a Fortran-ordered n x n array),
+    which is returned; ``out`` may be L itself, since each block of L is
+    read before its block of ``out`` is written.
     ``offset`` is L's first row in the whole factor.  Raises
     ``numpy.linalg.LinAlgError`` when a diagonal entry of L is zero.
     """
@@ -155,12 +155,8 @@ def _tri_inv(L: np.ndarray, out: np.ndarray | None = None, offset: int = 0) -> n
             # info > 0 is the 1-based index of a zero diagonal entry in this block
             raise np.linalg.LinAlgError("dtrtri: singular Cholesky factor "
                                         f"(info={info + offset if info > 0 else info})")
-        if out is None:
-            return inv
         out[...] = inv
         return out
-    if out is None:
-        out = np.zeros(L.shape, order="F")
     k = n // 2
     _tri_inv(L[:k, :k], out[:k, :k], offset)
     _tri_inv(L[k:, k:], out[k:, k:], offset + k)

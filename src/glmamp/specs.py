@@ -3,12 +3,14 @@
 Channel specs:  awgn(var=1.0) | probit(scale=1.0) | poisson() | logistic(scale=1.0)
 Prior specs:    gaussian(mean=0,var=1) | bg(rho=0.1,mean=0,var=1) | laplace(lambda=1)
 
-Errors carry the character position of the offending token.  ``spec_string``
+Each key appears at most once, with a finite number.  Errors carry the
+character position of the offending key=value pair or token.  ``spec_string``
 is the inverse of the two parsers: ``parse_*(spec_string(obj)) == obj``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .channels import AwgnChannel, LogisticChannel, PoissonChannel, ProbitChannel
@@ -34,19 +36,25 @@ def _parse_call(text: str):
     if not text.rstrip().endswith(")"):
         raise SpecError(text, len(text), "missing closing ')'")
     body = text.rstrip()[pos:-1]
-    kwargs = {}
-    offset = pos
+    kwargs = {}  # key -> (value, offset of its pair)
+    end = pos
     for part in body.split(","):
+        offset, end = end, end + len(part) + 1
         if not part.strip():
             continue
         pm = _PAIR.fullmatch(part)
         if not pm:
             raise SpecError(text, offset, f"bad key=value pair {part.strip()!r}")
+        key = pm.group(1).lower()
+        if key in kwargs:
+            raise SpecError(text, offset, f"repeated parameter {key!r}")
         try:
-            kwargs[pm.group(1).lower()] = float(pm.group(2))
+            value = float(pm.group(2))
         except ValueError:
-            raise SpecError(text, offset, f"bad numeric value {pm.group(2)!r}") from None
-        offset += len(part) + 1
+            value = math.nan  # reported as non-finite below
+        if not math.isfinite(value):
+            raise SpecError(text, offset, f"bad numeric value {pm.group(2)!r}")
+        kwargs[key] = value, offset
     return name, kwargs
 
 
@@ -71,9 +79,9 @@ def _build(text, table, kind):
                         f"(expected one of {sorted(table)})")
     cls, keymap = table[name]
     mapped = {}
-    for key, value in kwargs.items():
+    for key, (value, offset) in kwargs.items():
         if key not in keymap:
-            raise SpecError(text, text.find(key), f"unknown parameter {key!r} for {name}")
+            raise SpecError(text, offset, f"unknown parameter {key!r} for {name}")
         mapped[keymap[key]] = value
     try:
         return cls(**mapped)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
-                             ProbitChannel, awgn_g_out, g_out, posterior_map,
-                             posterior_mmse)
+                             ProbitChannel, awgn_g_out, g_out_with_stats,
+                             posterior_map, posterior_mmse)
 from glmamp.cli import generate_problem, main
 from glmamp.engine import ProblemInstance, SolverConfig, run_gamp, run_modular
 from glmamp.gaussian import ExtrinsicMessage, GaussianBelief, ep_extrinsic
@@ -73,7 +73,7 @@ def test_criterion_3_worked_example_chain():
     ch = PoissonChannel()
     belief = GaussianBelief(1.0, 1.0)
     stats = posterior_map(ch, 3.0, belief)
-    val, nd = g_out(ch, Mode.MAX_SUM, 3.0, belief)
+    val, nd, _ = g_out_with_stats(ch, Mode.MAX_SUM, 3.0, belief)
     ext = ep_extrinsic(stats, belief)
     val_b, nd_b = awgn_g_out(ext, belief)
     checks = [

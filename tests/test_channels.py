@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from glmamp import channels
 from glmamp.channels import (QUAD_MAX_ORDER, QUAD_START_ORDER, AwgnChannel,
                              LogisticChannel, Mode, PoissonChannel, ProbitChannel,
-                             QuadratureError, awgn_g_out, g_out, posterior_map,
-                             posterior_mmse)
+                             QuadratureError, awgn_g_out, g_out_with_stats,
+                             posterior_map, posterior_mmse)
 from glmamp.gaussian import ExtrinsicMessage, GaussianBelief
+from glmamp.specs import _CHANNELS
 
 from oracles import (gauss_hermite_moments, golden_section_max, grid_moments,
                      poisson_tilted_moments_mp, probit_posterior_closed_form)
@@ -37,33 +38,33 @@ class TestDerivatives:
         z, y = _valid_zy(channel, rng)
         h = 1e-5
         fd = (channel.log_likelihood(z + h, y) - channel.log_likelihood(z - h, y)) / (2 * h)
-        d1 = channel.d1(z, y)
+        d1 = channel.d12(z, y)[0]
         assert np.all(np.abs(d1 - fd) <= 1e-6 * np.maximum(np.abs(d1), 1.0))
 
     def test_d2_matches_finite_differences_of_d1(self, channel):
         rng = np.random.default_rng(1)
         z, y = _valid_zy(channel, rng)
         h = 1e-5
-        fd = (channel.d1(z + h, y) - channel.d1(z - h, y)) / (2 * h)
-        d2 = channel.d2(z, y)
+        fd = (channel.d12(z + h, y)[0] - channel.d12(z - h, y)[0]) / (2 * h)
+        d2 = channel.d12(z, y)[1]
         assert np.all(np.abs(d2 - fd) <= 1e-6 * np.maximum(np.abs(d2), 1.0))
 
     def test_log_concave(self, channel):
         rng = np.random.default_rng(2)
         z, y = _valid_zy(channel, rng)
-        assert np.all(channel.d2(z, y) <= 0.0)
+        assert np.all(channel.d12(z, y)[1] <= 0.0)
 
 
 class TestDerivativePair:
-    @pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: c.name)
-    def test_pair_is_d1_and_d2_bit_for_bit(self, channel):
-        z, y = _valid_zy(channel, np.random.default_rng(3))
-        for zz, yy in [(z, y), (float(z[0]), float(y[0])), (z[:, None], y[None, :5])]:
-            f1, f2 = channel.d12(zz, yy)
-            assert np.array_equal(f1, channel.d1(zz, yy))
-            assert np.array_equal(f2, channel.d2(zz, yy))
-            assert np.shape(f1) == np.shape(f2) == np.broadcast_shapes(np.shape(zz),
-                                                                        np.shape(yy))
+    @pytest.mark.parametrize("cls", [cls for cls, _ in _CHANNELS.values()],
+                             ids=lambda cls: cls.name)
+    def test_pair_has_the_broadcast_shape(self, cls):
+        z, y = _valid_zy(cls(), np.random.default_rng(3), size=5)
+        for zz, yy in [(float(z[0]), float(y[0])), (z, float(y[0])), (float(z[0]), y),
+                       (z, y), (z[:, None], y[None, :])]:
+            shape = np.broadcast_shapes(np.shape(zz), np.shape(yy))
+            for f in cls().d12(zz, yy):
+                assert np.shape(f) == shape and np.asarray(f).dtype == float
 
     def test_logistic_one_tanh_is_two_sigmoids(self):
         # d1 = y sigmoid(-y z / scale) / scale from the tanh that d2 uses
@@ -72,7 +73,7 @@ class TestDerivativePair:
         z = np.concatenate([rng.normal(0.0, 3.0, 1000), [0.0, -0.0, 1e-300, 40.0, -40.0]])
         for y in (1.0, -1.0):
             t = y * z / ch.scale
-            assert np.array_equal(ch.d12(z, y)[0], y * channels._sigmoid(-t) / ch.scale)
+            assert np.array_equal(ch.d12(z, y)[0], y * ch._cdf(-t) / ch.scale)
 
     @pytest.mark.parametrize("channel", [ProbitChannel(0.3), LogisticChannel(1.0)],
                              ids=lambda c: c.name)
@@ -84,12 +85,7 @@ class TestDerivativePair:
             calls.append((np.array(z), *d12(self, z, y)))
             return calls[-1][1:]
 
-        def alone(self, z, y):
-            raise AssertionError("derivative evaluated outside the pair")
-
         monkeypatch.setattr(type(channel), "d12", d12_spy)
-        monkeypatch.setattr(type(channel), "d1", alone)
-        monkeypatch.setattr(type(channel), "d2", alone)
         rng = np.random.default_rng(6)
         mean = rng.uniform(-3.0, 3.0, 50)
         var = np.exp(rng.uniform(np.log(0.01), np.log(100.0), 50))
@@ -205,6 +201,13 @@ def test_binary_support_truth_table(channel):
     assert channel.in_support(np.array(y)).tolist() == expected
     assert channel.in_support(y).tolist() == expected  # lists and scalars too
     assert channel.in_support(-1) and not channel.in_support(0.5)
+
+
+@pytest.mark.parametrize("cls", [ProbitChannel, LogisticChannel], ids=lambda c: c.name)
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan])
+def test_binary_scale_check_names_the_channel(cls, scale):
+    with pytest.raises(ValueError, match=f"^{cls.name} scale must be > 0$"):
+        cls(scale)
 
 
 def _poisson_beliefs(y, t, tau):
@@ -474,8 +477,8 @@ class TestPosteriorMap:
             st_ = posterior_map(channel, y, GaussianBelief(mean, var))
             z = np.asarray(st_.point)
             interior = z > 2e-12 if channel.domain == "positive" else np.ones_like(z, bool)
-            grad = channel.d1(z, y) - (z - mean) / var
-            scale = 1.0 + np.abs(channel.d1(np.where(interior, z, 1.0), y))
+            grad = channel.d12(z, y)[0] - (z - mean) / var
+            scale = 1.0 + np.abs(channel.d12(np.where(interior, z, 1.0), y)[0])
             assert np.all(np.abs(grad[interior]) <= 1e-9 * scale[interior])
 
 
@@ -495,17 +498,20 @@ def test_poisson_never_takes_newton(monkeypatch):
 
 class TestGOut:
     def test_maxsum_poisson_worked_example(self):
-        val, nd = g_out(PoissonChannel(), Mode.MAX_SUM, 3.0, GaussianBelief(1.0, 1.0))
+        val, nd, _ = g_out_with_stats(PoissonChannel(), Mode.MAX_SUM, 3.0,
+                                      GaussianBelief(1.0, 1.0))
         assert val == pytest.approx(SQRT3 - 1.0, abs=1e-12)
         assert nd == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_residual_when_point_equals_mean(self):
         # AWGN with y == belief mean leaves the point at the mean
-        val, _ = g_out(AwgnChannel(1.0), Mode.SUM_PRODUCT, 0.5, GaussianBelief(0.5, 1.0))
+        val, _, _ = g_out_with_stats(AwgnChannel(1.0), Mode.SUM_PRODUCT, 0.5,
+                                     GaussianBelief(0.5, 1.0))
         assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_sumproduct_awgn_conjugate(self):
-        val, nd = g_out(AwgnChannel(1.0), Mode.SUM_PRODUCT, 2.0, GaussianBelief(0.0, 1.0))
+        val, nd, _ = g_out_with_stats(AwgnChannel(1.0), Mode.SUM_PRODUCT, 2.0,
+                                      GaussianBelief(0.0, 1.0))
         assert val == pytest.approx(1.0, abs=1e-14)
         assert nd == pytest.approx(0.5, abs=1e-14)
 
@@ -518,7 +524,7 @@ class TestGOut:
             y = np.maximum(y, 1.0)
         mean = rng.uniform(-3, 3, size=100)
         var = np.exp(rng.uniform(np.log(0.1), np.log(10), size=100))
-        _, nd = g_out(channel, mode, y, GaussianBelief(mean, var))
+        _, nd, _ = g_out_with_stats(channel, mode, y, GaussianBelief(mean, var))
         assert np.all(nd * var > 0.0)
         assert np.all(nd * var <= 1.0 + 1e-12)
 
@@ -544,7 +550,7 @@ class TestAwgnGOut:
         belief = GaussianBelief(-0.2, 2.5)
         v1, n1 = awgn_g_out(pseudo, belief)
         for mode in (Mode.SUM_PRODUCT, Mode.MAX_SUM):
-            v2, n2 = g_out(AwgnChannel(0.7), mode, 1.3, belief)
+            v2, n2, _ = g_out_with_stats(AwgnChannel(0.7), mode, 1.3, belief)
             assert v1 == pytest.approx(v2, rel=1e-14)
             assert n1 == pytest.approx(n2, rel=1e-14)
 
@@ -560,7 +566,7 @@ def test_laplace_identity_probit(mean, log_var, y):
     ch = ProbitChannel(1.0)
     var = float(np.exp(log_var))
     stats = posterior_map(ch, y, GaussianBelief(mean, var))
-    f2 = float(ch.d2(stats.point, y))
+    f2 = float(ch.d12(stats.point, y)[1])
     direct = f2 / (var * f2 - 1.0)
     via = (var - float(stats.variance)) / var ** 2
     assert direct == pytest.approx(via, rel=1e-10)

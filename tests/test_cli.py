@@ -286,12 +286,21 @@ class TestSweep:
     ["sweep", "--rho", "1.5"],
     ["sweep", "--snr-db", "abc"],
     ["sweep", "--m-over-n", "-2"],
+    ["solve", "--prior", "gaussian(mean=inf,var=1)"],
+    ["solve", "--prior", "laplace(lambda=inf)"],
+    ["solve", "--prior", "bg(rho=0.1,mean=nan,var=1)"],
+    ["verify", "--channel", "awgn(var=inf)"],
+    ["solve", "--prior", "bg(rho=0.1,rho=0.5)"],
+    ["solve", "--channel", "awgn(var=1,var=2)"],
 ], ids=["gen-n-0", "gen-n-neg", "verify-samples-0", "verify-samples-neg",
-        "sweep-rho-0", "sweep-rho-1.5", "sweep-snr-text", "sweep-ratio-neg"])
+        "sweep-rho-0", "sweep-rho-1.5", "sweep-snr-text", "sweep-ratio-neg",
+        "spec-mean-inf", "spec-lambda-inf", "spec-mean-nan", "spec-var-inf",
+        "spec-repeated-prior-key", "spec-repeated-channel-key"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     extra = {"gen": ["--prior", "gaussian(mean=0,var=1)", "--channel", "awgn(var=1)",
                      "--out", str(out)],
+             "solve": ["--n", "8", "--m", "16", "--max-iter", "2", "--summary", str(out)],
              "verify": ["--check", "laplace"],
              "sweep": ["--reps", "1", "--out", str(out)]}[argv[0]]
     try:  # argparse rejects a bad flag value with SystemExit(2)

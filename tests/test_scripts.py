@@ -85,9 +85,10 @@ def test_compare_fixed_points_reports_every_difference(tmp_path):
 def test_trace_digest_n_sets_problem_size(tmp_path):
     out = _script("trace_digest.py", "--n", "8", "--save", str(tmp_path))
     lines = out.splitlines()
-    assert len(lines) == 3 * 4 * 2 * 3 + 4
+    assert len(lines) == 3 * 4 * 2 * 3 + 4 + 1
+    assert lines[-1].startswith("verify|seed=0 ") and len(lines[-1].split()[1]) == 64
     saved = sorted(tmp_path.glob("*.npz"))
-    assert len(saved) == sum(" EXC " not in line for line in lines) > 0
+    assert len(saved) == sum(" EXC " not in line for line in lines[:-1]) > 0
     for path in saved:
         with np.load(path) as cell:
             assert cell["point"].shape[1] == 8, path.name

@@ -195,18 +195,23 @@ def _cholesky_factor(n, seed=0):
     return cholesky(A.T @ A + np.eye(n), lower=True)
 
 
+def _new_out(L):
+    return np.zeros(L.shape, order="F")
+
+
 class TestTriInv:
     @pytest.mark.parametrize("n", [1, 17, TRI_INV_LEAF])
     def test_leaf_is_dtrtri_bit_for_bit(self, n):
         L = _cholesky_factor(n)
-        assert np.array_equal(_tri_inv(L), dtrtri(L, lower=1)[0])
+        assert np.array_equal(_tri_inv(L, _new_out(L)), dtrtri(L, lower=1)[0])
 
     @pytest.mark.parametrize("n", [65, 127, 128, 129, 384])
     def test_recursion_matches_dtrtri(self, n):
         L = _cholesky_factor(n)
         want = dtrtri(L, lower=1)[0]
-        got = _tri_inv(L)
-        assert got.flags.f_contiguous
+        out = _new_out(L)
+        got = _tri_inv(L, out)
+        assert got is out and got.flags.f_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert not np.triu(got, 1).any()
 
@@ -214,7 +219,7 @@ class TestTriInv:
         L = _cholesky_factor(130)
         L[100, 100] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
-            _tri_inv(L)
+            _tri_inv(L, _new_out(L))
         work = L.copy(order="F")
         with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
             _tri_inv(work, out=work)
@@ -224,7 +229,7 @@ class TestTriInv:
     @pytest.mark.parametrize("n", [64, 65, 130, 384])
     def test_in_place_matches_new_array_bit_for_bit(self, n):
         L = _cholesky_factor(n)
-        want = _tri_inv(L)
+        want = _tri_inv(L, _new_out(L))
         work = L.copy(order="F")
         got = _tri_inv(work, out=work)
         assert got is work

@@ -2,7 +2,7 @@ import pytest
 
 from glmamp.channels import AwgnChannel, LogisticChannel, PoissonChannel, ProbitChannel
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
-from glmamp.specs import parse_channel, parse_prior, spec_string
+from glmamp.specs import SpecError, parse_channel, parse_prior, spec_string
 
 
 @pytest.mark.parametrize("parse, obj", [
@@ -38,3 +38,12 @@ def test_spec_string_matches_the_grammar():
     assert spec_string(GaussianPrior(mean=2, var=0.25)) == "gaussian(mean=2,var=0.25)"
     assert spec_string(BernoulliGaussianPrior()) == "bg(rho=0.1,mean=0.0,var=1.0)"
     assert spec_string(LaplacePrior(1.0)) == "laplace(lambda=1.0)"
+
+
+@pytest.mark.parametrize("text, pos", [("gaussian(mean=0,var=1,an=2)", 22),
+                                       ("bg(RHO=0.1,Bad=1)", 11)])
+def test_unknown_key_reports_its_pair_position(text, pos):
+    with pytest.raises(SpecError) as err:
+        parse_prior(text)
+    assert err.value.pos == pos
+    assert f"unknown parameter {text[pos:].split('=')[0].lower()!r}" in str(err.value)
