@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Show how closely the modular SLM + scalar-module solver tracks GAMP.
 
-A front end to ``glmamp.verify.check_equivalence`` on one generated
-instance, run with ``glmamp.cli.EQUIVALENCE_CONFIG`` and the chosen module-A
-backend.  It prints the report's distance between the two engines' belief
-means for the first 20 iterations, the fixed-point distance and both
-iteration counts.  With the default ``amp`` backend the trajectories
+A front end to ``glmamp.verify.check_equivalence`` on one instance from
+``glmamp.problems.generate_problem``, run with
+``glmamp.verify.EQUIVALENCE_CONFIG`` and the chosen module-A backend.  It
+prints the report's distance between the two engines' belief means for the
+first 20 iterations, the fixed-point distance and both iteration counts.  With the default ``amp`` backend the trajectories
 coincide to machine precision; with ``--slm-backend exact`` the
 dense-Gaussian module settles on a nearby but distinct fixed point, which
 the table makes visible.
@@ -15,9 +15,9 @@ import argparse
 import dataclasses
 
 from glmamp.channels import Mode
-from glmamp.cli import EQUIVALENCE_CONFIG, generate_problem
+from glmamp.problems import generate_problem
 from glmamp.specs import parse_channel, parse_prior
-from glmamp.verify import check_equivalence
+from glmamp.verify import EQUIVALENCE_CONFIG, check_equivalence
 
 
 def main():

@@ -3,11 +3,10 @@
 
 The cell set is the full grid of 3 priors x 4 channels x 2 modes x
 {gamp, modular-amp, modular-exact} at n=64, m=128 with the default
-``SolverConfig``, plus the 4 instances that ``glmamp verify`` uses for its
-equivalence checks (gamp and modular-amp on each).  Every problem is built by
-``glmamp.cli.generate_problem`` from ``--seed``.  ``--n N`` builds every
-problem at n=N, m=2N instead, to reach code that only runs on larger
-problems; the default is the set above.
+``SolverConfig``, plus the 4 ``glmamp.verify.EQUIVALENCE_CASES`` instances
+(gamp and modular-amp on each).  Every problem is built by
+``glmamp.problems.generate_problem`` from ``--seed``.  ``--n N`` builds every problem at n=N, m=2N instead, to
+reach code that only runs on larger problems; the default is the set above.
 
 Each line is ``<cell> <sha256>`` over the trace's ``to_jsonl`` bytes, its
 converged/diverged/floor_events bookkeeping and the solution's point and
@@ -38,10 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from glmamp.channels import Mode
-from glmamp.cli import EQUIVALENCE_CASES, EQUIVALENCE_CONFIG, generate_problem
 from glmamp.cli import main as glmamp_main
 from glmamp.engine import SolverConfig, run_gamp, run_modular
+from glmamp.problems import generate_problem
 from glmamp.specs import parse_channel, parse_prior
+from glmamp.verify import EQUIVALENCE_CASES, EQUIVALENCE_CONFIG
 
 PRIORS = ("gaussian(mean=0,var=1)", "bg(rho=0.1,mean=0,var=1)", "laplace(lambda=1)")
 CHANNELS = ("awgn(var=0.1)", "probit(scale=0.3)", "poisson()", "logistic(scale=0.3)")

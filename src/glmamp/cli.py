@@ -17,22 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Mode, PoissonChannel
-from .engine import ProblemInstance, SolverConfig, nmse, run_gamp, run_modular
-from .slm import LinearModel, load_matrix, save_matrix_binary
-from .specs import SpecError, parse_channel, parse_prior, spec_string
-from .verify import (check_derivatives, check_ep_bridge, check_equivalence,
-                     check_laplace_identity)
-
-ALL_CHANNELS = ("awgn(var=1.0)", "probit(scale=1.0)", "poisson()", "logistic(scale=1.0)")
-
-# (channel, prior, mode) of the instances whose GAMP / modular equivalence
-# `verify` certifies; each is generated at n=64, m=128 from the verify seed.
-EQUIVALENCE_CASES = (("probit(scale=1.0)", "bg(rho=0.1,mean=0,var=1)", "mmse"),
-                     ("probit(scale=1.0)", "laplace(lambda=1)", "map"),
-                     ("poisson()", "gaussian(mean=2,var=0.25)", "mmse"),
-                     ("poisson()", "gaussian(mean=2,var=0.25)", "map"))
-EQUIVALENCE_CONFIG = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
+from .channels import Mode
+from .engine import SolverConfig, nmse, run_gamp, run_modular
+from .problems import (MATRIX_DISTS, generate_problem, load_problem, make_matrix,
+                       observe, save_problem)
+from .specs import SpecError, parse_channel, parse_prior
+from .verify import CHECKS, run_checks
 
 
 class UsageError(Exception):
@@ -66,80 +56,21 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _make_matrix(m, n, dist, rng):
-    if dist == "gaussian":
-        return rng.standard_normal((m, n)) / np.sqrt(n)
-    if dist == "abs_gaussian":
-        return np.abs(rng.standard_normal((m, n))) / np.sqrt(n)
-    raise UsageError(f"unknown matrix distribution {dist!r}")
-
-
-def _default_matrix_dist(channel) -> str:
-    """Poisson needs a nonnegative A so that z = A x stays positive."""
-    return "abs_gaussian" if isinstance(channel, PoissonChannel) else "gaussian"
-
-
-def generate_problem(n, m, prior, channel, seed, matrix_dist=None):
-    rng = np.random.default_rng(seed)
-    if matrix_dist is None:
-        matrix_dist = _default_matrix_dist(channel)
-    A = _make_matrix(m, n, matrix_dist, rng)
-    x = prior.sample(n, rng)
-    z = A @ x
-    if isinstance(channel, PoissonChannel):
-        z = np.maximum(z, PoissonChannel.SAMPLE_Z_MIN)
-    y = channel.sample(z, rng)
-    return ProblemInstance(LinearModel(A), np.asarray(y, dtype=float), channel,
-                           prior, x_true=x)
-
-
 def cmd_gen(args) -> int:
-    prior = parse_prior(args.prior)
-    channel = parse_channel(args.channel)
-    matrix_dist = args.matrix_dist or _default_matrix_dist(channel)
-    prob = generate_problem(args.n, args.m, prior, channel, args.seed,
-                            matrix_dist=matrix_dist)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_matrix_binary(out / "A.bin", prob.model.A)
-    np.savetxt(out / "x_true.csv", prob.x_true, delimiter=",")
-    np.savetxt(out / "y.csv", prob.y, delimiter=",")
-    meta = {"n": args.n, "m": args.m, "prior": spec_string(prior),
-            "channel": spec_string(channel), "seed": args.seed,
-            "matrix_dist": matrix_dist}
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    print(f"wrote problem to {out}")
+    save_problem(args.out, args.n, args.m, parse_prior(args.prior),
+                 parse_channel(args.channel), args.seed, args.matrix_dist)
+    print(f"wrote problem to {Path(args.out)}")
     return 0
-
-
-def load_problem(path) -> ProblemInstance:
-    path = Path(path)
-    try:
-        meta = json.loads((path / "meta.json").read_text())
-        A = load_matrix(path / "A.bin")
-        y = np.atleast_1d(np.loadtxt(path / "y.csv", delimiter=","))
-        x_true = np.atleast_1d(np.loadtxt(path / "x_true.csv", delimiter=","))
-        return ProblemInstance(LinearModel(A), y, parse_channel(meta["channel"]),
-                               parse_prior(meta["prior"]), x_true=x_true)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot load problem from {path}: "
-                         f"{type(exc).__name__}: {exc}") from None
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iter=args.max_iter, tol=args.tol,
-                        damping=args.damping,
-                        slm_backend=args.slm_backend)
 
 
 def cmd_solve(args) -> int:
     try:
-        config = _solver_config(args)
+        config = SolverConfig(max_iter=args.max_iter, tol=args.tol,
+                              damping=args.damping, slm_backend=args.slm_backend)
+        problem = load_problem(args.problem) if args.problem else None
     except ValueError as exc:
         raise UsageError(exc) from None
-    if args.problem:
-        problem = load_problem(args.problem)
-    else:
+    if problem is None:
         problem = generate_problem(args.n, args.m, parse_prior(args.prior),
                                    parse_channel(args.channel), args.seed)
     mode = Mode(args.mode)
@@ -162,32 +93,11 @@ def cmd_solve(args) -> int:
     return 1 if trace.diverged else 0
 
 
-def _verify_reports(args):
-    channels = [parse_channel(s) for s in
-                ([args.channel] if args.channel else ALL_CHANNELS)]
-    which = args.check
-    reports = []
-    for ch in channels:
-        if which in ("all", "laplace"):
-            reports.append(check_laplace_identity(ch, args.samples, args.seed))
-        if which in ("all", "derivatives"):
-            reports.append(check_derivatives(ch, args.samples, args.seed))
-        if which in ("all", "bridge"):
-            for mode in (Mode.SUM_PRODUCT, Mode.MAX_SUM):
-                reports.append(check_ep_bridge(ch, mode, args.samples, args.seed))
-    if which in ("all", "equivalence"):
-        for spec, prior_spec, mode_name in EQUIVALENCE_CASES:
-            if args.channel and parse_channel(spec).name != parse_channel(args.channel).name:
-                continue
-            prob = generate_problem(64, 128, parse_prior(prior_spec),
-                                    parse_channel(spec), args.seed)
-            reports.append(check_equivalence(prob, Mode(mode_name), EQUIVALENCE_CONFIG,
-                                             seed=args.seed))
-    return reports
-
-
 def cmd_verify(args) -> int:
-    reports = _verify_reports(args)
+    channel = parse_channel(args.channel) if args.channel else None
+    reports = run_checks(args.check, channel, args.samples, args.seed)
+    if not reports:
+        raise UsageError(f"--check {args.check} runs no check on channel {args.channel}")
     lines = [r.to_json() for r in reports]
     if args.report:
         Path(args.report).write_text("\n".join(lines) + "\n")
@@ -225,15 +135,11 @@ def _sweep_cell(cell):
     m = max(1, int(round(ratio * n)))
     seed = base_seed + 1000 * rep + hash((snr_db, rho, ratio)) % 1000
     rng = np.random.default_rng(seed)
-    A = _make_matrix(m, n, "gaussian", rng)
+    A = make_matrix(m, n, "gaussian", rng)
     x = prior.sample(n, rng)
-    z = A @ x
-    signal_power = max(float(np.mean(z ** 2)), 1e-12)
+    signal_power = max(float(np.mean((A @ x) ** 2)), 1e-12)
     noise_var = signal_power / 10.0 ** (snr_db / 10.0)
-    channel = parse_channel(f"awgn(var={noise_var})")
-    y = channel.sample(z, rng)
-    problem = ProblemInstance(LinearModel(A), np.asarray(y, dtype=float),
-                              channel, prior, x_true=x)
+    problem = observe(A, x, prior, parse_channel(f"awgn(var={noise_var})"), rng)
     config = SolverConfig(max_iter=200, tol=1e-10)  # modular: exact module A
     rows = []
     for engine, runner in (("gamp", run_gamp), ("modular", run_modular)):
@@ -301,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--prior", required=True)
     g.add_argument("--channel", required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--matrix-dist", choices=("gaussian", "abs_gaussian"),
-                   default=None)
+    g.add_argument("--matrix-dist", choices=MATRIX_DISTS, default=None)
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="solve a problem with either engine")
@@ -320,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="run the verification harness")
-    v.add_argument("--check", choices=("all", "laplace", "bridge",
-                                       "derivatives", "equivalence"),
-                   default="all")
+    v.add_argument("--check", choices=CHECKS, default="all")
     v.add_argument("--channel", help="restrict to one channel spec")
     v.add_argument("--samples", type=positive_int, default=10_000)
     v.add_argument("--seed", type=int, default=0)

@@ -29,15 +29,10 @@ inverse of that order or less is exactly the TRTRI result.  Above it most
 flops run at TRMM speed: on one OpenBLAS thread TRTRI reaches about a fifth
 of the GFlop/s of the SYRK and TRMM around it at n = 384, and the recursion
 takes 1.3-1.4 ms where TRTRI takes 2.9-3.7 ms (17 against 27 ms at n = 1024).
-
-Also defines the on-disk matrix formats: CSV (one row per line) and a
-binary format with magic ``GLMA``, uint64 dims, little-endian float64 data.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +42,6 @@ from scipy.linalg.lapack import dtrtri
 
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic)
-
-MATRIX_MAGIC = b"GLMA"
 
 # Diagonal blocks of this order or less are inverted by TRTRI itself.  At
 # n = 384 and 1024 a leaf of 64 ran within 4% of the fastest (48); 32 was as
@@ -164,47 +157,3 @@ def _tri_inv(L: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
     out[k:, :k] = dtrmm(-1.0, out[:k, :k], x22_l21, side=1, lower=1, overwrite_b=1)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Matrix file formats.
-# ---------------------------------------------------------------------------
-
-def save_matrix_csv(path, A: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(A), delimiter=",")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-
-
-def save_matrix_binary(path, A: np.ndarray) -> None:
-    A = np.ascontiguousarray(np.atleast_2d(A), dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", A.shape[0], A.shape[1]))
-        fh.write(A.tobytes())
-
-
-def load_matrix_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MATRIX_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"{path}: truncated matrix header")
-        m, n = struct.unpack("<QQ", header)
-        # checked before reading: read() would try to allocate the claimed size
-        if 8 * m * n > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise ValueError(f"{path}: truncated matrix payload")
-        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-    return data.reshape(m, n).astype(float)
-
-
-def load_matrix(path) -> np.ndarray:
-    """Dispatch on the binary magic; fall back to CSV."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == MATRIX_MAGIC:
-        return load_matrix_binary(path)
-    return load_matrix_csv(path)

@@ -26,6 +26,8 @@ from .channels import (AwgnChannel, Mode, OutputChannel, PoissonChannel,
                        awgn_g_out, g_out_with_stats, posterior_map)
 from .engine import ProblemInstance, SolverConfig, run_gamp, run_modular
 from .gaussian import GaussianBelief, ep_extrinsic
+from .problems import clamp_z, generate_problem
+from .specs import parse_channel, parse_prior
 
 P_HAT_RANGE = (-3.0, 3.0)
 TAU_P_RANGE = (0.1, 10.0)
@@ -34,6 +36,16 @@ TAU_P_RANGE = (0.1, 10.0)
 GATES = {"laplace": 1e-10, "bridge": 1e-10, "bridge_numeric_mmse": 1e-9,
          "derivatives": 1e-6, "equivalence": 1e-6}
 FD_STEP = 1e-5  # centred finite-difference step of check_derivatives
+
+CHECKS = ("all", "laplace", "bridge", "derivatives", "equivalence")
+CHECK_CHANNELS = ("awgn(var=1.0)", "probit(scale=1.0)", "poisson()", "logistic(scale=1.0)")
+# (channel, prior, mode) of the instances whose GAMP / modular equivalence
+# `verify` certifies; each is generated at n=64, m=128 from the verify seed.
+EQUIVALENCE_CASES = (("probit(scale=1.0)", "bg(rho=0.1,mean=0,var=1)", "mmse"),
+                     ("probit(scale=1.0)", "laplace(lambda=1)", "map"),
+                     ("poisson()", "gaussian(mean=2,var=0.25)", "mmse"),
+                     ("poisson()", "gaussian(mean=2,var=0.25)", "map"))
+EQUIVALENCE_CONFIG = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
 
 
 @dataclass
@@ -85,9 +97,7 @@ def sample_operating_points(channel: OutputChannel, samples: int, seed: int):
     tau_p = np.exp(rng.uniform(np.log(TAU_P_RANGE[0]), np.log(TAU_P_RANGE[1]),
                                size=samples))
     z = p_hat + np.sqrt(tau_p) * rng.standard_normal(samples)
-    if channel.domain == "positive":
-        z = np.maximum(z, PoissonChannel.SAMPLE_Z_MIN)
-    y = channel.sample(z, rng)
+    y = channel.sample(clamp_z(channel, z), rng)
     if isinstance(channel, PoissonChannel):
         y = np.maximum(y, 1.0)
     return p_hat, tau_p, y
@@ -141,9 +151,7 @@ def check_derivatives(channel: OutputChannel, samples: int = 10_000,
     """Centered finite differences of f against f', and of f' against f''."""
     p_hat, tau_p, y = sample_operating_points(channel, samples, seed)
     rng = np.random.default_rng(seed + 1)
-    z = p_hat + np.sqrt(tau_p) * rng.standard_normal(samples)
-    if channel.domain == "positive":
-        z = np.maximum(z, PoissonChannel.SAMPLE_Z_MIN)
+    z = clamp_z(channel, p_hat + np.sqrt(tau_p) * rng.standard_normal(samples))
     fd1 = (channel.log_likelihood(z + FD_STEP, y)
            - channel.log_likelihood(z - FD_STEP, y)) / (2.0 * FD_STEP)
     fd2 = (channel.d12(z + FD_STEP, y)[0]
@@ -183,3 +191,26 @@ def check_equivalence(problem: ProblemInstance, mode: Mode,
         extras={"iters_gamp": len(trace_g), "iters_modular": len(trace_m),
                 "diverged": bool(trace_g.diverged or trace_m.diverged),
                 "per_iter_belief_distance": diag})
+
+
+def run_checks(check, channel, samples, seed) -> list:
+    """The reports of ``glmamp verify --check check``, in order.  ``channel``
+    (None: each of ``CHECK_CHANNELS``) restricts every check to that spec."""
+    reports = []
+    for ch in [channel] if channel is not None else map(parse_channel, CHECK_CHANNELS):
+        if check in ("all", "laplace"):
+            reports.append(check_laplace_identity(ch, samples, seed))
+        if check in ("all", "derivatives"):
+            reports.append(check_derivatives(ch, samples, seed))
+        if check in ("all", "bridge"):
+            for mode in (Mode.SUM_PRODUCT, Mode.MAX_SUM):
+                reports.append(check_ep_bridge(ch, mode, samples, seed))
+    if check in ("all", "equivalence"):
+        for spec, prior_spec, mode_name in EQUIVALENCE_CASES:
+            eq_channel = parse_channel(spec)
+            if channel is not None and eq_channel != channel:
+                continue
+            prob = generate_problem(64, 128, parse_prior(prior_spec), eq_channel, seed)
+            reports.append(check_equivalence(prob, Mode(mode_name), EQUIVALENCE_CONFIG,
+                                             seed=seed))
+    return reports

@@ -15,10 +15,11 @@ import pytest
 from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
                              ProbitChannel, awgn_g_out, g_out_with_stats,
                              posterior_map, posterior_mmse)
-from glmamp.cli import generate_problem, main
+from glmamp.cli import main
 from glmamp.engine import ProblemInstance, SolverConfig, run_gamp, run_modular
 from glmamp.gaussian import ExtrinsicMessage, GaussianBelief, ep_extrinsic
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
+from glmamp.problems import generate_problem
 from glmamp.slm import LinearModel, slm_solve
 from glmamp.specs import parse_channel, parse_prior
 from glmamp.verify import (check_derivatives, check_ep_bridge,

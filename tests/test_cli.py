@@ -13,7 +13,8 @@ from scipy.stats import spearmanr
 
 import glmamp
 from glmamp import cli
-from glmamp.cli import load_problem, main
+from glmamp.cli import main
+from glmamp.problems import load_problem
 
 
 def _run(capsys, *argv):
@@ -224,6 +225,17 @@ class TestVerify:
         code, _, err = _run(capsys, "verify", "--channel", "cauchy()")
         assert code == 2
         assert "error" in err
+
+    # a selection that runs no check is a usage error, not a vacuous pass;
+    # equivalence cases match --channel by spec, so probit(scale=2.0) has none
+    @pytest.mark.parametrize("channel", ["awgn(var=1)", "probit(scale=2.0)"])
+    def test_selection_that_runs_no_check_exits_2(self, tmp_path, capsys, channel):
+        report = tmp_path / "r.jsonl"
+        code, out, err = _run(capsys, "verify", "--channel", channel, "--check",
+                              "equivalence", "--report", str(report))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --check equivalence runs no check")
+        assert not report.exists()
 
 
 class TestSweep:

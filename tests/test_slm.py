@@ -1,4 +1,3 @@
-import struct
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,9 +8,7 @@ from scipy.linalg.lapack import dtrtri
 
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage,
                              GaussianBelief, combine)
-from glmamp.slm import (TRI_INV_LEAF, LinearModel, _tri_inv, load_matrix,
-                        load_matrix_binary, load_matrix_csv, save_matrix_binary,
-                        save_matrix_csv, slm_solve)
+from glmamp.slm import TRI_INV_LEAF, LinearModel, _tri_inv, slm_solve
 
 from oracles import dense_gaussian_posterior
 
@@ -234,58 +231,3 @@ class TestTriInv:
         got = _tri_inv(work, out=work)
         assert got is work
         assert np.array_equal(got, want)
-
-
-class TestMatrixFiles:
-    def test_csv_round_trip(self, tmp_path):
-        A = np.arange(12.0).reshape(3, 4) / 7.0
-        path = tmp_path / "a.csv"
-        save_matrix_csv(path, A)
-        np.testing.assert_allclose(load_matrix_csv(path), A, rtol=1e-15)
-
-    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (1, 1), (3, 2)])
-    def test_csv_round_trip_keeps_shape(self, tmp_path, shape):
-        # a one-column file is m x 1, not a row
-        A = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7.0
-        path = tmp_path / "a.csv"
-        save_matrix_csv(path, A)
-        got = load_matrix(path)
-        assert got.shape == shape
-        np.testing.assert_allclose(got, A, rtol=1e-15)
-
-    def test_binary_round_trip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((5, 3))
-        path = tmp_path / "a.bin"
-        save_matrix_binary(path, A)
-        assert np.array_equal(load_matrix_binary(path), A)
-        # header: magic + two uint64 dims
-        raw = path.read_bytes()
-        assert raw[:4] == b"GLMA"
-        assert int.from_bytes(raw[4:12], "little") == 5
-        assert int.from_bytes(raw[12:20], "little") == 3
-        assert len(raw) == 20 + 5 * 3 * 8
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="magic"):
-            load_matrix_binary(path)
-
-    # a header that claims more data than the file holds, by far or by one
-    # value, is rejected before the payload is read
-    @pytest.mark.parametrize("dims, payload", [((2**40, 2**30), b""),
-                                               ((2, 2), b"\0" * 24)],
-                             ids=["oversized-header", "short-payload"])
-    def test_truncated_payload_rejected(self, tmp_path, dims, payload):
-        path = tmp_path / "a.bin"
-        path.write_bytes(b"GLMA" + struct.pack("<QQ", *dims) + payload)
-        with pytest.raises(ValueError, match="truncated matrix payload"):
-            load_matrix_binary(path)
-
-    def test_load_matrix_dispatch(self, tmp_path):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        save_matrix_binary(tmp_path / "a.bin", A)
-        save_matrix_csv(tmp_path / "a.csv", A)
-        assert np.array_equal(load_matrix(tmp_path / "a.bin"), A)
-        np.testing.assert_allclose(load_matrix(tmp_path / "a.csv"), A)

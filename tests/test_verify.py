@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from glmamp import verify
 from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
                              ProbitChannel)
 from glmamp.cli import main
 from glmamp.engine import ProblemInstance, SolverConfig
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior
 from glmamp.slm import LinearModel
+from glmamp.specs import parse_channel
 from glmamp.verify import (GATES, CheckReport, check_derivatives, check_ep_bridge,
-                           check_equivalence, check_laplace_identity,
+                           check_equivalence, check_laplace_identity, run_checks,
                            sample_operating_points)
 
 CHANNELS = [AwgnChannel(1.0), ProbitChannel(1.0), PoissonChannel(), LogisticChannel(1.0)]
@@ -156,3 +158,15 @@ def test_equivalence_poisson_map():
     cfg = SolverConfig(max_iter=300, tol=1e-10, damping=0.8, slm_backend="amp")
     rep = check_equivalence(prob, Mode.MAX_SUM, cfg)
     assert rep.passed, rep.to_json()
+
+
+@pytest.mark.parametrize("spec, cases", [("probit(scale=1.0)", 2), ("probit()", 2),
+                                         ("probit(scale=2.0)", 0), ("poisson()", 2),
+                                         ("awgn(var=1)", 0)])
+def test_run_checks_matches_equivalence_cases_by_spec(monkeypatch, spec, cases):
+    channel = parse_channel(spec)
+    seen = []
+    monkeypatch.setattr(verify, "check_equivalence",
+                        lambda problem, *args, **kw: seen.append(problem.channel))
+    assert len(run_checks("equivalence", channel, 10, 0)) == cases
+    assert seen == [channel] * cases
