@@ -5,8 +5,9 @@ The cell set is the full grid of 3 priors x 4 channels x 2 modes x
 {gamp, modular-amp, modular-exact} at n=64, m=128 with the default
 ``SolverConfig``, plus the 4 ``glmamp.verify.EQUIVALENCE_CASES`` instances
 (gamp and modular-amp on each).  Every problem is built by
-``glmamp.problems.generate_problem`` from ``--seed``.  ``--n N`` builds every problem at n=N, m=2N instead, to
-reach code that only runs on larger problems; the default is the set above.
+``glmamp.problems.generate_problem`` from ``--seed``.  ``--n N`` builds
+every problem at n=N, m=2N instead, to reach code that only runs on larger
+problems; the default is the set above.
 
 Each line is ``<cell> <sha256>`` over the trace's ``to_jsonl`` bytes, its
 converged/diverged/floor_events bookkeeping and the solution's point and
@@ -19,10 +20,19 @@ verify reports:
     python scripts/trace_digest.py --seed 0 > new.txt   # on each build
     diff old.txt new.txt
 
-``--save DIR`` also writes each cell that solves to ``DIR/<cell>.npz``: the
-solution's ``point`` and ``variance`` and the trace's ``iterations``,
-``converged``, ``diverged`` and ``floor_events``, one row per solve of the
-cell.  ``scripts/compare_fixed_points.py OLD NEW`` reports how far two such
+``--seed`` and ``--n`` may each be given more than once.  The script then
+prints the lines of every (seed, n) pair, seeds outer, each line starting
+with ``seed=S|n=N|``, so one run per build and one ``diff`` cover the set:
+
+    python scripts/trace_digest.py --seed 0 --seed 1 --n 64 --n 256 > new.txt
+
+With one seed and one n the lines carry no such prefix.
+
+``--save DIR`` also writes each cell that solves to ``DIR/<cell>.npz`` (the
+cell name with its prefix, if any): the solution's ``point`` and
+``variance`` and the trace's ``iterations``, ``converged``, ``diverged`` and
+``floor_events``, one row per solve of the cell.
+``scripts/compare_fixed_points.py OLD NEW`` reports how far two such
 directories' fixed points lie apart.
 """
 
@@ -91,38 +101,52 @@ def _verify_line(seed, report: Path):
     return f"verify|seed={seed} {hashlib.sha256(report.read_bytes()).hexdigest()}"
 
 
+def _print_cells(seed, n, prefix, scratch: Path, save_dir):
+    """Print the cell lines of one (seed, n) run, each starting with ``prefix``."""
+    for prior, channel in product(PRIORS, CHANNELS):
+        problem = generate_problem(n, 2 * n, parse_prior(prior),
+                                   parse_channel(channel), seed)
+        for mode, (engine, (runner, backend)) in product(Mode, ENGINES.items()):
+            config = SolverConfig(slm_backend=backend)
+            print(_line(f"{prefix}{prior}|{channel}|{mode.value}|{engine}",
+                        [(runner, problem, mode, config)], scratch, save_dir),
+                  flush=True)
+    for channel, prior, mode_name in EQUIVALENCE_CASES:
+        problem = generate_problem(n, 2 * n, parse_prior(prior),
+                                   parse_channel(channel), seed)
+        mode = Mode(mode_name)
+        print(_line(f"{prefix}equivalence|{prior}|{channel}|{mode_name}",
+                    [(run_gamp, problem, mode, EQUIVALENCE_CONFIG),
+                     (run_modular, problem, mode, EQUIVALENCE_CONFIG)],
+                    scratch, save_dir),
+              flush=True)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n", type=int, default=64, help="unknowns per problem; m = 2n")
+    ap.add_argument("--seed", type=int, action="append",
+                    help="problem seed (default 0); repeat for several")
+    ap.add_argument("--n", type=int, action="append",
+                    help="unknowns per problem, m = 2n (default 64); repeat for several")
     ap.add_argument("--save", type=Path, metavar="DIR",
                     help="also write each cell's fixed point to DIR/<cell>.npz")
     args = ap.parse_args()
-    if args.n < 1:
+    seeds, sizes = args.seed or [0], args.n or [64]
+    if min(sizes) < 1:
         ap.error("--n must be a positive integer")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
 
+    several = len(seeds) * len(sizes) > 1
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp) / "trace.jsonl"
-        for prior, channel in product(PRIORS, CHANNELS):
-            problem = generate_problem(args.n, 2 * args.n, parse_prior(prior),
-                                       parse_channel(channel), args.seed)
-            for mode, (engine, (runner, backend)) in product(Mode, ENGINES.items()):
-                config = SolverConfig(slm_backend=backend)
-                print(_line(f"{prior}|{channel}|{mode.value}|{engine}",
-                            [(runner, problem, mode, config)], scratch, args.save),
-                      flush=True)
-        for channel, prior, mode_name in EQUIVALENCE_CASES:
-            problem = generate_problem(args.n, 2 * args.n, parse_prior(prior),
-                                       parse_channel(channel), args.seed)
-            mode = Mode(mode_name)
-            print(_line(f"equivalence|{prior}|{channel}|{mode_name}",
-                        [(run_gamp, problem, mode, EQUIVALENCE_CONFIG),
-                         (run_modular, problem, mode, EQUIVALENCE_CONFIG)],
-                        scratch, args.save),
-                  flush=True)
-        print(_verify_line(args.seed, Path(tmp) / "verify.jsonl"), flush=True)
+        for seed in seeds:
+            verify = None  # the report does not depend on n: made once per seed
+            for n in sizes:
+                prefix = f"seed={seed}|n={n}|" if several else ""
+                _print_cells(seed, n, prefix, scratch, args.save)
+                verify = verify or _verify_line(seed, Path(tmp) / "verify.jsonl")
+                print(prefix + verify, flush=True)
 
 
 if __name__ == "__main__":

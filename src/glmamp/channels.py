@@ -59,6 +59,11 @@ QUAD_MAX_ORDER = 1025
 QUAD_RTOL = 1e-9
 GH_BLOCK_NODES = 2 ** 16  # abscissas per quadrature block: 512 KiB of float64
 
+# The AWGN noise variance's range: squares, reciprocals, products and
+# quotients of values in it are finite normal doubles.  Below about 5e-309,
+# 1 / noise_variance overflows.
+NOISE_VARIANCE_RANGE = (1e-150, 1e150)
+
 
 class Mode(enum.Enum):
     """Which scalar estimate a solver targets: posterior mean or mode."""
@@ -98,6 +103,13 @@ class OutputChannel:
         raise NotImplementedError
 
 
+def check_range(value, bounds, what):
+    """Raise ``ValueError`` unless ``value`` lies in the closed interval ``bounds``."""
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} must be in [{lo:g}, {hi:g}]")
+
+
 @dataclass(frozen=True)
 class AwgnChannel(OutputChannel):
     """y = z + N(0, noise_variance)."""
@@ -106,8 +118,7 @@ class AwgnChannel(OutputChannel):
     name = "awgn"
 
     def __post_init__(self):
-        if not self.noise_variance > 0:
-            raise ValueError("awgn noise_variance must be > 0")
+        check_range(self.noise_variance, NOISE_VARIANCE_RANGE, "awgn noise_variance")
 
     def log_likelihood(self, z, y):
         return -0.5 * (y - z) ** 2 / self.noise_variance \

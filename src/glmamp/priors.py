@@ -13,10 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .channels import Mode
+from .channels import Mode, check_range
 from .gaussian import PosteriorStats, DEFAULT_VARIANCE_FLOOR
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+# The Laplace rate's range: the prior variance 2 / rate**2 then lies in
+# [2e-150, 2e150], where its square and reciprocal are finite normal doubles.
+# Below about 1e-154, 2 / rate**2 overflows; above about 1e154, rate**2 does.
+RATE_RANGE = (1e-75, 1e75)
 
 
 class InputPrior:
@@ -142,8 +147,7 @@ class LaplacePrior(InputPrior):
     name = "laplace"
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("laplace rate must be > 0")
+        check_range(self.rate, RATE_RANGE, "laplace rate")
 
     def denoise(self, mode, r, tau):
         r = np.asarray(r, dtype=float)

@@ -65,11 +65,22 @@ def save_problem(out, n, m, prior, channel, seed, matrix_dist=None) -> None:
 
 
 def load_problem(path) -> ProblemInstance:
-    """Read a problem directory; raises ``ValueError`` naming it when it cannot."""
+    """Read a problem directory; raises ``ValueError`` naming it when it cannot.
+
+    ``meta.json``'s ``n`` and ``m`` must be ``A.bin``'s shape (``y.csv`` and
+    ``x_true.csv`` are checked against A) and its ``matrix_dist`` one of
+    ``MATRIX_DISTS``.
+    """
     path = Path(path)
     try:
         meta = json.loads((path / "meta.json").read_text())
         A = load_matrix(path / "A.bin")
+        if (meta["m"], meta["n"]) != A.shape:
+            raise ValueError(f"meta.json has n={meta['n']!r}, m={meta['m']!r} "
+                             f"but A.bin is {A.shape[0]} x {A.shape[1]}")
+        if meta["matrix_dist"] not in MATRIX_DISTS:
+            raise ValueError(f"meta.json matrix_dist {meta['matrix_dist']!r} is "
+                             f"not one of {', '.join(MATRIX_DISTS)}")
         y = np.atleast_1d(np.loadtxt(path / "y.csv", delimiter=","))
         x_true = np.atleast_1d(np.loadtxt(path / "x_true.csv", delimiter=","))
         return ProblemInstance(LinearModel(A), y, parse_channel(meta["channel"]),

@@ -17,6 +17,22 @@ inverse (n^3/3 flops each), and a triangular-times-dense product (TRMM,
 m n^2) for W_s.  That is 2 m n^2 + 2 n^3/3 flops per call, where two general
 matrix products made it 4 m n^2 + 2 n^3/3.
 
+Each step is one LAPACK or BLAS routine called directly: DSYRK, DPOTRF
+(the Cholesky factor), DPOTRS (the mean's two triangular solves), DTRTRI
+and DTRMM.  SciPy's ``cholesky`` and ``cho_solve`` call the same DPOTRF and
+DPOTRS, so the bits are theirs, but each also scans its operands for
+non-finite values: n^2 reads per call that validated inputs make redundant.
+One O(n) test of P's diagonal takes their place.  A is finite, so P can
+hold a non-finite value only through a NaN, zero (or subnormal) or
+negative variance.  Each such pseudo-variance sv_i spoils column i of B^T
+and with it every diagonal entry of P; each such prior variance spoils its
+own entry, except a negative one, which leaves P finite but indefinite.  A
+non-finite prior or pseudo-observation mean reaches the posterior mean,
+which ``PosteriorStats`` rejects.
+
+A is read three times, in this order: once into B^T, at once again for
+A^T (py / sv) while it is still in cache, and last for z's mean A mu.
+
 Memory is one n x m buffer and one n x n buffer per call.  B^T is built
 once, Fortran-ordered, and read by SYRK; TRMM then overwrites it with W_s.
 P is factored in place, and L^-1 is written over L once the mean is solved.
@@ -36,9 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.blas import dsyrk, dtrmm
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic)
@@ -96,25 +111,42 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     which one TRMM writes over B^T.  L^-1 is written over L; it is TRTRI for
     n <= 64 and a recursive 2 x 2-block inverse above, whose off-diagonal
     blocks are TRMMs (see the module docstring for why).  The inputs are
-    never written to.
-    Raises ``numpy.linalg.LinAlgError`` when P is not positive definite.
+    never written to, and full-length input vectors are used as they are;
+    only a scalar is repeated to full length.
+
+    P is factored by DPOTRF and the mean solved by DPOTRS, called directly,
+    and the only finiteness test is O(n), on P's diagonal (see the module
+    docstring for why that suffices).  Raises ``ValueError`` when it fails
+    and ``numpy.linalg.LinAlgError`` when P is not positive definite.
     """
     A = model.A
-    py = np.broadcast_to(np.asarray(pseudo.pseudo_mean, dtype=float), (model.m,))
-    pv = np.broadcast_to(np.asarray(pseudo.pseudo_variance, dtype=float), (model.m,))
-    pm = np.broadcast_to(np.asarray(prior_x.mean, dtype=float), (model.n,))
-    pvar = np.broadcast_to(np.asarray(prior_x.variance, dtype=float), (model.n,))
+    m, n = A.shape
+    py, pv = _vector(pseudo.pseudo_mean, m), _vector(pseudo.pseudo_variance, m)
+    pm, pvar = _vector(prior_x.mean, n), _vector(prior_x.variance, n)
 
     # The one n x m buffer: B^T = (A diag(pv)^-1/2)^T, Fortran-ordered whatever
-    # A's layout, so neither SYRK (trans=0) nor TRMM makes f2py copy it.
+    # A's layout, so neither SYRK (trans=0) nor TRMM makes f2py copy it.  A's
+    # second read follows at once, before SYRK's passes over B^T evict it.
     bt = np.multiply(A.T, np.sqrt(1.0 / pv), order="F")
-    prec = dsyrk(1.0, bt, lower=1)
-    prec[np.diag_indices_from(prec)] += 1.0 / pvar
     rhs = pm / pvar + A.T @ (py / pv)
-    # cholesky zeroes the strict upper triangle, which dtrtri leaves untouched
-    chol = cholesky(prec, lower=True, overwrite_a=True)
-    mu = cho_solve((chol, True), rhs)
-    # L is not needed past cho_solve: L^-1 overwrites it, and W_s = L^-1 B^T
+    prec = dsyrk(1.0, bt, lower=1)
+    # P is Fortran-ordered, so its diagonal is every (n + 1)-th entry of a view
+    diag = prec.ravel(order="F")[::n + 1]
+    diag += 1.0 / pvar
+    # A is finite, so only a variance can make an entry of P non-finite, and
+    # any variance that does makes a diagonal entry non-finite
+    if not np.isfinite(diag).all():
+        raise ValueError("slm_solve: the precision is not finite "
+                         "(a variance is NaN, zero or negative)")
+    # clean=1 zeroes the strict upper triangle, which dtrtri leaves untouched.
+    # A negative info (of either routine) would flag an illegal argument,
+    # which these square Fortran-ordered float arrays cannot be.
+    chol, info = dpotrf(prec, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dpotrf: the {info}-th leading minor of "
+                                    "the precision is not positive definite")
+    mu, _ = dpotrs(chol, rhs, lower=1, overwrite_b=1)
+    # L is not needed past dpotrs: L^-1 overwrites it, and W_s = L^-1 B^T
     # overwrites B^T (bt is never a view of A)
     chol_inv = _tri_inv(chol, out=chol)
     w_s = dtrmm(1.0, chol_inv, bt, lower=1, overwrite_b=1)
@@ -128,6 +160,12 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     z_stats = PosteriorStats(point=z_mean, variance=z_var)
     z_ext = ep_extrinsic(z_stats, GaussianBelief(py, pv))
     return SlmResult(x_stats=x_stats, z_stats=z_stats, z_extrinsic=z_ext)
+
+
+def _vector(values, size: int) -> np.ndarray:
+    """``values`` as a float vector: an array as it is, a scalar repeated ``size`` times."""
+    values = np.asarray(values, dtype=float)
+    return values if values.ndim else np.full(size, values)
 
 
 def _tri_inv(L: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:

@@ -2,11 +2,18 @@
 
 Deliberately dumb and slow: dense grids, plain fixed-order quadrature,
 explicit matrix assembly, proximal gradient.  None of them share code with
-the library paths they check.
+the library paths they check, except ``wrapper_slm_solve``: a bit-for-bit
+reference for ``slm_solve`` that shares its triangular inverse.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.blas import dsyrk, dtrmm
 from scipy.stats import norm
+
+from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
+                             ep_extrinsic)
+from glmamp.slm import SlmResult, _tri_inv
 
 
 def grid_moments(log_unnorm, center, sd, n_points=4096, width=12.0, lower=None):
@@ -72,6 +79,36 @@ def dense_gaussian_posterior(A, prior_mean, prior_var, pseudo_mean, pseudo_var):
     z_mean = A @ mu
     z_var = np.diag(A @ cov @ A.T).copy()
     return mu, np.diag(cov).copy(), z_mean, z_var
+
+
+def wrapper_slm_solve(model, pseudo, prior_x):
+    """``slm_solve``'s LAPACK/BLAS chain through SciPy's checking wrappers.
+
+    The same SYRK, Cholesky, triangular solves, triangular inverse and TRMM
+    as ``slm_solve``, with ``cholesky`` and ``cho_solve`` (each scans its
+    operands with ``asarray_chkfinite``), the diagonal updated by fancy
+    indexing and every input broadcast to full length, so its results are
+    the bits ``slm_solve`` must return.
+    """
+    A = model.A
+    py = np.broadcast_to(np.asarray(pseudo.pseudo_mean, dtype=float), (model.m,))
+    pv = np.broadcast_to(np.asarray(pseudo.pseudo_variance, dtype=float), (model.m,))
+    pm = np.broadcast_to(np.asarray(prior_x.mean, dtype=float), (model.n,))
+    pvar = np.broadcast_to(np.asarray(prior_x.variance, dtype=float), (model.n,))
+    bt = np.multiply(A.T, np.sqrt(1.0 / pv), order="F")
+    prec = dsyrk(1.0, bt, lower=1)
+    prec[np.diag_indices_from(prec)] += 1.0 / pvar
+    rhs = pm / pvar + A.T @ (py / pv)
+    chol = cholesky(prec, lower=True, overwrite_a=True)
+    mu = cho_solve((chol, True), rhs)
+    chol_inv = _tri_inv(chol, out=chol)
+    w_s = dtrmm(1.0, chol_inv, bt, lower=1, overwrite_b=1)
+    x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),
+                       DEFAULT_VARIANCE_FLOOR)
+    z_stats = PosteriorStats(point=A @ mu, variance=np.maximum(
+        np.einsum("ij,ij->j", w_s, w_s) * pv, DEFAULT_VARIANCE_FLOOR))
+    return SlmResult(PosteriorStats(point=mu, variance=x_var), z_stats,
+                     ep_extrinsic(z_stats, GaussianBelief(py, pv)))
 
 
 def lmmse_solution(A, y, noise_var, prior_mean, prior_var):

@@ -27,6 +27,11 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _edit_meta(directory, **changes):
+    meta = directory / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), **changes}))
+
+
 class TestGen:
     def test_writes_problem_and_is_deterministic(self, tmp_path, capsys):
         args = ["gen", "--n", "16", "--m", "32", "--prior", "bg(rho=0.2,mean=0,var=1)",
@@ -97,12 +102,34 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error: ") and out == ""
 
+    @pytest.mark.parametrize("spec", [("--channel", "awgn(var=1e-320)"),
+                                      ("--prior", "laplace(lambda=1e-300)"),
+                                      ("--prior", "laplace(lambda=1e300)")],
+                             ids=["awgn-1e-320", "laplace-1e-300", "laplace-1e300"])
+    def test_extreme_spec_value_exits_2(self, capsys, spec):
+        code, out, err = _run(capsys, "solve", "--n", "16", "--m", "32", *spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be in [" in err
+
+    # at each end of the Laplace range a MAP solve runs to a documented state
+    @pytest.mark.parametrize("rate", ["1e-75", "1e75"])
+    def test_laplace_map_solves_at_each_end_of_the_rate_range(self, capsys, rate):
+        code, out, _ = _run(capsys, "solve", "--n", "16", "--m", "32", "--mode", "map",
+                            "--prior", f"laplace(lambda={rate})")
+        assert code == 0 and json.loads(out)["converged"] is True
+
     @pytest.mark.parametrize("corrupt", [
         lambda d: (d / "meta.json").write_text("{bad"),
         lambda d: (d / "meta.json").write_text('{"prior": "gaussian(mean=0,var=1)"}'),
         lambda d: (d / "A.bin").write_bytes(b"GLMA" + b"\0" * 5),
         lambda d: (d / "A.bin").write_bytes(b"GLMA" + struct.pack("<QQ", 2**40, 2**30)),
-    ], ids=["malformed-meta", "missing-key", "unreadable-matrix", "oversized-matrix"])
+        lambda d: _edit_meta(d, n=99, m=3, matrix_dist="nonsense"),
+        lambda d: _edit_meta(d, n=5),
+        lambda d: _edit_meta(d, m=4),
+        lambda d: _edit_meta(d, n=8, m=4),
+        lambda d: _edit_meta(d, matrix_dist="cauchy"),
+    ], ids=["malformed-meta", "missing-key", "unreadable-matrix", "oversized-matrix",
+            "meta-disagrees", "meta-n", "meta-m", "meta-n-m-swapped", "meta-matrix-dist"])
     def test_corrupt_problem_dir_exits_2(self, tmp_path, capsys, corrupt):
         gen = ["gen", "--n", "4", "--m", "8", "--prior", "gaussian(mean=0,var=1)",
                "--channel", "awgn(var=0.1)", "--out", str(tmp_path / "prob")]

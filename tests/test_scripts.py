@@ -82,13 +82,43 @@ def test_compare_fixed_points_reports_every_difference(tmp_path):
     assert "moved=1 changed=2 one-sided=2" in summary
 
 
-def test_trace_digest_n_sets_problem_size(tmp_path):
-    out = _script("trace_digest.py", "--n", "8", "--save", str(tmp_path))
-    lines = out.splitlines()
-    assert len(lines) == 3 * 4 * 2 * 3 + 4 + 1
+LINES_PER_RUN = 3 * 4 * 2 * 3 + 4 + 1  # grid cells, equivalence cases, verify
+
+
+@pytest.fixture(scope="module")
+def digest_n8(tmp_path_factory):
+    """One ``trace_digest.py --n 8 --save DIR`` run: its lines and DIR."""
+    save = tmp_path_factory.mktemp("digest_n8")
+    return _script("trace_digest.py", "--n", "8", "--save", str(save)).splitlines(), save
+
+
+def test_trace_digest_n_sets_problem_size(digest_n8):
+    lines, save = digest_n8
+    assert len(lines) == LINES_PER_RUN
     assert lines[-1].startswith("verify|seed=0 ") and len(lines[-1].split()[1]) == 64
-    saved = sorted(tmp_path.glob("*.npz"))
+    saved = sorted(save.glob("*.npz"))
     assert len(saved) == sum(" EXC " not in line for line in lines[:-1]) > 0
     for path in saved:
         with np.load(path) as cell:
             assert cell["point"].shape[1] == 8, path.name
+
+
+# several seeds and sizes in one run: seeds outer, every line prefixed, and
+# each block the lines of a run with that one seed and n
+def test_trace_digest_takes_several_seeds_and_sizes(tmp_path, digest_n8):
+    lines = _script("trace_digest.py", "--seed", "0", "--seed", "1", "--n", "4",
+                    "--n", "8", "--save", str(tmp_path)).splitlines()
+    assert len(lines) == 4 * LINES_PER_RUN
+    blocks = {}
+    for i, (seed, n) in enumerate([(0, 4), (0, 8), (1, 4), (1, 8)]):
+        prefix = f"seed={seed}|n={n}|"
+        block = lines[i * LINES_PER_RUN:(i + 1) * LINES_PER_RUN]
+        assert all(line.startswith(prefix) for line in block), prefix
+        blocks[seed, n] = [line.removeprefix(prefix) for line in block]
+    assert blocks[0, 8] == digest_n8[0]
+    assert blocks[0, 4][-1] == blocks[0, 8][-1] != blocks[1, 4][-1] == blocks[1, 8][-1]
+    assert blocks[1, 4][-1].startswith("verify|seed=1 ")
+    assert blocks[0, 4][:-1] != blocks[1, 4][:-1]
+    saved = {path.stem for path in tmp_path.glob("*.npz")}
+    assert saved == {line.split(" ")[0] for line in lines
+                     if " EXC " not in line and "verify|" not in line}

@@ -1,8 +1,10 @@
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dtrtri
 
@@ -10,7 +12,7 @@ from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage,
                              GaussianBelief, combine)
 from glmamp.slm import TRI_INV_LEAF, LinearModel, _tri_inv, slm_solve
 
-from oracles import dense_gaussian_posterior
+from oracles import dense_gaussian_posterior, wrapper_slm_solve
 
 
 def _fields(res):
@@ -118,6 +120,21 @@ class TestSlmSolve:
         with pytest.raises(ValueError):
             slm_solve(model, pseudo, GaussianBelief(np.zeros(4), np.ones(4)))
 
+    # the O(n) test of P's diagonal catches each of these before DPOTRF runs
+    @pytest.mark.parametrize("side, value", [
+        ("pseudo", np.nan), ("pseudo", 0.0), ("pseudo", -1.0), ("pseudo", 1e-320),
+        ("prior", np.nan), ("prior", 0.0)])
+    def test_non_finite_precision_raises_value_error(self, side, value):
+        rng = np.random.default_rng(0)
+        model = LinearModel(rng.standard_normal((260, 130)))
+        pseudo_variance, prior_variance = np.ones(260), np.ones(130)
+        (pseudo_variance if side == "pseudo" else prior_variance)[100] = value
+        pseudo = SimpleNamespace(pseudo_mean=np.zeros(260), pseudo_variance=pseudo_variance)
+        prior_x = SimpleNamespace(mean=np.zeros(130), variance=prior_variance)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="the precision is not finite"):
+            slm_solve(model, pseudo, prior_x)
+
     def test_indefinite_precision_raises(self):
         model = LinearModel(np.random.default_rng(0).standard_normal((6, 4)))
         prior_x = SimpleNamespace(mean=np.zeros(4),
@@ -184,6 +201,56 @@ class TestSlmSolve:
             LinearModel(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LinearModel(np.array([[np.nan]]))
+
+
+def _random_inputs(n, m, seed, order="C", scalar_pv=False):
+    rng = np.random.default_rng(seed)
+    A = np.asarray(rng.standard_normal((m, n)) / np.sqrt(n), order=order)
+    pv = 0.7 if scalar_pv else rng.uniform(0.2, 3.0, m)
+    return (LinearModel(A), ExtrinsicMessage(rng.standard_normal(m), pv),
+            GaussianBelief(rng.standard_normal(n), rng.uniform(0.2, 3.0, n)))
+
+
+class TestAgainstWrapperRoute:
+    """slm_solve returns the bits of the same chain through SciPy's wrappers."""
+
+    # n = 4 and 64 invert L by one dtrtri; 130 and 384 recurse one and three
+    # levels; (384, 768) is the exact-slm workload's size
+    @pytest.mark.parametrize("scalar_pv", [False, True], ids=["vector-pv", "scalar-pv"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [4, 64, 130, 384])
+    def test_bit_for_bit(self, n, order, scalar_pv):
+        args = _random_inputs(n, 2 * n, seed=n, order=order, scalar_pv=scalar_pv)
+        got, want = slm_solve(*args), wrapper_slm_solve(*args)
+        for g, w in zip(_fields(got) + (got.z_extrinsic.floored,),
+                        _fields(want) + (want.z_extrinsic.floored,)):
+            assert np.array_equal(g, w)
+
+    def test_no_finiteness_scan_and_no_scipy_wrapper(self, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(f"{module.__name__}.{name}")
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        # the wrappers' own module looks these up at call time, so the spies
+        # also see calls through names bound before they were set
+        decomp = sys.modules[scipy.linalg.cholesky.__module__]
+        spy(np, "asarray_chkfinite")
+        spy(scipy.linalg, "cholesky")
+        spy(scipy.linalg, "cho_solve")
+        for name in ("asarray_chkfinite", "_cholesky", "_cho_solve"):
+            if hasattr(decomp, name):
+                spy(decomp, name)
+        args = _random_inputs(130, 260, seed=0)
+        slm_solve(*args)
+        assert calls == []
+        wrapper_slm_solve(*args)  # the spies see the wrapper route
+        assert calls
 
 
 def _cholesky_factor(n, seed=0):

@@ -9,6 +9,8 @@ from glmamp.specs import SpecError, parse_channel, parse_prior, spec_string
     (parse_channel, AwgnChannel()),
     (parse_channel, AwgnChannel(noise_variance=2)),
     (parse_channel, AwgnChannel(noise_variance=0.0123456789)),
+    (parse_channel, AwgnChannel(noise_variance=1e-150)),  # the ends of its range
+    (parse_channel, AwgnChannel(noise_variance=1e150)),
     (parse_channel, ProbitChannel()),
     (parse_channel, ProbitChannel(scale=3)),
     (parse_channel, ProbitChannel(scale=0.3)),
@@ -25,6 +27,8 @@ from glmamp.specs import SpecError, parse_channel, parse_prior, spec_string
     (parse_prior, LaplacePrior()),
     (parse_prior, LaplacePrior(rate=2)),
     (parse_prior, LaplacePrior(rate=0.7)),
+    (parse_prior, LaplacePrior(rate=1e-75)),  # the ends of its range
+    (parse_prior, LaplacePrior(rate=1e75)),
 ], ids=lambda v: spec_string(v) if not callable(v) else None)
 def test_spec_string_parses_back_to_equal_object(parse, obj):
     text = spec_string(obj)
@@ -47,3 +51,19 @@ def test_unknown_key_reports_its_pair_position(text, pos):
         parse_prior(text)
     assert err.value.pos == pos
     assert f"unknown parameter {text[pos:].split('=')[0].lower()!r}" in str(err.value)
+
+
+# Past these ends 1 / var, 2 / rate**2 or rate**2 leaves the finite doubles
+AWGN_RANGE = r"awgn noise_variance must be in \[1e-150, 1e\+150\]"
+LAPLACE_RANGE = r"laplace rate must be in \[1e-75, 1e\+75\]"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    pytest.param(parse, text, message, id=text) for parse, text, message in (
+        *[(parse_channel, f"awgn(var={v})", AWGN_RANGE)
+          for v in ("1e-320", "1e-151", "1e151", "0")],
+        *[(parse_prior, f"laplace(lambda={v})", LAPLACE_RANGE)
+          for v in ("1e-300", "1e-76", "1e76", "1e300", "0")])])
+def test_value_outside_its_range_is_a_spec_error(parse, text, message):
+    with pytest.raises(SpecError, match=message):
+        parse(text)
