@@ -63,8 +63,7 @@ def _solve_bytes(solution, trace, scratch: Path) -> bytes:
     trace.to_jsonl(scratch)
     flags = f"{trace.converged} {trace.diverged} {trace.floor_events}".encode()
     return (scratch.read_bytes() + flags
-            + np.asarray(solution.point, dtype=float).tobytes()
-            + np.asarray(solution.variance, dtype=float).tobytes())
+            + solution.point.tobytes() + solution.variance.tobytes())
 
 
 def _save(path: Path, results):

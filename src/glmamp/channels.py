@@ -306,8 +306,7 @@ def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> Posterio
     belief variance.  The f'' is the one ``_newton_map`` evaluated at the
     mode together with f', not a second evaluation.
     """
-    p_hat = np.asarray(belief.mean, dtype=float)
-    tau_p = np.asarray(belief.variance, dtype=float)
+    p_hat, tau_p = belief.mean, belief.variance
     if not np.all(channel.in_support(y)):
         raise ValueError(f"observation outside {channel.name} support")
     if isinstance(channel, AwgnChannel):
@@ -478,15 +477,13 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
     so one hard belief does not raise the order of the others; a component
     unresolved at order QUAD_MAX_ORDER beyond 1e-7 raises QuadratureError.
     """
-    p_hat = np.asarray(belief.mean, dtype=float)
-    tau_p = np.asarray(belief.variance, dtype=float)
     if not np.all(channel.in_support(y)):
         raise ValueError(f"observation outside {channel.name} support")
     if isinstance(channel, AwgnChannel):
         return posterior_map(channel, y, belief)
 
-    p_hat, tau_p, y = np.broadcast_arrays(p_hat, tau_p, np.asarray(y, dtype=float))
-    squeeze = p_hat.ndim == 0
+    p_hat, tau_p, y = np.broadcast_arrays(belief.mean, belief.variance, y)
+    shape = p_hat.shape
     p_hat = np.atleast_1d(p_hat).astype(float)
     tau_p = np.atleast_1d(tau_p).astype(float)
     y = np.atleast_1d(y).astype(float)
@@ -495,8 +492,8 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
         mean, var = _poisson_recursion(y, p_hat, tau_p)
     else:
         lap = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
-        sigma = np.sqrt(np.asarray(lap.variance))
-        center = np.asarray(lap.point)
+        sigma = np.sqrt(lap.variance)
+        center = lap.point
 
         def log_target(z, idx):
             quad = z - p_hat[idx]
@@ -510,9 +507,7 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
         mean, var = _adaptive_gh(log_target, center, sigma, scale)
 
     var = np.maximum(var, 1e-300)
-    if squeeze:
-        return PosteriorStats(point=float(mean[0]), variance=float(var[0]))
-    return PosteriorStats(point=mean, variance=var)
+    return PosteriorStats(point=mean.reshape(shape), variance=var.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +523,16 @@ def g_out_with_stats(channel: OutputChannel, mode: Mode, y, belief: GaussianBeli
     division.  That it equals f''/(var f'' - 1) is certified by
     ``verify.check_laplace_identity``, not re-checked here.
     """
-    tau_p = np.asarray(belief.variance, dtype=float)
+    tau_p = belief.variance
     posterior = posterior_mmse if mode is Mode.SUM_PRODUCT else posterior_map
     stats = posterior(channel, y, belief)
-    neg_deriv = (tau_p - np.asarray(stats.variance)) / tau_p ** 2
-    value = (np.asarray(stats.point) - np.asarray(belief.mean)) / tau_p
+    neg_deriv = (tau_p - stats.variance) / tau_p ** 2
+    value = (stats.point - belief.mean) / tau_p
     return value, neg_deriv, stats
 
 
 def awgn_g_out(pseudo, belief: GaussianBelief):
     """Closed-form AWGN output score driven by a pseudo-observation."""
-    tau_p = np.asarray(belief.variance, dtype=float)
-    denom = np.asarray(pseudo.pseudo_variance, dtype=float) + tau_p
-    value = (np.asarray(pseudo.pseudo_mean) - np.asarray(belief.mean)) / denom
+    denom = pseudo.pseudo_variance + belief.variance
+    value = (pseudo.pseudo_mean - belief.mean) / denom
     return value, 1.0 / denom

@@ -129,7 +129,8 @@ def _sweep_prior(rho):
         raise UsageError(f"--rho {rho}: {exc}") from None
 
 
-def _sweep_cell(cell):
+def _sweep_problem(cell):
+    """The cell's instance, drawn from its own seed whatever was drawn or solved before."""
     snr_db, rho, ratio, rep, base_seed, prior = cell
     n = 64
     m = max(1, int(round(ratio * n)))
@@ -139,7 +140,15 @@ def _sweep_cell(cell):
     x = prior.sample(n, rng)
     signal_power = max(float(np.mean((A @ x) ** 2)), 1e-12)
     noise_var = signal_power / 10.0 ** (snr_db / 10.0)
-    problem = observe(A, x, prior, parse_channel(f"awgn(var={noise_var})"), rng)
+    try:
+        channel = parse_channel(f"awgn(var={noise_var})")
+    except SpecError as exc:
+        raise UsageError(f"--snr-db {snr_db}: {exc}") from None
+    return observe(A, x, prior, channel, rng)
+
+
+def _sweep_cell(cell, problem):
+    snr_db, rho, ratio, rep = cell[:4]
     config = SolverConfig(max_iter=200, tol=1e-10)  # modular: exact module A
     rows = []
     for engine, runner in (("gamp", run_gamp), ("modular", run_modular)):
@@ -147,7 +156,7 @@ def _sweep_cell(cell):
                "engine": engine, "mode": "mmse"}
         try:
             sol, trace = runner(problem, Mode.SUM_PRODUCT, config)
-            row.update(nmse=nmse(sol.point, x), iterations=len(trace),
+            row.update(nmse=nmse(sol.point, problem.x_true), iterations=len(trace),
                        floor_events=trace.floor_events,
                        status="diverged" if trace.diverged else "ok")
         except Exception as exc:  # per-cell failure: record, keep sweeping
@@ -158,14 +167,17 @@ def _sweep_cell(cell):
 
 
 def cmd_sweep(args) -> int:
-    # every axis value is checked before the first solve
+    # every axis value, and every cell's derived noise variance, is checked
+    # before the first solve
     snrs = _parse_axis("--snr-db", args.snr_db)
     rhos = _parse_axis("--rho", args.rho)
     priors = {rho: _sweep_prior(rho) for rho in rhos}
     ratios = _parse_axis("--m-over-n", args.m_over_n, positive=True)
     cells = [(s, r, q, rep, args.seed, priors[r])
              for s, r, q, rep in product(snrs, rhos, ratios, range(args.reps))]
-    rows = [row for cell in cells for row in _sweep_cell(cell)]
+    problems = [_sweep_problem(cell) for cell in cells]
+    rows = [row for cell, problem in zip(cells, problems)
+            for row in _sweep_cell(cell, problem)]
     rows.sort(key=lambda r: (r["snr_db"], r["rho"], r["m_over_n"],
                              r["rep"], r["engine"]))
     fields = ["snr_db", "rho", "m_over_n", "rep", "engine", "mode",

@@ -166,9 +166,9 @@ class _AmpStep:
 
 def _absorb(lam, eta, ext, damp):
     """Damped EP update in natural parameters; floored components keep the old message."""
-    v = np.asarray(ext.pseudo_variance)
+    v = ext.pseudo_variance
     lam_new = (1.0 - damp) * lam + damp * (1.0 / v)
-    eta_new = (1.0 - damp) * eta + damp * (np.asarray(ext.pseudo_mean) / v)
+    eta_new = (1.0 - damp) * eta + damp * (ext.pseudo_mean / v)
     return np.where(ext.floored, lam, lam_new), np.where(ext.floored, eta, eta_new)
 
 
@@ -206,14 +206,14 @@ class _ExactStep:
         prior_x = GaussianBelief(self.eta_x / self.lam_x, 1.0 / self.lam_x)
         self.res = slm_solve(self.model, pseudo, prior_x)
         ext = self.res.z_extrinsic
-        return (np.asarray(ext.pseudo_mean), np.asarray(ext.pseudo_variance),
+        return (ext.pseudo_mean, ext.pseudo_variance,
                 held + int(np.count_nonzero(ext.floored)))
 
     def x_cavity(self, x_hat, belief, ext, score):
         self.lam_z, self.eta_z = _absorb(self.lam_z, self.eta_z, ext, self.damp)
         # cavity on x: the SLM posterior with the x-side message divided out
-        xv = np.asarray(self.res.x_stats.variance)
-        xm = np.asarray(self.res.x_stats.point)
+        xv = self.res.x_stats.variance
+        xm = self.res.x_stats.point
         lam_r = np.maximum(1.0 / xv - self.lam_x, DEFAULT_VARIANCE_FLOOR)
         eta_r = xm / xv - self.eta_x
         y_tilde, sigma2_tilde, _ = self._pseudo_z()
@@ -258,16 +258,14 @@ def _iterate(problem, mode, config, step, monolithic):
         xstats = prior.denoise(mode, r, tau_r)
         floors += step.absorb_x(xstats, r, tau_r)
         x_old = x_hat
-        x_hat = np.asarray(xstats.point, dtype=float)
-        tau_x = np.maximum(np.asarray(xstats.variance, dtype=float),
-                           DEFAULT_VARIANCE_FLOOR)
+        x_hat = xstats.point
+        tau_x = np.maximum(xstats.variance, DEFAULT_VARIANCE_FLOOR)
 
         trace.floor_events += floors
         delta = np.linalg.norm(x_hat - x_old) / max(np.linalg.norm(x_hat), 1e-300)
         trace.append(iter=it, x_hat=x_hat, tau_x=tau_x, p_hat=p_hat, tau_p=tau_p,
-                     z0=np.asarray(stats.point), z_var=np.asarray(stats.variance),
-                     y_tilde=np.asarray(y_tilde),
-                     sigma2_tilde=np.asarray(sigma2_tilde),
+                     z0=stats.point, z_var=stats.variance, y_tilde=y_tilde,
+                     sigma2_tilde=sigma2_tilde,
                      nmse=_iter_nmse(problem, x_hat), floor_events=floors)
         if it >= 2 and delta < config.tol:
             trace.converged = True

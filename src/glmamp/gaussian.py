@@ -1,7 +1,9 @@
 """Scalar Gaussian message algebra and the EP extrinsic (cavity-division) step.
 
-All operations are elementwise and accept floats or numpy arrays; internal
-arithmetic is done in precision / precision-mean form to avoid cancellation.
+This module owns the message format: a message's two moment fields are
+float64 arrays, converted once when it is built (a scalar becomes a 0-d
+array), and ``ExtrinsicMessage.floored`` is a bool array.  All operations are
+elementwise, in precision / precision-mean form to avoid cancellation.
 """
 
 from __future__ import annotations
@@ -17,35 +19,40 @@ import numpy as np
 DEFAULT_VARIANCE_FLOOR = 1e-11
 
 
-def _validate_gaussian(mean, variance, what):
+def _store_moments(message, mean_field, variance_field):
+    """Validate two moment fields and store them as float64 arrays (a float64 one as is)."""
+    what = type(message).__name__
+    mean = np.asarray(getattr(message, mean_field), dtype=float)
+    variance = np.asarray(getattr(message, variance_field), dtype=float)
     # ndarray .all() rather than np.all: the checks run on every message built
     if not np.isfinite(mean).all():
         raise ValueError(f"{what}: mean must be finite")
-    variance = np.asarray(variance)
     if not ((variance > 0) & (variance < np.inf)).all():
         raise ValueError(f"{what}: variance must be finite and > 0")
+    object.__setattr__(message, mean_field, mean)
+    object.__setattr__(message, variance_field, variance)
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
     """A Gaussian message N(mean, variance); variance strictly positive."""
 
-    mean: np.ndarray | float
-    variance: np.ndarray | float
+    mean: np.ndarray
+    variance: np.ndarray
 
     def __post_init__(self):
-        _validate_gaussian(self.mean, self.variance, "GaussianBelief")
+        _store_moments(self, "mean", "variance")
 
 
 @dataclass(frozen=True)
 class PosteriorStats:
     """Point estimate and positive variance of a scalar posterior."""
 
-    point: np.ndarray | float
-    variance: np.ndarray | float
+    point: np.ndarray
+    variance: np.ndarray
 
     def __post_init__(self):
-        _validate_gaussian(self.point, self.variance, "PosteriorStats")
+        _store_moments(self, "point", "variance")
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,13 @@ class ExtrinsicMessage:
     uninformative and downstream consumers may skip or damp them.
     """
 
-    pseudo_mean: np.ndarray | float
-    pseudo_variance: np.ndarray | float
-    floored: np.ndarray | bool = False
+    pseudo_mean: np.ndarray
+    pseudo_variance: np.ndarray
+    floored: np.ndarray = False
 
     def __post_init__(self):
-        _validate_gaussian(self.pseudo_mean, self.pseudo_variance, "ExtrinsicMessage")
+        _store_moments(self, "pseudo_mean", "pseudo_variance")
+        object.__setattr__(self, "floored", np.asarray(self.floored, dtype=bool))
 
     def as_belief(self) -> GaussianBelief:
         return GaussianBelief(self.pseudo_mean, self.pseudo_variance)
@@ -70,10 +78,10 @@ class ExtrinsicMessage:
 
 def combine(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
     """Product of two Gaussian messages (precision sum, precision-weighted mean)."""
-    la = 1.0 / np.asarray(a.variance, dtype=float)
-    lb = 1.0 / np.asarray(b.variance, dtype=float)
+    la = 1.0 / a.variance
+    lb = 1.0 / b.variance
     lam = la + lb
-    eta = np.asarray(a.mean) * la + np.asarray(b.mean) * lb
+    eta = a.mean * la + b.mean * lb
     return GaussianBelief(mean=eta / lam, variance=1.0 / lam)
 
 
@@ -91,12 +99,9 @@ def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief) -> Extrinsic
     the degenerate message still carries the correct linear information in
     the flat-message limit.
     """
-    v_post = np.asarray(posterior.variance, dtype=float)
-    v_cav = np.asarray(cavity.variance, dtype=float)
-    lam_raw = 1.0 / v_post - 1.0 / v_cav
-    eta = np.asarray(posterior.point) / v_post - np.asarray(cavity.mean) / v_cav
+    lam_raw = 1.0 / posterior.variance - 1.0 / cavity.variance
+    eta = posterior.point / posterior.variance - cavity.mean / cavity.variance
     flagged = lam_raw < DEFAULT_VARIANCE_FLOOR
     lam = np.maximum(lam_raw, DEFAULT_VARIANCE_FLOOR)
-    out_flag = bool(np.any(flagged)) if np.ndim(flagged) == 0 else flagged
     return ExtrinsicMessage(pseudo_mean=eta / lam, pseudo_variance=1.0 / lam,
-                            floored=out_flag)
+                            floored=flagged)

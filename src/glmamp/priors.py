@@ -131,9 +131,12 @@ class BernoulliGaussianPrior(InputPrior):
         return np.where(active, rng.normal(self.mean, np.sqrt(self.var), size=n), 0.0)
 
 
-def _trunc_gauss_moments(alpha):
-    """Mean/variance of a standard Gaussian truncated to (alpha, inf)."""
-    h = np.exp(-0.5 * alpha ** 2 - _LOG_SQRT_2PI - log_ndtr(-alpha))
+def _trunc_gauss_moments(alpha, log_sf):
+    """Mean/variance of a standard Gaussian truncated to (alpha, inf).
+
+    ``log_sf`` is log P(X > alpha) = log_ndtr(-alpha), which the caller has.
+    """
+    h = np.exp(-0.5 * alpha ** 2 - _LOG_SQRT_2PI - log_sf)
     mean = h
     var = 1.0 + alpha * h - h ** 2
     return mean, var
@@ -163,15 +166,17 @@ class LaplacePrior(InputPrior):
         s = np.sqrt(tau)
         mu_p = r - lam * tau  # x > 0 branch center
         mu_n = r + lam * tau  # x < 0 branch center
-        log_w_p = -lam * r + 0.5 * lam ** 2 * tau + log_ndtr(mu_p / s)
-        log_w_n = lam * r + 0.5 * lam ** 2 * tau + log_ndtr(-mu_n / s)
+        log_cdf_p = log_ndtr(mu_p / s)
+        log_cdf_n = log_ndtr(-mu_n / s)
+        log_w_p = -lam * r + 0.5 * lam ** 2 * tau + log_cdf_p
+        log_w_n = lam * r + 0.5 * lam ** 2 * tau + log_cdf_n
         wp = np.exp(log_w_p - _logsumexp2(log_w_p, log_w_n))
         wn = 1.0 - wp
         # branch moments: N(mu, tau) truncated to x > 0 (resp. x < 0)
-        mp, vp = _trunc_gauss_moments(-mu_p / s)
+        mp, vp = _trunc_gauss_moments(-mu_p / s, log_cdf_p)
         mean_p = mu_p + s * mp
         var_p = tau * vp
-        mn, vn = _trunc_gauss_moments(mu_n / s)
+        mn, vn = _trunc_gauss_moments(mu_n / s, log_cdf_n)
         mean_n = mu_n - s * mn
         var_n = tau * vn
         point = wp * mean_p + wn * mean_n

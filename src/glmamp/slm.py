@@ -162,9 +162,8 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     return SlmResult(x_stats=x_stats, z_stats=z_stats, z_extrinsic=z_ext)
 
 
-def _vector(values, size: int) -> np.ndarray:
-    """``values`` as a float vector: an array as it is, a scalar repeated ``size`` times."""
-    values = np.asarray(values, dtype=float)
+def _vector(values: np.ndarray, size: int) -> np.ndarray:
+    """A message field as a vector: a full-length one as it is, 0-d repeated ``size`` times."""
     return values if values.ndim else np.full(size, values)
 
 

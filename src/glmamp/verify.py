@@ -119,9 +119,9 @@ def check_laplace_identity(channel: OutputChannel, samples: int = 10_000,
     """Direct curvature form vs. Laplace-variance form of the max-sum score."""
     p_hat, tau_p, y = sample_operating_points(channel, samples, seed)
     stats = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
-    f2 = channel.d12(np.asarray(stats.point), y)[1]
+    f2 = channel.d12(stats.point, y)[1]
     direct = f2 / (tau_p * f2 - 1.0)
-    via_laplace = (tau_p - np.asarray(stats.variance)) / tau_p ** 2
+    via_laplace = (tau_p - stats.variance) / tau_p ** 2
     return _sampled_report(f"laplace_identity[{channel.name}]", seed,
                            _rel_residual(direct, via_laplace), GATES["laplace"],
                            p_hat=p_hat, tau_p=tau_p, y=y)
@@ -136,7 +136,7 @@ def check_ep_bridge(channel: OutputChannel, mode: Mode, samples: int = 10_000,
     val_direct, nd_direct, stats = g_out_with_stats(channel, mode, y, belief)
     ext = ep_extrinsic(stats, belief)
     val_bridge, nd_bridge = awgn_g_out(ext, belief)
-    flagged = np.broadcast_to(np.asarray(ext.floored), (samples,))
+    flagged = np.broadcast_to(ext.floored, (samples,))
     resid = np.maximum(_rel_residual(val_direct, val_bridge),
                        _rel_residual(nd_direct, nd_bridge))
     return _sampled_report(f"ep_bridge[{channel.name},{mode.value}]", seed,
@@ -173,8 +173,7 @@ def check_equivalence(problem: ProblemInstance, mode: Mode,
     """
     sol_g, trace_g = run_gamp(problem, mode, config)
     sol_m, trace_m = run_modular(problem, mode, config)
-    xg = np.asarray(sol_g.point)
-    xm = np.asarray(sol_m.point)
+    xg, xm = sol_g.point, sol_m.point
     dist = float(np.linalg.norm(xg - xm) / max(np.linalg.norm(xg), 1e-300))
     # per-iteration diagnostic distance on the belief means, first 20 only
     diag = []

@@ -230,6 +230,20 @@ def _poisson_spy(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("channel", [ProbitChannel(1.0), LogisticChannel(0.3), AwgnChannel(0.5)],
+                         ids=lambda c: c.name)
+def test_mmse_of_a_0d_belief_is_0d(channel):
+    # a one-element batch: in a wider batch the probit and logistic Laplace
+    # centre takes the batch's Newton steps, which can move its last bits
+    p_hat, tau_p, y = 0.4, 2.5, 1.0
+    alone = posterior_mmse(channel, y, GaussianBelief(p_hat, tau_p))
+    batch = posterior_mmse(channel, np.array([y]),
+                           GaussianBelief(np.array([p_hat]), np.array([tau_p])))
+    for got, whole in ((alone.point, batch.point), (alone.variance, batch.variance)):
+        assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64
+        assert got == whole[0]
+
+
 class TestPoissonMmse:
     # t = -3 / sqrt(y + 1) splits the forward and backward recursions
     T_GRID = np.array([-3000.0, -300.0, -30.0, -3.0, -1.0, -0.3, -0.1, 0.0,

@@ -291,8 +291,9 @@ class TestSweep:
                 ratio = float(r["nmse"]) / gamp[(r["snr_db"], r["rep"])]
                 assert 0.5 <= ratio <= 2.0, r
 
-    @pytest.mark.parametrize("flag,value", [("--rho", "0.1,0"), ("--snr-db", "10,inf")],
-                             ids=["rho-late-zero", "snr-late-inf"])
+    @pytest.mark.parametrize("flag,value", [("--rho", "0.1,0"), ("--snr-db", "10,inf"),
+                                            ("--snr-db", "10,1600")],
+                             ids=["rho-late-zero", "snr-late-inf", "snr-late-noise-range"])
     def test_axes_checked_before_first_solve(self, tmp_path, capsys, monkeypatch,
                                              flag, value):
         solves = []  # a raising stub would be caught as a failed cell

@@ -1,3 +1,7 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +71,65 @@ class TestValidation:
     def test_extreme_finite_values_accepted(self, cls, shape):
         self._build(cls, -1e308, 5e-324, shape)
         self._build(cls, 1e308, 1e308, shape)
+
+
+def _moments(message):
+    """The two moment fields of a message, as stored (no copy)."""
+    return [getattr(message, f.name) for f in dataclasses.fields(message)[:2]]
+
+
+class TestMessageFormat:
+    """The moment fields are float64 arrays, converted once at construction."""
+
+    CLASSES = (GaussianBelief, PosteriorStats, ExtrinsicMessage)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("mean,variance,shape", [
+        (0.5, 2.0, ()), (1, 3, ()), (np.array([1, 2]), np.array([3, 4]), (2,)),
+        ([0.5, 1.0], [2.0, 3.0], (2,))], ids=["float", "int", "int-array", "list"])
+    def test_fields_are_float64_arrays(self, cls, mean, variance, shape):
+        for value in _moments(cls(mean, variance)):
+            assert type(value) is np.ndarray
+            assert value.dtype == np.float64 and value.shape == shape
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_float64_array_stored_without_copy(self, cls):
+        mean, variance = np.array([0.5, -1.0]), np.array([2.0, 3.0])
+        stored = _moments(cls(mean, variance))
+        assert stored[0] is mean and stored[1] is variance
+
+    @pytest.mark.parametrize("floored,expected", [(False, False), (True, True),
+                                                   ([0, 1], [False, True])])
+    def test_floored_is_a_bool_array(self, floored, expected):
+        ext = ExtrinsicMessage(np.zeros(2), np.ones(2), floored)
+        assert type(ext.floored) is np.ndarray and ext.floored.dtype == bool
+        assert ext.floored.tolist() == expected
+
+    def test_divided_flag_is_a_bool_array(self):
+        ext = ep_extrinsic(PosteriorStats(0.0, 2.0), GaussianBelief(0.0, 1.0))
+        assert type(ext.floored) is np.ndarray and ext.floored.shape == ()
+
+
+MESSAGE_FIELDS = {"mean", "variance", "point", "pseudo_mean", "pseudo_variance", "floored"}
+
+
+def test_only_gaussian_converts_message_fields():
+    """No module but gaussian.py wraps a message field in np.asarray: the
+    fields already are arrays, and the conversion has one owner."""
+    package = Path(__file__).resolve().parents[1] / "src" / "glmamp"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    wraps = []
+    for path in sources:
+        if path.name == "gaussian.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "asarray" and node.args
+                    and isinstance(node.args[0], ast.Attribute)
+                    and node.args[0].attr in MESSAGE_FIELDS):
+                wraps.append(f"{path.name}:{node.lineno}")
+    assert wraps == []
 
 
 class TestEpExtrinsic:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glmamp import priors
 from glmamp.channels import Mode
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
 
@@ -63,6 +64,20 @@ class TestLaplacePrior:
             scale = np.sqrt(tau) + abs(r)
             assert abs(st_.point - m_o) <= 1e-6 * scale
             assert abs(st_.variance - v_o) <= 1e-6 * scale ** 2
+
+
+def test_laplace_mmse_evaluates_log_ndtr_on_2n_values(monkeypatch):
+    evaluated = []
+    log_ndtr = priors.log_ndtr
+
+    def spy(x):
+        evaluated.append(np.size(x))
+        return log_ndtr(x)
+
+    monkeypatch.setattr(priors, "log_ndtr", spy)
+    n = 7
+    LaplacePrior(1.5).denoise(Mode.SUM_PRODUCT, np.linspace(-3, 3, n), np.full(n, 0.4))
+    assert sum(evaluated) == 2 * n
 
 
 class TestBernoulliGaussianPrior:
