@@ -64,6 +64,11 @@ GH_BLOCK_NODES = 2 ** 16  # abscissas per quadrature block: 512 KiB of float64
 # 1 / noise_variance overflows.
 NOISE_VARIANCE_RANGE = (1e-150, 1e150)
 
+# The probit and logistic scale's range: scale**2 and 1 / scale**2, the
+# likelihood's curvature bound, are then finite normal doubles.  Below about
+# 1e-154, 1 / scale**2 overflows; above about 1e154, scale**2 does.
+SCALE_RANGE = (1e-150, 1e150)
+
 
 class Mode(enum.Enum):
     """Which scalar estimate a solver targets: posterior mean or mode."""
@@ -169,6 +174,7 @@ class BinaryChannel(OutputChannel):
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError(f"{self.name} scale must be > 0")
+        check_range(self.scale, SCALE_RANGE, f"{self.name} scale")
 
     def _t(self, z, y):
         return np.asarray(y) * np.asarray(z) / self.scale

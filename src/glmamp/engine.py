@@ -21,7 +21,12 @@ Module A comes in two flavors, selected for ``run_modular`` by
 
 * ``"amp"``   -- the AWGN-GAMP linear step (Onsager-corrected matvecs),
   which makes the modular loop reproduce the monolithic GAMP trajectory
-  exactly;
+  exactly.  Its matvecs come in independent pairs, A x_hat with A^2 tau_x
+  and A^T s with (A^2)^T tau_s.  When A has ``OVERLAP_MIN_BYTES`` or more,
+  the second of each pair runs on a worker thread while the calling thread
+  runs the first; the worker lives for one solve.  Each product is still
+  one whole BLAS call on the same operands, so the bits are the serial
+  path's;
 * ``"exact"`` -- the dense exact Gaussian solve of :mod:`glmamp.slm`, with
   damped EP messages carrying non-Gaussian priors on the x side.
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import json
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +49,16 @@ from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic)
 from .priors import InputPrior
 from .slm import LinearModel, slm_solve
+
+# A in bytes at and above which the "amp" step runs the two independent
+# matvecs of each half-step at once, the second on a worker thread that lives
+# for one solve.  The matvecs are memory-bound, so a second CPU hides one of
+# them; below this size handing work to the thread costs more than it hides.
+# Swept on a 2-CPU host, one BLAS thread, m = 2n, bg(0.1) prior: overlap lost
+# 0.2-0.6 ms/iter up to A = 3.5 MiB (n = 480), broke even at 4-5 MiB and won
+# from 6.25 MiB (n = 640: probit(0.3) 7.6 -> 7.1, awgn(0.01) 2.1 -> 1.6 ms).
+# 8 MiB leaves a margin above the break-even band for noisier hosts.
+OVERLAP_MIN_BYTES = 8 * 2**20
 
 TRACE_FIELDS = ("iter", "x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",
                 "y_tilde", "sigma2_tilde", "nmse", "floor_events")
@@ -135,10 +151,24 @@ def _iter_nmse(problem, x_hat):
     return nmse(x_hat, problem.x_true) if problem.x_true is not None else float("nan")
 
 
+def _pair(worker, M1, v1, M2, v2):
+    """(M1 @ v1, M2 @ v2); with a worker the second runs on its thread.
+
+    Each product is one whole BLAS call on the same operands either way, so
+    the bits do not depend on ``worker``.  The worker runs nothing but the
+    ndarray product.
+    """
+    if worker is None:
+        return M1 @ v1, M2 @ v2
+    second = worker.submit(M2.__matmul__, v2)
+    return M1 @ v1, second.result()
+
+
 class _AmpStep:
     """Module A as the AWGN-GAMP linear step: Onsager-corrected matvecs."""
 
-    def __init__(self, problem, config):
+    def __init__(self, problem, config, worker=None):
+        self.worker = worker
         self.A = problem.model.A
         self.A2 = self.A * self.A
         self.damp = 1.0 if config.damping is None else config.damping
@@ -146,8 +176,9 @@ class _AmpStep:
         self.tau_s = np.zeros(problem.model.m)
 
     def z_belief(self, x_hat, tau_x):
-        tau_p = np.maximum(self.A2 @ tau_x, DEFAULT_VARIANCE_FLOOR)
-        return self.A @ x_hat - tau_p * self.s, tau_p, 0
+        Ax, A2tau = _pair(self.worker, self.A, x_hat, self.A2, tau_x)
+        tau_p = np.maximum(A2tau, DEFAULT_VARIANCE_FLOOR)
+        return Ax - tau_p * self.s, tau_p, 0
 
     def x_cavity(self, x_hat, belief, ext, score):
         # the monolithic module B hands over its score; the modular one only
@@ -156,8 +187,9 @@ class _AmpStep:
         damp = self.damp
         self.s = damp * val + (1.0 - damp) * self.s
         self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
-        tau_r = 1.0 / np.maximum(self.A2.T @ self.tau_s, DEFAULT_VARIANCE_FLOOR)
-        r = x_hat + tau_r * (self.A.T @ self.s)
+        ATs, A2Ttau = _pair(self.worker, self.A.T, self.s, self.A2.T, self.tau_s)
+        tau_r = 1.0 / np.maximum(A2Ttau, DEFAULT_VARIANCE_FLOOR)
+        r = x_hat + tau_r * ATs
         return r, tau_r, ext.pseudo_mean, ext.pseudo_variance
 
     def absorb_x(self, xstats, r, tau_r):
@@ -273,14 +305,29 @@ def _iterate(problem, mode, config, step, monolithic):
     return PosteriorStats(point=x_hat, variance=tau_x), trace
 
 
+def _iterate_amp(problem, mode, config, monolithic):
+    """``_iterate`` with the "amp" step; a worker thread for this solve only.
+
+    At ``OVERLAP_MIN_BYTES`` and above the worker is created here and joined
+    when the solve returns or raises, so no thread outlives a solve.
+    """
+    if problem.model.A.nbytes < OVERLAP_MIN_BYTES:
+        return _iterate(problem, mode, config, _AmpStep(problem, config), monolithic)
+    with ThreadPoolExecutor(1) as worker:
+        return _iterate(problem, mode, config, _AmpStep(problem, config, worker),
+                        monolithic)
+
+
 def run_gamp(problem: ProblemInstance, mode: Mode,
              config: SolverConfig = SolverConfig()):
     """Monolithic GAMP; returns (solution PosteriorStats, IterationTrace)."""
-    return _iterate(problem, mode, config, _AmpStep(problem, config), monolithic=True)
+    return _iterate_amp(problem, mode, config, monolithic=True)
 
 
 def run_modular(problem: ProblemInstance, mode: Mode,
                 config: SolverConfig = SolverConfig()):
     """Modular SLM + module-B solver; see module docstring for backends."""
-    step = _ExactStep if config.slm_backend == "exact" else _AmpStep
-    return _iterate(problem, mode, config, step(problem, config), monolithic=False)
+    if config.slm_backend == "exact":
+        return _iterate(problem, mode, config, _ExactStep(problem, config),
+                        monolithic=False)
+    return _iterate_amp(problem, mode, config, monolithic=False)

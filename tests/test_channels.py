@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmamp import channels
-from glmamp.channels import (QUAD_MAX_ORDER, QUAD_START_ORDER, AwgnChannel,
-                             LogisticChannel, Mode, PoissonChannel, ProbitChannel,
-                             QuadratureError, awgn_g_out, g_out_with_stats,
-                             posterior_map, posterior_mmse)
+from glmamp.channels import (QUAD_MAX_ORDER, QUAD_START_ORDER, SCALE_RANGE,
+                             AwgnChannel, LogisticChannel, Mode, PoissonChannel,
+                             ProbitChannel, QuadratureError, awgn_g_out,
+                             g_out_with_stats, posterior_map, posterior_mmse)
 from glmamp.gaussian import ExtrinsicMessage, GaussianBelief
 from glmamp.specs import _CHANNELS
 
@@ -208,6 +208,15 @@ def test_binary_support_truth_table(channel):
 def test_binary_scale_check_names_the_channel(cls, scale):
     with pytest.raises(ValueError, match=f"^{cls.name} scale must be > 0$"):
         cls(scale)
+
+
+@pytest.mark.parametrize("cls", [ProbitChannel, LogisticChannel], ids=lambda c: c.name)
+def test_binary_scale_range_is_closed(cls):
+    lo, hi = SCALE_RANGE
+    assert cls(lo).scale == lo and cls(hi).scale == hi
+    for scale in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+        with pytest.raises(ValueError, match=f"^{cls.name} scale must be in \\["):
+            cls(scale)
 
 
 def _poisson_beliefs(y, t, tau):

@@ -104,8 +104,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("spec", [("--channel", "awgn(var=1e-320)"),
                                       ("--prior", "laplace(lambda=1e-300)"),
-                                      ("--prior", "laplace(lambda=1e300)")],
-                             ids=["awgn-1e-320", "laplace-1e-300", "laplace-1e300"])
+                                      ("--prior", "laplace(lambda=1e300)"),
+                                      ("--channel", "probit(scale=1e-300)"),
+                                      ("--channel", "logistic(scale=1e-300)")],
+                             ids=["awgn-1e-320", "laplace-1e-300", "laplace-1e300",
+                                  "probit-1e-300", "logistic-1e-300"])
     def test_extreme_spec_value_exits_2(self, capsys, spec):
         code, out, err = _run(capsys, "solve", "--n", "16", "--m", "32", *spec)
         assert code == 2 and out == ""

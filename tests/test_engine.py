@@ -1,4 +1,6 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,9 @@ from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
                              ep_extrinsic)
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
+from glmamp.problems import generate_problem
 from glmamp.slm import LinearModel, SlmResult
+from glmamp.specs import parse_channel, parse_prior
 
 from oracles import dense_gaussian_posterior, lmmse_solution
 
@@ -288,6 +292,92 @@ class TestTraceStorage:
         assert len(seen) == len(lines) == len(trace) > 1
         changed = [i for i, (line, want) in enumerate(zip(lines, seen)) if line != want]
         assert changed == []
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every worker the engine creates, each counting the products handed to it."""
+    made = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            self.submitted = 0
+            made.append(self)
+
+        def submit(self, fn, *args, **kw):
+            self.submitted += 1
+            return super().submit(fn, *args, **kw)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Recording)
+    return made
+
+
+AMP_SOLVERS = ("gamp", "modular-amp")
+
+
+def _generated(prior, channel, n=64):
+    return generate_problem(n, 2 * n, parse_prior(prior), parse_channel(channel), 0)
+
+
+class TestOverlappedMatvecs:
+    @pytest.mark.parametrize("solver", AMP_SOLVERS)
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    @pytest.mark.parametrize("channel", ["probit(scale=0.3)", "awgn(var=0.1)"])
+    def test_same_bits_as_the_serial_path(self, channel, mode, solver, workers,
+                                          monkeypatch, tmp_path):
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", channel)
+        serial = SOLVERS[solver](prob, mode, SolverConfig())
+        assert workers == []
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+        overlapped = SOLVERS[solver](prob, mode, SolverConfig())
+        assert len(workers) == 1
+        assert workers[0].submitted >= 2 * len(overlapped[1]) > 0
+        _assert_same_run(serial, overlapped)
+        for name, (_, trace) in (("serial", serial), ("overlapped", overlapped)):
+            trace.to_jsonl(tmp_path / name)
+        assert (tmp_path / "serial").read_bytes() == (tmp_path / "overlapped").read_bytes()
+
+    def test_threshold_is_inclusive(self, workers, monkeypatch):
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)", n=8)
+        config = SolverConfig(max_iter=3)
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", prob.model.A.nbytes + 1)
+        run_gamp(prob, Mode.SUM_PRODUCT, config)
+        assert workers == []
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", prob.model.A.nbytes)
+        run_gamp(prob, Mode.SUM_PRODUCT, config)
+        assert len(workers) == 1
+
+    def test_exact_backend_never_creates_a_worker(self, workers, monkeypatch):
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "awgn(var=0.1)", n=16)
+        run_modular(prob, Mode.SUM_PRODUCT, SolverConfig(max_iter=3))
+        assert workers == []
+
+
+class TestWorkerLifetime:
+    def test_no_thread_outlives_a_solve(self, workers, monkeypatch):
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)")
+        before = threading.active_count()
+        for solver in AMP_SOLVERS:
+            SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+        assert workers == []  # below the threshold: serial
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+        for solver in AMP_SOLVERS:
+            SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            assert threading.active_count() == before, solver
+        assert [w.submitted > 0 for w in workers] == [True, True]
+
+    def test_no_thread_outlives_a_solve_that_raises(self, workers, monkeypatch):
+        # Laplace-prior Poisson MMSE raises on every engine (a known fault)
+        prob = _generated("laplace(lambda=1)", "poisson()")
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+        before = threading.active_count()
+        for solver in AMP_SOLVERS:
+            with pytest.raises(ValueError):
+                SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            assert threading.active_count() == before, solver
+        assert [w.submitted > 0 for w in workers] == [True, True]
 
 
 class TestValidation:

@@ -56,6 +56,8 @@ def test_unknown_key_reports_its_pair_position(text, pos):
 # Past these ends 1 / var, 2 / rate**2 or rate**2 leaves the finite doubles
 AWGN_RANGE = r"awgn noise_variance must be in \[1e-150, 1e\+150\]"
 LAPLACE_RANGE = r"laplace rate must be in \[1e-75, 1e\+75\]"
+# ... or 1 / scale**2 or scale**2 for the binary channels
+SCALE_RANGE = r"{} scale must be in \[1e-150, 1e\+150\]"
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -63,7 +65,9 @@ LAPLACE_RANGE = r"laplace rate must be in \[1e-75, 1e\+75\]"
         *[(parse_channel, f"awgn(var={v})", AWGN_RANGE)
           for v in ("1e-320", "1e-151", "1e151", "0")],
         *[(parse_prior, f"laplace(lambda={v})", LAPLACE_RANGE)
-          for v in ("1e-300", "1e-76", "1e76", "1e300", "0")])])
+          for v in ("1e-300", "1e-76", "1e76", "1e300", "0")],
+        *[(parse_channel, f"{c}(scale={v})", SCALE_RANGE.format(c))
+          for c in ("probit", "logistic") for v in ("1e-300", "1e-151", "1e151", "1e300")])])
 def test_value_outside_its_range_is_a_spec_error(parse, text, message):
     with pytest.raises(SpecError, match=message):
         parse(text)
