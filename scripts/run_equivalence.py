@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 
 from glmamp.channels import Mode
+from glmamp.engine import SLM_BACKENDS
 from glmamp.problems import generate_problem
 from glmamp.specs import parse_channel, parse_prior
 from glmamp.verify import EQUIVALENCE_CONFIG, check_equivalence
@@ -28,7 +29,7 @@ def main():
     ap.add_argument("--channel", default="probit(scale=1.0)")
     ap.add_argument("--mode", choices=("mmse", "map"), default="mmse")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--slm-backend", choices=("exact", "amp"), default="amp")
+    ap.add_argument("--slm-backend", choices=SLM_BACKENDS, default="amp")
     args = ap.parse_args()
 
     prob = generate_problem(args.n, args.m, parse_prior(args.prior),

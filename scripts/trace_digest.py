@@ -34,7 +34,18 @@ cell name with its prefix, if any): the solution's ``point`` and
 ``floor_events``, one row per solve of the cell.
 ``scripts/compare_fixed_points.py OLD NEW`` reports how far two such
 directories' fixed points lie apart.
+
+The script pins BLAS to one thread: it sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before it imports numpy,
+whatever the caller's environment holds.  A threaded BLAS may split a
+product's sums differently, and at n=128 and above the exact backend's
+digests then depend on the thread count, not on the build.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads its BLAS; see the docstring
 
 import argparse
 import contextlib

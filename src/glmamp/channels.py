@@ -37,9 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .gaussian import GaussianBelief, PosteriorStats
-
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+from .gaussian import _LOG_SQRT_2PI, GaussianBelief, PosteriorStats, combine
 
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
 # or below the z = 0 boundary (only possible for y = 0).
@@ -316,9 +314,8 @@ def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> Posterio
     if not np.all(channel.in_support(y)):
         raise ValueError(f"observation outside {channel.name} support")
     if isinstance(channel, AwgnChannel):
-        lam = 1.0 / tau_p + 1.0 / channel.noise_variance
-        point = (p_hat / tau_p + np.asarray(y) / channel.noise_variance) / lam
-        return PosteriorStats(point=point, variance=1.0 / lam)
+        point, var = combine(p_hat, tau_p, np.asarray(y), channel.noise_variance)
+        return PosteriorStats(point=point, variance=var)
     if isinstance(channel, PoissonChannel):
         point = _poisson_map_point(y, p_hat, tau_p)
         f2 = channel.d12(point, y)[1]

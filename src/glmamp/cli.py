@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import Mode
-from .engine import SolverConfig, nmse, run_gamp, run_modular
+from .engine import SLM_BACKENDS, SolverConfig, nmse, run_gamp, run_modular
 from .problems import (MATRIX_DISTS, generate_problem, load_problem, make_matrix,
                        observe, save_problem)
 from .specs import SpecError, parse_channel, parse_prior
@@ -202,7 +202,7 @@ def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slm-backend", choices=("exact", "amp"), default="exact",
+    p.add_argument("--slm-backend", choices=SLM_BACKENDS, default="exact",
                    help="module-A backend for the modular engine")
 
 

@@ -60,6 +60,9 @@ from .slm import LinearModel, slm_solve
 # 8 MiB leaves a margin above the break-even band for noisier hosts.
 OVERLAP_MIN_BYTES = 8 * 2**20
 
+# run_modular's module-A backends (see the module docstring)
+SLM_BACKENDS = ("exact", "amp")
+
 TRACE_FIELDS = ("iter", "x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",
                 "y_tilde", "sigma2_tilde", "nmse", "floor_events")
 
@@ -93,7 +96,7 @@ class SolverConfig:
     max_iter: int = 100
     tol: float = 1e-8
     damping: float | None = None  # None: module A's own, "amp" 1.0, "exact" 0.7
-    slm_backend: str = "exact"  # run_modular module A: "exact" | "amp"
+    slm_backend: str = "exact"  # run_modular module A, one of SLM_BACKENDS
 
     def __post_init__(self):
         try:
@@ -106,7 +109,7 @@ class SolverConfig:
             raise ValueError("damping must be in (0, 1]")
         if not 0.0 <= self.tol < np.inf:  # NaN fails too
             raise ValueError("tol must be finite and >= 0")
-        if self.slm_backend not in ("exact", "amp"):
+        if self.slm_backend not in SLM_BACKENDS:
             raise ValueError("slm_backend must be 'exact' or 'amp'")
 
 
@@ -219,7 +222,7 @@ class _ExactStep:
         self.lam_x = np.full(model.n,
                              1.0 / max(prior.marginal_variance(), DEFAULT_VARIANCE_FLOOR))
         self.eta_x = np.full(model.n, prior.marginal_mean()) * self.lam_x
-        self.res = None
+        self.res = self.cavity = None
 
     def _pseudo_z(self):
         """The z pseudo-observations, variances held at the floor or above.
@@ -237,19 +240,18 @@ class _ExactStep:
         pseudo = ExtrinsicMessage(pseudo_mean=mean, pseudo_variance=var)
         prior_x = GaussianBelief(self.eta_x / self.lam_x, 1.0 / self.lam_x)
         self.res = slm_solve(self.model, pseudo, prior_x)
+        # the cavity on x, the SLM posterior with the x-side message divided
+        # out; its floored components are counted with the z side's
+        self.cavity = ep_extrinsic(self.res.x_stats, prior_x)
         ext = self.res.z_extrinsic
-        return (ext.pseudo_mean, ext.pseudo_variance,
-                held + int(np.count_nonzero(ext.floored)))
+        floored = np.count_nonzero(ext.floored) + np.count_nonzero(self.cavity.floored)
+        return ext.pseudo_mean, ext.pseudo_variance, held + int(floored)
 
     def x_cavity(self, x_hat, belief, ext, score):
         self.lam_z, self.eta_z = _absorb(self.lam_z, self.eta_z, ext, self.damp)
-        # cavity on x: the SLM posterior with the x-side message divided out
-        xv = self.res.x_stats.variance
-        xm = self.res.x_stats.point
-        lam_r = np.maximum(1.0 / xv - self.lam_x, DEFAULT_VARIANCE_FLOOR)
-        eta_r = xm / xv - self.eta_x
         y_tilde, sigma2_tilde, _ = self._pseudo_z()
-        return eta_r / lam_r, 1.0 / lam_r, y_tilde, sigma2_tilde
+        return (self.cavity.pseudo_mean, self.cavity.pseudo_variance,
+                y_tilde, sigma2_tilde)
 
     def absorb_x(self, xstats, r, tau_r):
         ext = ep_extrinsic(xstats, GaussianBelief(r, tau_r))

@@ -1,4 +1,4 @@
-"""Scalar Gaussian message algebra and the EP extrinsic (cavity-division) step.
+"""Scalar Gaussian algebra: the library's one Gaussian product and one EP division.
 
 This module owns the message format: a message's two moment fields are
 float64 arrays, converted once when it is built (a scalar becomes a 0-d
@@ -17,6 +17,9 @@ import numpy as np
 # degenerate: it is floored and the message flagged, which caps the
 # pseudo-variance at 1/DEFAULT_VARIANCE_FLOOR.
 DEFAULT_VARIANCE_FLOOR = 1e-11
+
+# log sqrt(2 pi), the Gaussian density's normalizer, for every log-density
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def _store_moments(message, mean_field, variance_field):
@@ -72,17 +75,15 @@ class ExtrinsicMessage:
         _store_moments(self, "pseudo_mean", "pseudo_variance")
         object.__setattr__(self, "floored", np.asarray(self.floored, dtype=bool))
 
-    def as_belief(self) -> GaussianBelief:
-        return GaussianBelief(self.pseudo_mean, self.pseudo_variance)
 
+def combine(mean_a, var_a, mean_b, var_b):
+    """(mean, variance) of the product N(mean_a, var_a) N(mean_b, var_b).
 
-def combine(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
-    """Product of two Gaussian messages (precision sum, precision-weighted mean)."""
-    la = 1.0 / a.variance
-    lb = 1.0 / b.variance
-    lam = la + lb
-    eta = a.mean * la + b.mean * lb
-    return GaussianBelief(mean=eta / lam, variance=1.0 / lam)
+    Moment arrays in and out, not messages: the conjugate updates in the hot
+    path build and validate nothing.
+    """
+    lam = 1.0 / var_a + 1.0 / var_b
+    return (mean_a / var_a + mean_b / var_b) / lam, 1.0 / lam
 
 
 def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief) -> ExtrinsicMessage:

@@ -14,14 +14,22 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .channels import Mode, check_range
-from .gaussian import PosteriorStats, DEFAULT_VARIANCE_FLOOR
-
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+from .gaussian import _LOG_SQRT_2PI, DEFAULT_VARIANCE_FLOOR, PosteriorStats, combine
 
 # The Laplace rate's range: the prior variance 2 / rate**2 then lies in
 # [2e-150, 2e150], where its square and reciprocal are finite normal doubles.
 # Below about 1e-154, 2 / rate**2 overflows; above about 1e154, rate**2 does.
 RATE_RANGE = (1e-75, 1e75)
+
+# The gaussian and bg prior variance's range, as for the AWGN noise variance:
+# squares, reciprocals, products and quotients of values in it are finite
+# normal doubles.  Below about 5e-309, 1 / var overflows.
+PRIOR_VARIANCE_RANGE = (1e-150, 1e150)
+
+# The gaussian and bg prior mean's range: mean**2 and mean / var, for var in
+# PRIOR_VARIANCE_RANGE, are then finite.  Above about 1e154, the bg marginal
+# variance's mean**2 overflows.
+PRIOR_MEAN_RANGE = (-1e150, 1e150)
 
 
 class InputPrior:
@@ -51,14 +59,12 @@ class GaussianPrior(InputPrior):
     name = "gaussian"
 
     def __post_init__(self):
-        if not self.var > 0:
-            raise ValueError("gaussian prior var must be > 0")
+        check_range(self.mean, PRIOR_MEAN_RANGE, "gaussian prior mean")
+        check_range(self.var, PRIOR_VARIANCE_RANGE, "gaussian prior var")
 
     def denoise(self, mode, r, tau):
-        tau = np.asarray(tau, dtype=float)
-        lam = 1.0 / self.var + 1.0 / tau
-        point = (self.mean / self.var + np.asarray(r) / tau) / lam
-        return PosteriorStats(point=point, variance=1.0 / lam + 0.0 * point)
+        point, var = combine(self.mean, self.var, np.asarray(r), np.asarray(tau, dtype=float))
+        return PosteriorStats(point=point, variance=var + 0.0 * point)
 
     def marginal_mean(self):
         return self.mean
@@ -87,18 +93,13 @@ class BernoulliGaussianPrior(InputPrior):
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("bg rho must be in (0, 1]")
-        if not self.var > 0:
-            raise ValueError("bg var must be > 0")
-
-    def _slab(self, r, tau):
-        v1 = 1.0 / (1.0 / self.var + 1.0 / tau)
-        m1 = v1 * (self.mean / self.var + r / tau)
-        return m1, v1
+        check_range(self.mean, PRIOR_MEAN_RANGE, "bg mean")
+        check_range(self.var, PRIOR_VARIANCE_RANGE, "bg var")
 
     def denoise(self, mode, r, tau):
         r = np.asarray(r, dtype=float)
         tau = np.asarray(tau, dtype=float) + 0.0 * r
-        m1, v1 = self._slab(r, tau)
+        m1, v1 = combine(self.mean, self.var, r, tau)  # the slab's posterior
         # log evidence of slab vs spike under the pseudo-measurement
         log_z1 = np.log(self.rho) - 0.5 * (r - self.mean) ** 2 / (self.var + tau) \
             - 0.5 * np.log(self.var + tau) - _LOG_SQRT_2PI

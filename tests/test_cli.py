@@ -106,9 +106,23 @@ class TestSolve:
                                       ("--prior", "laplace(lambda=1e-300)"),
                                       ("--prior", "laplace(lambda=1e300)"),
                                       ("--channel", "probit(scale=1e-300)"),
-                                      ("--channel", "logistic(scale=1e-300)")],
+                                      ("--channel", "logistic(scale=1e-300)"),
+                                      ("--prior", "gaussian(mean=0,var=1e-320)"),
+                                      ("--prior", "gaussian(mean=0,var=1e-320)",
+                                       "--mode", "map"),
+                                      ("--prior", "gaussian(mean=0,var=1e-320)",
+                                       "--engine", "gamp"),
+                                      ("--prior", "bg(rho=0.1,mean=0,var=1e-320)",
+                                       "--mode", "map"),
+                                      ("--prior", "bg(rho=0.1,mean=1,var=1e-320)"),
+                                      ("--prior", "bg(rho=0.1,mean=1e160,var=1)"),
+                                      ("--prior", "gaussian(mean=1e300,var=1e-10)")],
                              ids=["awgn-1e-320", "laplace-1e-300", "laplace-1e300",
-                                  "probit-1e-300", "logistic-1e-300"])
+                                  "probit-1e-300", "logistic-1e-300",
+                                  "gaussian-var-1e-320", "gaussian-var-1e-320-map",
+                                  "gaussian-var-1e-320-gamp", "bg-var-1e-320-map",
+                                  "bg-mean-1-var-1e-320", "bg-mean-1e160",
+                                  "gaussian-mean-1e300"])
     def test_extreme_spec_value_exits_2(self, capsys, spec):
         code, out, err = _run(capsys, "solve", "--n", "16", "--m", "32", *spec)
         assert code == 2 and out == ""

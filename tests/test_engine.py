@@ -178,6 +178,20 @@ class TestModular:
         sigma2_tilde = step.x_cavity(None, None, step.res.z_extrinsic, None)[3]
         assert np.all(sigma2_tilde >= DEFAULT_VARIANCE_FLOOR)
 
+    def test_exact_backend_counts_floored_x_cavity(self):
+        # x-side messages of precision 1e12 > 1/floor: slm_solve holds those
+        # posterior variances at the floor, so 1/x_var - lam_x < 0 there
+        prob = _make_problem(0, prior=GaussianPrior(0.0, 1.0), channel=AwgnChannel(0.1))
+        step = engine._ExactStep(prob, SolverConfig())
+        raised = [3, 17, 40]
+        step.lam_x[raised], step.eta_x[raised] = 1e12, 0.0
+        _, _, floors = step.z_belief(np.zeros(64), np.ones(64))
+        assert not np.any(step.res.z_extrinsic.floored)
+        assert floors == len(raised)
+        r, tau_r, _, _ = step.x_cavity(None, None, step.res.z_extrinsic, None)
+        assert np.flatnonzero(tau_r == 1.0 / DEFAULT_VARIANCE_FLOOR).tolist() == raised
+        assert np.all(np.isfinite(r))
+
     def test_awgn_noise_below_floor_solves_at_floor(self):
         # noise variance 1e-12 < floor 1e-11: module A solves with the floor,
         # and the trace shows the pseudo-variances it used

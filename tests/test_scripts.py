@@ -122,3 +122,17 @@ def test_trace_digest_takes_several_seeds_and_sizes(tmp_path, digest_n8):
     saved = {path.stem for path in tmp_path.glob("*.npz")}
     assert saved == {line.split(" ")[0] for line in lines
                      if " EXC " not in line and "verify|" not in line}
+
+
+def test_trace_digest_pins_one_blas_thread():
+    # the caller's thread counts are replaced before numpy is first imported
+    code = ("import os, runpy, sys; assert 'numpy' not in sys.modules; "
+            "runpy.run_path(sys.argv[1]); assert 'numpy' in sys.modules; "
+            "print(*(os.environ[v] for v in "
+            "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    env = dict(ENV, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(ROOT / "scripts" / "trace_digest.py")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]

@@ -21,9 +21,12 @@ from glmamp.specs import SpecError, parse_channel, parse_prior, spec_string
     (parse_prior, GaussianPrior()),
     (parse_prior, GaussianPrior(mean=2, var=1)),
     (parse_prior, GaussianPrior(mean=-0.1, var=0.25)),
+    (parse_prior, GaussianPrior(mean=-1e150, var=1e-150)),  # the ends of its ranges
+    (parse_prior, GaussianPrior(mean=1e150, var=1e150)),
     (parse_prior, BernoulliGaussianPrior()),
     (parse_prior, BernoulliGaussianPrior(rho=1, mean=0, var=4)),
     (parse_prior, BernoulliGaussianPrior(rho=1 / 3, mean=1.5, var=2.5e-3)),
+    (parse_prior, BernoulliGaussianPrior(rho=0.1, mean=-1e150, var=1e150)),
     (parse_prior, LaplacePrior()),
     (parse_prior, LaplacePrior(rate=2)),
     (parse_prior, LaplacePrior(rate=0.7)),
@@ -58,6 +61,10 @@ AWGN_RANGE = r"awgn noise_variance must be in \[1e-150, 1e\+150\]"
 LAPLACE_RANGE = r"laplace rate must be in \[1e-75, 1e\+75\]"
 # ... or 1 / scale**2 or scale**2 for the binary channels
 SCALE_RANGE = r"{} scale must be in \[1e-150, 1e\+150\]"
+# ... or 1 / var, mean / var or mean**2 for the gaussian and bg priors
+PRIOR_VAR_RANGE = r"{} var must be in \[1e-150, 1e\+150\]"
+PRIOR_MEAN_RANGE = r"{} mean must be in \[-1e\+150, 1e\+150\]"
+PRIORS = (("gaussian(", "gaussian prior"), ("bg(rho=0.1,", "bg"))
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -67,7 +74,14 @@ SCALE_RANGE = r"{} scale must be in \[1e-150, 1e\+150\]"
         *[(parse_prior, f"laplace(lambda={v})", LAPLACE_RANGE)
           for v in ("1e-300", "1e-76", "1e76", "1e300", "0")],
         *[(parse_channel, f"{c}(scale={v})", SCALE_RANGE.format(c))
-          for c in ("probit", "logistic") for v in ("1e-300", "1e-151", "1e151", "1e300")])])
+          for c in ("probit", "logistic") for v in ("1e-300", "1e-151", "1e151", "1e300")],
+        *[(parse_prior, f"{p}mean=0,var={v})", PRIOR_VAR_RANGE.format(what))
+          for p, what in PRIORS for v in ("1e-320", "1e-151", "1e151", "0", "-1")],
+        *[(parse_prior, f"{p}mean={v},var=1)", PRIOR_MEAN_RANGE.format(what))
+          for p, what in PRIORS for v in ("1e160", "-1e151", "1e300")],
+        (parse_prior, "bg(rho=0.1,mean=1,var=1e-320)", PRIOR_VAR_RANGE.format("bg")),
+        (parse_prior, "gaussian(mean=1e300,var=1e-10)",
+         PRIOR_MEAN_RANGE.format("gaussian prior")))])
 def test_value_outside_its_range_is_a_spec_error(parse, text, message):
     with pytest.raises(SpecError, match=message):
         parse(text)
