@@ -250,7 +250,7 @@ class PoissonChannel(OutputChannel):
 
     def in_support(self, y):
         y = np.asarray(y)
-        return (y >= 0) & (np.asarray(y, dtype=float) == np.floor(y))
+        return (y >= 0) & np.isfinite(y) & (np.asarray(y, dtype=float) == np.floor(y))
 
     def sample(self, z, rng):
         if np.any(np.asarray(z) <= 0):

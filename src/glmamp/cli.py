@@ -202,7 +202,8 @@ def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slm-backend", choices=SLM_BACKENDS, default="exact",
+    p.add_argument("--slm-backend", choices=SLM_BACKENDS,
+                   default=SolverConfig.slm_backend,
                    help="module-A backend for the modular engine")
 
 

@@ -16,19 +16,19 @@ Module B comes in two forms, which ``verify.check_equivalence`` compares:
   ``posterior_map``) followed by ``ep_extrinsic``; module A sees only the
   resulting pseudo-observations.
 
-Module A comes in two flavors, selected for ``run_modular`` by
-``SolverConfig.slm_backend`` (``run_gamp`` always uses ``"amp"``):
+Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
+(``run_modular`` takes ``SolverConfig.slm_backend``, ``run_gamp`` ``"amp"``):
 
 * ``"amp"``   -- the AWGN-GAMP linear step (Onsager-corrected matvecs),
   which makes the modular loop reproduce the monolithic GAMP trajectory
-  exactly.  Its matvecs come in independent pairs, A x_hat with A^2 tau_x
-  and A^T s with (A^2)^T tau_s.  When A has ``OVERLAP_MIN_BYTES`` or more,
-  the second of each pair runs on a worker thread while the calling thread
-  runs the first; the worker lives for one solve.  Each product is still
-  one whole BLAS call on the same operands, so the bits are the serial
-  path's;
+  exactly;
 * ``"exact"`` -- the dense exact Gaussian solve of :mod:`glmamp.slm`, with
   damped EP messages carrying non-Gaussian priors on the x side.
+
+A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``_solve``
+calls ``cls(problem, config, stack)`` as a solve starts; a step enters what
+it holds (the amp step, its worker thread) on ``stack``, which releases it
+when the solve returns or raises.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import operator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,9 +60,6 @@ from .slm import LinearModel, slm_solve
 # from 6.25 MiB (n = 640: probit(0.3) 7.6 -> 7.1, awgn(0.01) 2.1 -> 1.6 ms).
 # 8 MiB leaves a margin above the break-even band for noisier hosts.
 OVERLAP_MIN_BYTES = 8 * 2**20
-
-# run_modular's module-A backends (see the module docstring)
-SLM_BACKENDS = ("exact", "amp")
 
 TRACE_FIELDS = ("iter", "x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",
                 "y_tilde", "sigma2_tilde", "nmse", "floor_events")
@@ -86,8 +84,8 @@ class ProblemInstance:
         object.__setattr__(self, "y", y)
         if self.x_true is not None:
             xt = np.asarray(self.x_true, dtype=float)
-            if xt.shape != (self.model.n,):
-                raise ValueError("x_true has wrong shape")
+            if xt.shape != (self.model.n,) or not np.all(np.isfinite(xt)):
+                raise ValueError(f"x_true must be {self.model.n} finite values")
             object.__setattr__(self, "x_true", xt)
 
 
@@ -110,7 +108,8 @@ class SolverConfig:
         if not 0.0 <= self.tol < np.inf:  # NaN fails too
             raise ValueError("tol must be finite and >= 0")
         if self.slm_backend not in SLM_BACKENDS:
-            raise ValueError("slm_backend must be 'exact' or 'amp'")
+            raise ValueError("slm_backend must be one of "
+                             + ", ".join(map(repr, SLM_BACKENDS)))
 
 
 @dataclass
@@ -154,32 +153,36 @@ def _iter_nmse(problem, x_hat):
     return nmse(x_hat, problem.x_true) if problem.x_true is not None else float("nan")
 
 
-def _pair(worker, M1, v1, M2, v2):
-    """(M1 @ v1, M2 @ v2); with a worker the second runs on its thread.
-
-    Each product is one whole BLAS call on the same operands either way, so
-    the bits do not depend on ``worker``.  The worker runs nothing but the
-    ndarray product.
-    """
-    if worker is None:
-        return M1 @ v1, M2 @ v2
-    second = worker.submit(M2.__matmul__, v2)
-    return M1 @ v1, second.result()
-
-
 class _AmpStep:
-    """Module A as the AWGN-GAMP linear step: Onsager-corrected matvecs."""
+    """Module A as the AWGN-GAMP linear step: Onsager-corrected matvecs.
 
-    def __init__(self, problem, config, worker=None):
-        self.worker = worker
+    The matvecs come in independent pairs, A x_hat with A^2 tau_x and A^T s
+    with (A^2)^T tau_s.  When A has ``OVERLAP_MIN_BYTES`` or more, the second
+    of each pair runs on a worker thread while the calling thread runs the
+    first.  The worker is entered on ``stack``, so it lives for one solve.
+    Each product is still one whole BLAS call on the same operands, so the
+    bits are the serial path's.
+    """
+
+    def __init__(self, problem, config, stack):
         self.A = problem.model.A
+        self.worker = (stack.enter_context(ThreadPoolExecutor(1))
+                       if self.A.nbytes >= OVERLAP_MIN_BYTES else None)
         self.A2 = self.A * self.A
         self.damp = 1.0 if config.damping is None else config.damping
         self.s = np.zeros(problem.model.m)
         self.tau_s = np.zeros(problem.model.m)
 
+    def _pair(self, M1, v1, M2, v2):
+        """(M1 @ v1, M2 @ v2); with a worker the second runs on its thread,
+        which runs nothing but the ndarray product."""
+        if self.worker is None:
+            return M1 @ v1, M2 @ v2
+        second = self.worker.submit(M2.__matmul__, v2)
+        return M1 @ v1, second.result()
+
     def z_belief(self, x_hat, tau_x):
-        Ax, A2tau = _pair(self.worker, self.A, x_hat, self.A2, tau_x)
+        Ax, A2tau = self._pair(self.A, x_hat, self.A2, tau_x)
         tau_p = np.maximum(A2tau, DEFAULT_VARIANCE_FLOOR)
         return Ax - tau_p * self.s, tau_p, 0
 
@@ -190,7 +193,7 @@ class _AmpStep:
         damp = self.damp
         self.s = damp * val + (1.0 - damp) * self.s
         self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
-        ATs, A2Ttau = _pair(self.worker, self.A.T, self.s, self.A2.T, self.tau_s)
+        ATs, A2Ttau = self._pair(self.A.T, self.s, self.A2.T, self.tau_s)
         tau_r = 1.0 / np.maximum(A2Ttau, DEFAULT_VARIANCE_FLOOR)
         r = x_hat + tau_r * ATs
         return r, tau_r, ext.pseudo_mean, ext.pseudo_variance
@@ -210,7 +213,7 @@ def _absorb(lam, eta, ext, damp):
 class _ExactStep:
     """Module A as the exact dense SLM solve; EP messages carry the prior on x."""
 
-    def __init__(self, problem, config):
+    def __init__(self, problem, config, stack=None):
         model, prior = problem.model, problem.prior
         self.model = model
         self.damp = 0.7 if config.damping is None else config.damping
@@ -257,6 +260,10 @@ class _ExactStep:
         ext = ep_extrinsic(xstats, GaussianBelief(r, tau_r))
         self.lam_x, self.eta_x = _absorb(self.lam_x, self.eta_x, ext, self.damp)
         return int(np.count_nonzero(ext.floored))
+
+
+# module A by backend name (see the module docstring)
+SLM_BACKENDS = {"exact": _ExactStep, "amp": _AmpStep}
 
 
 def _iterate(problem, mode, config, step, monolithic):
@@ -307,29 +314,20 @@ def _iterate(problem, mode, config, step, monolithic):
     return PosteriorStats(point=x_hat, variance=tau_x), trace
 
 
-def _iterate_amp(problem, mode, config, monolithic):
-    """``_iterate`` with the "amp" step; a worker thread for this solve only.
-
-    At ``OVERLAP_MIN_BYTES`` and above the worker is created here and joined
-    when the solve returns or raises, so no thread outlives a solve.
-    """
-    if problem.model.A.nbytes < OVERLAP_MIN_BYTES:
-        return _iterate(problem, mode, config, _AmpStep(problem, config), monolithic)
-    with ThreadPoolExecutor(1) as worker:
-        return _iterate(problem, mode, config, _AmpStep(problem, config, worker),
-                        monolithic)
+def _solve(problem, mode, config, backend, monolithic):
+    """``_iterate`` with module A ``SLM_BACKENDS[backend]``, opened for this solve."""
+    with ExitStack() as stack:
+        step = SLM_BACKENDS[backend](problem, config, stack)
+        return _iterate(problem, mode, config, step, monolithic)
 
 
 def run_gamp(problem: ProblemInstance, mode: Mode,
              config: SolverConfig = SolverConfig()):
     """Monolithic GAMP; returns (solution PosteriorStats, IterationTrace)."""
-    return _iterate_amp(problem, mode, config, monolithic=True)
+    return _solve(problem, mode, config, "amp", monolithic=True)
 
 
 def run_modular(problem: ProblemInstance, mode: Mode,
                 config: SolverConfig = SolverConfig()):
     """Modular SLM + module-B solver; see module docstring for backends."""
-    if config.slm_backend == "exact":
-        return _iterate(problem, mode, config, _ExactStep(problem, config),
-                        monolithic=False)
-    return _iterate_amp(problem, mode, config, monolithic=False)
+    return _solve(problem, mode, config, config.slm_backend, monolithic=False)

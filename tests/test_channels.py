@@ -203,6 +203,14 @@ def test_binary_support_truth_table(channel):
     assert channel.in_support(-1) and not channel.in_support(0.5)
 
 
+def test_poisson_support_truth_table():
+    # finite counts only: the Poisson moments recurse once per count
+    y = [0.0, 3.0, 2.5, -1.0, np.nan, np.inf, -np.inf]
+    expected = [True, True, False, False, False, False, False]
+    assert PoissonChannel().in_support(np.array(y)).tolist() == expected
+    assert PoissonChannel().in_support(y).tolist() == expected
+
+
 @pytest.mark.parametrize("cls", [ProbitChannel, LogisticChannel], ids=lambda c: c.name)
 @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan])
 def test_binary_scale_check_names_the_channel(cls, scale):

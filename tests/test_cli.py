@@ -32,6 +32,14 @@ def _edit_meta(directory, **changes):
     meta.write_text(json.dumps({**json.loads(meta.read_text()), **changes}))
 
 
+def _poisson_counts(directory, first):
+    """Relabel the problem Poisson, with counts of 1 except a first of ``first``."""
+    _edit_meta(directory, channel="poisson()")
+    y = np.ones_like(np.loadtxt(directory / "y.csv"))
+    y[0] = first
+    np.savetxt(directory / "y.csv", y)
+
+
 class TestGen:
     def test_writes_problem_and_is_deterministic(self, tmp_path, capsys):
         args = ["gen", "--n", "16", "--m", "32", "--prior", "bg(rho=0.2,mean=0,var=1)",
@@ -145,8 +153,11 @@ class TestSolve:
         lambda d: _edit_meta(d, m=4),
         lambda d: _edit_meta(d, n=8, m=4),
         lambda d: _edit_meta(d, matrix_dist="cauchy"),
+        lambda d: _poisson_counts(d, np.inf),
+        lambda d: np.savetxt(d / "x_true.csv", [0.0, np.nan, 1.0, 0.0]),
     ], ids=["malformed-meta", "missing-key", "unreadable-matrix", "oversized-matrix",
-            "meta-disagrees", "meta-n", "meta-m", "meta-n-m-swapped", "meta-matrix-dist"])
+            "meta-disagrees", "meta-n", "meta-m", "meta-n-m-swapped", "meta-matrix-dist",
+            "poisson-infinite-count", "x-true-nan"])
     def test_corrupt_problem_dir_exits_2(self, tmp_path, capsys, corrupt):
         gen = ["gen", "--n", "4", "--m", "8", "--prior", "gaussian(mean=0,var=1)",
                "--channel", "awgn(var=0.1)", "--out", str(tmp_path / "prob")]

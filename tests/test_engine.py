@@ -122,7 +122,7 @@ class TestModular:
         # the first module-B belief is (1, 1), whose refined point is sqrt(3)
         prob = ProblemInstance(LinearModel(np.array([[1.0]])), np.array([3.0]),
                                PoissonChannel(), GaussianPrior(1.0, 1.0))
-        for backend in ("exact", "amp"):
+        for backend in engine.SLM_BACKENDS:
             _, trace = run_modular(prob, Mode.MAX_SUM,
                                    SolverConfig(max_iter=5, tol=0.0,
                                                 slm_backend=backend))
@@ -393,6 +393,29 @@ class TestWorkerLifetime:
             assert threading.active_count() == before, solver
         assert [w.submitted > 0 for w in workers] == [True, True]
 
+    def test_no_thread_outlives_a_module_b_that_raises(self, workers, monkeypatch):
+        # module B raises in the second iteration, after the worker has run
+        def raising_after_first_call(fn):
+            calls = []
+
+            def module_b(*args):
+                calls.append(None)
+                if len(calls) > 1:
+                    raise RuntimeError("module B failed")
+                return fn(*args)
+            return module_b
+
+        for name in ("g_out_with_stats", "posterior_mmse"):
+            monkeypatch.setattr(engine, name, raising_after_first_call(getattr(engine, name)))
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)")
+        before = threading.active_count()
+        for solver in AMP_SOLVERS:
+            with pytest.raises(RuntimeError, match="module B failed"):
+                SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            assert threading.active_count() == before, solver
+        assert [w.submitted > 0 for w in workers] == [True, True]
+
 
 class TestValidation:
     def test_bad_y_shape(self):
@@ -404,6 +427,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProblemInstance(LinearModel(np.eye(3)), np.array([1.0, -1.0, 0.5]),
                             ProbitChannel(1.0), GaussianPrior(0.0, 1.0))
+        with pytest.raises(ValueError, match="outside poisson support"):
+            ProblemInstance(LinearModel(np.eye(3)), np.array([1.0, np.inf, 2.0]),
+                            PoissonChannel(), GaussianPrior(0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_x_true_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="x_true must be 3 finite values"):
+            ProblemInstance(LinearModel(np.eye(3)), np.zeros(3), AwgnChannel(1.0),
+                            GaussianPrior(0.0, 1.0), x_true=np.array([0.0, bad, 1.0]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -413,5 +445,6 @@ class TestValidation:
         assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             SolverConfig(slm_backend="dense")
+        assert all(repr(name) in str(exc.value) for name in engine.SLM_BACKENDS)
