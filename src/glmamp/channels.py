@@ -42,6 +42,10 @@ from .gaussian import _LOG_SQRT_2PI, GaussianBelief, PosteriorStats, combine
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
 # or below the z = 0 boundary (only possible for y = 0).
 POISSON_Z_FLOOR = 1e-12
+# The largest Poisson count in support.  ``_poisson_recursion`` runs one numpy
+# step per count up to a batch's largest: 0.3-0.7 s per call at this bound
+# (2-CPU shared host, one BLAS thread), where a count of 1e9 would ask for 8 GB.
+POISSON_MAX_COUNT = 1e5
 
 # Below this t the probit hazard phi(t)/Phi(t) is taken from erfcx and its
 # excess t + phi/Phi from MILLS_TERMS terms of the Mills-ratio continued
@@ -250,7 +254,7 @@ class PoissonChannel(OutputChannel):
 
     def in_support(self, y):
         y = np.asarray(y)
-        return (y >= 0) & np.isfinite(y) & (np.asarray(y, dtype=float) == np.floor(y))
+        return (y >= 0) & (y <= POISSON_MAX_COUNT) & (np.asarray(y, dtype=float) == np.floor(y))
 
     def sample(self, z, rng):
         if np.any(np.asarray(z) <= 0):

@@ -6,7 +6,10 @@ z = A x; module B refines those beliefs through the likelihood and divides
 the belief back out (EP), which leaves Gaussian pseudo-observations on z;
 module A turns these into a Gaussian cavity N(r, tau_r) on x, and the
 prior's denoiser refines the cavity into the next estimate.  The loop owns
-the estimate, the trace, the divergence test and the convergence test.
+the estimate, the trace, the convergence test and the divergence test: each
+hand-over (beliefs on z, module B's posterior and its EP message, the cavity
+on x, the denoised x) passes ``gaussian.valid_moments`` or ends the solve
+``diverged``, with the last estimate that passed.
 
 Module B comes in two forms, which ``verify.check_equivalence`` compares:
 
@@ -47,7 +50,7 @@ import numpy as np
 from .channels import (Mode, OutputChannel, awgn_g_out, g_out_with_stats,
                        posterior_map, posterior_mmse)
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
-                       PosteriorStats, ep_extrinsic)
+                       PosteriorStats, ep_extrinsic, valid_moments)
 from .priors import InputPrior
 from .slm import LinearModel, slm_solve
 
@@ -147,10 +150,6 @@ def nmse(x_hat, x_true) -> float:
     if denom == 0.0:
         return float("nan")
     return float(np.sum((np.asarray(x_hat) - np.asarray(x_true)) ** 2) / denom)
-
-
-def _iter_nmse(problem, x_hat):
-    return nmse(x_hat, problem.x_true) if problem.x_true is not None else float("nan")
 
 
 class _AmpStep:
@@ -280,7 +279,7 @@ def _iterate(problem, mode, config, step, monolithic):
     trace = IterationTrace()
     for it in range(config.max_iter):
         p_hat, tau_p, floors = step.z_belief(x_hat, tau_x)
-        if not (np.all(np.isfinite(p_hat)) and np.all(np.isfinite(tau_p))):
+        if not valid_moments(p_hat, tau_p):
             trace.diverged = True
             break
 
@@ -297,6 +296,11 @@ def _iterate(problem, mode, config, step, monolithic):
 
         r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, belief, ext, score)
         xstats = prior.denoise(mode, r, tau_r)
+        if not (valid_moments(stats.point, stats.variance)
+                and valid_moments(ext.pseudo_mean, ext.pseudo_variance)
+                and valid_moments(r, tau_r) and valid_moments(xstats.point, xstats.variance)):
+            trace.diverged = True
+            break
         floors += step.absorb_x(xstats, r, tau_r)
         x_old = x_hat
         x_hat = xstats.point
@@ -306,8 +310,8 @@ def _iterate(problem, mode, config, step, monolithic):
         delta = np.linalg.norm(x_hat - x_old) / max(np.linalg.norm(x_hat), 1e-300)
         trace.append(iter=it, x_hat=x_hat, tau_x=tau_x, p_hat=p_hat, tau_p=tau_p,
                      z0=stats.point, z_var=stats.variance, y_tilde=y_tilde,
-                     sigma2_tilde=sigma2_tilde,
-                     nmse=_iter_nmse(problem, x_hat), floor_events=floors)
+                     sigma2_tilde=sigma2_tilde, floor_events=floors,
+                     nmse=float("nan") if problem.x_true is None else nmse(x_hat, problem.x_true))
         if it >= 2 and delta < config.tol:
             trace.converged = True
             break

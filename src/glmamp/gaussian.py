@@ -2,8 +2,11 @@
 
 This module owns the message format: a message's two moment fields are
 float64 arrays, converted once when it is built (a scalar becomes a 0-d
-array), and ``ExtrinsicMessage.floored`` is a bool array.  All operations are
-elementwise, in precision / precision-mean form to avoid cancellation.
+array), and ``ExtrinsicMessage.floored`` is a bool array.  Only
+``GaussianBelief``, the type data enters a computation as, checks its fields
+(``valid_moments``); the solver loop tests library results at hand-over.
+All operations are elementwise, in precision / precision-mean form to avoid
+cancellation.
 """
 
 from __future__ import annotations
@@ -22,34 +25,34 @@ DEFAULT_VARIANCE_FLOOR = 1e-11
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+def valid_moments(mean, variance) -> bool:
+    """Every mean finite, every variance finite and > 0 (moment arrays in)."""
+    # ndarray .all() rather than np.all: the loop runs this every iteration
+    return bool(np.isfinite(mean).all() and ((variance > 0) & (variance < np.inf)).all())
+
+
 def _store_moments(message, mean_field, variance_field):
-    """Validate two moment fields and store them as float64 arrays (a float64 one as is)."""
-    what = type(message).__name__
-    mean = np.asarray(getattr(message, mean_field), dtype=float)
-    variance = np.asarray(getattr(message, variance_field), dtype=float)
-    # ndarray .all() rather than np.all: the checks run on every message built
-    if not np.isfinite(mean).all():
-        raise ValueError(f"{what}: mean must be finite")
-    if not ((variance > 0) & (variance < np.inf)).all():
-        raise ValueError(f"{what}: variance must be finite and > 0")
-    object.__setattr__(message, mean_field, mean)
-    object.__setattr__(message, variance_field, variance)
+    """Store two moment fields as float64 arrays (a float64 one as is); checks nothing."""
+    for name in (mean_field, variance_field):
+        object.__setattr__(message, name, np.asarray(getattr(message, name), dtype=float))
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """A Gaussian message N(mean, variance); variance strictly positive."""
+    """A Gaussian message N(mean, variance); ``valid_moments`` or ValueError."""
 
     mean: np.ndarray
     variance: np.ndarray
 
     def __post_init__(self):
         _store_moments(self, "mean", "variance")
+        if not valid_moments(self.mean, self.variance):
+            raise ValueError("GaussianBelief: mean must be finite, variance finite and > 0")
 
 
 @dataclass(frozen=True)
 class PosteriorStats:
-    """Point estimate and positive variance of a scalar posterior."""
+    """Point estimate and variance of a scalar posterior, as computed (unchecked)."""
 
     point: np.ndarray
     variance: np.ndarray

@@ -21,14 +21,13 @@ Each step is one LAPACK or BLAS routine called directly: DSYRK, DPOTRF
 (the Cholesky factor), DPOTRS (the mean's two triangular solves), DTRTRI
 and DTRMM.  SciPy's ``cholesky`` and ``cho_solve`` call the same DPOTRF and
 DPOTRS, so the bits are theirs, but each also scans its operands for
-non-finite values: n^2 reads per call that validated inputs make redundant.
-One O(n) test of P's diagonal takes their place.  A is finite, so P can
-hold a non-finite value only through a NaN, zero (or subnormal) or
-negative variance.  Each such pseudo-variance sv_i spoils column i of B^T
-and with it every diagonal entry of P; each such prior variance spoils its
-own entry, except a negative one, which leaves P finite but indefinite.  A
-non-finite prior or pseudo-observation mean reaches the posterior mean,
-which ``PosteriorStats`` rejects.
+non-finite values: n^2 reads per call.  One O(n) test of P's diagonal and
+of the right-hand side P mu takes their place.  A is finite, so P can hold
+a non-finite value only through a NaN, zero (or subnormal) or negative
+variance.  Each such pseudo-variance sv_i spoils column i of B^T and with it
+every diagonal entry of P; each such prior variance spoils its own entry,
+except a negative one, which leaves P finite but indefinite.  A non-finite
+prior or pseudo-observation mean spoils the right-hand side.
 
 A is read three times, in this order: once into B^T, at once again for
 A^T (py / sv) while it is still in cache, and last for z's mean A mu.
@@ -102,22 +101,12 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     the n per-component Gaussian priors.  Returns componentwise posterior
     stats on x, marginal stats on z = A x, and the EP extrinsic on z.
 
-    One Fortran-ordered n x m buffer holds B^T = (A diag(sv)^-1/2)^T.  The
-    lower triangle of the precision P = B^T B + diag(1/prior var) comes from
-    one SYRK on it, and P is factored once in place, P = L L^T.  The mean is
-    two triangular solves with L.  The variances come from L^-1 without
-    forming P^-1: var(x_j) is the squared norm of column j of L^-1, and
-    var(z_i) = ||w_s,i||^2 sv_i, where w_s,i is column i of W_s = L^-1 B^T,
-    which one TRMM writes over B^T.  L^-1 is written over L; it is TRTRI for
-    n <= 64 and a recursive 2 x 2-block inverse above, whose off-diagonal
-    blocks are TRMMs (see the module docstring for why).  The inputs are
+    The steps, and why one O(n) finiteness test on P's diagonal and the
+    right-hand side suffices, are in the module docstring.  The inputs are
     never written to, and full-length input vectors are used as they are;
-    only a scalar is repeated to full length.
-
-    P is factored by DPOTRF and the mean solved by DPOTRS, called directly,
-    and the only finiteness test is O(n), on P's diagonal (see the module
-    docstring for why that suffices).  Raises ``ValueError`` when it fails
-    and ``numpy.linalg.LinAlgError`` when P is not positive definite.
+    only a scalar is repeated to full length.  Raises ``ValueError`` when
+    that test fails and ``numpy.linalg.LinAlgError`` when P is not positive
+    definite.
     """
     A = model.A
     m, n = A.shape
@@ -133,11 +122,11 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     # P is Fortran-ordered, so its diagonal is every (n + 1)-th entry of a view
     diag = prec.ravel(order="F")[::n + 1]
     diag += 1.0 / pvar
-    # A is finite, so only a variance can make an entry of P non-finite, and
-    # any variance that does makes a diagonal entry non-finite
-    if not np.isfinite(diag).all():
-        raise ValueError("slm_solve: the precision is not finite "
-                         "(a variance is NaN, zero or negative)")
+    # A is finite, so any variance that spoils P spoils a diagonal entry, and
+    # only such a variance or a non-finite mean spoils the right-hand side
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("slm_solve: the precision or the right-hand side is not finite "
+                         "(a variance is NaN, zero or negative, or a mean is not finite)")
     # clean=1 zeroes the strict upper triangle, which dtrtri leaves untouched.
     # A negative info (of either routine) would flag an illegal argument,
     # which these square Fortran-ordered float arrays cannot be.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmamp import channels
-from glmamp.channels import (QUAD_MAX_ORDER, QUAD_START_ORDER, SCALE_RANGE,
+from glmamp.channels import (POISSON_MAX_COUNT, QUAD_MAX_ORDER, QUAD_START_ORDER, SCALE_RANGE,
                              AwgnChannel, LogisticChannel, Mode, PoissonChannel,
                              ProbitChannel, QuadratureError, awgn_g_out,
                              g_out_with_stats, posterior_map, posterior_mmse)
@@ -204,9 +204,10 @@ def test_binary_support_truth_table(channel):
 
 
 def test_poisson_support_truth_table():
-    # finite counts only: the Poisson moments recurse once per count
-    y = [0.0, 3.0, 2.5, -1.0, np.nan, np.inf, -np.inf]
-    expected = [True, True, False, False, False, False, False]
+    # bounded counts only: the Poisson moments recurse once per count
+    y = [0.0, 3.0, POISSON_MAX_COUNT, 2.5, -1.0, np.nan, np.inf, -np.inf,
+         POISSON_MAX_COUNT + 1.0, 1e9]
+    expected = [True, True, True, False, False, False, False, False, False, False]
     assert PoissonChannel().in_support(np.array(y)).tolist() == expected
     assert PoissonChannel().in_support(y).tolist() == expected
 

@@ -14,6 +14,8 @@ from scipy.stats import spearmanr
 import glmamp
 from glmamp import cli
 from glmamp.cli import main
+from glmamp.gaussian import PosteriorStats
+from glmamp.priors import GaussianPrior
 from glmamp.problems import load_problem
 
 
@@ -143,6 +145,30 @@ class TestSolve:
                             "--prior", f"laplace(lambda={rate})")
         assert code == 0 and json.loads(out)["converged"] is True
 
+    # each ended in a ValueError traceback while every message checked itself
+    @pytest.mark.parametrize("argv", [
+        ["--prior", "laplace(lambda=1)", "--channel", "poisson()"],
+        ["--n", "16", "--m", "32", "--prior", "gaussian(mean=1e150,var=1e-150)",
+         "--engine", "modular"],
+        ["--n", "16", "--m", "32", "--prior", "gaussian(mean=1e150,var=1e-150)",
+         "--engine", "modular", "--mode", "map"],
+    ], ids=["laplace-poisson", "gaussian-prior-corner", "gaussian-prior-corner-map"])
+    def test_formerly_raising_solve_exits_1_diverged(self, capsys, argv):
+        with np.errstate(all="ignore"):
+            code, out, _ = _run(capsys, "solve", *argv)
+        assert code == 1 and json.loads(out)["diverged"] is True
+
+    def test_bad_denoiser_output_exits_1_diverged(self, capsys, monkeypatch):
+        denoise = GaussianPrior.denoise
+
+        def bad_denoise(prior, mode, r, tau):
+            return PosteriorStats(np.full_like(r, np.nan), denoise(prior, mode, r, tau).variance)
+
+        monkeypatch.setattr(GaussianPrior, "denoise", bad_denoise)
+        code, out, _ = _run(capsys, "solve", "--n", "16", "--m", "32")
+        summary = json.loads(out)
+        assert code == 1 and summary["diverged"] is True and summary["iterations"] == 0
+
     @pytest.mark.parametrize("corrupt", [
         lambda d: (d / "meta.json").write_text("{bad"),
         lambda d: (d / "meta.json").write_text('{"prior": "gaussian(mean=0,var=1)"}'),
@@ -154,10 +180,11 @@ class TestSolve:
         lambda d: _edit_meta(d, n=8, m=4),
         lambda d: _edit_meta(d, matrix_dist="cauchy"),
         lambda d: _poisson_counts(d, np.inf),
+        lambda d: _poisson_counts(d, 1e9),
         lambda d: np.savetxt(d / "x_true.csv", [0.0, np.nan, 1.0, 0.0]),
     ], ids=["malformed-meta", "missing-key", "unreadable-matrix", "oversized-matrix",
             "meta-disagrees", "meta-n", "meta-m", "meta-n-m-swapped", "meta-matrix-dist",
-            "poisson-infinite-count", "x-true-nan"])
+            "poisson-infinite-count", "poisson-huge-count", "x-true-nan"])
     def test_corrupt_problem_dir_exits_2(self, tmp_path, capsys, corrupt):
         gen = ["gen", "--n", "4", "--m", "8", "--prior", "gaussian(mean=0,var=1)",
                "--channel", "awgn(var=0.1)", "--out", str(tmp_path / "prob")]

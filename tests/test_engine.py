@@ -14,7 +14,7 @@ from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
                              ep_extrinsic)
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
-from glmamp.problems import generate_problem
+from glmamp.problems import generate_problem, observe
 from glmamp.slm import LinearModel, SlmResult
 from glmamp.specs import parse_channel, parse_prior
 
@@ -382,14 +382,15 @@ class TestWorkerLifetime:
             assert threading.active_count() == before, solver
         assert [w.submitted > 0 for w in workers] == [True, True]
 
-    def test_no_thread_outlives_a_solve_that_raises(self, workers, monkeypatch):
-        # Laplace-prior Poisson MMSE raises on every engine (a known fault)
+    def test_no_thread_outlives_a_solve_that_diverges(self, workers, monkeypatch):
+        # Laplace-prior Poisson MMSE diverges on every engine (ROADMAP 3(c))
         prob = _generated("laplace(lambda=1)", "poisson()")
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
         before = threading.active_count()
         for solver in AMP_SOLVERS:
-            with pytest.raises(ValueError):
-                SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            with np.errstate(all="ignore"):
+                _, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            assert trace.diverged, solver
             assert threading.active_count() == before, solver
         assert [w.submitted > 0 for w in workers] == [True, True]
 
@@ -415,6 +416,118 @@ class TestWorkerLifetime:
                 SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
             assert threading.active_count() == before, solver
         assert [w.submitted > 0 for w in workers] == [True, True]
+
+
+BAD_MEANS = [np.nan, np.inf, -np.inf]
+BAD_VARIANCES = [0.0, -1.0, np.nan, np.inf]
+INJECT_AT = 2  # the iteration whose hand-over is corrupted
+
+
+def _corrupt(mean, variance, field, value):
+    """Copies of a hand-over's two moment arrays, one entry of ``field`` set to ``value``."""
+    mean, variance = np.array(mean, dtype=float), np.array(variance, dtype=float)
+    (mean if field == "mean" else variance)[0] = value
+    return mean, variance
+
+
+def _injecting(fn, corrupt):
+    """``fn`` with its result passed through ``corrupt`` on call INJECT_AT only."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(None)
+        out = fn(*args)
+        return corrupt(out) if len(calls) == INJECT_AT + 1 else out
+    return wrapper
+
+
+def _inject(monkeypatch, boundary, prior, field, value):
+    """Corrupt, in iteration INJECT_AT, what ``boundary`` hands to the loop."""
+    def moments(out):
+        return PosteriorStats(*_corrupt(out.point, out.variance, field, value))
+
+    if boundary in ("z_belief", "x_cavity"):
+        def step_out(out):  # (mean, variance, ...) tuples
+            return (*_corrupt(out[0], out[1], field, value), *out[2:])
+        for cls in engine.SLM_BACKENDS.values():
+            monkeypatch.setattr(cls, boundary, _injecting(getattr(cls, boundary), step_out))
+    elif boundary == "module_b":
+        monkeypatch.setattr(engine, "g_out_with_stats", _injecting(
+            engine.g_out_with_stats, lambda out: (*out[:2], moments(out[2]))))
+        for name in ("posterior_mmse", "posterior_map"):
+            monkeypatch.setattr(engine, name, _injecting(getattr(engine, name), moments))
+    else:
+        monkeypatch.setattr(type(prior), "denoise",
+                            _injecting(type(prior).denoise, moments))
+
+
+class TestHandOverTests:
+    """Whatever a module hands over, the loop ends the solve ``diverged``
+    instead of raising, with the last estimate that passed."""
+
+    # with a gaussian prior an infinite cavity variance denoises to the prior's
+    # own valid moments, so the loop must test the cavity itself
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("prior", ["bg(rho=0.1,mean=0,var=1)", "gaussian(mean=0,var=1)"])
+    @pytest.mark.parametrize("boundary", ["z_belief", "module_b", "x_cavity", "denoise"])
+    @pytest.mark.parametrize("field, value", [("mean", v) for v in BAD_MEANS]
+                             + [("variance", v) for v in BAD_VARIANCES])
+    def test_bad_hand_over_ends_diverged(self, monkeypatch, solver, prior, boundary,
+                                         field, value):
+        prob = _generated(prior, "probit(scale=0.3)", n=32)
+        _inject(monkeypatch, boundary, prob.prior, field, value)
+        with np.errstate(all="ignore"):
+            solution, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+        assert trace.diverged and not trace.converged
+        assert len(trace) == INJECT_AT
+        np.testing.assert_array_equal(solution.point, trace.records[-1]["x_hat"])
+        np.testing.assert_array_equal(solution.variance, trace.records[-1]["tau_x"])
+
+
+# The cells of the 72-cell grid (``scripts/trace_digest.py``) that ended in
+# ``ValueError: PosteriorStats: mean must be finite`` while every message
+# checked itself; each now ends ``diverged`` (ROADMAP 2 and 3(c) own the cause).
+FORMERLY_RAISING = (
+    [(channel, "mmse", "modular-exact") for channel in
+     ("awgn(var=0.1)", "probit(scale=0.3)", "poisson()", "logistic(scale=0.3)")]
+    + [("poisson()", "mmse", "gamp"), ("poisson()", "mmse", "modular-amp"),
+       ("poisson()", "map", "modular-amp")])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("channel, mode, solver", FORMERLY_RAISING,
+                         ids=["|".join(cell) for cell in FORMERLY_RAISING])
+def test_formerly_raising_cell_ends_diverged(channel, mode, solver, seed):
+    prob = generate_problem(64, 128, parse_prior("laplace(lambda=1)"),
+                            parse_channel(channel), seed)
+    with np.errstate(all="ignore"):
+        solution, trace = SOLVERS[solver](prob, Mode(mode), SolverConfig())
+    assert trace.diverged and not trace.converged and len(trace) >= 1
+    assert np.isfinite(solution.point).all() and (solution.variance > 0).all()
+
+
+def _conditioned(kappa, m=256, n=128):
+    """Random orthonormal U (m x n) and V, geometric singular values of condition
+    number ``kappa``, scaled to ||A||_F^2 = m (ROADMAP item 10's family)."""
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = (U * np.geomspace(1.0, 1.0 / kappa, n)) @ V.T
+    return A * np.sqrt(m / np.sum(A ** 2))
+
+
+# GAMP fails on ill-conditioned A.  With probit the first non-finite value is
+# module B's EP message on z, which only the trace reads in GAMP.
+@pytest.mark.parametrize("kappa", [100, 1000])
+@pytest.mark.parametrize("channel", ["awgn(var=0.01)", "probit(scale=0.3)"])
+def test_gamp_on_ill_conditioned_matrix_ends_diverged(channel, kappa):
+    prior, rng = parse_prior("bg(rho=0.1,mean=0,var=1)"), np.random.default_rng(1)
+    prob = observe(_conditioned(kappa), prior.sample(128, rng), prior,
+                   parse_channel(channel), rng)
+    with np.errstate(all="ignore"):
+        solution, trace = run_gamp(prob, Mode.SUM_PRODUCT, SolverConfig(max_iter=300))
+    assert trace.diverged and not trace.converged
+    assert np.isfinite(solution.point).all()
 
 
 class TestValidation:

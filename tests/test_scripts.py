@@ -15,9 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(Path(glmamp.__file__).parents[1]))
 
 
-def _script(name, *args, cwd=None):
+def _script(name, *args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          env=ENV, cwd=cwd, capture_output=True, text=True)
+                          env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -29,13 +29,6 @@ def test_run_equivalence(backend):
     distance = float(out.split("fixed-point distance :")[1].split()[0])
     assert distance < (1e-12 if backend == "amp" else 0.1)
     assert f"(backend={backend})" in out
-
-
-def test_sweep_snr(tmp_path):
-    out = _script("sweep_snr.py", "--snr-db", "20", "--reps", "1",
-                  "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path)
-    assert "wrote 2 rows" in out
-    assert "gamp" in out and "modular" in out
 
 
 def _save_cell(directory, cell, point, iterations=(12,), converged=(True,)):

@@ -112,8 +112,8 @@ class TestSlmSolve:
         np.testing.assert_allclose(mean, res.z_stats.point, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(var, res.z_stats.variance, rtol=1e-10)
 
-    # The messages validate their own fields, so these bypass them with a
-    # stand-in object to reach the checks inside slm_solve.
+    # GaussianBelief validates its fields, so these pass stand-in objects to
+    # reach the checks inside slm_solve.
     def test_nan_pseudo_variance_raises(self):
         model = LinearModel(np.random.default_rng(0).standard_normal((6, 4)))
         pseudo = SimpleNamespace(pseudo_mean=np.zeros(6),
@@ -121,19 +121,25 @@ class TestSlmSolve:
         with pytest.raises(ValueError):
             slm_solve(model, pseudo, GaussianBelief(np.zeros(4), np.ones(4)))
 
-    # the O(n) test of P's diagonal catches each of these before DPOTRF runs
+    # the O(n) test of P's diagonal and the right-hand side catches each of
+    # these before DPOTRF runs: a bad variance (side "pseudo" or "prior") or
+    # a non-finite mean
     @pytest.mark.parametrize("side, value", [
         ("pseudo", np.nan), ("pseudo", 0.0), ("pseudo", -1.0), ("pseudo", 1e-320),
-        ("prior", np.nan), ("prior", 0.0)])
+        ("prior", np.nan), ("prior", 0.0),
+        *[(side, value) for side in ("pseudo_mean", "prior_mean")
+          for value in (np.nan, np.inf, -np.inf)]])
     def test_non_finite_precision_raises_value_error(self, side, value):
         rng = np.random.default_rng(0)
         model = LinearModel(rng.standard_normal((260, 130)))
-        pseudo_variance, prior_variance = np.ones(260), np.ones(130)
-        (pseudo_variance if side == "pseudo" else prior_variance)[100] = value
-        pseudo = SimpleNamespace(pseudo_mean=np.zeros(260), pseudo_variance=pseudo_variance)
-        prior_x = SimpleNamespace(mean=np.zeros(130), variance=prior_variance)
-        with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="the precision is not finite"):
+        fields = {"pseudo": np.ones(260), "prior": np.ones(130),
+                  "pseudo_mean": np.zeros(260), "prior_mean": np.zeros(130)}
+        fields[side][100] = value
+        pseudo = SimpleNamespace(pseudo_mean=fields["pseudo_mean"],
+                                 pseudo_variance=fields["pseudo"])
+        prior_x = SimpleNamespace(mean=fields["prior_mean"], variance=fields["prior"])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^slm_solve: "
+                                                      "the precision or the right-hand side"):
             slm_solve(model, pseudo, prior_x)
 
     def test_indefinite_precision_raises(self):
