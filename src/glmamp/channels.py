@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
+from scipy.special import log_ndtr
 
-from .gaussian import _LOG_SQRT_2PI, GaussianBelief, PosteriorStats, combine
+from .gaussian import (_LOG_SQRT_2PI, GaussianBelief, PosteriorStats, _norm_hazard, combine,
+                       trunc_gauss_ratios)
 
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
 # or below the z = 0 boundary (only possible for y = 0).
@@ -46,12 +47,6 @@ POISSON_Z_FLOOR = 1e-12
 # step per count up to a batch's largest: 0.3-0.7 s per call at this bound
 # (2-CPU shared host, one BLAS thread), where a count of 1e9 would ask for 8 GB.
 POISSON_MAX_COUNT = 1e5
-
-# Below this t the probit hazard phi(t)/Phi(t) is taken from erfcx and its
-# excess t + phi/Phi from MILLS_TERMS terms of the Mills-ratio continued
-# fraction, which are enough for rounding accuracy at t <= -8.
-HAZARD_TAIL_T = -8.0
-MILLS_TERMS = 24
 
 MAP_MAX_ITER = 100
 MAP_TOL = 1e-12
@@ -140,31 +135,6 @@ class AwgnChannel(OutputChannel):
 
     def sample(self, z, rng):
         return z + rng.normal(scale=np.sqrt(self.noise_variance), size=np.shape(z))
-
-
-def _norm_hazard(t):
-    """The hazard r = phi(t) / Phi(t) and its excess t + r over -t.
-
-    Both come from log_ndtr down to HAZARD_TAIL_T.  Below it the log_ndtr
-    ratio loses digits and t + r cancels, so there r = sqrt(2/pi) /
-    erfcx(-t/sqrt(2)) and t + r = 1/(u + 2/(u + 3/(u + ...))), u = -t, the
-    Mills-ratio continued fraction run back from MILLS_TERMS terms.
-    """
-    t = np.asarray(t, dtype=float)
-    head = np.maximum(t, HAZARD_TAIL_T)  # the tail's values are replaced below
-    log_phi = -0.5 * head * head - _LOG_SQRT_2PI
-    r = np.exp(log_phi - log_ndtr(head))
-    excess = t + r
-    tail = t < HAZARD_TAIL_T
-    if np.any(tail):
-        u = -t[tail]
-        r, excess = np.array(r), np.array(excess)
-        r[tail] = np.sqrt(2.0 / np.pi) / erfcx(u / np.sqrt(2.0))
-        denom = u
-        for k in range(MILLS_TERMS, 1, -1):
-            denom = u + k / denom
-        excess[tail] = 1.0 / denom
-    return r, excess
 
 
 @dataclass(frozen=True)
@@ -423,53 +393,11 @@ def _adaptive_gh(log_target, center, sigma, scale):
 
 
 def _poisson_recursion(y, p_hat, tau_p):
-    """Exact Poisson moments from a three-term recursion, no quadrature.
-
-    z^y e^-z N(z; p_hat, tau_p) on z > 0 is z^y times N(p_hat - tau_p, tau_p)
-    cut off at 0.  With sigma = sqrt(tau_p), t = (p_hat - tau_p)/sigma and
-    J_k = int_0^inf w^k exp(-(w - t)^2/2) dw, the ratios R_k = J_k/J_{k-1}
-    obey R_1 = t + phi(t)/Phi(t) and R_{k+1} = t + k/R_k, and the moments are
-    mean = sigma R_{y+1} and var = tau_p R_{y+1} (R_{y+2} - R_{y+1}).
-
-    Where t sqrt(y + 1) >= -3 the recursion runs forward on the excess
-    d_k = R_k - t, which never forms t + k/R_k and amplifies rounding by at
-    most about e^6.  Elsewhere Miller's backward recursion R_k = k/(R_{k+1} - t)
-    runs down from the saddle-point value R_K ~ 2K/(s - t) (1 - 1/s^2),
-    s = sqrt(t^2 + 4K), whose relative error is O(1/s^4), at a depth
-    K = y + 16 + ceil((sqrt(y + 2) + 7/|t|)^2) that damps it below rounding.
-    Components run their own number of steps: sorting them makes the ones
-    still running a contiguous slice, and each one's bits do not depend on
-    the others.
-    """
+    """Exact Poisson moments: z^y e^-z N(z; p_hat, tau_p) on z > 0 is z^y times
+    N(p_hat - tau_p, tau_p) cut off at 0, or, in units of sigma = sqrt(tau_p),
+    w^y N(w; t, 1) on w > 0 (``gaussian.trunc_gauss_ratios``)."""
     sigma = np.sqrt(tau_p)
-    t = (p_hat - tau_p) / sigma
-    ratio, gap = np.empty_like(t), np.empty_like(t)  # R_{y+1}, R_{y+2} - R_{y+1}
-    fwd = t * np.sqrt(y + 1.0) >= -3.0
-    if np.any(fwd):
-        i = np.flatnonzero(fwd)
-        i = i[np.argsort(y[i], kind="stable")]
-        yi, ti = y[i], t[i]
-        d = _norm_hazard(ti)[0]  # d_1
-        # step k takes d_k to d_{k+1} for the components with y >= k
-        for k, lo in enumerate(np.searchsorted(yi, np.arange(1.0, yi[-1] + 1.0)), 1):
-            d[lo:] = k / (ti[lo:] + d[lo:])
-        ratio[i], gap[i] = ti + d, (yi + 1.0) / (ti + d) - d
-    if not np.all(fwd):
-        i = np.flatnonzero(~fwd)
-        depth = y[i] + 16.0 + np.ceil((np.sqrt(y[i] + 2.0) - 7.0 / t[i]) ** 2)
-        steps = depth - y[i] - 2.0  # R_{K-1} down to R_{y+2}
-        order = np.argsort(-steps, kind="stable")
-        i, depth, steps = i[order], depth[order], steps[order]
-        ti = t[i]
-        s2 = ti * ti + 4.0 * depth
-        r = 2.0 * depth / (np.sqrt(s2) - ti) * (1.0 - 1.0 / s2)  # R_K
-        k = depth - 1.0
-        # step j runs the first n components, those with more than j steps
-        for n in np.searchsorted(-steps, -np.arange(steps[0])):
-            r[:n] = k[:n] / (r[:n] - ti[:n])
-            k[:n] -= 1.0
-        r_lo = (y[i] + 1.0) / (r - ti)
-        ratio[i], gap[i] = r_lo, r - r_lo
+    ratio, gap = trunc_gauss_ratios(y, (p_hat - tau_p) / sigma)
     return sigma * ratio, tau_p * ratio * gap
 
 

@@ -9,7 +9,8 @@ prior's denoiser refines the cavity into the next estimate.  The loop owns
 the estimate, the trace, the convergence test and the divergence test: each
 hand-over (beliefs on z, module B's posterior and its EP message, the cavity
 on x, the denoised x) passes ``gaussian.valid_moments`` or ends the solve
-``diverged``, with the last estimate that passed.
+``diverged``, with the last estimate that passed; so does an x moved while
+module B floored every message on z.
 
 Module B comes in two forms, which ``verify.check_equivalence`` compares:
 
@@ -271,6 +272,9 @@ def _iterate(problem, mode, config, step, monolithic):
     ``step`` supplies the beliefs on z, the cavity on x and the absorption
     of the denoised x; ``monolithic`` selects module B's form (see the
     module docstring).  Returns (solution PosteriorStats, IterationTrace).
+    Besides a failed hand-over, the solve ends ``diverged`` when module B
+    floors every EP message on z and x still moves by more than ``tol``:
+    module B told module A nothing, so the floors alone moved x.
     """
     channel, y, prior = problem.channel, problem.y, problem.prior
     x_hat = np.full(problem.model.n, prior.marginal_mean(), dtype=float)
@@ -301,13 +305,15 @@ def _iterate(problem, mode, config, step, monolithic):
                 and valid_moments(r, tau_r) and valid_moments(xstats.point, xstats.variance)):
             trace.diverged = True
             break
+        delta = np.linalg.norm(xstats.point - x_hat) / max(np.linalg.norm(xstats.point), 1e-300)
+        if ext.floored.all() and delta > config.tol:
+            trace.diverged = True
+            break
         floors += step.absorb_x(xstats, r, tau_r)
-        x_old = x_hat
         x_hat = xstats.point
         tau_x = np.maximum(xstats.variance, DEFAULT_VARIANCE_FLOOR)
 
         trace.floor_events += floors
-        delta = np.linalg.norm(x_hat - x_old) / max(np.linalg.norm(x_hat), 1e-300)
         trace.append(iter=it, x_hat=x_hat, tau_x=tau_x, p_hat=p_hat, tau_p=tau_p,
                      z0=stats.point, z_var=stats.variance, y_tilde=y_tilde,
                      sigma2_tilde=sigma2_tilde, floor_events=floors,

@@ -1,4 +1,5 @@
-"""Scalar Gaussian algebra: the library's one Gaussian product and one EP division.
+"""Scalar Gaussian algebra: the library's one Gaussian product, one EP division,
+one truncated-Gaussian recursion and one two-component mixture.
 
 This module owns the message format: a message's two moment fields are
 float64 arrays, converted once when it is built (a scalar becomes a 0-d
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx, expit, log_ndtr
 
 # The one floor for variances and for extrinsic precisions, used as is by
 # every module that floors.  An extrinsic precision below it is treated as
@@ -23,6 +25,12 @@ DEFAULT_VARIANCE_FLOOR = 1e-11
 
 # log sqrt(2 pi), the Gaussian density's normalizer, for every log-density
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+# Below this t the hazard phi(t)/Phi(t) is taken from erfcx and its excess
+# t + phi/Phi from MILLS_TERMS terms of the Mills-ratio continued fraction,
+# which are enough for rounding accuracy at t <= -8.
+HAZARD_TAIL_T = -8.0
+MILLS_TERMS = 24
 
 
 def valid_moments(mean, variance) -> bool:
@@ -109,3 +117,88 @@ def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief) -> Extrinsic
     lam = np.maximum(lam_raw, DEFAULT_VARIANCE_FLOOR)
     return ExtrinsicMessage(pseudo_mean=eta / lam, pseudo_variance=1.0 / lam,
                             floored=flagged)
+
+
+def mixture_moments(log_odds, mean1, var1, mean0, var0):
+    """(mean, variance) of w1 N(mean1, var1) + w0 N(mean0, var0), log(w1/w0) = log_odds.
+
+    The variance is w1 var1 + w0 var0 + w1 w0 (mean1 - mean0)^2, nonnegative
+    terms; E[x^2] - E[x]^2 cancels when the mean dwarfs the spread.
+    """
+    w1, w0 = expit(log_odds), expit(-log_odds)
+    return (w1 * mean1 + w0 * mean0,
+            w1 * var1 + w0 * var0 + w1 * w0 * (mean1 - mean0) ** 2)
+
+
+def _norm_hazard(t):
+    """The hazard r = phi(t) / Phi(t) and its excess t + r over -t.
+
+    Both come from log_ndtr down to HAZARD_TAIL_T.  Below it the log_ndtr
+    ratio loses digits and t + r cancels, so there r = sqrt(2/pi) /
+    erfcx(-t/sqrt(2)) and t + r = 1/(u + 2/(u + 3/(u + ...))), u = -t, the
+    Mills-ratio continued fraction run back from MILLS_TERMS terms.
+    """
+    t = np.asarray(t, dtype=float)
+    head = np.maximum(t, HAZARD_TAIL_T)  # the tail's values are replaced below
+    log_phi = -0.5 * head * head - _LOG_SQRT_2PI
+    r = np.exp(log_phi - log_ndtr(head))
+    excess = t + r
+    tail = t < HAZARD_TAIL_T
+    if np.any(tail):
+        u = -t[tail]
+        r, excess = np.array(r), np.array(excess)
+        r[tail] = np.sqrt(2.0 / np.pi) / erfcx(u / np.sqrt(2.0))
+        denom = u
+        for k in range(MILLS_TERMS, 1, -1):
+            denom = u + k / denom
+        excess[tail] = 1.0 / denom
+    return r, excess
+
+
+def trunc_gauss_ratios(count, t):
+    """Moment ratios of w^count N(w; t, 1) cut off at w > 0, by a recursion.
+
+    With J_k = int_0^inf w^k exp(-(w - t)^2/2) dw, the ratios R_k = J_k/J_{k-1}
+    obey R_1 = t + phi(t)/Phi(t) and R_{k+1} = t + k/R_k.  Returns R_{count+1}
+    and R_{count+2} - R_{count+1}: the density's mean is R_{count+1} and its
+    variance R_{count+1} (R_{count+2} - R_{count+1}).  ``count`` and ``t`` are
+    1-d float arrays of one length, ``count`` integer-valued and >= 0.
+
+    Where t sqrt(count + 1) >= -3 the recursion runs forward on the excess
+    d_k = R_k - t, which never forms t + k/R_k and amplifies rounding by at
+    most about e^6.  Elsewhere Miller's backward recursion R_k = k/(R_{k+1} - t)
+    runs down from the saddle-point value R_K ~ 2K/(s - t) (1 - 1/s^2),
+    s = sqrt(t^2 + 4K), whose relative error is O(1/s^4), at a depth
+    K = count + 16 + ceil((sqrt(count + 2) + 7/|t|)^2) that damps it below
+    rounding.  Components run their own number of steps: sorting them makes
+    the ones still running a contiguous slice, and each one's bits do not
+    depend on the others.
+    """
+    ratio, gap = np.empty_like(t), np.empty_like(t)  # R_{count+1}, R_{count+2} - R_{count+1}
+    fwd = t * np.sqrt(count + 1.0) >= -3.0
+    if np.any(fwd):
+        i = np.flatnonzero(fwd)
+        i = i[np.argsort(count[i], kind="stable")]
+        ci, ti = count[i], t[i]
+        d = _norm_hazard(ti)[0]  # d_1
+        # step k takes d_k to d_{k+1} for the components with count >= k
+        for k, lo in enumerate(np.searchsorted(ci, np.arange(1.0, ci[-1] + 1.0)), 1):
+            d[lo:] = k / (ti[lo:] + d[lo:])
+        ratio[i], gap[i] = ti + d, (ci + 1.0) / (ti + d) - d
+    if not np.all(fwd):
+        i = np.flatnonzero(~fwd)
+        depth = count[i] + 16.0 + np.ceil((np.sqrt(count[i] + 2.0) - 7.0 / t[i]) ** 2)
+        steps = depth - count[i] - 2.0  # R_{K-1} down to R_{count+2}
+        order = np.argsort(-steps, kind="stable")
+        i, depth, steps = i[order], depth[order], steps[order]
+        ti = t[i]
+        s2 = ti * ti + 4.0 * depth
+        r = 2.0 * depth / (np.sqrt(s2) - ti) * (1.0 - 1.0 / s2)  # R_K
+        k = depth - 1.0
+        # step j runs the first n components, those with more than j steps
+        for n in np.searchsorted(-steps, -np.arange(steps[0])):
+            r[:n] = k[:n] / (r[:n] - ti[:n])
+            k[:n] -= 1.0
+        r_lo = (count[i] + 1.0) / (r - ti)
+        ratio[i], gap[i] = r_lo, r - r_lo
+    return ratio, gap

@@ -1,9 +1,10 @@
 """Scalar input priors and their MMSE / MAP denoisers.
 
 Each prior answers the scalar model r = x + N(0, tau): SUM_PRODUCT mode
-returns the exact posterior mean and variance of x, MAX_SUM mode the
-posterior mode with its Laplace variance.  Everything is vectorized over
-(r, tau).
+returns the exact posterior mean and variance of x, for bg and laplace a
+two-component mixture (``gaussian.mixture_moments``; laplace's components
+are Gaussians cut off at 0, ``gaussian.trunc_gauss_ratios``), MAX_SUM mode
+the posterior mode with its Laplace variance.  All vectorized over (r, tau).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .channels import Mode, check_range
-from .gaussian import _LOG_SQRT_2PI, DEFAULT_VARIANCE_FLOOR, PosteriorStats, combine
+from .gaussian import (DEFAULT_VARIANCE_FLOOR, PosteriorStats, combine, mixture_moments,
+                       trunc_gauss_ratios)
 
 # The Laplace rate's range: the prior variance 2 / rate**2 then lies in
 # [2e-150, 2e150], where its square and reciprocal are finite normal doubles.
@@ -76,11 +78,6 @@ class GaussianPrior(InputPrior):
         return rng.normal(self.mean, np.sqrt(self.var), size=n)
 
 
-def _logsumexp2(a, b):
-    m = np.maximum(a, b)
-    return m + np.log(np.exp(a - m) + np.exp(b - m))
-
-
 @dataclass(frozen=True)
 class BernoulliGaussianPrior(InputPrior):
     """Spike-and-slab: x = 0 w.p. 1 - rho, else N(mean, var)."""
@@ -100,16 +97,13 @@ class BernoulliGaussianPrior(InputPrior):
         r = np.asarray(r, dtype=float)
         tau = np.asarray(tau, dtype=float) + 0.0 * r
         m1, v1 = combine(self.mean, self.var, r, tau)  # the slab's posterior
-        # log evidence of slab vs spike under the pseudo-measurement
+        # log evidence of slab and spike, less their shared log sqrt(2 pi)
         log_z1 = np.log(self.rho) - 0.5 * (r - self.mean) ** 2 / (self.var + tau) \
-            - 0.5 * np.log(self.var + tau) - _LOG_SQRT_2PI
+            - 0.5 * np.log(self.var + tau)
         log_z0 = np.log1p(-self.rho) - 0.5 * r ** 2 / tau \
-            - 0.5 * np.log(tau) - _LOG_SQRT_2PI if self.rho < 1.0 else np.full_like(r, -np.inf)
+            - 0.5 * np.log(tau) if self.rho < 1.0 else np.full_like(r, -np.inf)
         if mode is Mode.SUM_PRODUCT:
-            pi = np.exp(log_z1 - _logsumexp2(log_z1, log_z0))
-            point = pi * m1
-            second = pi * (m1 ** 2 + v1)
-            var = second - point ** 2
+            point, var = mixture_moments(log_z1 - log_z0, m1, v1, 0.0, 0.0)
             return PosteriorStats(point=point, variance=np.maximum(var, 1e-300))
         # MAX_SUM: compare the penalized objective of the slab mode vs x = 0.
         # The spike is scored with its mixture weight as a point mass.
@@ -132,17 +126,6 @@ class BernoulliGaussianPrior(InputPrior):
         return np.where(active, rng.normal(self.mean, np.sqrt(self.var), size=n), 0.0)
 
 
-def _trunc_gauss_moments(alpha, log_sf):
-    """Mean/variance of a standard Gaussian truncated to (alpha, inf).
-
-    ``log_sf`` is log P(X > alpha) = log_ndtr(-alpha), which the caller has.
-    """
-    h = np.exp(-0.5 * alpha ** 2 - _LOG_SQRT_2PI - log_sf)
-    mean = h
-    var = 1.0 + alpha * h - h ** 2
-    return mean, var
-
-
 @dataclass(frozen=True)
 class LaplacePrior(InputPrior):
     """x ~ Laplace(rate); density (rate/2) exp(-rate |x|)."""
@@ -162,27 +145,16 @@ class LaplacePrior(InputPrior):
             # the prior is piecewise linear: Laplace curvature is zero away
             # from the kink, and by convention also at the kink
             return PosteriorStats(point=point, variance=tau)
-        # exact posterior: mixture of two one-sided truncated Gaussians
-        lam = self.rate
-        s = np.sqrt(tau)
-        mu_p = r - lam * tau  # x > 0 branch center
-        mu_n = r + lam * tau  # x < 0 branch center
-        log_cdf_p = log_ndtr(mu_p / s)
-        log_cdf_n = log_ndtr(-mu_n / s)
-        log_w_p = -lam * r + 0.5 * lam ** 2 * tau + log_cdf_p
-        log_w_n = lam * r + 0.5 * lam ** 2 * tau + log_cdf_n
-        wp = np.exp(log_w_p - _logsumexp2(log_w_p, log_w_n))
-        wn = 1.0 - wp
-        # branch moments: N(mu, tau) truncated to x > 0 (resp. x < 0)
-        mp, vp = _trunc_gauss_moments(-mu_p / s, log_cdf_p)
-        mean_p = mu_p + s * mp
-        var_p = tau * vp
-        mn, vn = _trunc_gauss_moments(mu_n / s, log_cdf_n)
-        mean_n = mu_n - s * mn
-        var_n = tau * vn
-        point = wp * mean_p + wn * mean_n
-        second = wp * (var_p + mean_p ** 2) + wn * (var_n + mean_n ** 2)
-        var = second - point ** 2
+        # exact posterior: N(r -+ rate tau, tau) cut off at x > 0 (x < 0), or in
+        # units of s = sqrt(tau), the second mirrored, N(w; t, 1) on w > 0
+        lam, s = self.rate, np.sqrt(tau)
+        t = np.stack([(r - lam * tau) / s, -(r + lam * tau) / s])
+        ratio, gap = (a.reshape(t.shape) for a in trunc_gauss_ratios(np.zeros(t.size), t.ravel()))
+        # the branch weights are exp(-+rate r + rate^2 tau / 2) Phi(t)
+        log_cdf = log_ndtr(t)
+        point, var = mixture_moments(log_cdf[0] - log_cdf[1] - 2.0 * lam * r,
+                                     s * ratio[0], tau * ratio[0] * gap[0],
+                                     -s * ratio[1], tau * ratio[1] * gap[1])
         return PosteriorStats(point=point, variance=np.maximum(var, 1e-300))
 
     def marginal_mean(self):

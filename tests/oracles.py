@@ -162,3 +162,48 @@ def poisson_tilted_moments_mp(y, mean, var, dps=30):
         r1 = (y + 1) * d[1] / d[0]  # J_{y+1} / J_y
         r2 = (y + 2) * d[2] / d[1]  # J_{y+2} / J_{y+1}
         return float(sigma * r1), float(var * r1 * (r2 - r1))
+
+
+def _trunc_normal_mp(mu, var):
+    """(log Z, mean, second moment) of N(mu, var) cut off at x > 0, in mpmath."""
+    import mpmath
+
+    s = mpmath.sqrt(var)
+    t = mu / s
+    z = mpmath.ncdf(t)
+    h = mpmath.npdf(t) / z  # the hazard phi(t)/Phi(t)
+    mean = mu + s * h
+    return mpmath.log(z), mean, mean * mean + var * (1 - h * (t + h))
+
+
+def laplace_mmse_mp(rate, r, tau, dps=40):
+    """Posterior mean and variance of x ~ Laplace(rate) under r = x + N(0, tau).
+
+    The posterior is a mixture of N(r - rate tau, tau) cut off at x > 0 and
+    N(r + rate tau, tau) cut off at x < 0, weighted by
+    exp(-+rate r + rate^2 tau / 2) times each one's mass, all at ``dps`` digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lam, r, tau = mpmath.mpf(rate), mpmath.mpf(r), mpmath.mpf(tau)
+        lz_p, m_p, s_p = _trunc_normal_mp(r - lam * tau, tau)
+        lz_n, m_n, s_n = _trunc_normal_mp(-r - lam * tau, tau)  # of -x
+        w_p = 1 / (1 + mpmath.exp(lz_n - lz_p + 2 * lam * r))
+        mean = w_p * m_p - (1 - w_p) * m_n
+        return float(mean), float(w_p * s_p + (1 - w_p) * s_n - mean * mean)
+
+
+def bg_mmse_mp(rho, mean, var, r, tau, dps=40):
+    """Posterior mean and variance of x ~ bg(rho, mean, var) under r = x + N(0, tau)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rho, mean, var, r, tau = (mpmath.mpf(v) for v in (rho, mean, var, r, tau))
+        z1 = rho * mpmath.npdf(r, mean, mpmath.sqrt(var + tau))
+        z0 = (1 - rho) * mpmath.npdf(r, 0, mpmath.sqrt(tau))
+        pi = z1 / (z1 + z0)
+        v1 = 1 / (1 / var + 1 / tau)
+        m1 = v1 * (mean / var + r / tau)
+        point = pi * m1
+        return float(point), float(pi * (m1 * m1 + v1) - point * point)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import json
@@ -154,7 +155,9 @@ class TestSolve:
          "--engine", "modular", "--mode", "map"],
     ], ids=["laplace-poisson", "gaussian-prior-corner", "gaussian-prior-corner-map"])
     def test_formerly_raising_solve_exits_1_diverged(self, capsys, argv):
-        with np.errstate(all="ignore"):
+        # the gaussian-prior corner still overflows eta / lam (ROADMAP 3(d))
+        corner = any(arg.startswith("gaussian(") for arg in argv)
+        with np.errstate(all="ignore") if corner else contextlib.nullcontext():
             code, out, _ = _run(capsys, "solve", *argv)
         assert code == 1 and json.loads(out)["diverged"] is True
 

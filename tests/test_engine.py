@@ -383,13 +383,12 @@ class TestWorkerLifetime:
         assert [w.submitted > 0 for w in workers] == [True, True]
 
     def test_no_thread_outlives_a_solve_that_diverges(self, workers, monkeypatch):
-        # Laplace-prior Poisson MMSE diverges on every engine (ROADMAP 3(c))
+        # Laplace-prior Poisson MMSE diverges on both amp engines (ROADMAP 3(b))
         prob = _generated("laplace(lambda=1)", "poisson()")
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
         before = threading.active_count()
         for solver in AMP_SOLVERS:
-            with np.errstate(all="ignore"):
-                _, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            _, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
             assert trace.diverged, solver
             assert threading.active_count() == before, solver
         assert [w.submitted > 0 for w in workers] == [True, True]
@@ -486,24 +485,62 @@ class TestHandOverTests:
 
 # The cells of the 72-cell grid (``scripts/trace_digest.py``) that ended in
 # ``ValueError: PosteriorStats: mean must be finite`` while every message
-# checked itself; each now ends ``diverged`` (ROADMAP 2 and 3(c) own the cause).
-FORMERLY_RAISING = (
-    [(channel, "mmse", "modular-exact") for channel in
-     ("awgn(var=0.1)", "probit(scale=0.3)", "poisson()", "logistic(scale=0.3)")]
-    + [("poisson()", "mmse", "gamp"), ("poisson()", "mmse", "modular-amp"),
-       ("poisson()", "map", "modular-amp")])
+# checked itself.  These laplace+poisson ones now end ``diverged`` when module B
+# floors every EP message on z while x still moves (ROADMAP 3(b)).
+FORMERLY_RAISING = [("poisson()", "mmse", "gamp"), ("poisson()", "mmse", "modular-amp"),
+                    ("poisson()", "map", "modular-amp")]
+
+
+def _laplace_cell(channel, seed):
+    return generate_problem(64, 128, parse_prior("laplace(lambda=1)"),
+                            parse_channel(channel), seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("channel, mode, solver", FORMERLY_RAISING,
                          ids=["|".join(cell) for cell in FORMERLY_RAISING])
 def test_formerly_raising_cell_ends_diverged(channel, mode, solver, seed):
-    prob = generate_problem(64, 128, parse_prior("laplace(lambda=1)"),
-                            parse_channel(channel), seed)
-    with np.errstate(all="ignore"):
-        solution, trace = SOLVERS[solver](prob, Mode(mode), SolverConfig())
+    solution, trace = SOLVERS[solver](_laplace_cell(channel, seed), Mode(mode), SolverConfig())
     assert trace.diverged and not trace.converged and len(trace) >= 1
     assert np.isfinite(solution.point).all() and (solution.variance > 0).all()
+
+
+# This cell used to run to max_iter, to ||x_hat|| ~ 1e13.
+@pytest.mark.parametrize("seed", [0, 1])
+def test_laplace_poisson_map_gamp_ends_diverged(seed):
+    solution, trace = run_gamp(_laplace_cell("poisson()", seed), Mode.MAX_SUM, SolverConfig())
+    assert trace.diverged and not trace.converged and len(trace) <= 6
+    assert np.isfinite(solution.point).all()
+
+
+# With every count 0, module B floors every message on z, but x stays at the
+# prior mode: the divergence test must let it converge.
+def test_all_floored_messages_that_leave_x_still_converge():
+    prob = generate_problem(8, 4, parse_prior("bg(rho=0.1,mean=0,var=1)"),
+                            parse_channel("poisson()"), 0)
+    for solver in SOLVERS:
+        _, trace = SOLVERS[solver](prob, Mode.MAX_SUM, SolverConfig())
+        assert trace.converged and not trace.diverged, solver
+
+
+# Formerly raising, then ``diverged`` while the Laplace MMSE denoiser
+# overflowed: the modular-exact cells converge, to GAMP's NMSE on the channels
+# where GAMP converges, and below 1 (the prior mean's) on poisson, where GAMP
+# diverges.
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("channel", ["awgn(var=0.1)", "probit(scale=0.3)", "poisson()",
+                                     "logistic(scale=0.3)"])
+def test_laplace_mmse_modular_exact_cell_converges(channel, seed):
+    prob = _laplace_cell(channel, seed)
+    solution, trace = run_modular(prob, Mode.SUM_PRODUCT, SolverConfig())
+    assert trace.converged and not trace.diverged
+    err = nmse(solution.point, prob.x_true)
+    if channel == "poisson()":
+        assert err < 1.0
+    else:
+        gamp, gamp_trace = run_gamp(prob, Mode.SUM_PRODUCT, SolverConfig())
+        assert gamp_trace.converged
+        assert err == pytest.approx(nmse(gamp.point, prob.x_true), rel=0.05)
 
 
 def _conditioned(kappa, m=256, n=128):

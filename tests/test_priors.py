@@ -7,7 +7,7 @@ from glmamp import priors
 from glmamp.channels import Mode
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
 
-from oracles import grid_moments
+from oracles import bg_mmse_mp, grid_moments, laplace_mmse_mp
 
 
 def _prior_logpdf(prior, x):
@@ -66,6 +66,19 @@ class TestLaplacePrior:
             assert abs(st_.variance - v_o) <= 1e-6 * scale ** 2
 
 
+    # ROADMAP item 12's tempered points, LaplacePrior(beta) at tau / beta: the
+    # branches' t reach +-3e4 and the mean can dwarf the spread by 1e9
+    @pytest.mark.parametrize("beta", [1.0, 1e2, 1e4, 1e6])
+    def test_mmse_against_mpmath(self, beta):
+        rng = np.random.default_rng(0)
+        r = rng.uniform(-3.0, 3.0, 60)
+        tau = np.exp(rng.uniform(np.log(0.01), np.log(10.0), 60)) / beta
+        st_ = LaplacePrior(beta).denoise(Mode.SUM_PRODUCT, r, tau)
+        ref = np.array([laplace_mmse_mp(beta, *point) for point in zip(r, tau)])
+        np.testing.assert_allclose(st_.variance, ref[:, 1], rtol=1e-12, atol=0)
+        assert np.all(np.abs(st_.point - ref[:, 0]) <= 1e-13 * (np.sqrt(tau) + np.abs(r)))
+
+
 def test_laplace_mmse_evaluates_log_ndtr_on_2n_values(monkeypatch):
     evaluated = []
     log_ndtr = priors.log_ndtr
@@ -81,6 +94,18 @@ def test_laplace_mmse_evaluates_log_ndtr_on_2n_values(monkeypatch):
 
 
 class TestBernoulliGaussianPrior:
+    # r across the spike's reach, where both components weigh in, and the slab's
+    @pytest.mark.parametrize("prior", [BernoulliGaussianPrior(0.1, 0.0, 1.0),
+                                       BernoulliGaussianPrior(0.25, 0.5, 2.0)])
+    @pytest.mark.parametrize("tau", [1e-2, 1e-5, 1e-8, 1e-11])
+    def test_mmse_against_mpmath(self, prior, tau):
+        r = np.concatenate([np.sqrt(tau) * np.linspace(-8.0, 8.0, 33),
+                            prior.mean + np.sqrt(prior.var) * np.linspace(-3.0, 3.0, 7)])
+        st_ = prior.denoise(Mode.SUM_PRODUCT, r, np.full_like(r, tau))
+        ref = np.array([bg_mmse_mp(prior.rho, prior.mean, prior.var, ri, tau) for ri in r])
+        np.testing.assert_allclose(st_.variance, ref[:, 1], rtol=1e-13, atol=0)
+        assert np.all(np.abs(st_.point - ref[:, 0]) <= 1e-13 * (np.sqrt(tau) + np.abs(r)))
+
     def test_symmetric_point_zero(self):
         prior = BernoulliGaussianPrior(0.1, 0.0, 1.0)
         st_ = prior.denoise(Mode.SUM_PRODUCT, 0.0, 1.0)
