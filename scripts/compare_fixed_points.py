@@ -14,10 +14,11 @@ marks with ``unconverged`` a cell whose new solves did not all converge, so
 that its distance is one between end iterates, not fixed points.  Cells saved
 on one side only (the other raised) are listed as ``only in OLD``/``NEW``.
 
-The last line sums up the gate: the largest ``dist`` over converged cells and
-over unconverged ones, each with its cell, the number of cells whose solutions
-moved at all (``dist > 0``), the number whose iteration counts or flags
-changed, and the number found on one side only.
+The last line sums up the gate: the largest finite ``dist`` over converged
+cells and over unconverged ones, each with its cell, the number of cells whose
+solutions moved at all (``dist > 0``, or not finite: a NaN or inf point on
+either side), the number whose iteration counts or flags changed, the number
+found on one side only, and the cells whose ``dist`` is not finite.
 
     python scripts/trace_digest.py --seed 0 --save old/   # on each build
     python scripts/compare_fixed_points.py old/ new/
@@ -32,14 +33,15 @@ FLAGS = ("converged", "diverged", "floor_events")
 
 
 def _rel(new, old):
-    return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
+    with np.errstate(invalid="ignore", over="ignore"):  # reported as non-finite
+        return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
 
 
 def compare(old: dict, new: dict) -> tuple[float, bool, str]:
     """Distance, whether iterations or flags changed, and the report line body
     for a cell saved in both runs."""
-    dist = max(_rel(new[k][i], old[k][i])
-               for k in ("point", "variance") for i in range(len(old["point"])))
+    dist = float(np.max([_rel(new[k][i], old[k][i])  # np.max keeps a NaN
+                         for k in ("point", "variance") for i in range(len(old["point"]))]))
     iters_old, iters_new, delta = (",".join(str(n) for n in counts) for counts in (
         old["iterations"], new["iterations"], new["iterations"] - old["iterations"]))
     notes = [f"{k} {old[k].tolist()}->{new[k].tolist()}"
@@ -52,10 +54,11 @@ def compare(old: dict, new: dict) -> tuple[float, bool, str]:
 
 
 def _largest(dists: dict) -> str:
-    if not dists:
+    finite = {cell: d for cell, d in dists.items() if np.isfinite(d)}
+    if not finite:
         return "none"
-    cell = max(dists, key=dists.get)
-    return f"{dists[cell]:.2e} ({cell})"
+    cell = max(finite, key=finite.get)
+    return f"{finite[cell]:.2e} ({cell})"
 
 
 def main():
@@ -80,10 +83,13 @@ def main():
                 dists[bool(np.all(new["converged"]))][cell] = dist
             changed += differs
             print(f"{cell} {line}".rstrip())
-    moved = sum(d > 0 for side in dists.values() for d in side.values())
+    every = {**dists[True], **dists[False]}
+    non_finite = sorted(cell for cell, d in every.items() if not np.isfinite(d))
+    moved = sum(d > 0 or not np.isfinite(d) for d in every.values())
     print(f"summary: max dist converged={_largest(dists[True])} "
           f"unconverged={_largest(dists[False])} moved={moved} changed={changed} "
-          f"one-sided={len(old_cells ^ new_cells)}")
+          f"one-sided={len(old_cells ^ new_cells)} "
+          f"non-finite={','.join(non_finite) or 'none'}")
 
 
 if __name__ == "__main__":

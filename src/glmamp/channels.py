@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import log_ndtr
 
-from .gaussian import (_LOG_SQRT_2PI, GaussianBelief, PosteriorStats, _norm_hazard, combine,
-                       trunc_gauss_ratios)
+from .gaussian import (_LOG_SQRT_2PI, POSTERIOR_VARIANCE_FLOOR, GaussianBelief,
+                       PosteriorStats, _norm_hazard, combine, trunc_gauss_ratios)
 
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
 # or below the z = 0 boundary (only possible for y = 0).
@@ -441,7 +441,7 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
         scale = np.sqrt(tau_p) + np.abs(p_hat)
         mean, var = _adaptive_gh(log_target, center, sigma, scale)
 
-    var = np.maximum(var, 1e-300)
+    var = np.maximum(var, POSTERIOR_VARIANCE_FLOOR)
     return PosteriorStats(point=mean.reshape(shape), variance=var.reshape(shape))
 
 

@@ -198,9 +198,9 @@ def positive_int(text) -> int:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--damping", type=float, default=None)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--damping", type=float, default=SolverConfig.damping)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slm-backend", choices=SLM_BACKENDS,
                    default=SolverConfig.slm_backend,

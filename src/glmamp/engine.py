@@ -1,4 +1,4 @@
-"""GLM solvers: one iteration loop with a swappable module A and module B.
+"""GLM solvers: one iteration loop with a swappable module A.
 
 Every engine runs the same loop, ``_iterate``.  Each iteration, module A
 turns the current estimate of x into Gaussian beliefs N(p_hat, tau_p) on
@@ -8,17 +8,16 @@ module A turns these into a Gaussian cavity N(r, tau_r) on x, and the
 prior's denoiser refines the cavity into the next estimate.  The loop owns
 the estimate, the trace, the convergence test and the divergence test: each
 hand-over (beliefs on z, module B's posterior and its EP message, the cavity
-on x, the denoised x) passes ``gaussian.valid_moments`` or ends the solve
-``diverged``, with the last estimate that passed; so does an x moved while
-module B floored every message on z.
+on x, the denoised x) passes ``gaussian.valid_moments`` before its reader
+runs, or the solve ends ``diverged`` with the last estimate that passed; so
+does an x moved while module B floored every message on z.
 
-Module B comes in two forms, which ``verify.check_equivalence`` compares:
-
-* monolithic (``run_gamp``) -- the channel's output score in the requested
-  mode, from ``g_out_with_stats``;
-* modular (``run_modular``) -- the scalar posterior (``posterior_mmse`` or
-  ``posterior_map``) followed by ``ep_extrinsic``; module A sees only the
-  resulting pseudo-observations.
+Module B is one chain for every engine: ``g_out_with_stats`` (the MMSE
+posterior, or the MAP point with its Laplace variance, and the channel's
+output score) then ``ep_extrinsic``.  The engines differ only in the score
+module A gets, which ``verify.check_equivalence`` compares: ``run_gamp``
+passes the channel's score, ``run_modular`` the closed-form AWGN score of
+the EP pseudo-observations (``awgn_g_out``), so module A sees only those.
 
 Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
 (``run_modular`` takes ``SolverConfig.slm_backend``, ``run_gamp`` ``"amp"``):
@@ -48,8 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (Mode, OutputChannel, awgn_g_out, g_out_with_stats,
-                       posterior_map, posterior_mmse)
+from .channels import Mode, OutputChannel, awgn_g_out, g_out_with_stats
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic, valid_moments)
 from .priors import InputPrior
@@ -186,10 +184,8 @@ class _AmpStep:
         tau_p = np.maximum(A2tau, DEFAULT_VARIANCE_FLOOR)
         return Ax - tau_p * self.s, tau_p, 0
 
-    def x_cavity(self, x_hat, belief, ext, score):
-        # the monolithic module B hands over its score; the modular one only
-        # its pseudo-observations, which the closed-form AWGN score consumes
-        val, nd = awgn_g_out(ext, belief) if score is None else score
+    def x_cavity(self, x_hat, ext, score):
+        val, nd = score
         damp = self.damp
         self.s = damp * val + (1.0 - damp) * self.s
         self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
@@ -250,7 +246,7 @@ class _ExactStep:
         floored = np.count_nonzero(ext.floored) + np.count_nonzero(self.cavity.floored)
         return ext.pseudo_mean, ext.pseudo_variance, held + int(floored)
 
-    def x_cavity(self, x_hat, belief, ext, score):
+    def x_cavity(self, x_hat, ext, score):
         self.lam_z, self.eta_z = _absorb(self.lam_z, self.eta_z, ext, self.damp)
         y_tilde, sigma2_tilde, _ = self._pseudo_z()
         return (self.cavity.pseudo_mean, self.cavity.pseudo_variance,
@@ -270,11 +266,11 @@ def _iterate(problem, mode, config, step, monolithic):
     """The GLM loop: module A ``step``, module B, the prior's denoiser.
 
     ``step`` supplies the beliefs on z, the cavity on x and the absorption
-    of the denoised x; ``monolithic`` selects module B's form (see the
-    module docstring).  Returns (solution PosteriorStats, IterationTrace).
-    Besides a failed hand-over, the solve ends ``diverged`` when module B
-    floors every EP message on z and x still moves by more than ``tol``:
-    module B told module A nothing, so the floors alone moved x.
+    of the denoised x; ``monolithic`` picks the score it gets (see the module
+    docstring).  Returns (solution PosteriorStats, IterationTrace).  Besides
+    a failed hand-over, the solve ends ``diverged`` when module B floors
+    every EP message on z and x still moves by more than ``tol``: module B
+    told module A nothing, so the floors alone moved x.
     """
     channel, y, prior = problem.channel, problem.y, problem.prior
     x_hat = np.full(problem.model.n, prior.marginal_mean(), dtype=float)
@@ -284,30 +280,26 @@ def _iterate(problem, mode, config, step, monolithic):
     for it in range(config.max_iter):
         p_hat, tau_p, floors = step.z_belief(x_hat, tau_x)
         if not valid_moments(p_hat, tau_p):
-            trace.diverged = True
             break
 
         # module B: scalar refinement through the likelihood, then EP division
         belief = GaussianBelief(p_hat, tau_p)
-        if monolithic:
-            val, nd, stats = g_out_with_stats(channel, mode, y, belief)
-            score = (val, nd)
-        else:
-            post = posterior_mmse if mode is Mode.SUM_PRODUCT else posterior_map
-            stats, score = post(channel, y, belief), None
+        val, nd, stats = g_out_with_stats(channel, mode, y, belief)
         ext = ep_extrinsic(stats, belief)
+        if not (valid_moments(stats.point, stats.variance)
+                and valid_moments(ext.pseudo_mean, ext.pseudo_variance)):
+            break
         floors += int(np.count_nonzero(ext.floored))
 
-        r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, belief, ext, score)
+        score = (val, nd) if monolithic else awgn_g_out(ext, belief)
+        r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, ext, score)
+        if not valid_moments(r, tau_r):
+            break
         xstats = prior.denoise(mode, r, tau_r)
-        if not (valid_moments(stats.point, stats.variance)
-                and valid_moments(ext.pseudo_mean, ext.pseudo_variance)
-                and valid_moments(r, tau_r) and valid_moments(xstats.point, xstats.variance)):
-            trace.diverged = True
+        if not valid_moments(xstats.point, xstats.variance):
             break
         delta = np.linalg.norm(xstats.point - x_hat) / max(np.linalg.norm(xstats.point), 1e-300)
         if ext.floored.all() and delta > config.tol:
-            trace.diverged = True
             break
         floors += step.absorb_x(xstats, r, tau_r)
         x_hat = xstats.point
@@ -321,6 +313,8 @@ def _iterate(problem, mode, config, step, monolithic):
         if it >= 2 and delta < config.tol:
             trace.converged = True
             break
+    # a loop that stopped short of max_iter without converging failed a test
+    trace.diverged = not trace.converged and len(trace) < config.max_iter
     return PosteriorStats(point=x_hat, variance=tau_x), trace
 
 

@@ -17,11 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, expit, log_ndtr
 
-# The one floor for variances and for extrinsic precisions, used as is by
-# every module that floors.  An extrinsic precision below it is treated as
-# degenerate: it is floored and the message flagged, which caps the
-# pseudo-variance at 1/DEFAULT_VARIANCE_FLOOR.
+# The floor for extrinsic precisions and for the variances the loop and
+# module A carry (tau_p, tau_x, pseudo-variances, the SLM posterior).  An
+# extrinsic precision below it is floored and the message flagged, which caps
+# the pseudo-variance at 1/DEFAULT_VARIANCE_FLOOR.
 DEFAULT_VARIANCE_FLOOR = 1e-11
+
+# A scalar module's posterior variance (channels.posterior_mmse, the bg and
+# Laplace MMSE denoisers) is held here, far below the floor above, only so
+# that one which underflows to 0 still passes valid_moments (variance > 0).
+POSTERIOR_VARIANCE_FLOOR = 1e-300
 
 # log sqrt(2 pi), the Gaussian density's normalizer, for every log-density
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .channels import Mode, check_range
-from .gaussian import (DEFAULT_VARIANCE_FLOOR, PosteriorStats, combine, mixture_moments,
-                       trunc_gauss_ratios)
+from .gaussian import (DEFAULT_VARIANCE_FLOOR, POSTERIOR_VARIANCE_FLOOR, PosteriorStats,
+                       combine, mixture_moments, trunc_gauss_ratios)
 
 # The Laplace rate's range: the prior variance 2 / rate**2 then lies in
 # [2e-150, 2e150], where its square and reciprocal are finite normal doubles.
@@ -104,7 +104,7 @@ class BernoulliGaussianPrior(InputPrior):
             - 0.5 * np.log(tau) if self.rho < 1.0 else np.full_like(r, -np.inf)
         if mode is Mode.SUM_PRODUCT:
             point, var = mixture_moments(log_z1 - log_z0, m1, v1, 0.0, 0.0)
-            return PosteriorStats(point=point, variance=np.maximum(var, 1e-300))
+            return PosteriorStats(point=point, variance=np.maximum(var, POSTERIOR_VARIANCE_FLOOR))
         # MAX_SUM: compare the penalized objective of the slab mode vs x = 0.
         # The spike is scored with its mixture weight as a point mass.
         j1 = np.log(self.rho) - 0.5 * (m1 - self.mean) ** 2 / self.var \
@@ -155,7 +155,7 @@ class LaplacePrior(InputPrior):
         point, var = mixture_moments(log_cdf[0] - log_cdf[1] - 2.0 * lam * r,
                                      s * ratio[0], tau * ratio[0] * gap[0],
                                      -s * ratio[1], tau * ratio[1] * gap[1])
-        return PosteriorStats(point=point, variance=np.maximum(var, 1e-300))
+        return PosteriorStats(point=point, variance=np.maximum(var, POSTERIOR_VARIANCE_FLOOR))
 
     def marginal_mean(self):
         return 0.0

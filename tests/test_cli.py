@@ -15,6 +15,7 @@ from scipy.stats import spearmanr
 import glmamp
 from glmamp import cli
 from glmamp.cli import main
+from glmamp.engine import SolverConfig
 from glmamp.gaussian import PosteriorStats
 from glmamp.priors import GaussianPrior
 from glmamp.problems import load_problem
@@ -90,6 +91,11 @@ class TestSolve:
         assert len(lines) == summary["iterations"]
         assert json.loads(out)["nmse"] == summary["nmse"]
 
+    def test_solver_flag_defaults_are_solver_config_defaults(self):
+        args = cli.build_parser().parse_args(["solve"])
+        assert SolverConfig(max_iter=args.max_iter, tol=args.tol, damping=args.damping,
+                            slm_backend=args.slm_backend) == SolverConfig()
+
     def test_solve_from_disk_matches_inline(self, tmp_path, capsys):
         gen = ["gen", "--n", "16", "--m", "32", "--prior", "gaussian(mean=0,var=1)",
                "--channel", "awgn(var=0.1)", "--seed", "1",
@@ -157,7 +163,7 @@ class TestSolve:
     def test_formerly_raising_solve_exits_1_diverged(self, capsys, argv):
         # the gaussian-prior corner still overflows eta / lam (ROADMAP 3(d))
         corner = any(arg.startswith("gaussian(") for arg in argv)
-        with np.errstate(all="ignore") if corner else contextlib.nullcontext():
+        with np.errstate(over="ignore") if corner else contextlib.nullcontext():
             code, out, _ = _run(capsys, "solve", *argv)
         assert code == 1 and json.loads(out)["diverged"] is True
 

@@ -12,7 +12,7 @@ from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
 from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
                            nmse, run_gamp, run_modular)
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
-                             ep_extrinsic)
+                             ep_extrinsic, valid_moments)
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
 from glmamp.problems import generate_problem, observe
 from glmamp.slm import LinearModel, SlmResult
@@ -175,7 +175,7 @@ class TestModular:
         # the 8 held pseudo-variances count as floor events
         assert floors == 8 + np.count_nonzero(step.res.z_extrinsic.floored)
         # and the cavity reports the pseudo-variances module A used
-        sigma2_tilde = step.x_cavity(None, None, step.res.z_extrinsic, None)[3]
+        sigma2_tilde = step.x_cavity(None, step.res.z_extrinsic, None)[3]
         assert np.all(sigma2_tilde >= DEFAULT_VARIANCE_FLOOR)
 
     def test_exact_backend_counts_floored_x_cavity(self):
@@ -188,7 +188,7 @@ class TestModular:
         _, _, floors = step.z_belief(np.zeros(64), np.ones(64))
         assert not np.any(step.res.z_extrinsic.floored)
         assert floors == len(raised)
-        r, tau_r, _, _ = step.x_cavity(None, None, step.res.z_extrinsic, None)
+        r, tau_r, _, _ = step.x_cavity(None, step.res.z_extrinsic, None)
         assert np.flatnonzero(tau_r == 1.0 / DEFAULT_VARIANCE_FLOOR).tolist() == raised
         assert np.all(np.isfinite(r))
 
@@ -405,8 +405,8 @@ class TestWorkerLifetime:
                 return fn(*args)
             return module_b
 
-        for name in ("g_out_with_stats", "posterior_mmse"):
-            monkeypatch.setattr(engine, name, raising_after_first_call(getattr(engine, name)))
+        monkeypatch.setattr(engine, "g_out_with_stats",
+                            raising_after_first_call(engine.g_out_with_stats))
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
         prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)")
         before = threading.active_count()
@@ -453,8 +453,6 @@ def _inject(monkeypatch, boundary, prior, field, value):
     elif boundary == "module_b":
         monkeypatch.setattr(engine, "g_out_with_stats", _injecting(
             engine.g_out_with_stats, lambda out: (*out[:2], moments(out[2]))))
-        for name in ("posterior_mmse", "posterior_map"):
-            monkeypatch.setattr(engine, name, _injecting(getattr(engine, name), moments))
     else:
         monkeypatch.setattr(type(prior), "denoise",
                             _injecting(type(prior).denoise, moments))
@@ -481,6 +479,48 @@ class TestHandOverTests:
         assert len(trace) == INJECT_AT
         np.testing.assert_array_equal(solution.point, trace.records[-1]["x_hat"])
         np.testing.assert_array_equal(solution.variance, trace.records[-1]["tau_x"])
+
+    # each hand-over is tested before the module that reads it, so the reader
+    # runs only in the iterations before the corrupted one, on valid moments
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("field, value", [("mean", v) for v in BAD_MEANS]
+                             + [("variance", v) for v in BAD_VARIANCES])
+    def test_denoiser_never_reads_a_bad_cavity(self, monkeypatch, solver, field, value):
+        prob = _generated("gaussian(mean=0,var=1)", "probit(scale=0.3)", n=32)
+        _inject(monkeypatch, "x_cavity", prob.prior, field, value)
+        seen = _reading(monkeypatch, [type(prob.prior)], "denoise",
+                        lambda mode, r, tau: (r, tau))
+        with np.errstate(all="ignore"):
+            SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+        assert seen == [True] * INJECT_AT
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("field, value", [("mean", v) for v in BAD_MEANS]
+                             + [("variance", v) for v in BAD_VARIANCES])
+    def test_module_a_never_reads_a_bad_ep_message(self, monkeypatch, solver, field, value):
+        prob = _generated("gaussian(mean=0,var=1)", "probit(scale=0.3)", n=32)
+        _inject(monkeypatch, "module_b", prob.prior, field, value)
+        seen = _reading(monkeypatch, engine.SLM_BACKENDS.values(), "x_cavity",
+                        lambda x_hat, ext, score: (ext.pseudo_mean, ext.pseudo_variance))
+        with np.errstate(all="ignore"):
+            SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+        assert seen == [True] * INJECT_AT
+
+
+def _reading(monkeypatch, classes, name, moments):
+    """Spy on method ``name`` of ``classes``: one entry per call, whether the
+    hand-over ``moments(*args)`` picks from its arguments is valid."""
+    seen = []
+
+    def spying(fn):
+        def spy(self, *args):
+            seen.append(valid_moments(*moments(*args)))
+            return fn(self, *args)
+        return spy
+
+    for cls in classes:
+        monkeypatch.setattr(cls, name, spying(getattr(cls, name)))
+    return seen
 
 
 # The cells of the 72-cell grid (``scripts/trace_digest.py``) that ended in

@@ -31,11 +31,11 @@ def test_run_equivalence(backend):
     assert f"(backend={backend})" in out
 
 
-def _save_cell(directory, cell, point, iterations=(12,), converged=(True,)):
+def _save_cell(directory, cell, point, iterations=(12,), converged=(True,), variance=0.5):
     """One cell as ``trace_digest.py --save`` writes it, one row per solve."""
     directory.mkdir(exist_ok=True)
     point = np.atleast_2d(point)
-    np.savez(directory / f"{cell}.npz", point=point, variance=0.5 * np.ones_like(point),
+    np.savez(directory / f"{cell}.npz", point=point, variance=variance * np.ones_like(point),
              iterations=np.array(iterations), converged=np.array(converged),
              diverged=~np.array(converged), floor_events=np.zeros(len(iterations), int))
 
@@ -65,14 +65,20 @@ def test_compare_fixed_points_reports_every_difference(tmp_path):
     _save_cell(tmp_path / "new", "stalled", [1.0], converged=(False,))
     _save_cell(tmp_path / "old", "gone", [1.0])
     _save_cell(tmp_path / "new", "added", [1.0])
+    _save_cell(tmp_path / "old", "blown", [np.inf, 1.0])  # an overflowed end iterate
+    _save_cell(tmp_path / "new", "blown", [1.0, 1.0])
+    _save_cell(tmp_path / "old", "nan-var", [1.0], variance=np.nan)  # point unmoved
+    _save_cell(tmp_path / "new", "nan-var", [1.0])
     cells, summary = _compare(tmp_path / "old", tmp_path / "new")
     assert "dist=1.00e-03 iters=12->12 delta=0" in cells["moved"]
+    assert "dist=nan iters=12->12 delta=0" in cells["blown"]
+    assert "dist=nan iters=12->12 delta=0" in cells["nan-var"]
     assert cells["slower"] == "slower dist=0.00e+00 iters=12->15 delta=3"
     assert "iters=12->12 delta=0 converged [True]->[False]" in cells["stalled"]
     assert "unconverged" in cells["stalled"]
     assert cells["gone"] == "gone only in OLD" and cells["added"] == "added only in NEW"
     assert "max dist converged=1.00e-03 (moved)" in summary
-    assert "moved=1 changed=2 one-sided=2" in summary
+    assert "moved=3 changed=2 one-sided=2 non-finite=blown,nan-var" in summary
 
 
 LINES_PER_RUN = 3 * 4 * 2 * 3 + 4 + 1  # grid cells, equivalence cases, verify
