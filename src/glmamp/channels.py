@@ -12,7 +12,10 @@ scalar posterior summaries used by the solvers:
   doubles from 11 up to 1025 for each component separately until that
   component's moments settle).  The quadrature holds nodes on axis 0 and
   components on the contiguous axis 1, and adds each component's nodes in
-  node order, so its bits do not depend on the batch; and
+  node order, so its bits do not depend on the batch.  Given a worker
+  thread, it integrates half of the components there and half on the
+  calling thread.  The Laplace centre stays one call on the whole batch,
+  as its Newton steps, and so its bits, depend on the batch; and
 * ``posterior_map``  -- mode of the tilted density with Laplace variance
   1/var = -f''(mode, y) + 1/belief_variance.  The Newton ascent takes f'
   and f'' from one ``d12`` call per trial point and keeps the f'' of the
@@ -362,23 +365,24 @@ def _gh_moments(log_target, idx, center, sigma, order):
     return mean, var
 
 
-def _adaptive_gh(log_target, center, sigma, scale):
+def _refine(log_target, comps, center, sigma, scale, mean, var):
     """Per-component order doubling until mean and variance reach QUAD_RTOL.
 
-    ``log_target`` follows the ``_gh_moments`` contract: it takes an
-    (order, k) array of abscissas and the k component indices.
-    Every component starts at QUAD_START_ORDER; the order then doubles
-    (2k + 1, capped at QUAD_MAX_ORDER) for the components still open only.
-    A component closes once its own change in mean over ``scale`` and in
-    variance over ``scale**2`` is at most QUAD_RTOL, and keeps the moments of
-    its last order.  Components still open at QUAD_MAX_ORDER are returned if
-    their residual is at most 1e-7 and raise QuadratureError otherwise; a
-    residual never measured counts as infinite.
+    Integrates the components ``comps`` only and writes their moments into
+    ``mean`` and ``var`` in place; ``log_target`` follows the ``_gh_moments``
+    contract.  Every component starts at QUAD_START_ORDER; the order then
+    doubles (2k + 1, capped at QUAD_MAX_ORDER) for the components still open
+    only.  A component closes once its own change in mean over ``scale`` and
+    in variance over ``scale**2`` is at most QUAD_RTOL, and keeps the moments
+    of its last order.  Returns the residuals of the components still open
+    at QUAD_MAX_ORDER; a residual never measured is infinite.  Builds no
+    value object and calls no module-level function but ``_gh_moments``, so
+    it may run on a worker thread.
     """
-    open_ = np.arange(center.shape[0])
+    open_ = comps
     resid = np.full(open_.shape, np.inf)
     order = QUAD_START_ORDER
-    mean, var = _gh_moments(log_target, open_, center, sigma, order)
+    mean[open_], var[open_] = _gh_moments(log_target, open_, center, sigma, order)
     while open_.size and order < QUAD_MAX_ORDER:
         order = min(2 * order + 1, QUAD_MAX_ORDER)
         mean2, var2 = _gh_moments(log_target, open_, center, sigma, order)
@@ -387,8 +391,34 @@ def _adaptive_gh(log_target, center, sigma, scale):
         mean[open_], var[open_] = mean2, var2
         still = ~(resid <= QUAD_RTOL)  # a NaN residual never converges
         open_, resid = open_[still], resid[still]
-    if open_.size and np.max(resid) > 1e-7:
-        raise QuadratureError(float(np.max(resid)), order)
+    return resid
+
+
+def _adaptive_gh(log_target, center, sigma, scale, worker=None):
+    """Each component's moments by ``_refine``; returns (mean, var).
+
+    With a ``worker`` (an executor), it refines the second half of the
+    components while the calling thread refines the first.  Each component
+    takes its own orders and its moments are the same bits in any batch, so
+    the result is the serial one.  Components still open at QUAD_MAX_ORDER
+    are returned if their largest residual, over both halves, is at most
+    1e-7, and raise QuadratureError otherwise, once both halves are done.
+    """
+    mean, var = np.empty(center.shape[0]), np.empty(center.shape[0])
+    comps = np.arange(center.shape[0])
+    if worker is None:
+        resid = _refine(log_target, comps, center, sigma, scale, mean, var)
+    else:
+        half = comps.shape[0] // 2
+        second = worker.submit(_refine, log_target, comps[half:], center, sigma,
+                               scale, mean, var)
+        try:
+            first = _refine(log_target, comps[:half], center, sigma, scale, mean, var)
+        finally:
+            second.exception()  # the worker is done before anything is raised
+        resid = np.concatenate([first, second.result()])
+    if resid.size and np.max(resid) > 1e-7:
+        raise QuadratureError(float(np.max(resid)), QUAD_MAX_ORDER)
     return mean, var
 
 
@@ -401,7 +431,8 @@ def _poisson_recursion(y, p_hat, tau_p):
     return sigma * ratio, tau_p * ratio * gap
 
 
-def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> PosteriorStats:
+def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief,
+                   worker=None) -> PosteriorStats:
     """Exact posterior mean and variance of the tilted scalar model.
 
     AWGN is conjugate.  Poisson is exact too: the tilted density is z^y
@@ -411,6 +442,8 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
     posterior.  Each component refines its own order (see ``_adaptive_gh``),
     so one hard belief does not raise the order of the others; a component
     unresolved at order QUAD_MAX_ORDER beyond 1e-7 raises QuadratureError.
+    With a ``worker`` (an executor), the Laplace fit still runs once on the
+    whole batch, and the worker integrates half of the components.
     """
     if not np.all(channel.in_support(y)):
         raise ValueError(f"observation outside {channel.name} support")
@@ -439,7 +472,7 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
             return out
 
         scale = np.sqrt(tau_p) + np.abs(p_hat)
-        mean, var = _adaptive_gh(log_target, center, sigma, scale)
+        mean, var = _adaptive_gh(log_target, center, sigma, scale, worker)
 
     var = np.maximum(var, POSTERIOR_VARIANCE_FLOOR)
     return PosteriorStats(point=mean.reshape(shape), variance=var.reshape(shape))
@@ -449,18 +482,22 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief) -> Posteri
 # Output scores.
 # ---------------------------------------------------------------------------
 
-def g_out_with_stats(channel: OutputChannel, mode: Mode, y, belief: GaussianBelief):
+def g_out_with_stats(channel: OutputChannel, mode: Mode, y, belief: GaussianBelief,
+                     worker=None):
     """Output score (point - mean)/var, curvature correction and the posterior.
 
     In both modes the curvature correction is (var - post_var)/var**2 from
     the posterior variance; in MAX_SUM mode that is the Laplace variance, so
     this is the same arithmetic as ``posterior_map`` followed by the EP
     division.  That it equals f''/(var f'' - 1) is certified by
-    ``verify.check_laplace_identity``, not re-checked here.
+    ``verify.check_laplace_identity``, not re-checked here.  ``worker`` is
+    handed to ``posterior_mmse``.
     """
     tau_p = belief.variance
-    posterior = posterior_mmse if mode is Mode.SUM_PRODUCT else posterior_map
-    stats = posterior(channel, y, belief)
+    if mode is Mode.SUM_PRODUCT:
+        stats = posterior_mmse(channel, y, belief, worker)
+    else:
+        stats = posterior_map(channel, y, belief)
     neg_deriv = (tau_p - stats.variance) / tau_p ** 2
     value = (stats.point - belief.mean) / tau_p
     return value, neg_deriv, stats

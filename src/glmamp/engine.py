@@ -29,9 +29,16 @@ Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
   damped EP messages carrying non-Gaussian priors on the x side.
 
 A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``_solve``
-calls ``cls(problem, config, stack)`` as a solve starts; a step enters what
-it holds (the amp step, its worker thread) on ``stack``, which releases it
-when the solve returns or raises.
+calls ``cls(problem, config, worker)`` as a solve starts.  It owns the
+solve's one worker thread: from ``OVERLAP_MIN_BYTES`` of A up it creates the
+worker, and joins it when the solve returns or raises.  The amp step runs
+half of each matvec pair on it; the exact step ignores it.  From
+``QUAD_SPLIT_MIN_COMPONENTS`` components on z up, ``_iterate`` also hands
+it to module B, whose quadrature integrates half of the components on it.
+Each result is the serial path's, bit for bit.  The worker runs numpy work
+only: it calls no function the benchmark's tracer wraps and builds no
+message, since the tracer's span stack and object counter are not
+thread-safe.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -42,7 +49,7 @@ from __future__ import annotations
 import json
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,15 +60,31 @@ from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
 from .priors import InputPrior
 from .slm import LinearModel, slm_solve
 
-# A in bytes at and above which the "amp" step runs the two independent
-# matvecs of each half-step at once, the second on a worker thread that lives
-# for one solve.  The matvecs are memory-bound, so a second CPU hides one of
-# them; below this size handing work to the thread costs more than it hides.
-# Swept on a 2-CPU host, one BLAS thread, m = 2n, bg(0.1) prior: overlap lost
-# 0.2-0.6 ms/iter up to A = 3.5 MiB (n = 480), broke even at 4-5 MiB and won
-# from 6.25 MiB (n = 640: probit(0.3) 7.6 -> 7.1, awgn(0.01) 2.1 -> 1.6 ms).
-# 8 MiB leaves a margin above the break-even band for noisier hosts.
+# A in bytes at and above which a solve has a worker thread, which lives for
+# the solve.  The "amp" step runs the second of each pair of independent
+# matvecs on it while the calling thread runs the first.  The matvecs are
+# memory-bound, so a second CPU hides one of them; below this size handing
+# work to the thread costs more than it hides.  Swept on a 2-CPU host, one
+# BLAS thread, m = 2n, bg(0.1) prior: overlap lost 0.2-0.6 ms/iter up to
+# A = 3.5 MiB (n = 480), broke even at 4-5 MiB and won from 6.25 MiB
+# (n = 640: probit(0.3) 7.6 -> 7.1, awgn(0.01) 2.1 -> 1.6 ms).  8 MiB leaves
+# a margin above the break-even band for noisier hosts.  So it gates module
+# B's use of the worker too, which also needs QUAD_SPLIT_MIN_COMPONENTS.
 OVERLAP_MIN_BYTES = 8 * 2**20
+
+# The fewest components of z (m) at which module B's quadrature is split
+# between the calling thread and the worker.  Each thread then runs small
+# numpy operations, and each hands the interpreter lock over; at small m
+# that costs more than the second CPU gains.  Swept with the worker on, A at
+# 8 MiB (n m = 2**20), bg(0.1) prior, 2-CPU host, one BLAS thread, median
+# ms/iter serial -> split over 8-10 alternating GAMP solves: probit(0.3)
+# lost at m = 256 (5.14 -> 5.72), tied at 512 and 1024 (5.46 -> 5.65) and
+# won from 1200 (6.35 -> 5.45; 1448: 7.33 -> 5.96; 2048: 9.67 -> 7.89);
+# logistic(0.3) lost up to 1024 (5.06 -> 5.58), tied at 1200 and 1448 and
+# won at 2048 (5.29 -> 5.13; at n = 1024, 9.50 -> 8.51).  With two BLAS
+# threads the split lost at m = 1448 (7.72 -> 8.27) and tied at n = 1024,
+# m = 2048 (11.07 -> 10.70): the BLAS threads already use both CPUs.
+QUAD_SPLIT_MIN_COMPONENTS = 1200
 
 TRACE_FIELDS = ("iter", "x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",
                 "y_tilde", "sigma2_tilde", "nmse", "floor_events")
@@ -155,17 +178,16 @@ class _AmpStep:
     """Module A as the AWGN-GAMP linear step: Onsager-corrected matvecs.
 
     The matvecs come in independent pairs, A x_hat with A^2 tau_x and A^T s
-    with (A^2)^T tau_s.  When A has ``OVERLAP_MIN_BYTES`` or more, the second
-    of each pair runs on a worker thread while the calling thread runs the
-    first.  The worker is entered on ``stack``, so it lives for one solve.
-    Each product is still one whole BLAS call on the same operands, so the
-    bits are the serial path's.
+    with (A^2)^T tau_s.  With the solve's ``worker`` (``_solve`` creates it
+    when A has ``OVERLAP_MIN_BYTES`` or more, and joins it), the second of
+    each pair runs on it while the calling thread runs the first.  Each
+    product is still one whole BLAS call on the same operands, so the bits
+    are the serial path's.
     """
 
-    def __init__(self, problem, config, stack):
+    def __init__(self, problem, config, worker):
         self.A = problem.model.A
-        self.worker = (stack.enter_context(ThreadPoolExecutor(1))
-                       if self.A.nbytes >= OVERLAP_MIN_BYTES else None)
+        self.worker = worker
         self.A2 = self.A * self.A
         self.damp = 1.0 if config.damping is None else config.damping
         self.s = np.zeros(problem.model.m)
@@ -209,7 +231,7 @@ def _absorb(lam, eta, ext, damp):
 class _ExactStep:
     """Module A as the exact dense SLM solve; EP messages carry the prior on x."""
 
-    def __init__(self, problem, config, stack=None):
+    def __init__(self, problem, config, worker=None):
         model, prior = problem.model, problem.prior
         self.model = model
         self.damp = 0.7 if config.damping is None else config.damping
@@ -262,12 +284,13 @@ class _ExactStep:
 SLM_BACKENDS = {"exact": _ExactStep, "amp": _AmpStep}
 
 
-def _iterate(problem, mode, config, step, monolithic):
+def _iterate(problem, mode, config, step, monolithic, worker):
     """The GLM loop: module A ``step``, module B, the prior's denoiser.
 
     ``step`` supplies the beliefs on z, the cavity on x and the absorption
     of the denoised x; ``monolithic`` picks the score it gets (see the module
-    docstring).  Returns (solution PosteriorStats, IterationTrace).  Besides
+    docstring); ``worker``, if any, integrates half of module B's quadrature
+    components.  Returns (solution PosteriorStats, IterationTrace).  Besides
     a failed hand-over, the solve ends ``diverged`` when module B floors
     every EP message on z and x still moves by more than ``tol``: module B
     told module A nothing, so the floors alone moved x.
@@ -284,7 +307,7 @@ def _iterate(problem, mode, config, step, monolithic):
 
         # module B: scalar refinement through the likelihood, then EP division
         belief = GaussianBelief(p_hat, tau_p)
-        val, nd, stats = g_out_with_stats(channel, mode, y, belief)
+        val, nd, stats = g_out_with_stats(channel, mode, y, belief, worker)
         ext = ep_extrinsic(stats, belief)
         if not (valid_moments(stats.point, stats.variance)
                 and valid_moments(ext.pseudo_mean, ext.pseudo_variance)):
@@ -319,10 +342,12 @@ def _iterate(problem, mode, config, step, monolithic):
 
 
 def _solve(problem, mode, config, backend, monolithic):
-    """``_iterate`` with module A ``SLM_BACKENDS[backend]``, opened for this solve."""
-    with ExitStack() as stack:
-        step = SLM_BACKENDS[backend](problem, config, stack)
-        return _iterate(problem, mode, config, step, monolithic)
+    """``_iterate`` with module A ``SLM_BACKENDS[backend]`` and the solve's worker, if any."""
+    overlap = problem.model.A.nbytes >= OVERLAP_MIN_BYTES
+    with ThreadPoolExecutor(1) if overlap else nullcontext() as worker:
+        step = SLM_BACKENDS[backend](problem, config, worker)
+        split = problem.model.m >= QUAD_SPLIT_MIN_COMPONENTS
+        return _iterate(problem, mode, config, step, monolithic, worker if split else None)
 
 
 def run_gamp(problem: ProblemInstance, mode: Mode,

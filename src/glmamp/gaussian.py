@@ -200,10 +200,14 @@ def trunc_gauss_ratios(count, t):
         s2 = ti * ti + 4.0 * depth
         r = 2.0 * depth / (np.sqrt(s2) - ti) * (1.0 - 1.0 / s2)  # R_K
         k = depth - 1.0
+        gap_k = np.empty_like(r)
         # step j runs the first n components, those with more than j steps
-        for n in np.searchsorted(-steps, -np.arange(steps[0])):
-            r[:n] = k[:n] / (r[:n] - ti[:n])
-            k[:n] -= 1.0
+        # in place on views, ends as Python ints: no temporary in the loop
+        for n in np.searchsorted(-steps, -np.arange(steps[0])).tolist():
+            r_n, k_n, gap_n = r[:n], k[:n], gap_k[:n]
+            np.subtract(r_n, ti[:n], gap_n)
+            np.divide(k_n, gap_n, r_n)
+            k_n -= 1.0
         r_lo = (count[i] + 1.0) / (r - ti)
         ratio[i], gap[i] = r_lo, r - r_lo
     return ratio, gap

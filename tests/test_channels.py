@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -445,6 +446,39 @@ class TestAdaptiveQuadrature:
             channels._adaptive_gh(spike, np.zeros(1), np.ones(1), np.ones(1))
         assert err.value.order == QUAD_MAX_ORDER
         assert err.value.residual > 1e-7
+
+    def test_split_same_bits_as_serial(self):
+        # three components: the calling thread's half is one GH column
+        batch = ([0.5, 0.0, -1.0], [0.01, 30.0, 2.0], [1.0, 1.0, -1.0])
+        args = _probit_quadrature(*batch, [0, 1, 2])
+        serial = channels._adaptive_gh(*args)
+        with ThreadPoolExecutor(1) as worker:
+            split = channels._adaptive_gh(*args, worker)
+        assert np.array_equal(split[0], serial[0]) and np.array_equal(split[1], serial[1])
+
+    # (where, width) of spikes whose residuals at QUAD_MAX_ORDER differ, and
+    # of one target the N(0, 1) proposal integrates exactly
+    SPIKES = {"easy": (0.0, 1.0), "small": (30.0, 1e-3), "large": (20.0, 5e-3)}
+
+    @pytest.mark.parametrize("names", [("small", "large", "easy"), ("large", "easy", "small"),
+                                       ("easy", "small", "large"),
+                                       ("large", "small", "easy", "easy")], ids="-".join)
+    def test_split_raises_the_serial_error(self, names):
+        # the worker refines the second half: the largest residual lies in
+        # either half, or one half closes
+        where, width = (np.array([self.SPIKES[name][i] for name in names]) for i in (0, 1))
+
+        def spikes(x, idx):
+            return -0.5 * ((x - where[idx]) / width[idx]) ** 2
+
+        args = (spikes, np.zeros(len(names)), np.ones(len(names)), np.ones(len(names)))
+        with pytest.raises(QuadratureError) as serial:
+            channels._adaptive_gh(*args)
+        with ThreadPoolExecutor(1) as worker, pytest.raises(QuadratureError) as split:
+            channels._adaptive_gh(*args, worker)
+        assert str(split.value) == str(serial.value)
+        assert (split.value.residual, split.value.order) == \
+            (serial.value.residual, serial.value.order)
 
 
 @given(

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glmamp import engine
+from glmamp import channels, engine
 from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
-                             ProbitChannel)
+                             ProbitChannel, QuadratureError)
 from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
                            nmse, run_gamp, run_modular)
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
@@ -310,17 +310,19 @@ class TestTraceStorage:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Every worker the engine creates, each counting the products handed to it."""
+    """Every worker the engine creates, each counting the work handed to it:
+    all of it, and the module-B quadrature halves."""
     made = []
 
     class Recording(ThreadPoolExecutor):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
-            self.submitted = 0
+            self.submitted = self.quadrature = 0
             made.append(self)
 
         def submit(self, fn, *args, **kw):
             self.submitted += 1
+            self.quadrature += fn is channels._refine
             return super().submit(fn, *args, **kw)
 
     monkeypatch.setattr(engine, "ThreadPoolExecutor", Recording)
@@ -330,27 +332,53 @@ def workers(monkeypatch):
 AMP_SOLVERS = ("gamp", "modular-amp")
 
 
-def _generated(prior, channel, n=64):
-    return generate_problem(n, 2 * n, parse_prior(prior), parse_channel(channel), 0)
+def _generated(prior, channel, n=64, m=None):
+    return generate_problem(n, 2 * n if m is None else m, parse_prior(prior),
+                            parse_channel(channel), 0)
+
+
+def _assert_same_bits_with_the_worker(solver, prob, mode, workers, monkeypatch, tmp_path):
+    """Solve ``prob`` serially, then with the worker; returns the worker's run."""
+    serial = SOLVERS[solver](prob, mode, SolverConfig())
+    assert workers == []
+    monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+    monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", 0)
+    overlapped = SOLVERS[solver](prob, mode, SolverConfig())
+    assert len(workers) == 1
+    _assert_same_run(serial, overlapped)
+    for name, (_, trace) in (("serial", serial), ("overlapped", overlapped)):
+        trace.to_jsonl(tmp_path / name)
+    assert (tmp_path / "serial").read_bytes() == (tmp_path / "overlapped").read_bytes()
+    return overlapped
+
+
+# module B hands half of its components to the worker on these only
+QUADRATURE_CHANNELS = ("probit(scale=0.3)", "logistic(scale=0.3)")
 
 
 class TestOverlappedMatvecs:
     @pytest.mark.parametrize("solver", AMP_SOLVERS)
     @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
-    @pytest.mark.parametrize("channel", ["probit(scale=0.3)", "awgn(var=0.1)"])
+    @pytest.mark.parametrize("channel", [*QUADRATURE_CHANNELS, "awgn(var=0.1)"])
     def test_same_bits_as_the_serial_path(self, channel, mode, solver, workers,
                                           monkeypatch, tmp_path):
         prob = _generated("bg(rho=0.1,mean=0,var=1)", channel)
-        serial = SOLVERS[solver](prob, mode, SolverConfig())
-        assert workers == []
-        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
-        overlapped = SOLVERS[solver](prob, mode, SolverConfig())
-        assert len(workers) == 1
-        assert workers[0].submitted >= 2 * len(overlapped[1]) > 0
-        _assert_same_run(serial, overlapped)
-        for name, (_, trace) in (("serial", serial), ("overlapped", overlapped)):
-            trace.to_jsonl(tmp_path / name)
-        assert (tmp_path / "serial").read_bytes() == (tmp_path / "overlapped").read_bytes()
+        _, trace = _assert_same_bits_with_the_worker(solver, prob, mode, workers,
+                                                     monkeypatch, tmp_path)
+        quadrature = mode is Mode.SUM_PRODUCT and channel in QUADRATURE_CHANNELS
+        # one quadrature half per module-B call, two matvecs per iteration
+        assert workers[0].quadrature == (len(trace) if quadrature else 0)
+        assert workers[0].submitted - workers[0].quadrature >= 2 * len(trace) > 0
+
+    @pytest.mark.parametrize("channel", QUADRATURE_CHANNELS)
+    @pytest.mark.parametrize("n, m", [(16, 33), (2, 3)])
+    def test_same_bits_with_unequal_quadrature_halves(self, channel, n, m, workers,
+                                                      monkeypatch, tmp_path):
+        # m = 3 leaves the calling thread one component, a single GH column
+        prob = _generated("gaussian(mean=0,var=1)", channel, n=n, m=m)
+        _, trace = _assert_same_bits_with_the_worker("gamp", prob, Mode.SUM_PRODUCT,
+                                                     workers, monkeypatch, tmp_path)
+        assert workers[0].quadrature == len(trace) > 0
 
     def test_threshold_is_inclusive(self, workers, monkeypatch):
         prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)", n=8)
@@ -362,11 +390,25 @@ class TestOverlappedMatvecs:
         run_gamp(prob, Mode.SUM_PRODUCT, config)
         assert len(workers) == 1
 
-    def test_exact_backend_never_creates_a_worker(self, workers, monkeypatch):
+    def test_quadrature_split_threshold_is_inclusive(self, workers, monkeypatch):
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)", n=8)
+        config = SolverConfig(max_iter=3)
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
-        prob = _generated("bg(rho=0.1,mean=0,var=1)", "awgn(var=0.1)", n=16)
-        run_modular(prob, Mode.SUM_PRODUCT, SolverConfig(max_iter=3))
-        assert workers == []
+        monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m + 1)
+        run_gamp(prob, Mode.SUM_PRODUCT, config)
+        monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m)
+        run_gamp(prob, Mode.SUM_PRODUCT, config)
+        assert [w.quadrature for w in workers] == [0, 3]
+
+    @pytest.mark.parametrize("channel", ["probit(scale=0.3)", "awgn(var=0.1)"])
+    def test_exact_backend_same_bits_with_the_worker(self, channel, workers,
+                                                     monkeypatch, tmp_path):
+        # the exact step never submits; module B does, on a quadrature channel
+        prob = _generated("gaussian(mean=0,var=1)", channel, n=16)
+        _, trace = _assert_same_bits_with_the_worker("modular-exact", prob, Mode.SUM_PRODUCT,
+                                                     workers, monkeypatch, tmp_path)
+        quadrature = len(trace) if channel in QUADRATURE_CHANNELS else 0
+        assert workers[0].submitted == workers[0].quadrature == quadrature
 
 
 class TestWorkerLifetime:
@@ -415,6 +457,25 @@ class TestWorkerLifetime:
                 SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
             assert threading.active_count() == before, solver
         assert [w.submitted > 0 for w in workers] == [True, True]
+
+    def test_no_thread_outlives_a_quadrature_that_raises(self, workers, monkeypatch):
+        # a likelihood step far narrower than any GH node gap
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=1e-100)", n=16)
+        serial = {}
+        for solver in AMP_SOLVERS:
+            with pytest.raises(QuadratureError) as err:
+                SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            serial[solver] = str(err.value)
+        assert workers == []
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+        monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", 0)
+        before = threading.active_count()
+        for solver in AMP_SOLVERS:
+            with pytest.raises(QuadratureError) as err:
+                SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            assert str(err.value) == serial[solver]
+            assert threading.active_count() == before, solver
+        assert [w.quadrature > 0 for w in workers] == [True, True]
 
 
 BAD_MEANS = [np.nan, np.inf, -np.inf]
