@@ -34,11 +34,11 @@ solve's one worker thread: from ``OVERLAP_MIN_BYTES`` of A up it creates the
 worker, and joins it when the solve returns or raises.  The amp step runs
 half of each matvec pair on it; the exact step ignores it.  From
 ``QUAD_SPLIT_MIN_COMPONENTS`` components on z up, ``_iterate`` also hands
-it to module B, whose quadrature integrates half of the components on it.
-Each result is the serial path's, bit for bit.  The worker runs numpy work
-only: it calls no function the benchmark's tracer wraps and builds no
-message, since the tracer's span stack and object counter are not
-thread-safe.
+it to module B, whose probit quadrature integrates half of the components
+on it.  Each result is the serial path's, bit for bit.  The worker runs
+numpy work only: it calls no function the benchmark's tracer wraps and
+builds no message, since the tracer's span stack and object counter are
+not thread-safe.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -79,11 +79,11 @@ OVERLAP_MIN_BYTES = 8 * 2**20
 # 8 MiB (n m = 2**20), bg(0.1) prior, 2-CPU host, one BLAS thread, median
 # ms/iter serial -> split over 8-10 alternating GAMP solves: probit(0.3)
 # lost at m = 256 (5.14 -> 5.72), tied at 512 and 1024 (5.46 -> 5.65) and
-# won from 1200 (6.35 -> 5.45; 1448: 7.33 -> 5.96; 2048: 9.67 -> 7.89);
-# logistic(0.3) lost up to 1024 (5.06 -> 5.58), tied at 1200 and 1448 and
-# won at 2048 (5.29 -> 5.13; at n = 1024, 9.50 -> 8.51).  With two BLAS
-# threads the split lost at m = 1448 (7.72 -> 8.27) and tied at n = 1024,
-# m = 2048 (11.07 -> 10.70): the BLAS threads already use both CPUs.
+# won from 1200 (6.35 -> 5.45; 1448: 7.33 -> 5.96; 2048: 9.67 -> 7.89).
+# With two BLAS threads the split lost at m = 1448 (7.72 -> 8.27) and tied
+# at n = 1024, m = 2048 (11.07 -> 10.70): the BLAS threads already use both
+# CPUs.  The split serves probit only: the logistic MMSE is a fixed mixture
+# of probit closed forms with no quadrature to split.
 QUAD_SPLIT_MIN_COMPONENTS = 1200
 
 TRACE_FIELDS = ("iter", "x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",
@@ -289,11 +289,12 @@ def _iterate(problem, mode, config, step, monolithic, worker):
 
     ``step`` supplies the beliefs on z, the cavity on x and the absorption
     of the denoised x; ``monolithic`` picks the score it gets (see the module
-    docstring); ``worker``, if any, integrates half of module B's quadrature
-    components.  Returns (solution PosteriorStats, IterationTrace).  Besides
-    a failed hand-over, the solve ends ``diverged`` when module B floors
-    every EP message on z and x still moves by more than ``tol``: module B
-    told module A nothing, so the floors alone moved x.
+    docstring); ``worker``, if any, integrates half of module B's probit
+    quadrature components.  Returns (solution PosteriorStats,
+    IterationTrace).  Besides a failed hand-over, the solve ends
+    ``diverged`` when module B floors every EP message on z and x still
+    moves by more than ``tol``: module B told module A nothing, so the
+    floors alone moved x.
     """
     channel, y, prior = problem.channel, problem.y, problem.prior
     x_hat = np.full(problem.model.n, prior.marginal_mean(), dtype=float)

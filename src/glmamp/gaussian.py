@@ -36,6 +36,11 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # which are enough for rounding accuracy at t <= -8.
 HAZARD_TAIL_T = -8.0
 MILLS_TERMS = 24
+_LOG_CDF_AT_TAIL = float(log_ndtr(HAZARD_TAIL_T))
+
+# ``trunc_gauss_ratios`` runs its forward recursion where t sqrt(count + 1)
+# is at least this, and Miller's backward recursion below it.
+RATIO_FORWARD_MIN_T = -3.0
 
 
 def valid_moments(mean, variance) -> bool:
@@ -135,18 +140,23 @@ def mixture_moments(log_odds, mean1, var1, mean0, var0):
             w1 * var1 + w0 * var0 + w1 * w0 * (mean1 - mean0) ** 2)
 
 
-def _norm_hazard(t):
+def _norm_hazard(t, log_cdf=None):
     """The hazard r = phi(t) / Phi(t) and its excess t + r over -t.
 
     Both come from log_ndtr down to HAZARD_TAIL_T.  Below it the log_ndtr
     ratio loses digits and t + r cancels, so there r = sqrt(2/pi) /
     erfcx(-t/sqrt(2)) and t + r = 1/(u + 2/(u + 3/(u + ...))), u = -t, the
     Mills-ratio continued fraction run back from MILLS_TERMS terms.
+    ``log_cdf``, if given, is log_ndtr(t), which is then not evaluated again.
     """
     t = np.asarray(t, dtype=float)
     head = np.maximum(t, HAZARD_TAIL_T)  # the tail's values are replaced below
     log_phi = -0.5 * head * head - _LOG_SQRT_2PI
-    r = np.exp(log_phi - log_ndtr(head))
+    if log_cdf is None:
+        log_cdf = log_ndtr(head)
+    else:  # log_ndtr(head), as log_ndtr increases
+        log_cdf = np.maximum(log_cdf, _LOG_CDF_AT_TAIL)
+    r = np.exp(log_phi - log_cdf)
     excess = t + r
     tail = t < HAZARD_TAIL_T
     if np.any(tail):
@@ -180,7 +190,7 @@ def trunc_gauss_ratios(count, t):
     depend on the others.
     """
     ratio, gap = np.empty_like(t), np.empty_like(t)  # R_{count+1}, R_{count+2} - R_{count+1}
-    fwd = t * np.sqrt(count + 1.0) >= -3.0
+    fwd = t * np.sqrt(count + 1.0) >= RATIO_FORWARD_MIN_T
     if np.any(fwd):
         i = np.flatnonzero(fwd)
         i = i[np.argsort(count[i], kind="stable")]

@@ -207,3 +207,75 @@ def bg_mmse_mp(rho, mean, var, r, tau, dps=40):
         m1 = v1 * (mean / var + r / tau)
         point = pi * m1
         return float(point), float(pi * (m1 * m1 + v1) - point * point)
+
+
+def logistic_tilted_moments_mp(y, mean, var, scale, dps=25):
+    """Mean and variance of z ~ N(z; mean, var) sigmoid(y z / scale), via mpmath.
+
+    The tilted density is log-concave.  Bisection finds its mode, and then
+    on each side the points where it has fallen by 3 and by 60 nats (the
+    mass beyond is below e^-60); a tanh-sinh quadrature breaks at these
+    points and at z = 0, where the sigmoid turns.  So the integral is
+    centred on the tilted mode, wherever the mass has gone: one centred on
+    ``mean`` misses it when y mean / scale is far below 0.  The quadrature
+    runs at ``dps`` digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        y, mu, var, c = (mpmath.mpf(float(v)) for v in (y, mean, var, scale))
+        big = 10_000  # beyond |x| = big, e^-|x| is nil however small the scale
+
+        def log_density(z):
+            x = y * z / c
+            tail = 0 if abs(x) > big else mpmath.log1p(mpmath.exp(-abs(x)))
+            return min(x, 0) - tail - (z - mu) ** 2 / (2 * var)
+
+        def slope(z):  # of log_density, decreasing in z
+            x = y * z / c
+            if x > big:
+                return -(z - mu) / var
+            if x < -big:
+                return y / c - (z - mu) / var
+            return y / c / (1 + mpmath.exp(x)) - (z - mu) / var
+
+        def bisect(f, lo, hi, tol):  # f(lo) > 0 >= f(hi); stops at tol or rounding
+            mid = (lo + hi) / 2
+            while abs(hi - lo) > tol and lo != mid != hi:
+                lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+                mid = (lo + hi) / 2
+            return mid
+
+        def outward(f, start, step):  # f(start) > 0; returns (a, b), f(a) > 0 >= f(b)
+            while f(start + step) > 0:
+                start, step = start + step, 2 * step
+            return start, start + step
+
+        tiny = min(c, mpmath.sqrt(var)) * mpmath.mpf(10) ** (-dps // 2)
+        if slope(mu) > 0:
+            mode = bisect(slope, *outward(slope, mu, mpmath.sqrt(var)), tiny)
+        else:
+            hi, lo = outward(lambda z: -slope(z), mu, -mpmath.sqrt(var))
+            mode = bisect(slope, lo, hi, tiny)
+        top = log_density(mode)
+        points = {mode}
+        for step in (-tiny, tiny):
+            for drop in (3, 60):
+                def above(z):
+                    return log_density(z) - top + drop
+                a, b = outward(above, mode, step)
+                points.add(bisect(above, a, b, abs(b - a) / 2 ** 40))
+        points = sorted(points)
+        if points[0] < 0 < points[-1]:
+            points = sorted(points + [mpmath.mpf(0)])
+        seen = {}
+
+        def density(z):
+            if z not in seen:
+                seen[z] = mpmath.exp(log_density(z) - top)
+            return seen[z]
+
+        mass = mpmath.quad(density, points)
+        m1 = mpmath.quad(lambda z: (z - mode) * density(z), points) / mass
+        m2 = mpmath.quad(lambda z: (z - mode) ** 2 * density(z), points) / mass
+        return float(mode + m1), float(m2 - m1 * m1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from glmamp import channels
 from glmamp.channels import (POISSON_MAX_COUNT, QUAD_MAX_ORDER, QUAD_START_ORDER, SCALE_RANGE,
@@ -16,7 +17,8 @@ from glmamp.gaussian import ExtrinsicMessage, GaussianBelief
 from glmamp.specs import _CHANNELS
 
 from oracles import (gauss_hermite_moments, golden_section_max, grid_moments,
-                     poisson_tilted_moments_mp, probit_posterior_closed_form)
+                     logistic_tilted_moments_mp, poisson_tilted_moments_mp,
+                     probit_posterior_closed_form)
 
 SQRT3 = np.sqrt(3.0)
 EPS = np.finfo(float).eps
@@ -252,8 +254,8 @@ def _poisson_spy(monkeypatch):
 @pytest.mark.parametrize("channel", [ProbitChannel(1.0), LogisticChannel(0.3), AwgnChannel(0.5)],
                          ids=lambda c: c.name)
 def test_mmse_of_a_0d_belief_is_0d(channel):
-    # a one-element batch: in a wider batch the probit and logistic Laplace
-    # centre takes the batch's Newton steps, which can move its last bits
+    # a one-element batch: in a wider batch the probit Laplace centre takes
+    # the batch's Newton steps, which can move its last bits
     p_hat, tau_p, y = 0.4, 2.5, 1.0
     alone = posterior_mmse(channel, y, GaussianBelief(p_hat, tau_p))
     batch = posterior_mmse(channel, np.array([y]),
@@ -502,6 +504,121 @@ def test_probit_mmse_matches_closed_form(scale, log_ratio, standardized_mean, y)
     size = np.sqrt(var) + abs(mean)
     assert abs(stats.point - m) <= 1e-9 * size
     assert abs(stats.variance - v) <= 1e-9 * size ** 2
+
+
+def _binary_beliefs(k, seed):
+    """k beliefs from the verify ranges and y = +-1 at random."""
+    rng = np.random.default_rng(seed)
+    return (np.where(rng.uniform(size=k) < 0.5, 1.0, -1.0), rng.uniform(-3.0, 3.0, k),
+            np.exp(rng.uniform(np.log(0.1), np.log(10.0), k)))
+
+
+class TestProbitTilted:
+    # t = y mean / sqrt(scale^2 + var) from the hazard's log_ndtr range,
+    # across -3, where the helper switches to the backward recursion, and
+    # on past the hazard's own tail at -8
+    T = np.concatenate([np.linspace(-20.0, -8.5, 12), [-8.0, -7.5], np.linspace(-6.0, 6.0, 13)])
+
+    def _check(self, y, mean, var, scale):
+        log_z, m, v = channels._probit_tilted(y, mean, var, scale)
+        y, mean, var, scale = np.broadcast_arrays(y, mean, var, scale)
+        m_o, v_o = probit_posterior_closed_form(y, mean, var, scale=scale)
+        t = y * mean / np.sqrt(scale ** 2 + var)
+        # the oracle's tolerance, not the helper's: it forms r + t, which
+        # cancels by about 1 + t^2 at t << 0, and then subtracts from the
+        # belief's moments
+        cond = 1.0 + np.minimum(t, 0.0) ** 2
+        assert np.all(np.abs(m - m_o) <= 1e-13 * cond * (np.abs(mean) + np.abs(m_o - mean)))
+        assert np.all(np.abs(v - v_o) <= 1e-12 * cond * var)
+        assert np.allclose(np.exp(log_z), norm.cdf(t), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("var", [1e-4, 1.0, 25.0])
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    def test_matches_closed_form_into_the_tail(self, y, var):
+        scale = 0.3
+        self._check(y, y * self.T * np.sqrt(scale ** 2 + var), var, scale)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0])
+    def test_one_vector_of_scales_per_mixture_node(self, scale):
+        # the logistic mixture's call: scales 2 K scale down axis 0, one
+        # column per belief, each value its own closed form
+        y, mean, var = _binary_beliefs(40, 7)
+        y = np.concatenate([y, [1.0, -1.0]])
+        mean = np.concatenate([mean, [-3.0, 3.0]])  # t down to -13 at small K
+        var = np.concatenate([var, [0.05, 0.05]])
+        scales = channels._MIX_TWO_K * scale
+        assert scales.shape == (channels.LOGISTIC_MIXTURE_NODES, 1)
+        self._check(y, mean, var, scales)
+
+
+class TestLogisticMmse:
+    # (y, mean, var, scale): the verify ranges; the far tail, where y mean /
+    # scale runs down to -300 and the exact reflection moves the belief;
+    # var from 1e-6 to 1e4; scales from 1e-150 to 1e150
+    POINTS = [
+        *zip(*_binary_beliefs(6, 11), [1.0] * 6), *zip(*_binary_beliefs(6, 12), [0.3] * 6),
+        *[(1.0, -r, v, 1.0) for r in (300.0, 100.0, 30.0) for v in (1e-6, 1.0, 1e4)],
+        (-1.0, 300.0 * 0.3, 1e-2, 0.3), (1.0, -3.0, 1e4, 0.3),
+        # not reflected, and t = y mean / sqrt(4 K^2 scale^2 + var) below -3:
+        # the probit moments come from the backward recursion
+        (1.0, -100.0, 400.0, 1.0), (-1.0, 299.0, 600.0, 1.0),
+        *[(y, mean, v, c) for c in (1e-150, 1e-7, 1e150) for v in (1e-6, 1e4)
+          for y, mean in ((1.0, max(-300.0 * c, -3.0)), (-1.0, -0.5))],
+    ]
+
+    def test_mixture_rule_has_the_logistic_moments(self):
+        # the weights carry the Kolmogorov density: a unit mass, and the
+        # logistic variance pi^2/3 = E[(2K)^2], each to the rule's accuracy
+        w = np.exp(channels._MIX_LOG_WEIGHT[:, 0])
+        two_k = channels._MIX_TWO_K[:, 0]
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-13)
+        assert math.fsum(w * two_k ** 2) == pytest.approx(np.pi ** 2 / 3.0, rel=1e-13)
+
+    def test_against_mpmath_oracle(self):
+        y, mean, var, scale = (np.array(a) for a in zip(*self.POINTS))
+        for c in np.unique(scale):
+            at = scale == c
+            stats = posterior_mmse(LogisticChannel(float(c)), y[at],
+                                   GaussianBelief(mean[at], var[at]))
+            for j, point, variance in zip(np.flatnonzero(at), stats.point, stats.variance):
+                m, v = logistic_tilted_moments_mp(y[j], mean[j], var[j], c)
+                # beyond the rounding of the mean itself, in posterior sds
+                assert abs(point - m) <= 1e-12 * np.sqrt(v) + 2 * EPS * abs(m), self.POINTS[j]
+                assert abs(variance - v) <= 1e-12 * v, self.POINTS[j]
+
+    def test_bits_do_not_depend_on_the_batch(self):
+        # a batch three components past one block, with reflected, tail and
+        # ordinary beliefs; each component alone, in a short batch and at
+        # either side of the block boundary
+        cols = channels.LOGISTIC_BLOCK_COMPONENTS
+        y, mean, var = _binary_beliefs(cols + 3, 5)
+        reflected = [7, cols - 1, cols + 2]  # y mean < -var / (2 scale)
+        mean[reflected], var[reflected] = -12.0 * y[reflected], 2.0
+        tail = [1, cols - 2, cols]  # t < -3 at every node, not reflected
+        mean[tail], var[tail] = -20.0 * y[tail], 25.0
+        var[11] = 1e-6
+        ch = LogisticChannel(0.3)
+        whole = posterior_mmse(ch, y, GaussianBelief(mean, var))
+        for j in (0, 1, 7, 11, cols - 2, cols - 1, cols, cols + 2):
+            alone = posterior_mmse(ch, y[j], GaussianBelief(mean[j], var[j]))
+            assert alone.point == whole.point[j] and alone.variance == whole.variance[j], j
+        for lo in (0, cols - 2):
+            part = posterior_mmse(ch, y[lo:lo + 4], GaussianBelief(mean[lo:lo + 4],
+                                                                  var[lo:lo + 4]))
+            assert np.array_equal(part.point, whole.point[lo:lo + 4])
+            assert np.array_equal(part.variance, whole.variance[lo:lo + 4])
+
+    def test_takes_no_laplace_fit_quadrature_or_worker(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the logistic MMSE called the probit path")
+
+        monkeypatch.setattr(channels, "_newton_map", forbidden)
+        monkeypatch.setattr(channels, "_adaptive_gh", forbidden)
+        y, mean, var = _binary_beliefs(50, 3)
+        with ThreadPoolExecutor(1) as worker:
+            monkeypatch.setattr(worker, "submit", forbidden)
+            stats = posterior_mmse(LogisticChannel(0.3), y, GaussianBelief(mean, var), worker)
+        assert np.all(np.isfinite(stats.point)) and np.all(stats.variance > 0)
 
 
 class TestPosteriorMap:

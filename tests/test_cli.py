@@ -167,6 +167,19 @@ class TestSolve:
             code, out, _ = _run(capsys, "solve", *argv)
         assert code == 1 and json.loads(out)["diverged"] is True
 
+    # ROADMAP 3(d), logistic half: beliefs wide against the scale ended in a
+    # QuadratureError traceback while the logistic MMSE was a quadrature
+    @pytest.mark.parametrize("scale", ["1e-150", "1e-100", "1e-50", "1e-7", "1e-3"])
+    @pytest.mark.parametrize("engine", [["--engine", "gamp"],
+                                        ["--engine", "modular", "--slm-backend", "amp"],
+                                        ["--engine", "modular"]],
+                             ids=["gamp", "modular-amp", "modular-exact"])
+    def test_logistic_mmse_at_tiny_scales_ends_in_a_summary(self, capsys, scale, engine):
+        code, out, _ = _run(capsys, "solve", "--n", "16", "--m", "32", "--mode", "mmse",
+                            "--channel", f"logistic(scale={scale})", *engine)
+        summary = json.loads(out)
+        assert code in (0, 1) and summary["diverged"] is (code == 1)
+
     def test_bad_denoiser_output_exits_1_diverged(self, capsys, monkeypatch):
         denoise = GaussianPrior.denoise
 

@@ -352,14 +352,16 @@ def _assert_same_bits_with_the_worker(solver, prob, mode, workers, monkeypatch, 
     return overlapped
 
 
-# module B hands half of its components to the worker on these only
-QUADRATURE_CHANNELS = ("probit(scale=0.3)", "logistic(scale=0.3)")
+# module B hands half of its components to the worker on these only; the
+# logistic MMSE is a fixed mixture of probit closed forms and never does
+QUADRATURE_CHANNELS = ("probit(scale=0.3)",)
 
 
 class TestOverlappedMatvecs:
     @pytest.mark.parametrize("solver", AMP_SOLVERS)
     @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
-    @pytest.mark.parametrize("channel", [*QUADRATURE_CHANNELS, "awgn(var=0.1)"])
+    @pytest.mark.parametrize("channel", [*QUADRATURE_CHANNELS, "logistic(scale=0.3)",
+                                         "awgn(var=0.1)"])
     def test_same_bits_as_the_serial_path(self, channel, mode, solver, workers,
                                           monkeypatch, tmp_path):
         prob = _generated("bg(rho=0.1,mean=0,var=1)", channel)
