@@ -9,7 +9,7 @@ scalar posterior summaries used by the solvers:
 * ``posterior_mmse`` -- mean/variance of z ~ N(mean, var) tilted by p(y|z)
   (closed form for AWGN; exact for Poisson, from a truncated-Gaussian ratio
   recursion; for logistic a fixed mixture over the Kolmogorov variable of
-  probit closed forms, ``_probit_tilted``; for probit Gauss-Hermite
+  probit closed forms, ``gaussian._probit_tilted``; for probit Gauss-Hermite
   centred on the Laplace fit, whose order doubles from 11 up to 1025 for
   each component separately until that component's moments settle).  The
   mixture and the quadrature hold nodes on axis 0 and components on the
@@ -42,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import log_ndtr
 
-from .gaussian import (_LOG_SQRT_2PI, POSTERIOR_VARIANCE_FLOOR, RATIO_FORWARD_MIN_T,
-                       GaussianBelief, PosteriorStats, _norm_hazard, combine,
+from .gaussian import (_LOG_SQRT_2PI, POSTERIOR_VARIANCE_FLOOR, GaussianBelief,
+                       PosteriorStats, _norm_hazard, _probit_tilted, combine,
                        trunc_gauss_ratios)
 
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
@@ -435,36 +435,6 @@ def _adaptive_gh(log_target, center, sigma, scale, worker=None):
     return mean, var
 
 
-def _probit_tilted(y, p_hat, tau_p, scale):
-    """log Z, mean and variance of N(z; p_hat, tau_p) Phi(y z / scale) in z.
-
-    With S^2 = scale^2 + tau_p and t = y p_hat / S, Z = Phi(t), the mean is
-    y (scale^2 t + tau_p e) / S and the variance tau_p (scale^2 + tau_p v) / S^2,
-    e = t + phi(t)/Phi(t) the hazard's excess and v = 1 - (e - t) e the
-    variance of N(t, 1) cut off at 0.  Neither form subtracts from the
-    belief's moments, which cancels when Phi(t) is small.  One log_ndtr per
-    value gives log Z and the hazard (``gaussian._norm_hazard``).  Below
-    RATIO_FORWARD_MIN_T, where e and 1 - (e - t) e cancel, both come from
-    the cut-off-Gaussian recursion (``gaussian.trunc_gauss_ratios`` at count
-    0, its backward branch).  All four arguments broadcast, ``scale`` too:
-    one call serves a vector of scales.
-    """
-    s2 = np.square(scale)
-    big_s2 = s2 + tau_p
-    big_s = np.sqrt(big_s2)
-    t = y * p_hat / big_s
-    log_z = log_ndtr(t)
-    r, excess = _norm_hazard(t, log_z)
-    spread = 1.0 - r * excess
-    tail = t < RATIO_FORWARD_MIN_T
-    if np.any(tail):
-        ratio, gap = trunc_gauss_ratios(np.zeros(np.count_nonzero(tail)), t[tail])
-        excess[tail], spread[tail] = ratio, ratio * gap
-    mean = y * (s2 * t + tau_p * excess) / big_s
-    var = tau_p * (s2 + tau_p * spread) / big_s2
-    return log_z, mean, var
-
-
 def _kolmogorov_log_pdf(k):
     """log density of the Kolmogorov distribution at the points ``k`` > 0.
 
@@ -589,10 +559,10 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief,
     the Laplace fit still runs once on the whole batch, and the worker
     integrates half of the probit components.
     """
+    if isinstance(channel, AwgnChannel):  # posterior_map checks y's support
+        return posterior_map(channel, y, belief)
     if not np.all(channel.in_support(y)):
         raise ValueError(f"observation outside {channel.name} support")
-    if isinstance(channel, AwgnChannel):
-        return posterior_map(channel, y, belief)
 
     p_hat, tau_p, y = np.broadcast_arrays(belief.mean, belief.variance, y)
     shape = p_hat.shape

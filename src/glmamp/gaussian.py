@@ -1,5 +1,6 @@
 """Scalar Gaussian algebra: the library's one Gaussian product, one EP division,
-one truncated-Gaussian recursion and one two-component mixture.
+one truncated-Gaussian recursion, one cut-off-Gaussian closed form (tilted by
+Phi; at scale 0, cut off at 0) and one two-component mixture.
 
 This module owns the message format: a message's two moment fields are
 float64 arrays, converted once when it is built (a scalar becomes a 0-d
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, expit, log_ndtr
+from scipy.special import expit, log_ndtr
 
 # The floor for extrinsic precisions and for the variances the loop and
 # module A carry (tau_p, tau_x, pseudo-variances, the SLM posterior).  An
@@ -31,11 +32,9 @@ POSTERIOR_VARIANCE_FLOOR = 1e-300
 # log sqrt(2 pi), the Gaussian density's normalizer, for every log-density
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
-# Below this t the hazard phi(t)/Phi(t) is taken from erfcx and its excess
-# t + phi/Phi from MILLS_TERMS terms of the Mills-ratio continued fraction,
-# which are enough for rounding accuracy at t <= -8.
+# Below this t the log_ndtr ratio loses digits, and the hazard's excess
+# t + phi(t)/Phi(t) is taken from the backward recursion (trunc_gauss_ratios).
 HAZARD_TAIL_T = -8.0
-MILLS_TERMS = 24
 _LOG_CDF_AT_TAIL = float(log_ndtr(HAZARD_TAIL_T))
 
 # ``trunc_gauss_ratios`` runs its forward recursion where t sqrt(count + 1)
@@ -141,13 +140,14 @@ def mixture_moments(log_odds, mean1, var1, mean0, var0):
 
 
 def _norm_hazard(t, log_cdf=None):
-    """The hazard r = phi(t) / Phi(t) and its excess t + r over -t.
+    """The hazard r = phi(t) / Phi(t) and its excess e = t + r over -t.
 
     Both come from log_ndtr down to HAZARD_TAIL_T.  Below it the log_ndtr
-    ratio loses digits and t + r cancels, so there r = sqrt(2/pi) /
-    erfcx(-t/sqrt(2)) and t + r = 1/(u + 2/(u + 3/(u + ...))), u = -t, the
-    Mills-ratio continued fraction run back from MILLS_TERMS terms.
-    ``log_cdf``, if given, is log_ndtr(t), which is then not evaluated again.
+    ratio loses digits and t + r cancels, so there e is the mean of N(t, 1)
+    cut off at 0, ``trunc_gauss_ratios`` at count 0 (its backward branch;
+    the forward one calls this only at t >= -3, so neither recurses deeper),
+    and r = e - t.  ``log_cdf``, if given, is log_ndtr(t), which is then not
+    evaluated again.
     """
     t = np.asarray(t, dtype=float)
     head = np.maximum(t, HAZARD_TAIL_T)  # the tail's values are replaced below
@@ -160,14 +160,41 @@ def _norm_hazard(t, log_cdf=None):
     excess = t + r
     tail = t < HAZARD_TAIL_T
     if np.any(tail):
-        u = -t[tail]
         r, excess = np.array(r), np.array(excess)
-        r[tail] = np.sqrt(2.0 / np.pi) / erfcx(u / np.sqrt(2.0))
-        denom = u
-        for k in range(MILLS_TERMS, 1, -1):
-            denom = u + k / denom
-        excess[tail] = 1.0 / denom
+        excess[tail] = trunc_gauss_ratios(np.zeros(np.count_nonzero(tail)), t[tail])[0]
+        r[tail] = excess[tail] - t[tail]
     return r, excess
+
+
+def _probit_tilted(y, p_hat, tau_p, scale):
+    """log Z, mean and variance of N(z; p_hat, tau_p) Phi(y z / scale) in z.
+
+    With S^2 = scale^2 + tau_p and t = y p_hat / S, Z = Phi(t), the mean is
+    y (scale^2 t + tau_p e) / S and the variance tau_p (scale^2 + tau_p v) / S^2,
+    e = t + phi(t)/Phi(t) the hazard's excess and v = 1 - (e - t) e the
+    variance of N(t, 1) cut off at 0; at scale 0 the density is the belief
+    cut off at y z > 0.  Neither form subtracts from the belief's moments,
+    which cancels when Phi(t) is small.  One log_ndtr per value gives log Z
+    and the hazard (``_norm_hazard``), which is handed t clamped at
+    RATIO_FORWARD_MIN_T, so it computes no tail value.  Below that, where e
+    and 1 - (e - t) e cancel, both come from ``trunc_gauss_ratios`` at count
+    0 (its backward branch).  All four arguments broadcast, ``scale`` too:
+    one call serves a vector of scales.
+    """
+    s2 = np.square(scale)
+    big_s2 = s2 + tau_p
+    big_s = np.sqrt(big_s2)
+    t = y * p_hat / big_s
+    log_z = log_ndtr(t)
+    r, excess = _norm_hazard(np.maximum(t, RATIO_FORWARD_MIN_T), log_z)
+    spread = 1.0 - r * excess
+    tail = t < RATIO_FORWARD_MIN_T
+    if np.any(tail):
+        ratio, gap = trunc_gauss_ratios(np.zeros(np.count_nonzero(tail)), t[tail])
+        excess[tail], spread[tail] = ratio, ratio * gap
+    mean = y * (s2 * t + tau_p * excess) / big_s
+    var = tau_p * (s2 + tau_p * spread) / big_s2
+    return log_z, mean, var
 
 
 def trunc_gauss_ratios(count, t):

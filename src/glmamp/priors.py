@@ -3,8 +3,9 @@
 Each prior answers the scalar model r = x + N(0, tau): SUM_PRODUCT mode
 returns the exact posterior mean and variance of x, for bg and laplace a
 two-component mixture (``gaussian.mixture_moments``; laplace's components
-are Gaussians cut off at 0, ``gaussian.trunc_gauss_ratios``), MAX_SUM mode
-the posterior mode with its Laplace variance.  All vectorized over (r, tau).
+are Gaussians cut off at 0, the probit closed form at scale 0,
+``gaussian._probit_tilted``), MAX_SUM mode the posterior mode with its
+Laplace variance.  All vectorized over (r, tau).
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .channels import Mode, check_range
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, POSTERIOR_VARIANCE_FLOOR, PosteriorStats,
-                       combine, mixture_moments, trunc_gauss_ratios)
+                       _probit_tilted, combine, mixture_moments)
 
 # The Laplace rate's range: the prior variance 2 / rate**2 then lies in
 # [2e-150, 2e150], where its square and reciprocal are finite normal doubles.
@@ -145,16 +145,14 @@ class LaplacePrior(InputPrior):
             # the prior is piecewise linear: Laplace curvature is zero away
             # from the kink, and by convention also at the kink
             return PosteriorStats(point=point, variance=tau)
-        # exact posterior: N(r -+ rate tau, tau) cut off at x > 0 (x < 0), or in
-        # units of s = sqrt(tau), the second mirrored, N(w; t, 1) on w > 0
-        lam, s = self.rate, np.sqrt(tau)
-        t = np.stack([(r - lam * tau) / s, -(r + lam * tau) / s])
-        ratio, gap = (a.reshape(t.shape) for a in trunc_gauss_ratios(np.zeros(t.size), t.ravel()))
-        # the branch weights are exp(-+rate r + rate^2 tau / 2) Phi(t)
-        log_cdf = log_ndtr(t)
-        point, var = mixture_moments(log_cdf[0] - log_cdf[1] - 2.0 * lam * r,
-                                     s * ratio[0], tau * ratio[0] * gap[0],
-                                     -s * ratio[1], tau * ratio[1] * gap[1])
+        # N(r -+ rate tau, tau) cut off at +-x > 0, with weights exp(-+rate r +
+        # rate^2 tau / 2) Phi(t): in units of s = sqrt(tau), where no tau^2
+        # underflows, the probit tilted density at y = +-1 and scale 0
+        s = np.sqrt(tau)
+        y = np.array([1.0, -1.0]).reshape((2,) + (1,) * r.ndim)
+        log_z, mean, v = _probit_tilted(y, (r - y * self.rate * tau) / s, 1.0, 0.0)
+        point, var = mixture_moments(log_z[0] - log_z[1] - 2.0 * self.rate * r,
+                                     s * mean[0], tau * v[0], s * mean[1], tau * v[1])
         return PosteriorStats(point=point, variance=np.maximum(var, POSTERIOR_VARIANCE_FLOOR))
 
     def marginal_mean(self):

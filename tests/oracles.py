@@ -279,3 +279,26 @@ def logistic_tilted_moments_mp(y, mean, var, scale, dps=25):
         m1 = mpmath.quad(lambda z: (z - mode) * density(z), points) / mass
         m2 = mpmath.quad(lambda z: (z - mode) ** 2 * density(z), points) / mass
         return float(mode + m1), float(m2 - m1 * m1)
+
+
+def probit_tilted_moments_mp(y, mean, var, scale, dps=50):
+    """log Z, mean and variance of N(z; mean, var) Phi(y z / scale) in z, via mpmath.
+
+    Gaussian-CDF conjugacy at ``dps`` digits: with S^2 = scale^2 + var,
+    t = y mean / S and h = phi(t) / Phi(t), Z = Phi(t), the mean is
+    mean + y var h / S and the variance var - var^2 h (h + t) / S^2.  These
+    forms cancel by about 1 + t^2 where t << 0, which 50 digits absorb for
+    |t| up to 1e10; log Z takes log1p(-Phi(-t)) where t > 0, as Phi(t)
+    rounds to 1.  At scale 0 the tilt is the step y z > 0.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        y, mu, var, c = (mpmath.mpf(float(v)) for v in (y, mean, var, scale))
+        s = mpmath.sqrt(c * c + var)
+        t = y * mu / s
+        z = mpmath.ncdf(t)
+        h = mpmath.npdf(t) / z
+        log_z = mpmath.log1p(-mpmath.ncdf(-t)) if t > 0 else mpmath.log(z)
+        return (float(log_z), float(mu + y * var * h / s),
+                float(var - var * var * h * (h + t) / (s * s)))

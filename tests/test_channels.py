@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from glmamp import channels
+from glmamp import channels, gaussian
 from glmamp.channels import (POISSON_MAX_COUNT, QUAD_MAX_ORDER, QUAD_START_ORDER, SCALE_RANGE,
                              AwgnChannel, LogisticChannel, Mode, PoissonChannel,
                              ProbitChannel, QuadratureError, awgn_g_out,
@@ -18,7 +18,7 @@ from glmamp.specs import _CHANNELS
 
 from oracles import (gauss_hermite_moments, golden_section_max, grid_moments,
                      logistic_tilted_moments_mp, poisson_tilted_moments_mp,
-                     probit_posterior_closed_form)
+                     probit_posterior_closed_form, probit_tilted_moments_mp)
 
 SQRT3 = np.sqrt(3.0)
 EPS = np.finfo(float).eps
@@ -520,7 +520,7 @@ class TestProbitTilted:
     T = np.concatenate([np.linspace(-20.0, -8.5, 12), [-8.0, -7.5], np.linspace(-6.0, 6.0, 13)])
 
     def _check(self, y, mean, var, scale):
-        log_z, m, v = channels._probit_tilted(y, mean, var, scale)
+        log_z, m, v = gaussian._probit_tilted(y, mean, var, scale)
         y, mean, var, scale = np.broadcast_arrays(y, mean, var, scale)
         m_o, v_o = probit_posterior_closed_form(y, mean, var, scale=scale)
         t = y * mean / np.sqrt(scale ** 2 + var)
@@ -549,6 +549,31 @@ class TestProbitTilted:
         scales = channels._MIX_TWO_K * scale
         assert scales.shape == (channels.LOGISTIC_MIXTURE_NODES, 1)
         self._check(y, mean, var, scales)
+        self._check_mp(y, mean, var, scales)
+
+    # t from -1e4 to 40, across -8 (the hazard's tail) and -3 (the
+    # recursion's), where 50 digits allow one tolerance for every t
+    T_MP = np.concatenate([-np.logspace(0.0, 4.0, 17), np.linspace(-12.0, 40.0, 27),
+                           [np.nextafter(b, d) for b in (-8.0, -3.0) for d in (-9.0, 0.0)],
+                           [-3.0]])
+
+    @staticmethod
+    def _check_mp(y, mean, var, scale):
+        log_z, m, v = gaussian._probit_tilted(y, mean, var, scale)
+        args = (a.ravel() for a in np.broadcast_arrays(y, mean, var, scale))
+        ref = np.array([probit_tilted_moments_mp(*a) for a in zip(*args)]).T
+        ref = ref.reshape((3,) + log_z.shape)
+        # the mean in posterior sds, beyond its own rounding; the variance
+        # and log Z relative, counting values below the smallest normal as zero
+        assert np.all(np.abs(m - ref[1]) <= 1e-12 * np.sqrt(ref[2]) + 2 * EPS * np.abs(ref[1]))
+        assert np.all(np.abs(v - ref[2]) <= 1e-12 * ref[2])
+        assert np.all(np.abs(log_z - ref[0]) <= 1e-12 * np.abs(ref[0]) + np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("var", [1e-4, 1.0, 25.0])
+    @pytest.mark.parametrize("scale", [0.0, 0.3, 1.0])
+    def test_matches_mpmath_from_the_far_tail(self, scale, var):
+        for y in (1.0, -1.0):
+            self._check_mp(y, y * self.T_MP * np.sqrt(scale ** 2 + var), var, scale)
 
 
 class TestLogisticMmse:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage,
-                             GaussianBelief, PosteriorStats, combine,
-                             ep_extrinsic, valid_moments)
+from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, HAZARD_TAIL_T, ExtrinsicMessage,
+                             GaussianBelief, PosteriorStats, _norm_hazard, combine,
+                             ep_extrinsic, trunc_gauss_ratios, valid_moments)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -255,3 +255,20 @@ class TestFloorVariance:
     def test_monotone(self, a, b):
         if a <= b:
             assert self._precision(a)[0] <= self._precision(b)[0]
+
+
+def test_hazard_tail_is_the_recursion_at_count_0():
+    """Below HAZARD_TAIL_T the hazard's excess e is the mean of N(t, 1) cut off
+    at 0, ``trunc_gauss_ratios`` at count 0, and r = e - t, bit for bit; the
+    head keeps its log_ndtr values, and a 0-d t its own bits."""
+    tail = np.concatenate([-np.logspace(np.log10(8.5), 8.0, 30),
+                           [np.nextafter(HAZARD_TAIL_T, -np.inf)]])
+    head = np.array([HAZARD_TAIL_T, -3.0, 0.0, 5.0, 40.0])
+    r, excess = _norm_hazard(np.concatenate([tail, head]))
+    e_tail = trunc_gauss_ratios(np.zeros(tail.size), tail)[0]
+    assert np.array_equal(excess[:tail.size], e_tail)
+    assert np.array_equal(r[:tail.size], e_tail - tail)
+    r_head, e_head = _norm_hazard(head)
+    assert np.array_equal(r[tail.size:], r_head) and np.array_equal(excess[tail.size:], e_head)
+    r0, e0 = _norm_hazard(tail[3])
+    assert r0.shape == () and (r0, e0) == (r[3], excess[3])

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
-from glmamp import priors
 from glmamp.channels import Mode
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
 
@@ -78,17 +80,43 @@ class TestLaplacePrior:
         np.testing.assert_allclose(st_.variance, ref[:, 1], rtol=1e-12, atol=0)
         assert np.all(np.abs(st_.point - ref[:, 0]) <= 1e-13 * (np.sqrt(tau) + np.abs(r)))
 
+    # both branches in the hazard's tail, t = (+-r - rate tau) / sqrt(tau) < -8,
+    # with |r| / sqrt(tau) up to 1e3: the posterior hugs x = 0
+    @pytest.mark.parametrize("tau", [0.01, 3.0])
+    @pytest.mark.parametrize("rate_sd", [9.0, 30.0, 1e3 + 9.0, 1e4])
+    def test_mmse_against_mpmath_with_both_branches_in_the_tail(self, rate_sd, tau):
+        rng = np.random.default_rng(1)
+        reach = min(rate_sd - 8.5, 1e3)
+        r = np.sqrt(tau) * np.concatenate([rng.uniform(-reach, reach, 23), [-reach, reach]])
+        rate = rate_sd / np.sqrt(tau)
+        st_ = LaplacePrior(rate).denoise(Mode.SUM_PRODUCT, r, np.full_like(r, tau))
+        ref = np.array([laplace_mmse_mp(rate, ri, tau) for ri in r])
+        np.testing.assert_allclose(st_.variance, ref[:, 1], rtol=1e-13, atol=0)
+        assert np.all(np.abs(st_.point - ref[:, 0]) <= 1e-13 * (np.sqrt(tau) + np.abs(r)))
+
+    def test_scalar_r_and_tau_give_0d_moments(self):
+        st_ = LaplacePrior(1.5).denoise(Mode.SUM_PRODUCT, 0.3, 0.5)
+        assert st_.point.shape == () and st_.variance.shape == ()
+        vec = LaplacePrior(1.5).denoise(Mode.SUM_PRODUCT, np.array([0.3]), np.array([0.5]))
+        assert st_.point == vec.point[0] and st_.variance == vec.variance[0]
+
 
 def test_laplace_mmse_evaluates_log_ndtr_on_2n_values(monkeypatch):
+    # every glmamp module that binds log_ndtr is spied on, so a second
+    # evaluation anywhere in the call (the hazard, the recursion) counts
     evaluated = []
-    log_ndtr = priors.log_ndtr
+    spied = 0
 
     def spy(x):
         evaluated.append(np.size(x))
         return log_ndtr(x)
 
-    monkeypatch.setattr(priors, "log_ndtr", spy)
-    n = 7
+    for name, module in list(sys.modules.items()):
+        if name.startswith("glmamp") and getattr(module, "log_ndtr", None) is log_ndtr:
+            monkeypatch.setattr(module, "log_ndtr", spy)
+            spied += 1
+    assert spied >= 1
+    n = 7  # t runs from -5.7 to 3.8: both sides of the closed form's -3
     LaplacePrior(1.5).denoise(Mode.SUM_PRODUCT, np.linspace(-3, 3, n), np.full(n, 0.4))
     assert sum(evaluated) == 2 * n
 
