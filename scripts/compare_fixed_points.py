@@ -18,13 +18,16 @@ The last line sums up the gate: the largest finite ``dist`` over converged
 cells and over unconverged ones, each with its cell, the number of cells whose
 solutions moved at all (``dist > 0``, or not finite: a NaN or inf point on
 either side), the number whose iteration counts or flags changed, the number
-found on one side only, and the cells whose ``dist`` is not finite.
+found on one side only, the cells whose ``dist`` is not finite, and how many
+solves changed end state, by transition: ``states=max_iter->converged:10,...``
+over the states ``converged``, ``diverged`` and ``max_iter`` (neither flag).
 
     python scripts/trace_digest.py --seed 0 --save old/   # on each build
     python scripts/compare_fixed_points.py old/ new/
 """
 
 import argparse
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,12 @@ def compare(old: dict, new: dict) -> tuple[float, bool, str]:
                            f"delta={delta} {' '.join(notes)}")
 
 
+def _states(cell: dict) -> list:
+    """Each solve's end state: ``converged``, ``diverged`` or ``max_iter``."""
+    return ["converged" if c else "diverged" if d else "max_iter"
+            for c, d in zip(cell["converged"], cell["diverged"])]
+
+
 def _largest(dists: dict) -> str:
     finite = {cell: d for cell, d in dists.items() if np.isfinite(d)}
     if not finite:
@@ -71,6 +80,7 @@ def main():
     new_cells = {p.stem for p in args.new.glob("*.npz")}
     dists = {True: {}, False: {}}  # keyed by: new solves all converged
     changed = 0
+    transitions = Counter()
     for cell in sorted(old_cells | new_cells):
         if cell not in new_cells:
             print(f"{cell} only in OLD")
@@ -81,6 +91,8 @@ def main():
                     np.load(args.new / f"{cell}.npz") as new:
                 dist, differs, line = compare(dict(old), dict(new))
                 dists[bool(np.all(new["converged"]))][cell] = dist
+                transitions.update(f"{a}->{b}" for a, b in zip(_states(old), _states(new))
+                                   if a != b)
             changed += differs
             print(f"{cell} {line}".rstrip())
     every = {**dists[True], **dists[False]}
@@ -89,7 +101,8 @@ def main():
     print(f"summary: max dist converged={_largest(dists[True])} "
           f"unconverged={_largest(dists[False])} moved={moved} changed={changed} "
           f"one-sided={len(old_cells ^ new_cells)} "
-          f"non-finite={','.join(non_finite) or 'none'}")
+          f"non-finite={','.join(non_finite) or 'none'} "
+          f"states={','.join(f'{t}:{k}' for t, k in sorted(transitions.items())) or 'none'}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,11 @@ Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
 
 * ``"amp"``   -- the AWGN-GAMP linear step (Onsager-corrected matvecs),
   which makes the modular loop reproduce the monolithic GAMP trajectory
-  exactly;
+  exactly.  Its terms assume a zero-mean A; when A's mean is a rank-one
+  spike outside the bulk of A - mean (``_spike``, which reads only A), the
+  step runs mean-removed, on A - mean with one extra input and one extra
+  output kept in closed form.  Otherwise it runs the plain arithmetic, so
+  solves on zero-mean matrices keep their bits;
 * ``"exact"`` -- the dense exact Gaussian solve of :mod:`glmamp.slm`, with
   damped EP messages carrying non-Gaussian priors on the x side.
 
@@ -85,6 +89,12 @@ OVERLAP_MIN_BYTES = 8 * 2**20
 # CPUs.  The split serves probit only: the logistic MMSE is a fixed mixture
 # of probit closed forms with no quadrature to split.
 QUAD_SPLIT_MIN_COMPONENTS = 1200
+
+# A's spread about its mean counts as 0 (``_spike`` never fires) at or below
+# this fraction of A's mean square.  ``_spike`` takes the spread's square as
+# mean(A^2) - mean(A)^2, which on a constant matrix rounds to up to about
+# 1e-15 of the mean square instead of 0 (a 128 x 64 matrix of 0.1: 1.7e-16).
+SPREAD_ROUNDING = 1e-12
 
 TRACE_FIELDS = ("iter", "x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",
                 "y_tilde", "sigma2_tilde", "nmse", "floor_events")
@@ -183,15 +193,44 @@ class _AmpStep:
     each pair runs on it while the calling thread runs the first.  Each
     product is still one whole BLAS call on the same operands, so the bits
     are the serial path's.
+
+    When A's mean is a spike outside its bulk (``_spike``), the step runs on
+    the mean-removed A~ = A - mu, augmented in closed form (Vila, Schniter,
+    Rangan, Krzakala & Zdeborova, ICASSP 2015): one extra input
+    v = 1^T x / kappa with a flat prior, whose column is c = sign(mu) sigma,
+    so that A x = A~ x + c v 1; and one extra noiseless output
+    beta (1^T x - kappa v) = 0.  kappa = sigma / |mu| and
+    beta = sigma sqrt(n / (n + kappa^2)) give the extra column and row the
+    squared norms m sigma^2 and n sigma^2 of A~'s.  Module B and the
+    denoiser still see only the m outputs and n inputs.
     """
 
     def __init__(self, problem, config, worker):
-        self.A = problem.model.A
+        A = problem.model.A
         self.worker = worker
-        self.A2 = self.A * self.A
+        self.A2 = A * A
         self.damp = 1.0 if config.damping is None else config.damping
         self.s = np.zeros(problem.model.m)
         self.tau_s = np.zeros(problem.model.m)
+        spike = _spike(A, self.A2)
+        self.mean_removed = spike is not None
+        if not self.mean_removed:
+            self.A = A
+            return
+        mu, sigma = spike
+        self.A = A - mu
+        np.multiply(self.A, self.A, out=self.A2)
+        n = problem.model.n
+        self.kappa = sigma / abs(mu)
+        self.col = np.copysign(sigma, mu)
+        self.beta = sigma * np.sqrt(n / (n + self.kappa ** 2))
+        # v starts at 0, 1e6 times wider than the prior makes it, as the exact
+        # step's z messages start: a start matched to the prior sent bg MAP
+        # Poisson solves to ``diverged``
+        self.v_hat = 0.0
+        self.tau_v = 1e6 * max(1.0, n * problem.prior.marginal_variance() / self.kappa ** 2)
+        self.s_e = self.tau_se = 0.0
+        self.p_e = self.tau_pe = None
 
     def _pair(self, M1, v1, M2, v2):
         """(M1 @ v1, M2 @ v2); with a worker the second runs on its thread,
@@ -203,6 +242,14 @@ class _AmpStep:
 
     def z_belief(self, x_hat, tau_x):
         Ax, A2tau = self._pair(self.A, x_hat, self.A2, tau_x)
+        if self.mean_removed:
+            Ax += self.col * self.v_hat
+            A2tau += self.col ** 2 * self.tau_v
+            # the constraint's belief
+            self.tau_pe = max(self.beta ** 2 * (tau_x.sum() + self.kappa ** 2 * self.tau_v),
+                              DEFAULT_VARIANCE_FLOOR)
+            self.p_e = (self.beta * (x_hat.sum() - self.kappa * self.v_hat)
+                        - self.tau_pe * self.s_e)
         tau_p = np.maximum(A2tau, DEFAULT_VARIANCE_FLOOR)
         return Ax - tau_p * self.s, tau_p, 0
 
@@ -212,12 +259,42 @@ class _AmpStep:
         self.s = damp * val + (1.0 - damp) * self.s
         self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
         ATs, A2Ttau = self._pair(self.A.T, self.s, self.A2.T, self.tau_s)
+        if self.mean_removed:
+            # the constraint's score and curvature, then the flat-prior input v
+            self.s_e = damp * (-self.p_e / self.tau_pe) + (1.0 - damp) * self.s_e
+            self.tau_se = damp / self.tau_pe + (1.0 - damp) * self.tau_se
+            ATs += self.beta * self.s_e
+            A2Ttau += self.beta ** 2 * self.tau_se
+            bk = self.beta * self.kappa
+            self.tau_v = 1.0 / max(self.col ** 2 * self.tau_s.sum() + bk ** 2 * self.tau_se,
+                                   DEFAULT_VARIANCE_FLOOR)
+            self.v_hat += self.tau_v * (self.col * self.s.sum() - bk * self.s_e)
         tau_r = 1.0 / np.maximum(A2Ttau, DEFAULT_VARIANCE_FLOOR)
         r = x_hat + tau_r * ATs
         return r, tau_r, ext.pseudo_mean, ext.pseudo_variance
 
     def absorb_x(self, xstats, r, tau_r):
         return 0
+
+
+def _spike(A, A2):
+    """(mu, sigma) when A's mean mu 1 1^T lies outside the bulk of A - mu, else None.
+
+    sigma is the spread of A's entries about mu, from ``A.sum()`` and the A^2
+    the amp step builds anyway.  The spike's singular value |mu| sqrt(mn) lies
+    outside the bulk's edge sigma (sqrt(m) + sqrt(n)) when it is the larger;
+    with sigma = 0 (``SPREAD_ROUNDING``) there is no bulk to remove it from.
+    """
+    m, n = A.shape
+    mu = A.sum() / A.size
+    mean_sq = A2.sum() / A.size
+    var = mean_sq - mu * mu
+    if not var > SPREAD_ROUNDING * mean_sq:
+        return None
+    sigma = np.sqrt(var)
+    if abs(mu) * np.sqrt(m * n) > sigma * (np.sqrt(m) + np.sqrt(n)):
+        return mu, sigma
+    return None
 
 
 def _absorb(lam, eta, ext, damp):

@@ -12,7 +12,7 @@ Four check families, each reproducible from (name, seed, samples):
 * ``check_derivatives``     -- the channel's derivative pair ``d12``
   matches finite differences of f and of f'.
 * ``check_equivalence``     -- the monolithic GAMP solver and the modular
-  SLM + module-B solver reach the same fixed point.
+  SLM + module-B solver both converge, to the same fixed point.
 """
 
 from __future__ import annotations
@@ -168,8 +168,10 @@ def check_equivalence(problem: ProblemInstance, mode: Mode,
                       seed: int = 0) -> CheckReport:
     """Fixed-point distance between the monolithic and modular solvers.
 
-    ``seed`` only labels the report: it names the seed the problem was
-    generated from, which the solvers themselves never read.
+    Passes only when both solvers report ``converged``: the distance between
+    two runs cut off by ``max_iter`` is one between end iterates, not fixed
+    points.  ``seed`` only labels the report: it names the seed the problem
+    was generated from, which the solvers themselves never read.
     """
     sol_g, trace_g = run_gamp(problem, mode, config)
     sol_m, trace_m = run_modular(problem, mode, config)
@@ -180,14 +182,15 @@ def check_equivalence(problem: ProblemInstance, mode: Mode,
     for rg, rm in zip(trace_g.records[:20], trace_m.records[:20]):
         pg, pm = rg["p_hat"], rm["p_hat"]
         diag.append(float(np.linalg.norm(pg - pm) / max(np.linalg.norm(pg), 1e-300)))
-    passed = bool(dist <= GATES["equivalence"]
-                  and not trace_g.diverged and not trace_m.diverged)
+    converged = trace_g.converged and trace_m.converged
+    passed = bool(dist <= GATES["equivalence"] and converged)
     return CheckReport(
         check=f"equivalence[{problem.channel.name},{mode.value},{config.slm_backend}]",
         samples=len(trace_g), seed=seed, max_rel_residual=dist,
         threshold=GATES["equivalence"], passed=passed,
         skipped_floored=trace_g.floor_events + trace_m.floor_events,
         extras={"iters_gamp": len(trace_g), "iters_modular": len(trace_m),
+                "converged": converged,
                 "diverged": bool(trace_g.diverged or trace_m.diverged),
                 "per_iter_belief_distance": diag})
 

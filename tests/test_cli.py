@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import hashlib
 import json
@@ -154,17 +153,27 @@ class TestSolve:
 
     # each ended in a ValueError traceback while every message checked itself
     @pytest.mark.parametrize("argv", [
-        ["--prior", "laplace(lambda=1)", "--channel", "poisson()"],
         ["--n", "16", "--m", "32", "--prior", "gaussian(mean=1e150,var=1e-150)",
          "--engine", "modular"],
         ["--n", "16", "--m", "32", "--prior", "gaussian(mean=1e150,var=1e-150)",
          "--engine", "modular", "--mode", "map"],
-    ], ids=["laplace-poisson", "gaussian-prior-corner", "gaussian-prior-corner-map"])
+    ], ids=["gaussian-prior-corner", "gaussian-prior-corner-map"])
     def test_formerly_raising_solve_exits_1_diverged(self, capsys, argv):
         # the gaussian-prior corner still overflows eta / lam (ROADMAP 3(d))
-        corner = any(arg.startswith("gaussian(") for arg in argv)
-        with np.errstate(over="ignore") if corner else contextlib.nullcontext():
+        with np.errstate(over="ignore"):
             code, out, _ = _run(capsys, "solve", *argv)
+        assert code == 1 and json.loads(out)["diverged"] is True
+
+    # raised, then ended ``diverged`` until the amp step removed A's mean
+    def test_formerly_raising_laplace_poisson_solve_exits_0_converged(self, capsys):
+        code, out, _ = _run(capsys, "solve", "--prior", "laplace(lambda=1)",
+                            "--channel", "poisson()")
+        assert code == 0 and json.loads(out)["converged"] is True
+
+    # module B floors every message on z while x still moves (ROADMAP 14)
+    def test_all_floored_poisson_map_solve_exits_1_diverged(self, capsys):
+        code, out, _ = _run(capsys, "solve", "--prior", "gaussian(mean=0,var=1)",
+                            "--channel", "poisson()", "--mode", "map", "--seed", "2")
         assert code == 1 and json.loads(out)["diverged"] is True
 
     # ROADMAP 3(d), logistic half: beliefs wide against the scale ended in a

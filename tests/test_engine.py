@@ -130,12 +130,15 @@ class TestModular:
             assert rec["z0"][0] == pytest.approx(SQRT3, abs=1e-5)
             assert rec["z_var"][0] == pytest.approx(0.5, abs=1e-5)
 
-    @pytest.mark.parametrize("mode, prior, damping", [
-        (Mode.SUM_PRODUCT, None, None),
-        (Mode.MAX_SUM, LaplacePrior(1.0), 0.8),
-    ], ids=["mmse", "map"])
-    def test_amp_backend_matches_monolithic_trajectory(self, mode, prior, damping):
-        prob = _make_problem(2, prior=prior)
+    # the Poisson case's A is abs_gaussian, so both run the mean-removed step
+    @pytest.mark.parametrize("mode, problem, damping", [
+        (Mode.SUM_PRODUCT, lambda: _make_problem(2), None),
+        (Mode.MAX_SUM, lambda: _make_problem(2, prior=LaplacePrior(1.0)), 0.8),
+        (Mode.SUM_PRODUCT, lambda: generate_problem(
+            64, 128, GaussianPrior(0.0, 1.0), PoissonChannel(), 2), None),
+    ], ids=["mmse", "map", "poisson-mmse"])
+    def test_amp_backend_matches_monolithic_trajectory(self, mode, problem, damping):
+        prob = problem()
         cfg = SolverConfig(max_iter=40, tol=1e-12, damping=damping)
         _, tg = run_gamp(prob, mode, cfg)
         _, tm = run_modular(prob, mode, replace(cfg, slm_backend="amp"))
@@ -228,6 +231,50 @@ class TestModular:
         assert len(trace) == len(ref_trace)
         dist = np.linalg.norm(sol.point - ref.point) / np.linalg.norm(ref.point)
         assert dist <= 1e-12
+
+
+# A = |N(0, 1/n)| has mean sqrt(2/pi/n), a rank-one spike outside the bulk:
+# plain GAMP ends ``diverged`` on these, the mean-removed step converges to the
+# LMMSE estimate
+@pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+@pytest.mark.parametrize("solver", ["gamp", "modular-amp"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_mean_removed_fixed_point_matches_lmmse_oracle(n, seed, solver, mode):
+    prob = generate_problem(n, 2 * n, GaussianPrior(0.0, 1.0), AwgnChannel(0.01), seed,
+                            matrix_dist="abs_gaussian")
+    solution, trace = SOLVERS[solver](prob, mode, SolverConfig(max_iter=300, tol=1e-12))
+    assert trace.converged
+    oracle = lmmse_solution(prob.model.A, prob.y, 0.01, 0.0, 1.0)
+    np.testing.assert_allclose(solution.point, oracle, rtol=0, atol=1e-10)
+
+
+class TestSpikeRule:
+    """``_spike`` reads only A: the amp step runs mean-removed exactly when A's
+    mean lies outside the bulk of A - mean, and the spread is not 0."""
+
+    # the sizes tests and ``trace_digest.py`` build abs_gaussian matrices at
+    @pytest.mark.parametrize("n, m", [(8, 4), (16, 32), (32, 64), (64, 128), (256, 512)])
+    def test_fires_on_abs_gaussian(self, n, m):
+        A = np.abs(np.random.default_rng(0).standard_normal((m, n))) / np.sqrt(n)
+        mu, sigma = engine._spike(A, A * A)
+        assert mu == pytest.approx(np.mean(A), rel=1e-12)
+        assert sigma == pytest.approx(np.std(A), rel=1e-9)
+
+    # the benchmark's sizes (its smoke sizes too); its matrices are gaussian
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, m", [(1024, 2048), (384, 768), (64, 128), (48, 96),
+                                      (16, 32)])
+    def test_never_fires_on_gaussian(self, n, m, seed):
+        A = np.random.default_rng(seed).standard_normal((m, n)) / np.sqrt(n)
+        assert engine._spike(A, A * A) is None
+
+    # 0.1 on 128 x 64: the one-pass spread rounds to 1.7e-16 of the mean square
+    @pytest.mark.parametrize("A", [np.array([[1.0]]), np.full((128, 64), 0.1),
+                                   np.full((4, 8), -2.0), np.zeros((3, 2))],
+                             ids=["one", "tenth", "negative", "zero"])
+    def test_never_fires_at_zero_spread(self, A):
+        assert engine._spike(A, A * A) is None
 
 
 # damping=None takes module A's default: 1.0 for "amp", 0.7 for "exact"
@@ -372,6 +419,17 @@ class TestOverlappedMatvecs:
         assert workers[0].quadrature == (len(trace) if quadrature else 0)
         assert workers[0].submitted - workers[0].quadrature >= 2 * len(trace) > 0
 
+    # abs_gaussian A: the mean-removed step's matvecs on A - mean
+    @pytest.mark.parametrize("solver", AMP_SOLVERS)
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_mean_removed_same_bits_as_the_serial_path(self, mode, solver, workers,
+                                                       monkeypatch, tmp_path):
+        prob = _generated("laplace(lambda=1)", "poisson()")
+        _, trace = _assert_same_bits_with_the_worker(solver, prob, mode, workers,
+                                                     monkeypatch, tmp_path)
+        assert trace.converged
+        assert workers[0].submitted >= 2 * len(trace) > 0
+
     @pytest.mark.parametrize("channel", QUADRATURE_CHANNELS)
     @pytest.mark.parametrize("n, m", [(16, 33), (2, 3)])
     def test_same_bits_with_unequal_quadrature_halves(self, channel, n, m, workers,
@@ -427,12 +485,14 @@ class TestWorkerLifetime:
         assert [w.submitted > 0 for w in workers] == [True, True]
 
     def test_no_thread_outlives_a_solve_that_diverges(self, workers, monkeypatch):
-        # Laplace-prior Poisson MMSE diverges on both amp engines (ROADMAP 3(b))
-        prob = _generated("laplace(lambda=1)", "poisson()")
+        # Gaussian-prior Poisson MAP at seed 2 diverges on both amp engines:
+        # module B floors every message on z while x still moves
+        prob = generate_problem(64, 128, parse_prior("gaussian(mean=0,var=1)"),
+                                parse_channel("poisson()"), 2)
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
         before = threading.active_count()
         for solver in AMP_SOLVERS:
-            _, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+            _, trace = SOLVERS[solver](prob, Mode.MAX_SUM, SolverConfig())
             assert trace.diverged, solver
             assert threading.active_count() == before, solver
         assert [w.submitted > 0 for w in workers] == [True, True]
@@ -586,12 +646,12 @@ def _reading(monkeypatch, classes, name, moments):
     return seen
 
 
-# The cells of the 72-cell grid (``scripts/trace_digest.py``) that ended in
-# ``ValueError: PosteriorStats: mean must be finite`` while every message
-# checked itself.  These laplace+poisson ones now end ``diverged`` when module B
-# floors every EP message on z while x still moves (ROADMAP 3(b)).
-FORMERLY_RAISING = [("poisson()", "mmse", "gamp"), ("poisson()", "mmse", "modular-amp"),
-                    ("poisson()", "map", "modular-amp")]
+# The laplace+poisson cells of the 72-cell grid (``scripts/trace_digest.py``)
+# on the amp engines, which raised or ran away, then ended ``diverged``.  Their
+# A is ``abs_gaussian``, whose mean is a spike outside the bulk: on the
+# mean-removed step they converge (the MAP cells at x_hat = 0, ROADMAP 3(a)).
+LAPLACE_POISSON = [("poisson()", "mmse", "gamp"), ("poisson()", "mmse", "modular-amp"),
+                   ("poisson()", "map", "modular-amp"), ("poisson()", "map", "gamp")]
 
 
 def _laplace_cell(channel, seed):
@@ -600,19 +660,43 @@ def _laplace_cell(channel, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("channel, mode, solver", FORMERLY_RAISING,
-                         ids=["|".join(cell) for cell in FORMERLY_RAISING])
-def test_formerly_raising_cell_ends_diverged(channel, mode, solver, seed):
-    solution, trace = SOLVERS[solver](_laplace_cell(channel, seed), Mode(mode), SolverConfig())
-    assert trace.diverged and not trace.converged and len(trace) >= 1
+@pytest.mark.parametrize("channel, mode, solver", LAPLACE_POISSON,
+                         ids=["|".join(cell) for cell in LAPLACE_POISSON])
+def test_laplace_poisson_amp_cell_converges(channel, mode, solver, seed):
+    prob = _laplace_cell(channel, seed)
+    solution, trace = SOLVERS[solver](prob, Mode(mode), SolverConfig())
+    assert trace.converged and not trace.diverged
     assert np.isfinite(solution.point).all() and (solution.variance > 0).all()
+    if mode == "mmse":  # below the prior mean's NMSE, as on the exact engine
+        assert nmse(solution.point, prob.x_true) < 1.0
 
 
-# This cell used to run to max_iter, to ||x_hat|| ~ 1e13.
-@pytest.mark.parametrize("seed", [0, 1])
-def test_laplace_poisson_map_gamp_ends_diverged(seed):
-    solution, trace = run_gamp(_laplace_cell("poisson()", seed), Mode.MAX_SUM, SolverConfig())
-    assert trace.diverged and not trace.converged and len(trace) <= 6
+def _last_floored_all(monkeypatch):
+    """Spy on module B's EP division: whether its last call floored every message."""
+    seen = []
+
+    def spy(stats, belief):
+        ext = ep_extrinsic(stats, belief)
+        seen.append(bool(ext.floored.all()))
+        return ext
+
+    monkeypatch.setattr(engine, "ep_extrinsic", spy)
+    return seen
+
+
+# Gaussian-prior Poisson MAP: module B floors every message on z while x
+# still moves, so the solve ends ``diverged`` (ROADMAP 14: adaptive damping)
+# with the last estimate that passed.
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("solver", ["gamp", "modular-amp"])
+def test_all_floored_messages_that_move_x_end_diverged(solver, seed, monkeypatch):
+    prob = generate_problem(64, 128, parse_prior("gaussian(mean=0,var=1)"),
+                            parse_channel("poisson()"), seed)
+    seen = _last_floored_all(monkeypatch)
+    solution, trace = SOLVERS[solver](prob, Mode.MAX_SUM, SolverConfig())
+    assert trace.diverged and not trace.converged and 1 <= len(trace) < 100
+    assert seen[-1] and not any(seen[:-1])
+    np.testing.assert_array_equal(solution.point, trace.records[-1]["x_hat"])
     assert np.isfinite(solution.point).all()
 
 
@@ -627,9 +711,8 @@ def test_all_floored_messages_that_leave_x_still_converge():
 
 
 # Formerly raising, then ``diverged`` while the Laplace MMSE denoiser
-# overflowed: the modular-exact cells converge, to GAMP's NMSE on the channels
-# where GAMP converges, and below 1 (the prior mean's) on poisson, where GAMP
-# diverges.
+# overflowed: the modular-exact cells converge, to GAMP's NMSE (on poisson,
+# mean-removed GAMP's).
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("channel", ["awgn(var=0.1)", "probit(scale=0.3)", "poisson()",
                                      "logistic(scale=0.3)"])
@@ -637,13 +720,10 @@ def test_laplace_mmse_modular_exact_cell_converges(channel, seed):
     prob = _laplace_cell(channel, seed)
     solution, trace = run_modular(prob, Mode.SUM_PRODUCT, SolverConfig())
     assert trace.converged and not trace.diverged
-    err = nmse(solution.point, prob.x_true)
-    if channel == "poisson()":
-        assert err < 1.0
-    else:
-        gamp, gamp_trace = run_gamp(prob, Mode.SUM_PRODUCT, SolverConfig())
-        assert gamp_trace.converged
-        assert err == pytest.approx(nmse(gamp.point, prob.x_true), rel=0.05)
+    gamp, gamp_trace = run_gamp(prob, Mode.SUM_PRODUCT, SolverConfig())
+    assert gamp_trace.converged
+    assert nmse(solution.point, prob.x_true) == pytest.approx(
+        nmse(gamp.point, prob.x_true), rel=0.05)
 
 
 def _conditioned(kappa, m=256, n=128):

@@ -31,13 +31,16 @@ def test_run_equivalence(backend):
     assert f"(backend={backend})" in out
 
 
-def _save_cell(directory, cell, point, iterations=(12,), converged=(True,), variance=0.5):
-    """One cell as ``trace_digest.py --save`` writes it, one row per solve."""
+def _save_cell(directory, cell, point, iterations=(12,), converged=(True,), variance=0.5,
+               diverged=None):
+    """One cell as ``trace_digest.py --save`` writes it, one row per solve;
+    ``diverged`` defaults to every solve that did not converge."""
     directory.mkdir(exist_ok=True)
     point = np.atleast_2d(point)
     np.savez(directory / f"{cell}.npz", point=point, variance=variance * np.ones_like(point),
              iterations=np.array(iterations), converged=np.array(converged),
-             diverged=~np.array(converged), floor_events=np.zeros(len(iterations), int))
+             diverged=~np.array(converged) if diverged is None else np.array(diverged),
+             floor_events=np.zeros(len(iterations), int))
 
 
 def _compare(old, new):
@@ -54,6 +57,7 @@ def test_compare_fixed_points_identical(tmp_path):
     assert all("dist=0.00e+00" in line for line in cells.values())
     assert "max dist converged=0.00e+00" in summary
     assert "moved=0 changed=0 one-sided=0" in summary
+    assert summary.endswith(" states=none")
 
 
 def test_compare_fixed_points_reports_every_difference(tmp_path):
@@ -79,6 +83,22 @@ def test_compare_fixed_points_reports_every_difference(tmp_path):
     assert cells["gone"] == "gone only in OLD" and cells["added"] == "added only in NEW"
     assert "max dist converged=1.00e-03 (moved)" in summary
     assert "moved=3 changed=2 one-sided=2 non-finite=blown,nan-var" in summary
+    assert summary.endswith(" states=converged->diverged:1")
+
+
+# every solve's end state is counted, old -> new, also within one cell
+def test_compare_fixed_points_counts_state_transitions(tmp_path):
+    conv, cut, div = ((True, False), (False, False), (False, True))  # (converged, diverged)
+    for cell, old, new in [("pair", (cut, cut), (conv, conv)), ("split", (div, conv), (conv, cut)),
+                           ("stays", (cut,), (cut,)), ("fixed", (div,), (conv,))]:
+        for side, ends in (("old", old), ("new", new)):
+            converged, diverged = zip(*ends)
+            _save_cell(tmp_path / side, cell, [[1.0]] * len(ends), (9,) * len(ends),
+                       converged, diverged=diverged)
+    cells, summary = _compare(tmp_path / "old", tmp_path / "new")
+    assert cells["stays"].endswith("unconverged")
+    assert summary.endswith(" states=converged->max_iter:1,diverged->converged:2,"
+                            "max_iter->converged:2")
 
 
 LINES_PER_RUN = 3 * 4 * 2 * 3 + 4 + 1  # grid cells, equivalence cases, verify

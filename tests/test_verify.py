@@ -9,8 +9,9 @@ from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
 from glmamp.cli import main
 from glmamp.engine import ProblemInstance, SolverConfig
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior
+from glmamp.problems import generate_problem
 from glmamp.slm import LinearModel
-from glmamp.specs import parse_channel
+from glmamp.specs import parse_channel, parse_prior
 from glmamp.verify import (GATES, CheckReport, check_derivatives, check_ep_bridge,
                            check_equivalence, check_laplace_identity, run_checks,
                            sample_operating_points)
@@ -133,6 +134,32 @@ def test_equivalence_amp_backend_exact():
     assert rep.passed, rep.to_json()
     assert rep.max_rel_residual <= 1e-6
     assert not rep.extras["diverged"]
+
+
+def test_equivalence_cut_off_by_max_iter_fails():
+    # both engines follow the same trajectory, so their end iterates agree;
+    # neither reached a fixed point
+    prob = _equivalence_problem()
+    cfg = SolverConfig(max_iter=3, tol=1e-10, damping=0.8, slm_backend="amp")
+    rep = check_equivalence(prob, Mode.SUM_PRODUCT, cfg)
+    assert rep.max_rel_residual <= GATES["equivalence"]
+    assert rep.extras["iters_gamp"] == rep.extras["iters_modular"] == 3
+    assert not rep.passed
+    assert not rep.extras["converged"] and not rep.extras["diverged"]
+
+
+# their A is abs_gaussian, so both amp engines run the mean-removed step
+POISSON_CASES = [case for case in verify.EQUIVALENCE_CASES if case[0] == "poisson()"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("channel, prior, mode", POISSON_CASES,
+                         ids=[case[2] for case in POISSON_CASES])
+def test_poisson_equivalence_cases_converge(channel, prior, mode, seed):
+    prob = generate_problem(64, 128, parse_prior(prior), parse_channel(channel), seed)
+    rep = check_equivalence(prob, Mode(mode), verify.EQUIVALENCE_CONFIG, seed=seed)
+    assert rep.passed and rep.extras["converged"], rep.to_json()
+    assert max(rep.extras["iters_gamp"], rep.extras["iters_modular"]) < 50
 
 
 def test_equivalence_exact_backend_diagnostic():
