@@ -17,18 +17,18 @@ import dataclasses
 from glmamp.channels import Mode
 from glmamp.engine import SLM_BACKENDS
 from glmamp.problems import generate_problem
-from glmamp.specs import parse_channel, parse_prior
+from glmamp.specs import non_negative_int, parse_channel, parse_prior, positive_int
 from glmamp.verify import EQUIVALENCE_CONFIG, check_equivalence
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=64)
-    ap.add_argument("--m", type=int, default=128)
+    ap.add_argument("--n", type=positive_int, default=64)
+    ap.add_argument("--m", type=positive_int, default=128)
     ap.add_argument("--prior", default="bg(rho=0.1,mean=0,var=1)")
     ap.add_argument("--channel", default="probit(scale=1.0)")
-    ap.add_argument("--mode", choices=("mmse", "map"), default="mmse")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--mode", choices=[m.value for m in Mode], default="mmse")
+    ap.add_argument("--seed", type=non_negative_int, default=0)
     ap.add_argument("--slm-backend", choices=SLM_BACKENDS, default="amp")
     args = ap.parse_args()
 

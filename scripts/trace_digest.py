@@ -61,7 +61,7 @@ from glmamp.channels import Mode
 from glmamp.cli import main as glmamp_main
 from glmamp.engine import SolverConfig, run_gamp, run_modular
 from glmamp.problems import generate_problem
-from glmamp.specs import parse_channel, parse_prior
+from glmamp.specs import non_negative_int, parse_channel, parse_prior, positive_int
 from glmamp.verify import EQUIVALENCE_CASES, EQUIVALENCE_CONFIG
 
 PRIORS = ("gaussian(mean=0,var=1)", "bg(rho=0.1,mean=0,var=1)", "laplace(lambda=1)")
@@ -134,16 +134,14 @@ def _print_cells(seed, n, prefix, scratch: Path, save_dir):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, action="append",
+    ap.add_argument("--seed", type=non_negative_int, action="append",
                     help="problem seed (default 0); repeat for several")
-    ap.add_argument("--n", type=int, action="append",
+    ap.add_argument("--n", type=positive_int, action="append",
                     help="unknowns per problem, m = 2n (default 64); repeat for several")
     ap.add_argument("--save", type=Path, metavar="DIR",
                     help="also write each cell's fixed point to DIR/<cell>.npz")
     args = ap.parse_args()
     seeds, sizes = args.seed or [0], args.n or [64]
-    if min(sizes) < 1:
-        ap.error("--n must be a positive integer")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
 

@@ -21,7 +21,7 @@ from .channels import Mode
 from .engine import SLM_BACKENDS, SolverConfig, nmse, run_gamp, run_modular
 from .problems import (MATRIX_DISTS, generate_problem, load_problem, make_matrix,
                        observe, save_problem)
-from .specs import SpecError, parse_channel, parse_prior
+from .specs import SpecError, non_negative_int, parse_channel, parse_prior, positive_int
 from .verify import CHECKS, run_checks
 
 
@@ -190,18 +190,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def positive_int(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)  # argparse reports "invalid positive_int value"
-    return value
-
-
 def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--damping", type=float, default=SolverConfig.damping)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--slm-backend", choices=SLM_BACKENDS,
                    default=SolverConfig.slm_backend,
                    help="module-A backend for the modular engine")
@@ -219,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=positive_int, required=True)
     g.add_argument("--prior", required=True)
     g.add_argument("--channel", required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=non_negative_int, default=0)
     g.add_argument("--matrix-dist", choices=MATRIX_DISTS, default=None)
     g.set_defaults(func=cmd_gen)
 
@@ -231,17 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prior", default="gaussian(mean=0,var=1)")
     s.add_argument("--channel", default="awgn(var=1.0)")
     s.add_argument("--engine", choices=("gamp", "modular"), default="gamp")
-    s.add_argument("--mode", choices=("mmse", "map"), default="mmse")
+    s.add_argument("--mode", choices=[m.value for m in Mode], default="mmse")
     s.add_argument("--trace", help="JSON-lines trace output path")
     s.add_argument("--summary", help="JSON summary output path")
     _add_solver_flags(s)
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="run the verification harness")
-    v.add_argument("--check", choices=CHECKS, default="all")
+    v.add_argument("--check", choices=("all", *CHECKS), default="all")
     v.add_argument("--channel", help="restrict to one channel spec")
     v.add_argument("--samples", type=positive_int, default=10_000)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=non_negative_int, default=0)
     v.add_argument("--report", help="JSON report output path")
     v.set_defaults(func=cmd_verify)
 
@@ -253,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--m-over-n", default="2.0",
                    help="comma-separated measurement-ratio axis")
     w.add_argument("--reps", type=positive_int, default=5)
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=non_negative_int, default=0)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_sweep)
     return parser

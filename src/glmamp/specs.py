@@ -6,6 +6,8 @@ Prior specs:    gaussian(mean=0,var=1) | bg(rho=0.1,mean=0,var=1) | laplace(lamb
 Each key appears at most once, with a finite number.  Errors carry the
 character position of the offending key=value pair or token.  ``spec_string``
 is the inverse of the two parsers: ``parse_*(spec_string(obj)) == obj``.
+``positive_int`` and ``non_negative_int`` are the argparse types the command
+and the scripts share for sizes and seeds.
 """
 
 from __future__ import annotations
@@ -104,3 +106,17 @@ def spec_string(obj) -> str:
             args = ",".join(f"{key}={getattr(obj, attr)}" for key, attr in keymap.items())
             return f"{name}({args})"
     raise TypeError(f"no spec grammar for {type(obj).__name__}")
+
+
+def positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)  # argparse reports "invalid positive_int value"
+    return value
+
+
+def non_negative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)  # argparse reports "invalid non_negative_int value"
+    return value

@@ -13,6 +13,12 @@ Four check families, each reproducible from (name, seed, samples):
   matches finite differences of f and of f'.
 * ``check_equivalence``     -- the monolithic GAMP solver and the modular
   SLM + module-B solver both converge, to the same fixed point.
+
+``CHECKS`` is the ``glmamp verify`` check set as one table: each check name
+maps to the axis it runs over (each channel, or each of
+``EQUIVALENCE_CASES``) and the reports it makes on one point of that axis.
+``run_checks`` runs the rows a ``--check`` choice selects, and the CLI takes
+its choices from the table's keys, so a new check is one function and one row.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ from .specs import parse_channel, parse_prior
 P_HAT_RANGE = (-3.0, 3.0)
 TAU_P_RANGE = (0.1, 10.0)
 # The largest residual each check passes at; no argument sets them.  Sum-product
-# MMSE moments of a non-AWGN channel are numeric (quadrature, Poisson's recursion).
+# MMSE moments of a non-AWGN channel are numeric: probit's quadrature, logistic's
+# probit mixture and Poisson's recursion.
 GATES = {"laplace": 1e-10, "bridge": 1e-10, "bridge_numeric_mmse": 1e-9,
          "derivatives": 1e-6, "equivalence": 1e-6}
 FD_STEP = 1e-5  # centred finite-difference step of check_derivatives
 
-CHECKS = ("all", "laplace", "bridge", "derivatives", "equivalence")
 CHECK_CHANNELS = ("awgn(var=1.0)", "probit(scale=1.0)", "poisson()", "logistic(scale=1.0)")
 # (channel, prior, mode) of the instances whose GAMP / modular equivalence
 # `verify` certifies; each is generated at n=64, m=128 from the verify seed.
@@ -195,24 +201,30 @@ def check_equivalence(problem: ProblemInstance, mode: Mode,
                 "per_iter_belief_distance": diag})
 
 
+# The `glmamp verify` check set, in report order: check name -> (axis, reports on
+# one point of the axis).  On each channel the "channel" rows run in table order;
+# the "case" rows run after the last channel, on each of the EQUIVALENCE_CASES.
+# A row looks its check up when it runs, so a check patched on this module runs.
+CHECKS = {
+    "laplace": ("channel", lambda ch, samples, seed: [
+        check_laplace_identity(ch, samples, seed)]),
+    "derivatives": ("channel", lambda ch, samples, seed: [
+        check_derivatives(ch, samples, seed)]),
+    "bridge": ("channel", lambda ch, samples, seed: [
+        check_ep_bridge(ch, mode, samples, seed) for mode in (Mode.SUM_PRODUCT, Mode.MAX_SUM)]),
+    "equivalence": ("case", lambda case, samples, seed: [check_equivalence(
+        generate_problem(64, 128, parse_prior(case[1]), parse_channel(case[0]), seed),
+        Mode(case[2]), EQUIVALENCE_CONFIG, seed=seed)]),
+}
+
+
 def run_checks(check, channel, samples, seed) -> list:
     """The reports of ``glmamp verify --check check``, in order.  ``channel``
-    (None: each of ``CHECK_CHANNELS``) restricts every check to that spec."""
-    reports = []
-    for ch in [channel] if channel is not None else map(parse_channel, CHECK_CHANNELS):
-        if check in ("all", "laplace"):
-            reports.append(check_laplace_identity(ch, samples, seed))
-        if check in ("all", "derivatives"):
-            reports.append(check_derivatives(ch, samples, seed))
-        if check in ("all", "bridge"):
-            for mode in (Mode.SUM_PRODUCT, Mode.MAX_SUM):
-                reports.append(check_ep_bridge(ch, mode, samples, seed))
-    if check in ("all", "equivalence"):
-        for spec, prior_spec, mode_name in EQUIVALENCE_CASES:
-            eq_channel = parse_channel(spec)
-            if channel is not None and eq_channel != channel:
-                continue
-            prob = generate_problem(64, 128, parse_prior(prior_spec), eq_channel, seed)
-            reports.append(check_equivalence(prob, Mode(mode_name), EQUIVALENCE_CONFIG,
-                                             seed=seed))
-    return reports
+    (None: each of ``CHECK_CHANNELS``) restricts every check to that spec; an
+    equivalence case matches it by its parsed channel spec."""
+    channels = [channel] if channel is not None else map(parse_channel, CHECK_CHANNELS)
+    cases = [case for case in EQUIVALENCE_CASES if channel in (None, parse_channel(case[0]))]
+    return [report for axis, points in (("channel", channels), ("case", cases))
+            for point in points for name, (row_axis, reports) in CHECKS.items()
+            if row_axis == axis and check in ("all", name)
+            for report in reports(point, samples, seed)]

@@ -305,8 +305,8 @@ class TestSolve:
         assert err.startswith(f"error: {cfg}:2: a config file cannot name")
 
     @pytest.mark.parametrize("line", ["mode = xyz", "engine = foo", "max_iter = 2.5",
-                                      "no_such_key = 1"],
-                             ids=["mode", "engine", "max-iter", "unknown-key"])
+                                      "no_such_key = 1", "seed = -1"],
+                             ids=["mode", "engine", "max-iter", "unknown-key", "seed-neg"])
     def test_config_values_validated_like_flags(self, tmp_path, capsys, line):
         cfg = tmp_path / "solve.cfg"
         cfg.write_text(f"n = 8\nm = 16\n{line}\n")
@@ -326,6 +326,18 @@ class TestVerify:
         assert len(lines) == out.count("PASS")
         for line in lines:
             assert json.loads(line)["pass"] is True
+        # on each channel its checks in table order, then the equivalence cases
+        assert [json.loads(line)["check"] for line in lines] == [
+            "laplace_identity[awgn]", "derivatives[awgn]",
+            "ep_bridge[awgn,mmse]", "ep_bridge[awgn,map]",
+            "laplace_identity[probit]", "derivatives[probit]",
+            "ep_bridge[probit,mmse]", "ep_bridge[probit,map]",
+            "laplace_identity[poisson]", "derivatives[poisson]",
+            "ep_bridge[poisson,mmse]", "ep_bridge[poisson,map]",
+            "laplace_identity[logistic]", "derivatives[logistic]",
+            "ep_bridge[logistic,mmse]", "ep_bridge[logistic,map]",
+            "equivalence[probit,mmse,amp]", "equivalence[probit,map,amp]",
+            "equivalence[poisson,mmse,amp]", "equivalence[poisson,map,amp]"]
 
     def test_single_check_single_channel(self, capsys):
         code, out, _ = _run(capsys, "verify", "--check", "laplace",
@@ -418,10 +430,15 @@ class TestSweep:
     ["verify", "--channel", "awgn(var=inf)"],
     ["solve", "--prior", "bg(rho=0.1,rho=0.5)"],
     ["solve", "--channel", "awgn(var=1,var=2)"],
+    ["gen", "--n", "4", "--m", "8", "--seed", "-1"],
+    ["solve", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["sweep", "--seed", "-5000"],
 ], ids=["gen-n-0", "gen-n-neg", "verify-samples-0", "verify-samples-neg",
         "sweep-rho-0", "sweep-rho-1.5", "sweep-snr-text", "sweep-ratio-neg",
         "spec-mean-inf", "spec-lambda-inf", "spec-mean-nan", "spec-var-inf",
-        "spec-repeated-prior-key", "spec-repeated-channel-key"])
+        "spec-repeated-prior-key", "spec-repeated-channel-key",
+        "gen-seed-neg", "solve-seed-neg", "verify-seed-neg", "sweep-seed-neg"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     extra = {"gen": ["--prior", "gaussian(mean=0,var=1)", "--channel", "awgn(var=1)",

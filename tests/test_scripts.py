@@ -31,6 +31,19 @@ def test_run_equivalence(backend):
     assert f"(backend={backend})" in out
 
 
+@pytest.mark.parametrize("argv", [["run_equivalence.py", "--n", "0"],
+                                  ["run_equivalence.py", "--seed", "-1"],
+                                  ["trace_digest.py", "--n", "0"],
+                                  ["trace_digest.py", "--seed", "-1"]],
+                         ids=["equivalence-n-0", "equivalence-seed-neg", "digest-n-0",
+                              "digest-seed-neg"])
+def test_bad_script_argument_is_a_usage_error(argv):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error: argument" in proc.stderr
+
+
 def _save_cell(directory, cell, point, iterations=(12,), converged=(True,), variance=0.5,
                diverged=None):
     """One cell as ``trace_digest.py --save`` writes it, one row per solve;
