@@ -18,6 +18,8 @@ output score) then ``ep_extrinsic``.  The engines differ only in the score
 module A gets, which ``verify.check_equivalence`` compares: ``run_gamp``
 passes the channel's score, ``run_modular`` the closed-form AWGN score of
 the EP pseudo-observations (``awgn_g_out``), so module A sees only those.
+A step class whose ``reads_score`` is false gets no score and the loop
+computes none: the exact step takes its cavity on x from its own solve.
 
 Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
 (``run_modular`` takes ``SolverConfig.slm_backend``, ``run_gamp`` ``"amp"``):
@@ -34,15 +36,18 @@ Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
 
 A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``_solve``
 calls ``cls(problem, config, worker)`` as a solve starts.  It owns the
-solve's one worker thread: from ``OVERLAP_MIN_BYTES`` of A up it creates the
-worker, and joins it when the solve returns or raises.  The amp step runs
-half of each matvec pair on it; the exact step ignores it.  From
+solve's one worker thread: it creates the worker from ``OVERLAP_MIN_BYTES``
+of A up, and on the exact backend also when ``_exact_overlap`` holds (from
+``EXACT_OVERLAP_MIN_N`` unknowns up, with BLAS on one thread), and joins it
+when the solve returns or raises.  The amp step runs half of each matvec
+pair on it; when ``_exact_overlap`` holds, the exact step hands it to
+``slm_solve``, which runs half of each cut BLAS-3 step on it.  From
 ``QUAD_SPLIT_MIN_COMPONENTS`` components on z up, ``_iterate`` also hands
 it to module B, whose probit quadrature integrates half of the components
 on it.  Each result is the serial path's, bit for bit.  The worker runs
-numpy work only: it calls no function the benchmark's tracer wraps and
-builds no message, since the tracer's span stack and object counter are
-not thread-safe.
+numpy and BLAS work only: it calls no function the benchmark's tracer
+wraps and builds no message, since the tracer's span stack and object
+counter are not thread-safe.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -58,6 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .channels import Mode, OutputChannel, awgn_g_out, g_out_with_stats
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic, valid_moments)
@@ -72,9 +78,21 @@ from .slm import LinearModel, slm_solve
 # BLAS thread, m = 2n, bg(0.1) prior: overlap lost 0.2-0.6 ms/iter up to
 # A = 3.5 MiB (n = 480), broke even at 4-5 MiB and won from 6.25 MiB
 # (n = 640: probit(0.3) 7.6 -> 7.1, awgn(0.01) 2.1 -> 1.6 ms).  8 MiB leaves
-# a margin above the break-even band for noisier hosts.  So it gates module
-# B's use of the worker too, which also needs QUAD_SPLIT_MIN_COMPONENTS.
+# a margin above the break-even band for noisier hosts.  Module B uses the
+# worker, whichever gate made it, from QUAD_SPLIT_MIN_COMPONENTS up.
 OVERLAP_MIN_BYTES = 8 * 2**20
+
+# The fewest unknowns (n) at which an exact-backend solve has the worker,
+# whatever A's size: ``slm_solve`` then runs half of each cut BLAS-3 step
+# on it.  Swept on a 2-CPU host, one BLAS thread, m = 2n, awgn(0.01) +
+# bg(0.1) MMSE, median ms/iter without -> with the worker over 3 instances
+# x 7 alternating repetitions: it lost at n = 96 (0.26 -> 0.33), tied from
+# 128 to 192 (192: 0.81 -> 0.82) and won from 224 (0.95 -> 0.79; 256:
+# 1.46 -> 1.28; 384: 3.58 -> 2.60).  256 leaves a margin above the tie.
+# With two BLAS threads the worker lost at n = 384 (parent 2.3-3.2, halves
+# in turn 2.2-3.0, on the worker 3.9-4.2 ms/iter), so ``_exact_overlap``
+# also asks for BLAS on one thread.
+EXACT_OVERLAP_MIN_N = 256
 
 # The fewest components of z (m) at which module B's quadrature is split
 # between the calling thread and the worker.  Each thread then runs small
@@ -205,6 +223,8 @@ class _AmpStep:
     denoiser still see only the m outputs and n inputs.
     """
 
+    reads_score = True
+
     def __init__(self, problem, config, worker):
         A = problem.model.A
         self.worker = worker
@@ -308,9 +328,12 @@ def _absorb(lam, eta, ext, damp):
 class _ExactStep:
     """Module A as the exact dense SLM solve; EP messages carry the prior on x."""
 
+    reads_score = False  # module B's score: the cavity comes from the SLM solve
+
     def __init__(self, problem, config, worker=None):
         model, prior = problem.model, problem.prior
         self.model = model
+        self.worker = worker if _exact_overlap(model) else None
         self.damp = 0.7 if config.damping is None else config.damping
         # pseudo-observations on z, natural parameters (precision, precision*mean)
         v0 = 1e6 * max(1.0, prior.marginal_variance())
@@ -337,7 +360,7 @@ class _ExactStep:
         mean, var, held = self._pseudo_z()
         pseudo = ExtrinsicMessage(pseudo_mean=mean, pseudo_variance=var)
         prior_x = GaussianBelief(self.eta_x / self.lam_x, 1.0 / self.lam_x)
-        self.res = slm_solve(self.model, pseudo, prior_x)
+        self.res = slm_solve(self.model, pseudo, prior_x, worker=self.worker)
         # the cavity on x, the SLM posterior with the x-side message divided
         # out; its floored components are counted with the z side's
         self.cavity = ep_extrinsic(self.res.x_stats, prior_x)
@@ -392,7 +415,8 @@ def _iterate(problem, mode, config, step, monolithic, worker):
             break
         floors += int(np.count_nonzero(ext.floored))
 
-        score = (val, nd) if monolithic else awgn_g_out(ext, belief)
+        score = ((val, nd) if monolithic else awgn_g_out(ext, belief)
+                 if step.reads_score else None)
         r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, ext, score)
         if not valid_moments(r, tau_r):
             break
@@ -419,9 +443,20 @@ def _iterate(problem, mode, config, step, monolithic, worker):
     return PosteriorStats(point=x_hat, variance=tau_x), trace
 
 
+def _exact_overlap(model) -> bool:
+    """Whether the exact step's cut BLAS halves run on the worker.
+
+    From ``EXACT_OVERLAP_MIN_N`` unknowns up, and only while OpenBLAS runs a
+    call on one thread: with more, each call already uses the CPUs the two
+    halves would share (and another BLAS is not measured).
+    """
+    return model.n >= EXACT_OVERLAP_MIN_N and blas.threads() == 1
+
+
 def _solve(problem, mode, config, backend, monolithic):
     """``_iterate`` with module A ``SLM_BACKENDS[backend]`` and the solve's worker, if any."""
-    overlap = problem.model.A.nbytes >= OVERLAP_MIN_BYTES
+    overlap = (problem.model.A.nbytes >= OVERLAP_MIN_BYTES
+               or backend == "exact" and _exact_overlap(problem.model))
     with ThreadPoolExecutor(1) if overlap else nullcontext() as worker:
         step = SLM_BACKENDS[backend](problem, config, worker)
         split = problem.model.m >= QUAD_SPLIT_MIN_COMPONENTS

@@ -17,10 +17,12 @@ inverse (n^3/3 flops each), and a triangular-times-dense product (TRMM,
 m n^2) for W_s.  That is 2 m n^2 + 2 n^3/3 flops per call, where two general
 matrix products made it 4 m n^2 + 2 n^3/3.
 
-Each step is one LAPACK or BLAS routine called directly: DSYRK, DPOTRF
-(the Cholesky factor), DPOTRS (the mean's two triangular solves), DTRTRI
-and DTRMM.  SciPy's ``cholesky`` and ``cho_solve`` call the same DPOTRF and
-DPOTRS, so the bits are theirs, but each also scans its operands for
+Each step is one LAPACK or BLAS routine called directly: DSYRK, DGEMM,
+DPOTRF (the Cholesky factor), DPOTRS (the mean's two triangular solves),
+DTRTRI and DTRMM.  :mod:`glmamp.blas` calls them through the C pointers
+SciPy exports, without the interpreter lock, so a second thread can run one
+beside another.  SciPy's ``cholesky`` and ``cho_solve`` call the same DPOTRF
+and DPOTRS, so the bits are theirs, but each also scans its operands for
 non-finite values: n^2 reads per call.  One O(n) test of P's diagonal and
 of the right-hand side P mu takes their place.  A is finite, so P can hold
 a non-finite value only through a NaN, zero (or subnormal) or negative
@@ -44,16 +46,43 @@ inverse of that order or less is exactly the TRTRI result.  Above it most
 flops run at TRMM speed: on one OpenBLAS thread TRTRI reaches about a fifth
 of the GFlop/s of the SYRK and TRMM around it at n = 384, and the recursion
 takes 1.3-1.4 ms where TRTRI takes 2.9-3.7 ms (17 against 27 ms at n = 1024).
+
+Above ``TRI_INV_LEAF`` every BLAS-3 step is cut into two independent halves
+(``_cut``), and with a ``worker`` thread the second half of each runs on
+it while the calling thread runs the first:
+
+* P's lower triangle is two diagonal-block SYRKs and one GEMM: rows split
+  at k, the multiple of ``CUT_ALIGN`` = 32 nearest n / sqrt(2), so that
+  P11's SYRK (about k^2 m / 2 multiply-adds) weighs as much as P21's GEMM
+  and P22's SYRK;
+* the inverse's two top-level diagonal blocks are inverted one on each
+  thread, and its off-diagonal block X21 = -X22 L21 X11 is two TRMMs each
+  cut in two (L21's columns, then the product's rows);
+* W_s is two TRMMs on column blocks of B^T, cut at the multiple of 32
+  nearest m / 2.
+
+The mean's DPOTRS (0.05 ms at n = 384) runs first, alone: beside the
+inverse it would need a copy of L, which the inverse overwrites, and the
+copy costs about what the overlap saves.  The worker runs BLAS calls only.
+
+Bit policy: the cuts depend on (m, n) alone, so a call returns the same bits
+with and without the worker.  At and below ``TRI_INV_LEAF`` there is no cut:
+one SYRK, one TRTRI and one TRMM, the chain of earlier releases bit for bit.
+Above it, a BLAS call cut into blocks may round differently from one call
+over the whole (by about 1e-16 relative), so exact-backend results at
+n > 64 may differ in the last bits from releases without the cut; at
+n = 256 and 1024 with m = 2n none did.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, dtrmm
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
+from . import blas
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic)
 
@@ -61,6 +90,11 @@ from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
 # n = 384 and 1024 a leaf of 64 ran within 4% of the fastest (48); 32 was as
 # fast, 96 and 128 were 3-11% slower.
 TRI_INV_LEAF = 64
+
+# Every cut of a BLAS call into two blocks falls on a multiple of this.  Cuts
+# there kept one call's bits in most probes (SYRK at n = 256-1024, m = 2n;
+# TRMM at m = 2n), where cuts off the multiples of 8 mostly did not.
+CUT_ALIGN = 32
 
 
 @dataclass(frozen=True)
@@ -94,12 +128,14 @@ class SlmResult:
 
 
 def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
-              prior_x: GaussianBelief) -> SlmResult:
+              prior_x: GaussianBelief, worker=None) -> SlmResult:
     """Exact posterior of x ~ prod N(prior) given y_i = (Ax)_i + N(0, sv_i).
 
     ``pseudo`` holds the m pseudo-observations (means, variances); ``prior_x``
     the n per-component Gaussian priors.  Returns componentwise posterior
     stats on x, marginal stats on z = A x, and the EP extrinsic on z.
+    ``worker``, an executor with one thread, runs the second half of each
+    cut BLAS step; the result is the same bits without it.
 
     The steps, and why one O(n) finiteness test on P's diagonal and the
     right-hand side suffices, are in the module docstring.  The inputs are
@@ -112,13 +148,26 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     m, n = A.shape
     py, pv = _vector(pseudo.pseudo_mean, m), _vector(pseudo.pseudo_variance, m)
     pm, pvar = _vector(prior_x.mean, n), _vector(prior_x.variance, n)
+    cut = n > TRI_INV_LEAF
+    if cut:
+        k, c = _cut(n / math.sqrt(2.0), n), _cut(m / 2, m)
+        pair = functools.partial(_pair, worker)
 
     # The one n x m buffer: B^T = (A diag(pv)^-1/2)^T, Fortran-ordered whatever
-    # A's layout, so neither SYRK (trans=0) nor TRMM makes f2py copy it.  A's
-    # second read follows at once, before SYRK's passes over B^T evict it.
+    # A's layout.  A's second read follows at once, before SYRK's passes over
+    # B^T evict it.
     bt = np.multiply(A.T, np.sqrt(1.0 / pv), order="F")
     rhs = pm / pvar + A.T @ (py / pv)
-    prec = dsyrk(1.0, bt, lower=1)
+    # only P's lower triangle is written; its zero upper triangle stays zero
+    # through the factor and the inverse
+    prec = np.zeros((n, n), order="F")
+    if cut:
+        def lower_rows():
+            blas.dgemm(bt[k:], bt[:k], prec[k:, :k])
+            blas.dsyrk(bt[k:], prec[k:, k:])
+        pair(lambda: blas.dsyrk(bt[:k], prec[:k, :k]), lower_rows)
+    else:
+        blas.dsyrk(bt, prec)
     # P is Fortran-ordered, so its diagonal is every (n + 1)-th entry of a view
     diag = prec.ravel(order="F")[::n + 1]
     diag += 1.0 / pvar
@@ -127,18 +176,23 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
         raise ValueError("slm_solve: the precision or the right-hand side is not finite "
                          "(a variance is NaN, zero or negative, or a mean is not finite)")
-    # clean=1 zeroes the strict upper triangle, which dtrtri leaves untouched.
-    # A negative info (of either routine) would flag an illegal argument,
-    # which these square Fortran-ordered float arrays cannot be.
-    chol, info = dpotrf(prec, lower=1, clean=1, overwrite_a=1)
+    # A negative info (of any routine) would flag an illegal argument, which
+    # these square Fortran-ordered float arrays cannot be.
+    info = blas.dpotrf(prec)
     if info > 0:
         raise np.linalg.LinAlgError(f"dpotrf: the {info}-th leading minor of "
                                     "the precision is not positive definite")
-    mu, _ = dpotrs(chol, rhs, lower=1, overwrite_b=1)
+    chol, mu = prec, rhs
+    blas.dpotrs(chol, mu)
     # L is not needed past dpotrs: L^-1 overwrites it, and W_s = L^-1 B^T
     # overwrites B^T (bt is never a view of A)
-    chol_inv = _tri_inv(chol, out=chol)
-    w_s = dtrmm(1.0, chol_inv, bt, lower=1, overwrite_b=1)
+    w_s = bt
+    if cut:
+        chol_inv = _tri_inv(chol, out=chol, pair=pair)
+        pair(lambda: blas.dtrmm(chol_inv, w_s[:, :c]), lambda: blas.dtrmm(chol_inv, w_s[:, c:]))
+    else:
+        chol_inv = _tri_inv(chol, out=chol)
+        blas.dtrmm(chol_inv, w_s)
 
     x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),
                        DEFAULT_VARIANCE_FLOOR)
@@ -151,35 +205,71 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     return SlmResult(x_stats=x_stats, z_stats=z_stats, z_extrinsic=z_ext)
 
 
+def _cut(at: float, size: int) -> int:
+    """The multiple of ``CUT_ALIGN`` nearest ``at``, at most ``size``."""
+    return min(CUT_ALIGN * round(at / CUT_ALIGN), size)
+
+
+def _pair(worker, first, second) -> None:
+    """Run ``first()`` and ``second()``; with a ``worker``, ``second`` runs on it.
+
+    Either way an exception of ``first`` wins over one of ``second``, as it
+    does when they run in turn, and both have finished when this returns or
+    raises.
+    """
+    if worker is None:
+        first()
+        second()
+        return
+    done = worker.submit(second)
+    try:
+        first()
+    finally:
+        error = done.exception()
+    if error is not None:
+        raise error
+
+
 def _vector(values: np.ndarray, size: int) -> np.ndarray:
     """A message field as a vector: a full-length one as it is, 0-d repeated ``size`` times."""
     return values if values.ndim else np.full(size, values)
 
 
-def _tri_inv(L: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
+def _tri_inv(L: np.ndarray, out: np.ndarray, offset: int = 0, pair=None) -> np.ndarray:
     """Inverse of a lower-triangular L whose strict upper triangle is zero.
 
     With L = [[L11, 0], [L21, L22]], L^-1 = [[X11, 0], [X21, X22]] where
     X11 = L11^-1 and X22 = L22^-1 recurse and X21 = -X22 L21 X11 is two TRMMs.
-    Every block is written into ``out`` (a Fortran-ordered n x n array),
-    which is returned; ``out`` may be L itself, since each block of L is
-    read before its block of ``out`` is written.
-    ``offset`` is L's first row in the whole factor.  Raises
-    ``numpy.linalg.LinAlgError`` when a diagonal entry of L is zero.
+    Every block is written into ``out`` (a Fortran-ordered n x n array or
+    block of one), which is returned; ``out`` may be L itself, since each
+    block of L is read before its block of ``out`` is written.
+    ``offset`` is L's first row in the whole factor.  With ``pair`` (a
+    ``_pair`` bound to a worker or to None), the top level runs X11 and X22
+    as a pair, and each TRMM of X21 as a pair of halves; the recursion below
+    runs whole calls in turn.  Raises ``numpy.linalg.LinAlgError`` when a
+    diagonal entry of L is zero.
     """
     n = L.shape[0]
+    if out is not L:
+        out[...] = L
     if n <= TRI_INV_LEAF:
-        inv, info = dtrtri(L, lower=1)
+        info = blas.dtrtri(out)
         if info != 0:
             # info > 0 is the 1-based index of a zero diagonal entry in this block
             raise np.linalg.LinAlgError("dtrtri: singular Cholesky factor "
                                         f"(info={info + offset if info > 0 else info})")
-        out[...] = inv
         return out
     k = n // 2
-    _tri_inv(L[:k, :k], out[:k, :k], offset)
-    _tri_inv(L[k:, k:], out[k:, k:], offset + k)
-    x22_l21 = dtrmm(1.0, out[k:, k:], L[k:, :k], lower=1)
-    out[k:, :k] = dtrmm(-1.0, out[:k, :k], x22_l21, side=1, lower=1, overwrite_b=1)
+    x11, x22, x21 = out[:k, :k], out[k:, k:], out[k:, :k]
+    if pair is None:
+        _tri_inv(x11, x11, offset)
+        _tri_inv(x22, x22, offset + k)
+        blas.dtrmm(x22, x21)
+        blas.dtrmm(x11, x21, alpha=-1.0, right=True)
+        return out
+    pair(lambda: _tri_inv(x11, x11, offset), lambda: _tri_inv(x22, x22, offset + k))
+    j, i = _cut(k / 2, k), _cut((n - k) / 2, n - k)
+    pair(lambda: blas.dtrmm(x22, x21[:, :j]), lambda: blas.dtrmm(x22, x21[:, j:]))
+    pair(lambda: blas.dtrmm(x11, x21[:i], alpha=-1.0, right=True),
+         lambda: blas.dtrmm(x11, x21[i:], alpha=-1.0, right=True))
     return out
-

@@ -3,17 +3,19 @@
 Deliberately dumb and slow: dense grids, plain fixed-order quadrature,
 explicit matrix assembly, proximal gradient.  None of them share code with
 the library paths they check, except ``wrapper_slm_solve``: a bit-for-bit
-reference for ``slm_solve`` that shares its triangular inverse.
+reference for ``slm_solve`` that makes the same LAPACK/BLAS calls on the
+same blocks, through SciPy's f2py wrappers.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.blas import dsyrk, dtrmm
+from scipy.linalg.blas import dgemm, dsyrk, dtrmm
+from scipy.linalg.lapack import dtrtri
 from scipy.stats import norm
 
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
                              ep_extrinsic)
-from glmamp.slm import SlmResult, _tri_inv
+from glmamp.slm import SlmResult
 
 
 def grid_moments(log_unnorm, center, sd, n_points=4096, width=12.0, lower=None):
@@ -81,28 +83,78 @@ def dense_gaussian_posterior(A, prior_mean, prior_var, pseudo_mean, pseudo_var):
     return mu, np.diag(cov).copy(), z_mean, z_var
 
 
+# slm_solve's block structure: triangular blocks of this order or less are
+# inverted whole, and every cut of a larger call falls on a multiple of
+# CUT_ALIGN (the nearest to its target, at most the size)
+LEAF, CUT_ALIGN = 64, 32
+
+
+def _cut(at, size):
+    return min(CUT_ALIGN * round(at / CUT_ALIGN), size)
+
+
+def _column_blocks(b, j):
+    return [blk for blk in (b[:, :j], b[:, j:]) if blk.size]
+
+
+def _row_blocks(b, i):
+    return [blk for blk in (b[:i], b[i:]) if blk.size]
+
+
+def _wrapper_tri_inv(L, cut):
+    """L^-1 by recursive 2 x 2 blocks of order LEAF or less, through f2py.
+
+    X11 and X22 recurse (``dtrtri`` at the leaves) and X21 = -(X22 L21) X11
+    is two ``dtrmm`` calls; with ``cut`` (the top level only) each of them
+    runs on two halves: L21's columns, then the product's rows.
+    """
+    n = L.shape[0]
+    if n <= LEAF:
+        return dtrtri(L, lower=1)[0]
+    k = n // 2
+    x11 = _wrapper_tri_inv(L[:k, :k], False)
+    x22 = _wrapper_tri_inv(L[k:, k:], False)
+    j, i = (_cut(k / 2, k), _cut((n - k) / 2, n - k)) if cut else (k, n - k)
+    y = np.hstack([dtrmm(1.0, x22, b, lower=1) for b in _column_blocks(L[k:, :k], j)])
+    x21 = np.vstack([dtrmm(-1.0, x11, b, side=1, lower=1) for b in _row_blocks(y, i)])
+    out = np.zeros((n, n), order="F")
+    out[:k, :k], out[k:, k:], out[k:, :k] = x11, x22, x21
+    return out
+
+
 def wrapper_slm_solve(model, pseudo, prior_x):
     """``slm_solve``'s LAPACK/BLAS chain through SciPy's checking wrappers.
 
-    The same SYRK, Cholesky, triangular solves, triangular inverse and TRMM
-    as ``slm_solve``, with ``cholesky`` and ``cho_solve`` (each scans its
-    operands with ``asarray_chkfinite``), the diagonal updated by fancy
-    indexing and every input broadcast to full length, so its results are
-    the bits ``slm_solve`` must return.
+    The same SYRK, GEMM, Cholesky, triangular solves, triangular inverse and
+    TRMM calls on the same blocks as ``slm_solve`` (each block copied by
+    f2py), with ``cholesky`` and ``cho_solve`` (each scans its operands with
+    ``asarray_chkfinite``), the diagonal updated by fancy indexing and every
+    input broadcast to full length, so its results are the bits
+    ``slm_solve`` must return.  Up to n = LEAF each step is one call.  Above
+    it, P's rows are cut at k near n / sqrt(2) (two SYRKs and a GEMM), the
+    inverse's top level is cut as in ``_wrapper_tri_inv``, and W_s's columns
+    are cut at c near m / 2.
     """
     A = model.A
-    py = np.broadcast_to(np.asarray(pseudo.pseudo_mean, dtype=float), (model.m,))
-    pv = np.broadcast_to(np.asarray(pseudo.pseudo_variance, dtype=float), (model.m,))
-    pm = np.broadcast_to(np.asarray(prior_x.mean, dtype=float), (model.n,))
-    pvar = np.broadcast_to(np.asarray(prior_x.variance, dtype=float), (model.n,))
+    m, n = A.shape
+    py = np.broadcast_to(np.asarray(pseudo.pseudo_mean, dtype=float), (m,))
+    pv = np.broadcast_to(np.asarray(pseudo.pseudo_variance, dtype=float), (m,))
+    pm = np.broadcast_to(np.asarray(prior_x.mean, dtype=float), (n,))
+    pvar = np.broadcast_to(np.asarray(prior_x.variance, dtype=float), (n,))
+    k, c = (n, m) if n <= LEAF else (_cut(n / np.sqrt(2.0), n), _cut(m / 2, m))
     bt = np.multiply(A.T, np.sqrt(1.0 / pv), order="F")
-    prec = dsyrk(1.0, bt, lower=1)
+    prec = np.zeros((n, n), order="F")
+    prec[:k, :k] = dsyrk(1.0, bt[:k], lower=1)
+    if k < n:
+        prec[k:, :k] = dgemm(1.0, bt[k:], bt[:k], trans_b=1)
+        prec[k:, k:] = dsyrk(1.0, bt[k:], lower=1)
     prec[np.diag_indices_from(prec)] += 1.0 / pvar
     rhs = pm / pvar + A.T @ (py / pv)
     chol = cholesky(prec, lower=True, overwrite_a=True)
     mu = cho_solve((chol, True), rhs)
-    chol_inv = _tri_inv(chol, out=chol)
-    w_s = dtrmm(1.0, chol_inv, bt, lower=1, overwrite_b=1)
+    chol_inv = _wrapper_tri_inv(chol, cut=True)
+    w_s = np.asfortranarray(np.hstack([dtrmm(1.0, chol_inv, b, lower=1)
+                                       for b in _column_blocks(bt, c)]))
     x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),
                        DEFAULT_VARIANCE_FLOOR)
     z_stats = PosteriorStats(point=A @ mu, variance=np.maximum(

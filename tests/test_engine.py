@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glmamp import channels, engine
+from glmamp import channels, engine, slm
 from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
-                             ProbitChannel, QuadratureError)
+                             ProbitChannel, QuadratureError, awgn_g_out)
 from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
                            nmse, run_gamp, run_modular)
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
@@ -211,9 +211,25 @@ class TestModular:
         assert trace.converged
         assert nmse(sol.point, prob.x_true) < 1.0
 
+    # the exact step takes its cavity on x from its own solve, so the loop
+    # computes no AWGN score for it; the amp step reads one per iteration
+    def test_only_the_amp_step_gets_a_score(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return awgn_g_out(*args)
+        monkeypatch.setattr(engine, "awgn_g_out", counting)
+        prob = _make_problem(0)
+        _, trace = run_modular(prob, Mode.SUM_PRODUCT, SolverConfig(slm_backend="exact"))
+        assert calls == [] and len(trace) > 1
+        _, trace = run_modular(prob, Mode.SUM_PRODUCT, SolverConfig(slm_backend="amp"))
+        assert len(calls) == len(trace) > 1
+
     def test_exact_backend_fixed_point_matches_dense_reference(self, monkeypatch):
-        # module A rebuilt from the explicit-inverse oracle, same floors
-        def reference_slm_solve(model, pseudo, prior_x):
+        # module A rebuilt from the explicit-inverse oracle, same floors; the
+        # oracle has no blocks to hand to a worker
+        def reference_slm_solve(model, pseudo, prior_x, worker=None):
             eps = DEFAULT_VARIANCE_FLOOR
             py, pv = pseudo.pseudo_mean, pseudo.pseudo_variance
             mu, xv, zm, zv = dense_gaussian_posterior(model.A, prior_x.mean,
@@ -358,8 +374,11 @@ class TestTraceStorage:
 @pytest.fixture
 def workers(monkeypatch):
     """Every worker the engine creates, each counting the work handed to it:
-    all of it, and the module-B quadrature halves."""
+    all of it, and the module-B quadrature halves.  BLAS reports one thread,
+    as the benchmark and the trace digest run it; only then does the exact
+    step use the worker."""
     made = []
+    monkeypatch.setattr(engine.blas, "threads", lambda: 1)
 
     class Recording(ThreadPoolExecutor):
         def __init__(self, *args, **kw):
@@ -386,9 +405,11 @@ def _generated(prior, channel, n=64, m=None):
 
 def _assert_same_bits_with_the_worker(solver, prob, mode, workers, monkeypatch, tmp_path):
     """Solve ``prob`` serially, then with the worker; returns the worker's run."""
+    monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", prob.model.n + 1)
     serial = SOLVERS[solver](prob, mode, SolverConfig())
     assert workers == []
     monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+    monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", 0)
     monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", 0)
     overlapped = SOLVERS[solver](prob, mode, SolverConfig())
     assert len(workers) == 1
@@ -463,15 +484,92 @@ class TestOverlappedMatvecs:
     @pytest.mark.parametrize("channel", ["probit(scale=0.3)", "awgn(var=0.1)"])
     def test_exact_backend_same_bits_with_the_worker(self, channel, workers,
                                                      monkeypatch, tmp_path):
-        # the exact step never submits; module B does, on a quadrature channel
+        # up to TRI_INV_LEAF unknowns nothing is cut and the exact step hands
+        # the worker nothing; module B does, on a quadrature channel
         prob = _generated("gaussian(mean=0,var=1)", channel, n=16)
         _, trace = _assert_same_bits_with_the_worker("modular-exact", prob, Mode.SUM_PRODUCT,
                                                      workers, monkeypatch, tmp_path)
         quadrature = len(trace) if channel in QUADRATURE_CHANNELS else 0
         assert workers[0].submitted == workers[0].quadrature == quadrature
 
+    # Above TRI_INV_LEAF unknowns each slm_solve call hands the worker five
+    # BLAS halves.  At these shapes some cut of a BLAS call rounded
+    # differently from one whole call in probes.
+    @pytest.mark.parametrize("channel, n, m", [
+        ("awgn(var=0.01)", 257, 300), ("probit(scale=0.3)", 500, 1000),
+        ("awgn(var=0.01)", 199, 997)])
+    def test_exact_backend_cut_same_bits_with_the_worker(self, channel, n, m, workers,
+                                                         monkeypatch, tmp_path):
+        prob = _generated("gaussian(mean=0,var=1)", channel, n=n, m=m)
+        _, trace = _assert_same_bits_with_the_worker("modular-exact", prob, Mode.SUM_PRODUCT,
+                                                     workers, monkeypatch, tmp_path)
+        quadrature = len(trace) if channel in QUADRATURE_CHANNELS else 0
+        assert workers[0].quadrature == quadrature
+        assert workers[0].submitted - quadrature == 5 * len(trace) > 0
+
+    def test_exact_threshold_is_inclusive(self, workers, monkeypatch):
+        prob = _generated("gaussian(mean=0,var=1)", "awgn(var=0.1)", n=80)
+        config = SolverConfig(max_iter=3)
+        monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", prob.model.n + 1)
+        run_modular(prob, Mode.SUM_PRODUCT, config)
+        assert workers == []
+        monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", prob.model.n)
+        run_modular(prob, Mode.SUM_PRODUCT, config)
+        assert [w.submitted for w in workers] == [15]
+        # the unknowns gate the exact backend only
+        run_gamp(prob, Mode.SUM_PRODUCT, config)
+        run_modular(prob, Mode.SUM_PRODUCT, replace(config, slm_backend="amp"))
+        assert len(workers) == 1
+
+    # with BLAS on more than one thread, or another BLAS, the exact step
+    # keeps its halves on the calling thread, even with a worker from A's size
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_exact_step_needs_one_blas_thread(self, threads, workers, monkeypatch):
+        prob = _generated("gaussian(mean=0,var=1)", "awgn(var=0.1)", n=80)
+        monkeypatch.setattr(engine.blas, "threads", lambda: threads)
+        monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", 0)
+        config = SolverConfig(max_iter=3)
+        run_modular(prob, Mode.SUM_PRODUCT, config)
+        assert workers == []
+        monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
+        run_modular(prob, Mode.SUM_PRODUCT, config)
+        assert [w.submitted for w in workers] == [0]
+
 
 class TestWorkerLifetime:
+    def test_no_thread_outlives_an_exact_solve(self, workers):
+        # n = 256 is at the exact backend's default gate
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "awgn(var=0.01)", n=256)
+        before = threading.active_count()
+        _, trace = run_modular(prob, Mode.SUM_PRODUCT, SolverConfig())
+        assert threading.active_count() == before
+        assert [w.submitted for w in workers] == [5 * len(trace)]
+
+    # the second slm_solve call raises: its dpotrf on the calling thread, or
+    # a dtrtri of the inverse's X22 block on the worker (the first of them,
+    # rows 129-192 of the factor)
+    @pytest.mark.parametrize("routine, message", [
+        ("dpotrf", r"dpotrf: the 1-th leading minor"),
+        ("dtrtri", r"dtrtri: singular Cholesky factor \(info=129\)")])
+    def test_no_thread_outlives_an_exact_solve_that_raises(self, routine, message,
+                                                           workers, monkeypatch):
+        real, seen = getattr(slm.blas, routine), []
+
+        def failing(a):
+            info = real(a)
+            if routine == "dtrtri" and threading.current_thread() is threading.main_thread():
+                return info
+            seen.append(None)
+            # each call makes one dpotrf call and hands two dtrtri calls to the worker
+            return 1 if len(seen) > (1 if routine == "dpotrf" else 2) else info
+        monkeypatch.setattr(slm.blas, routine, failing)
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "awgn(var=0.01)", n=256)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            run_modular(prob, Mode.SUM_PRODUCT, SolverConfig())
+        assert threading.active_count() == before
+        assert [w.submitted > 5 for w in workers] == [True]
+
     def test_no_thread_outlives_a_solve(self, workers, monkeypatch):
         prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)")
         before = threading.active_count()

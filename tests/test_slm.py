@@ -1,16 +1,20 @@
+import functools
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dtrtri
 
+from glmamp import slm
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage,
                              GaussianBelief, combine)
-from glmamp.slm import TRI_INV_LEAF, LinearModel, _tri_inv, slm_solve
+from glmamp.slm import TRI_INV_LEAF, LinearModel, _pair, _tri_inv, slm_solve
 
 from oracles import dense_gaussian_posterior, wrapper_slm_solve
 
@@ -159,6 +163,17 @@ class TestSlmSolve:
         with pytest.raises(np.linalg.LinAlgError):
             slm_solve(model, ExtrinsicMessage(np.zeros(132), np.ones(132)), prior_x)
 
+    # above the leaf, with the worker: dpotrf runs on the calling thread
+    def test_indefinite_precision_raises_at_n300_with_the_worker(self, worker):
+        model = LinearModel(np.random.default_rng(0).standard_normal((310, 300)))
+        variance = np.ones(300)
+        variance[250] = -1e-3
+        prior_x = SimpleNamespace(mean=np.zeros(300), variance=variance)
+        with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
+            slm_solve(model, ExtrinsicMessage(np.zeros(310), np.ones(310)), prior_x,
+                      worker=worker)
+        assert worker.submitted == 1  # P's lower rows
+
     def test_fortran_order_and_scalar_pseudo_variance(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((80, 40))
@@ -186,8 +201,9 @@ class TestSlmSolve:
         for got, want in zip(arrays, before):
             assert np.array_equal(got, want)
 
-    # one n x m buffer (B^T, then W_s) and one n x n (P, L, then L^-1), plus
-    # the inverse's block temporaries: below two n x m arrays
+    # one n x m buffer (B^T, then W_s) and one n x n (P, L, then L^-1, each
+    # block of the inverse written in place), plus vectors: below two n x m
+    # arrays
     def test_one_call_peaks_below_two_n_by_m_buffers(self):
         rng = np.random.default_rng(0)
         n, m = 384, 768
@@ -218,6 +234,41 @@ def _random_inputs(n, m, seed, order="C", scalar_pv=False):
             GaussianBelief(rng.standard_normal(n), rng.uniform(0.2, 3.0, n)))
 
 
+def _assert_same_bits(got, want):
+    for g, w in zip(_fields(got) + (got.z_extrinsic.floored,),
+                    _fields(want) + (want.z_extrinsic.floored,)):
+        assert np.array_equal(g, w)
+
+
+def _assert_near_dense_oracle(res, model, pseudo, prior_x):
+    pv = np.broadcast_to(pseudo.pseudo_variance, (model.m,))
+    mu, xv, zm, zv = dense_gaussian_posterior(model.A, prior_x.mean, prior_x.variance,
+                                              pseudo.pseudo_mean, pv)
+    for got, want in zip(_fields(res)[:4], (mu, xv, zm, zv)):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.fixture
+def worker():
+    """A one-thread executor that counts the calls handed to it."""
+    class Counting(ThreadPoolExecutor):
+        submitted = 0
+
+        def submit(self, fn, *args, **kw):
+            self.submitted += 1
+            return super().submit(fn, *args, **kw)
+
+    with Counting(1) as pool:
+        yield pool
+
+
+# Above TRI_INV_LEAF every BLAS-3 step is cut in two.  These shapes hold odd
+# sizes and cuts off the middle; at each, some cut rounded differently from
+# one whole call in probes: P's rows at 257 x 300 and 199 x 997, W_s's
+# columns at all three
+ODD_SHAPES = [(257, 300), (500, 1000), (199, 997), (65, 40)]
+
+
 class TestAgainstWrapperRoute:
     """slm_solve returns the bits of the same chain through SciPy's wrappers."""
 
@@ -228,10 +279,45 @@ class TestAgainstWrapperRoute:
     @pytest.mark.parametrize("n", [4, 64, 130, 384])
     def test_bit_for_bit(self, n, order, scalar_pv):
         args = _random_inputs(n, 2 * n, seed=n, order=order, scalar_pv=scalar_pv)
-        got, want = slm_solve(*args), wrapper_slm_solve(*args)
-        for g, w in zip(_fields(got) + (got.z_extrinsic.floored,),
-                        _fields(want) + (want.z_extrinsic.floored,)):
-            assert np.array_equal(g, w)
+        got = slm_solve(*args)
+        _assert_same_bits(got, wrapper_slm_solve(*args))
+        _assert_near_dense_oracle(got, *args)
+
+    @pytest.mark.parametrize("n, m", ODD_SHAPES)
+    def test_bit_for_bit_at_odd_shapes(self, n, m):
+        args = _random_inputs(n, m, seed=n + m)
+        got = slm_solve(*args)
+        _assert_same_bits(got, wrapper_slm_solve(*args))
+        _assert_near_dense_oracle(got, *args)
+
+    # up to TRI_INV_LEAF there is no cut: one SYRK and one TRMM, as before
+    # the cuts, so nothing is handed to the worker
+    @pytest.mark.parametrize("n, m", [(4, 8), (64, 128), (64, 3)])
+    def test_no_cut_at_and_below_the_leaf(self, n, m, worker, monkeypatch):
+        calls = []
+
+        def spy(name, real, *args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+        for name in ("dsyrk", "dgemm", "dtrmm", "dtrtri"):
+            monkeypatch.setattr(slm.blas, name,
+                                functools.partial(spy, name, getattr(slm.blas, name)))
+        args = _random_inputs(n, m, seed=0)
+        _assert_same_bits(slm_solve(*args, worker=worker), wrapper_slm_solve(*args))
+        assert calls == ["dsyrk", "dtrtri", "dtrmm"]
+        assert worker.submitted == 0
+
+    # the worker runs half of each cut step: P's SYRKs and GEMM, the inverse's
+    # top-level diagonal blocks, each of X21's two TRMMs, and W_s
+    @pytest.mark.parametrize("n, m", ODD_SHAPES + [(384, 768)])
+    def test_same_bits_with_the_worker(self, n, m, worker):
+        args = _random_inputs(n, m, seed=n * m)
+        _assert_same_bits(slm_solve(*args, worker=worker), slm_solve(*args))
+        assert worker.submitted == 5
+
+    def test_slm_binds_no_f2py_routine(self):
+        fortran = type(scipy.linalg.blas.dsyrk)
+        assert [name for name, value in vars(slm).items() if isinstance(value, fortran)] == []
 
     def test_no_finiteness_scan_and_no_scipy_wrapper(self, monkeypatch):
         calls = []
@@ -294,6 +380,29 @@ class TestTriInv:
         work = L.copy(order="F")
         with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
             _tri_inv(work, out=work)
+
+    # with a pair the top level's X22 is inverted by the pair's second call,
+    # on the worker if there is one; its dtrtri info keeps X22's offset, and
+    # a zero in X11 wins over one in X22, as in turn
+    @pytest.mark.parametrize("zeros, info", [((100,), 101), ((10,), 11), ((10, 100), 11)])
+    @pytest.mark.parametrize("threaded", [False, True], ids=["in-turn", "worker"])
+    def test_zero_diagonal_with_a_pair_keeps_its_offset(self, zeros, info, threaded):
+        L = _cholesky_factor(130)
+        for z in zeros:
+            L[z, z] = 0.0
+        with ThreadPoolExecutor(1) as pool:
+            pair = functools.partial(_pair, pool if threaded else None)
+            with pytest.raises(np.linalg.LinAlgError, match=rf"\(info={info}\)"):
+                _tri_inv(L, _new_out(L), pair=pair)
+
+    @pytest.mark.parametrize("n", [65, 130, 257, 384])
+    def test_a_pair_matches_dtrtri(self, n, worker):
+        L = _cholesky_factor(n)
+        want = dtrtri(L, lower=1)[0]
+        got = _tri_inv(L, _new_out(L), pair=functools.partial(_pair, worker))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.triu(got, 1).any()
+        assert np.array_equal(got, _tri_inv(L, _new_out(L), pair=functools.partial(_pair, None)))
 
     # slm_solve writes L^-1 over L; each block of L is read before its block
     # of the output is written, so the result is the same bits
