@@ -14,10 +14,12 @@ scalar posterior summaries used by the solvers:
   each component separately until that component's moments settle).  The
   mixture and the quadrature hold nodes on axis 0 and components on the
   contiguous axis 1, and add each component's nodes in node order, so its
-  bits do not depend on the batch.  Given a worker thread, the quadrature
-  integrates half of the components there and half on the calling thread.
-  The probit Laplace centre stays one call on the whole batch, as its
-  Newton steps, and so its bits, depend on the batch; and
+  bits do not depend on the batch.  Given the solve's worker thread and a
+  batch of ``QUAD_SPLIT_MIN_COMPONENTS`` or more components, the quadrature
+  integrates half of the components there and half on the calling thread
+  (through ``slm._pair``).  The probit Laplace centre stays one call on the
+  whole batch, as its Newton steps, and so its bits, depend on the batch;
+  and
 * ``posterior_map``  -- mode of the tilted density with Laplace variance
   1/var = -f''(mode, y) + 1/belief_variance.  The Newton ascent takes f'
   and f'' from one ``d12`` call per trial point and keeps the f'' of the
@@ -45,6 +47,7 @@ from scipy.special import log_ndtr
 from .gaussian import (_LOG_SQRT_2PI, POSTERIOR_VARIANCE_FLOOR, GaussianBelief,
                        PosteriorStats, _norm_hazard, _probit_tilted, combine,
                        trunc_gauss_ratios)
+from .slm import _pair
 
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
 # or below the z = 0 boundary (only possible for y = 0).
@@ -60,6 +63,18 @@ MAP_TOL = 1e-12
 QUAD_START_ORDER = 11
 QUAD_MAX_ORDER = 1025
 QUAD_RTOL = 1e-9
+
+# The fewest components of z at which ``posterior_mmse`` splits its probit
+# quadrature between the calling thread and the solve's worker.  Each thread
+# then runs small numpy operations, and each hands the interpreter lock
+# over; at small m that costs more than the second CPU gains.  Swept with
+# the worker on, A at 8 MiB (n m = 2**20), bg(0.1) prior, 2-CPU host, one
+# BLAS thread, median ms/iter serial -> split over 8-10 alternating GAMP
+# solves: probit(0.3) lost at m = 256 (5.14 -> 5.72), tied at 512 and 1024
+# (5.46 -> 5.65) and won from 1200 (6.35 -> 5.45; 1448: 7.33 -> 5.96; 2048:
+# 9.67 -> 7.89).  The split serves probit only: the logistic MMSE is a fixed
+# mixture of probit closed forms with no quadrature to split.
+QUAD_SPLIT_MIN_COMPONENTS = 1200
 GH_BLOCK_NODES = 2 ** 16  # abscissas per quadrature block: 512 KiB of float64
 
 # The logistic MMSE mixture over the Kolmogorov variable K: Gauss-Legendre in
@@ -423,13 +438,9 @@ def _adaptive_gh(log_target, center, sigma, scale, worker=None):
         resid = _refine(log_target, comps, center, sigma, scale, mean, var)
     else:
         half = comps.shape[0] // 2
-        second = worker.submit(_refine, log_target, comps[half:], center, sigma,
-                               scale, mean, var)
-        try:
-            first = _refine(log_target, comps[:half], center, sigma, scale, mean, var)
-        finally:
-            second.exception()  # the worker is done before anything is raised
-        resid = np.concatenate([first, second.result()])
+        resid = np.concatenate(_pair(
+            worker, lambda: _refine(log_target, comps[:half], center, sigma, scale, mean, var),
+            lambda: _refine(log_target, comps[half:], center, sigma, scale, mean, var)))
     if resid.size and np.max(resid) > 1e-7:
         raise QuadratureError(float(np.max(resid)), QUAD_MAX_ORDER)
     return mean, var
@@ -556,8 +567,9 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief,
     its own order (see ``_adaptive_gh``), so one hard belief does not raise
     the order of the others; a component unresolved at order QUAD_MAX_ORDER
     beyond 1e-7 raises QuadratureError.  With a ``worker`` (an executor),
-    the Laplace fit still runs once on the whole batch, and the worker
-    integrates half of the probit components.
+    the Laplace fit still runs once on the whole batch, and from
+    ``QUAD_SPLIT_MIN_COMPONENTS`` components up the worker integrates half
+    of the probit components.
     """
     if isinstance(channel, AwgnChannel):  # posterior_map checks y's support
         return posterior_map(channel, y, belief)
@@ -588,7 +600,8 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief,
             return out
 
         scale = np.sqrt(tau_p) + np.abs(p_hat)
-        mean, var = _adaptive_gh(log_target, center, sigma, scale, worker)
+        split = p_hat.shape[0] >= QUAD_SPLIT_MIN_COMPONENTS
+        mean, var = _adaptive_gh(log_target, center, sigma, scale, worker if split else None)
 
     var = np.maximum(var, POSTERIOR_VARIANCE_FLOOR)
     return PosteriorStats(point=mean.reshape(shape), variance=var.reshape(shape))

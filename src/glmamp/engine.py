@@ -35,19 +35,23 @@ Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
   damped EP messages carrying non-Gaussian priors on the x side.
 
 A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``_solve``
-calls ``cls(problem, config, worker)`` as a solve starts.  It owns the
-solve's one worker thread: it creates the worker from ``OVERLAP_MIN_BYTES``
-of A up, and on the exact backend also when ``_exact_overlap`` holds (from
-``EXACT_OVERLAP_MIN_N`` unknowns up, with BLAS on one thread), and joins it
-when the solve returns or raises.  The amp step runs half of each matvec
-pair on it; when ``_exact_overlap`` holds, the exact step hands it to
-``slm_solve``, which runs half of each cut BLAS-3 step on it.  From
-``QUAD_SPLIT_MIN_COMPONENTS`` components on z up, ``_iterate`` also hands
-it to module B, whose probit quadrature integrates half of the components
-on it.  Each result is the serial path's, bit for bit.  The worker runs
-numpy and BLAS work only: it calls no function the benchmark's tracer
-wraps and builds no message, since the tracer's span stack and object
-counter are not thread-safe.
+calls ``cls(problem, config, worker)`` as a solve starts, after the one
+decision on the solve's one worker thread: it creates the worker when the
+step class ``wants_worker`` for the model and OpenBLAS runs a call on one
+thread (``blas.threads() == 1``), and joins it when the solve returns or
+raises.  With more BLAS threads, each call already uses the CPUs the
+worker would share; another BLAS is not measured.  Each step class owns
+its own test: the amp step wants the worker from ``OVERLAP_MIN_BYTES`` of A
+up and runs half of each matvec pair on it; the exact step wants it from
+``EXACT_OVERLAP_MIN_N`` unknowns up and hands it to ``slm_solve``, which
+runs half of each cut BLAS-3 step on it.  ``_iterate`` hands the worker,
+whichever step wanted it, to module B, which owns its own threshold: its
+probit quadrature integrates half of the components on it from
+``channels.QUAD_SPLIT_MIN_COMPONENTS`` components up.  Every split runs
+through ``slm._pair``, and each result is the serial path's, bit for bit.
+The worker runs numpy and BLAS work only: it calls no function the
+benchmark's tracer wraps and builds no message, since the tracer's span
+stack and object counter are not thread-safe.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -68,45 +72,27 @@ from .channels import Mode, OutputChannel, awgn_g_out, g_out_with_stats
 from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
                        PosteriorStats, ep_extrinsic, valid_moments)
 from .priors import InputPrior
-from .slm import LinearModel, slm_solve
+from .slm import LinearModel, _pair, slm_solve
 
-# A in bytes at and above which a solve has a worker thread, which lives for
-# the solve.  The "amp" step runs the second of each pair of independent
+# A in bytes at and above which the "amp" step wants the solve's worker
+# thread (see ``_solve``).  It runs the second of each pair of independent
 # matvecs on it while the calling thread runs the first.  The matvecs are
 # memory-bound, so a second CPU hides one of them; below this size handing
 # work to the thread costs more than it hides.  Swept on a 2-CPU host, one
 # BLAS thread, m = 2n, bg(0.1) prior: overlap lost 0.2-0.6 ms/iter up to
 # A = 3.5 MiB (n = 480), broke even at 4-5 MiB and won from 6.25 MiB
 # (n = 640: probit(0.3) 7.6 -> 7.1, awgn(0.01) 2.1 -> 1.6 ms).  8 MiB leaves
-# a margin above the break-even band for noisier hosts.  Module B uses the
-# worker, whichever gate made it, from QUAD_SPLIT_MIN_COMPONENTS up.
+# a margin above the break-even band for noisier hosts.
 OVERLAP_MIN_BYTES = 8 * 2**20
 
-# The fewest unknowns (n) at which an exact-backend solve has the worker,
+# The fewest unknowns (n) at which the "exact" step wants the worker,
 # whatever A's size: ``slm_solve`` then runs half of each cut BLAS-3 step
 # on it.  Swept on a 2-CPU host, one BLAS thread, m = 2n, awgn(0.01) +
 # bg(0.1) MMSE, median ms/iter without -> with the worker over 3 instances
 # x 7 alternating repetitions: it lost at n = 96 (0.26 -> 0.33), tied from
 # 128 to 192 (192: 0.81 -> 0.82) and won from 224 (0.95 -> 0.79; 256:
 # 1.46 -> 1.28; 384: 3.58 -> 2.60).  256 leaves a margin above the tie.
-# With two BLAS threads the worker lost at n = 384 (parent 2.3-3.2, halves
-# in turn 2.2-3.0, on the worker 3.9-4.2 ms/iter), so ``_exact_overlap``
-# also asks for BLAS on one thread.
 EXACT_OVERLAP_MIN_N = 256
-
-# The fewest components of z (m) at which module B's quadrature is split
-# between the calling thread and the worker.  Each thread then runs small
-# numpy operations, and each hands the interpreter lock over; at small m
-# that costs more than the second CPU gains.  Swept with the worker on, A at
-# 8 MiB (n m = 2**20), bg(0.1) prior, 2-CPU host, one BLAS thread, median
-# ms/iter serial -> split over 8-10 alternating GAMP solves: probit(0.3)
-# lost at m = 256 (5.14 -> 5.72), tied at 512 and 1024 (5.46 -> 5.65) and
-# won from 1200 (6.35 -> 5.45; 1448: 7.33 -> 5.96; 2048: 9.67 -> 7.89).
-# With two BLAS threads the split lost at m = 1448 (7.72 -> 8.27) and tied
-# at n = 1024, m = 2048 (11.07 -> 10.70): the BLAS threads already use both
-# CPUs.  The split serves probit only: the logistic MMSE is a fixed mixture
-# of probit closed forms with no quadrature to split.
-QUAD_SPLIT_MIN_COMPONENTS = 1200
 
 # A's spread about its mean counts as 0 (``_spike`` never fires) at or below
 # this fraction of A's mean square.  ``_spike`` takes the spread's square as
@@ -206,11 +192,10 @@ class _AmpStep:
     """Module A as the AWGN-GAMP linear step: Onsager-corrected matvecs.
 
     The matvecs come in independent pairs, A x_hat with A^2 tau_x and A^T s
-    with (A^2)^T tau_s.  With the solve's ``worker`` (``_solve`` creates it
-    when A has ``OVERLAP_MIN_BYTES`` or more, and joins it), the second of
-    each pair runs on it while the calling thread runs the first.  Each
-    product is still one whole BLAS call on the same operands, so the bits
-    are the serial path's.
+    with (A^2)^T tau_s.  With the solve's ``worker`` (``wants_worker``), the
+    second of each pair runs on it while the calling thread runs the first.
+    Each product is still one whole BLAS call on the same operands, so the
+    bits are the serial path's.
 
     When A's mean is a spike outside its bulk (``_spike``), the step runs on
     the mean-removed A~ = A - mu, augmented in closed form (Vila, Schniter,
@@ -224,6 +209,10 @@ class _AmpStep:
     """
 
     reads_score = True
+
+    @staticmethod
+    def wants_worker(model):
+        return model.A.nbytes >= OVERLAP_MIN_BYTES
 
     def __init__(self, problem, config, worker):
         A = problem.model.A
@@ -252,16 +241,8 @@ class _AmpStep:
         self.s_e = self.tau_se = 0.0
         self.p_e = self.tau_pe = None
 
-    def _pair(self, M1, v1, M2, v2):
-        """(M1 @ v1, M2 @ v2); with a worker the second runs on its thread,
-        which runs nothing but the ndarray product."""
-        if self.worker is None:
-            return M1 @ v1, M2 @ v2
-        second = self.worker.submit(M2.__matmul__, v2)
-        return M1 @ v1, second.result()
-
     def z_belief(self, x_hat, tau_x):
-        Ax, A2tau = self._pair(self.A, x_hat, self.A2, tau_x)
+        Ax, A2tau = _pair(self.worker, lambda: self.A @ x_hat, lambda: self.A2 @ tau_x)
         if self.mean_removed:
             Ax += self.col * self.v_hat
             A2tau += self.col ** 2 * self.tau_v
@@ -278,7 +259,8 @@ class _AmpStep:
         damp = self.damp
         self.s = damp * val + (1.0 - damp) * self.s
         self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
-        ATs, A2Ttau = self._pair(self.A.T, self.s, self.A2.T, self.tau_s)
+        ATs, A2Ttau = _pair(self.worker, lambda: self.A.T @ self.s,
+                            lambda: self.A2.T @ self.tau_s)
         if self.mean_removed:
             # the constraint's score and curvature, then the flat-prior input v
             self.s_e = damp * (-self.p_e / self.tau_pe) + (1.0 - damp) * self.s_e
@@ -330,10 +312,14 @@ class _ExactStep:
 
     reads_score = False  # module B's score: the cavity comes from the SLM solve
 
-    def __init__(self, problem, config, worker=None):
+    @staticmethod
+    def wants_worker(model):
+        return model.n >= EXACT_OVERLAP_MIN_N
+
+    def __init__(self, problem, config, worker):
         model, prior = problem.model, problem.prior
         self.model = model
-        self.worker = worker if _exact_overlap(model) else None
+        self.worker = worker
         self.damp = 0.7 if config.damping is None else config.damping
         # pseudo-observations on z, natural parameters (precision, precision*mean)
         v0 = 1e6 * max(1.0, prior.marginal_variance())
@@ -389,8 +375,8 @@ def _iterate(problem, mode, config, step, monolithic, worker):
 
     ``step`` supplies the beliefs on z, the cavity on x and the absorption
     of the denoised x; ``monolithic`` picks the score it gets (see the module
-    docstring); ``worker``, if any, integrates half of module B's probit
-    quadrature components.  Returns (solution PosteriorStats,
+    docstring); ``worker``, if any, is handed to module B, which decides
+    what it splits onto it.  Returns (solution PosteriorStats,
     IterationTrace).  Besides a failed hand-over, the solve ends
     ``diverged`` when module B floors every EP message on z and x still
     moves by more than ``tol``: module B told module A nothing, so the
@@ -443,24 +429,22 @@ def _iterate(problem, mode, config, step, monolithic, worker):
     return PosteriorStats(point=x_hat, variance=tau_x), trace
 
 
-def _exact_overlap(model) -> bool:
-    """Whether the exact step's cut BLAS halves run on the worker.
-
-    From ``EXACT_OVERLAP_MIN_N`` unknowns up, and only while OpenBLAS runs a
-    call on one thread: with more, each call already uses the CPUs the two
-    halves would share (and another BLAS is not measured).
-    """
-    return model.n >= EXACT_OVERLAP_MIN_N and blas.threads() == 1
-
-
 def _solve(problem, mode, config, backend, monolithic):
-    """``_iterate`` with module A ``SLM_BACKENDS[backend]`` and the solve's worker, if any."""
-    overlap = (problem.model.A.nbytes >= OVERLAP_MIN_BYTES
-               or backend == "exact" and _exact_overlap(problem.model))
-    with ThreadPoolExecutor(1) if overlap else nullcontext() as worker:
-        step = SLM_BACKENDS[backend](problem, config, worker)
-        split = problem.model.m >= QUAD_SPLIT_MIN_COMPONENTS
-        return _iterate(problem, mode, config, step, monolithic, worker if split else None)
+    """``_iterate`` with module A ``SLM_BACKENDS[backend]`` and the solve's worker, if any.
+
+    The worker exists when the step class wants it for the model and
+    OpenBLAS runs a call on one thread.  The step's test runs first, so a
+    solve whose step wants no worker never reads the thread count.  With
+    two BLAS threads the worker lost wherever it was measured (2-CPU host,
+    m = 2n, bg(0.1) MMSE, ms/iter without -> with it): GAMP at n = 1024,
+    probit(0.3) 2.89 -> 3.08 and awgn(0.01) 0.91 -> 1.70; module B's
+    quadrature split at m = 1448, 7.72 -> 8.27; the exact step at n = 384,
+    2.2-3.0 -> 3.9-4.2.
+    """
+    cls = SLM_BACKENDS[backend]
+    wanted = cls.wants_worker(problem.model) and blas.threads() == 1
+    with ThreadPoolExecutor(1) if wanted else nullcontext() as worker:
+        return _iterate(problem, mode, config, cls(problem, config, worker), monolithic, worker)
 
 
 def run_gamp(problem: ProblemInstance, mode: Mode,

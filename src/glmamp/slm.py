@@ -210,24 +210,22 @@ def _cut(at: float, size: int) -> int:
     return min(CUT_ALIGN * round(at / CUT_ALIGN), size)
 
 
-def _pair(worker, first, second) -> None:
-    """Run ``first()`` and ``second()``; with a ``worker``, ``second`` runs on it.
+def _pair(worker, first, second) -> tuple:
+    """``(first(), second())``; with a ``worker``, ``second`` runs on it.
 
+    This is the one place any work of a solve is handed to its worker.
     Either way an exception of ``first`` wins over one of ``second``, as it
     does when they run in turn, and both have finished when this returns or
     raises.
     """
     if worker is None:
-        first()
-        second()
-        return
+        return first(), second()
     done = worker.submit(second)
     try:
-        first()
+        result = first()
     finally:
-        error = done.exception()
-    if error is not None:
-        raise error
+        done.exception()  # waits for ``second`` whether or not ``first`` raised
+    return result, done.result()
 
 
 def _vector(values: np.ndarray, size: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from glmamp.specs import parse_channel, parse_prior
 from oracles import dense_gaussian_posterior, lmmse_solution
 
 SQRT3 = np.sqrt(3.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _column(trace, name):
@@ -171,7 +175,7 @@ class TestModular:
         A = np.abs(rng.standard_normal((128, 64))) / 8.0
         prob = ProblemInstance(LinearModel(A), np.zeros(128), PoissonChannel(),
                                GaussianPrior(0.0, 1.0))
-        step = engine._ExactStep(prob, SolverConfig())
+        step = engine._ExactStep(prob, SolverConfig(), None)
         step.lam_z[:8] = 1e28
         _, _, floors = step.z_belief(np.zeros(64), np.ones(64))
         assert np.all(np.isfinite(step.res.x_stats.point))
@@ -185,7 +189,7 @@ class TestModular:
         # x-side messages of precision 1e12 > 1/floor: slm_solve holds those
         # posterior variances at the floor, so 1/x_var - lam_x < 0 there
         prob = _make_problem(0, prior=GaussianPrior(0.0, 1.0), channel=AwgnChannel(0.1))
-        step = engine._ExactStep(prob, SolverConfig())
+        step = engine._ExactStep(prob, SolverConfig(), None)
         raised = [3, 17, 40]
         step.lam_x[raised], step.eta_x[raised] = 1e12, 0.0
         _, _, floors = step.z_belief(np.zeros(64), np.ones(64))
@@ -374,9 +378,10 @@ class TestTraceStorage:
 @pytest.fixture
 def workers(monkeypatch):
     """Every worker the engine creates, each counting the work handed to it:
-    all of it, and the module-B quadrature halves.  BLAS reports one thread,
-    as the benchmark and the trace digest run it; only then does the exact
-    step use the worker."""
+    all of it, and the module-B quadrature halves (the ``channels._refine``
+    calls that run off the main thread, on the one live worker).  BLAS
+    reports one thread, as the benchmark and the trace digest run it; only
+    then does ``_solve`` create a worker."""
     made = []
     monkeypatch.setattr(engine.blas, "threads", lambda: 1)
 
@@ -388,9 +393,15 @@ def workers(monkeypatch):
 
         def submit(self, fn, *args, **kw):
             self.submitted += 1
-            self.quadrature += fn is channels._refine
             return super().submit(fn, *args, **kw)
 
+    def refine(*args):
+        if threading.current_thread() is not threading.main_thread():
+            made[-1].quadrature += 1
+        return real_refine(*args)
+
+    real_refine = channels._refine
+    monkeypatch.setattr(channels, "_refine", refine)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", Recording)
     return made
 
@@ -410,7 +421,7 @@ def _assert_same_bits_with_the_worker(solver, prob, mode, workers, monkeypatch, 
     assert workers == []
     monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
     monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", 0)
-    monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", 0)
+    monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", 0)
     overlapped = SOLVERS[solver](prob, mode, SolverConfig())
     assert len(workers) == 1
     _assert_same_run(serial, overlapped)
@@ -475,9 +486,9 @@ class TestOverlappedMatvecs:
         prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)", n=8)
         config = SolverConfig(max_iter=3)
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
-        monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m + 1)
+        monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m + 1)
         run_gamp(prob, Mode.SUM_PRODUCT, config)
-        monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m)
+        monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m)
         run_gamp(prob, Mode.SUM_PRODUCT, config)
         assert [w.quadrature for w in workers] == [0, 3]
 
@@ -521,19 +532,52 @@ class TestOverlappedMatvecs:
         run_modular(prob, Mode.SUM_PRODUCT, replace(config, slm_backend="amp"))
         assert len(workers) == 1
 
-    # with BLAS on more than one thread, or another BLAS, the exact step
-    # keeps its halves on the calling thread, even with a worker from A's size
+    # with BLAS on more than one thread, or another BLAS, no step gets a
+    # worker, however low the amp, exact and module-B thresholds are
+    @pytest.mark.parametrize("solver", [*AMP_SOLVERS, "modular-exact"])
     @pytest.mark.parametrize("threads", [2, None])
-    def test_exact_step_needs_one_blas_thread(self, threads, workers, monkeypatch):
-        prob = _generated("gaussian(mean=0,var=1)", "awgn(var=0.1)", n=80)
-        monkeypatch.setattr(engine.blas, "threads", lambda: threads)
-        monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", 0)
-        config = SolverConfig(max_iter=3)
-        run_modular(prob, Mode.SUM_PRODUCT, config)
-        assert workers == []
+    def test_worker_needs_one_blas_thread(self, threads, solver, workers, monkeypatch):
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)", n=80)
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
-        run_modular(prob, Mode.SUM_PRODUCT, config)
-        assert [w.submitted for w in workers] == [0]
+        monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", 0)
+        monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", 0)
+        config = SolverConfig(max_iter=3)
+        monkeypatch.setattr(engine.blas, "threads", lambda: threads)
+        SOLVERS[solver](prob, Mode.SUM_PRODUCT, config)
+        assert workers == []
+        # at one thread the same solve has the worker, and every consumer uses it
+        monkeypatch.setattr(engine.blas, "threads", lambda: 1)
+        _, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, config)
+        assert [w.quadrature for w in workers] == [len(trace)]
+        assert workers[0].submitted - workers[0].quadrature >= 2 * len(trace) > 0
+
+    def test_real_blas_on_two_threads_gets_no_worker(self):
+        # OpenBLAS reads the variable as it loads, so the solve runs in a
+        # child; a count above one may be capped at the CPUs there are, and
+        # only a count of one gets the worker
+        code = """
+from glmamp import blas, engine
+from glmamp.channels import Mode
+from glmamp.problems import generate_problem
+from glmamp.specs import parse_channel, parse_prior
+made = []
+class Recording(engine.ThreadPoolExecutor):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        made.append(self)
+engine.ThreadPoolExecutor = Recording
+engine.OVERLAP_MIN_BYTES = 0
+prob = generate_problem(64, 128, parse_prior("bg(rho=0.1,mean=0,var=1)"),
+                        parse_channel("probit(scale=0.3)"), 0)
+engine.run_gamp(prob, Mode.SUM_PRODUCT, engine.SolverConfig(max_iter=3))
+print(blas.threads(), len(made))
+"""
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "2"},
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        threads, made = run.stdout.split()
+        assert made == ("1" if threads == "1" else "0")
 
 
 class TestWorkerLifetime:
@@ -628,7 +672,7 @@ class TestWorkerLifetime:
             serial[solver] = str(err.value)
         assert workers == []
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
-        monkeypatch.setattr(engine, "QUAD_SPLIT_MIN_COMPONENTS", 0)
+        monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", 0)
         before = threading.active_count()
         for solver in AMP_SOLVERS:
             with pytest.raises(QuadratureError) as err:

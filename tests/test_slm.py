@@ -1,5 +1,6 @@
 import functools
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -354,6 +355,36 @@ def _cholesky_factor(n, seed=0):
 
 def _new_out(L):
     return np.zeros(L.shape, order="F")
+
+
+class TestPair:
+    @pytest.mark.parametrize("threaded", [False, True], ids=["in-turn", "worker"])
+    def test_returns_both_results_in_order(self, threaded):
+        with ThreadPoolExecutor(1) as pool:
+            got = _pair(pool if threaded else None, lambda: "first", lambda: "second")
+        assert got == ("first", "second")
+
+    def test_first_raises_only_after_second_has_finished(self):
+        # ``first`` raises while ``second`` is blocked on ``release``, which a
+        # timer sets a little later; the caller must not see the error sooner
+        started, release, finished = (threading.Event() for _ in range(3))
+        timer = threading.Timer(0.2, release.set)
+
+        def second():
+            started.set()
+            release.wait(10.0)
+            finished.set()
+
+        def first():
+            started.wait(10.0)
+            timer.start()
+            raise RuntimeError("first failed")
+
+        with ThreadPoolExecutor(1) as pool:
+            with pytest.raises(RuntimeError, match="first failed"):
+                _pair(pool, first, second)
+            assert finished.is_set()
+        timer.join()
 
 
 class TestTriInv:
