@@ -1,29 +1,24 @@
-"""Scalar output likelihood channels and their estimation functions.
+"""Scalar output likelihood channels, each with its two module-B scalar modules.
 
-Each channel gives what module B reads: the log-likelihood f(z, y) =
-log p(y|z), the pair ``d12`` = (f', f'') from one evaluation (probit shares
-one hazard phi/Phi, logistic one tanh), ``in_support`` and ``sample``;
-probit and logistic share ``BinaryChannel``.  On top of that sit the two
-scalar posterior summaries used by the solvers:
+Each channel gives the log-likelihood f(z, y) = log p(y|z), the pair
+``d12`` = (f', f'') from one evaluation (probit shares one hazard phi/Phi,
+logistic one tanh), ``in_support`` and ``sample``; probit and logistic share
+``BinaryChannel``.  As each prior owns ``denoise``, each channel owns the
+scalar modules that close GAMP at the output end, both on the density
+N(z; p_hat, tau_p) p(y|z) tilted by the likelihood:
 
-* ``posterior_mmse`` -- mean/variance of z ~ N(mean, var) tilted by p(y|z)
-  (closed form for AWGN; exact for Poisson, from a truncated-Gaussian ratio
-  recursion; for logistic a fixed mixture over the Kolmogorov variable of
-  probit closed forms, ``gaussian._probit_tilted``; for probit Gauss-Hermite
-  centred on the Laplace fit, whose order doubles from 11 up to 1025 for
-  each component separately until that component's moments settle).  The
-  mixture and the quadrature hold nodes on axis 0 and components on the
-  contiguous axis 1, and add each component's nodes in node order, so its
-  bits do not depend on the batch.  Given the solve's worker thread and a
-  batch of ``QUAD_SPLIT_MIN_COMPONENTS`` or more components, the quadrature
-  integrates half of the components there and half on the calling thread
-  (through ``slm._pair``).  The probit Laplace centre stays one call on the
-  whole batch, as its Newton steps, and so its bits, depend on the batch;
-  and
-* ``posterior_map``  -- mode of the tilted density with Laplace variance
-  1/var = -f''(mode, y) + 1/belief_variance.  The Newton ascent takes f'
-  and f'' from one ``d12`` call per trial point and keeps the f'' of the
-  mode for the variance.
+* ``map_moments`` -- the max-sum module: the mode with its Laplace variance.
+  The default is a safeguarded Newton ascent (``_newton_map``); AWGN and
+  Poisson override it with closed forms; and
+* ``mmse_moments`` -- the sum-product module: the tilted mean and variance.
+  The default is adaptive Gauss-Hermite quadrature centred on the Laplace
+  fit; AWGN, Poisson and logistic override it with exact or fixed-rule forms.
+
+A channel that gives only f, ``d12`` and ``in_support`` runs on both
+defaults.  ``posterior_map`` and ``posterior_mmse`` are module B's entry
+points: they check y's support, broadcast y and the belief to 1-d float
+arrays, call the channel's module once, hold its variance at
+``POSTERIOR_VARIANCE_FLOOR`` and restore the broadcast shape.
 
 ``g_out_with_stats``, the one output score, packages either summary as
 (point - mean)/var and the curvature correction (var - post_var)/var**2,
@@ -31,8 +26,6 @@ taken from the posterior variance in both modes, and returns it too; that
 the MAP form equals f''/(var f'' - 1) is certified by
 ``verify.check_laplace_identity`` only.  ``awgn_g_out`` is the closed-form
 AWGN special case driven by a pseudo-observation.
-
-All operations are vectorized: scalars or same-shape arrays throughout.
 """
 
 from __future__ import annotations
@@ -52,9 +45,10 @@ from .slm import _pair
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
 # or below the z = 0 boundary (only possible for y = 0).
 POISSON_Z_FLOOR = 1e-12
-# The largest Poisson count in support.  ``_poisson_recursion`` runs one numpy
-# step per count up to a batch's largest: 0.3-0.7 s per call at this bound
-# (2-CPU shared host, one BLAS thread), where a count of 1e9 would ask for 8 GB.
+# The largest Poisson count in support.  ``PoissonChannel.mmse_moments`` runs
+# one numpy step per count up to a batch's largest: 0.3-0.7 s per call at this
+# bound (2-CPU shared host, one BLAS thread), where a count of 1e9 would ask
+# for 8 GB.
 POISSON_MAX_COUNT = 1e5
 
 MAP_MAX_ITER = 100
@@ -64,9 +58,9 @@ QUAD_START_ORDER = 11
 QUAD_MAX_ORDER = 1025
 QUAD_RTOL = 1e-9
 
-# The fewest components of z at which ``posterior_mmse`` splits its probit
-# quadrature between the calling thread and the solve's worker.  Each thread
-# then runs small numpy operations, and each hands the interpreter lock
+# The fewest components of z at which the default ``mmse_moments`` splits its
+# probit quadrature between the calling thread and the solve's worker.  Each
+# thread then runs small numpy operations, and each hands the interpreter lock
 # over; at small m that costs more than the second CPU gains.  Swept with
 # the worker on, A at 8 MiB (n m = 2**20), bg(0.1) prior, 2-CPU host, one
 # BLAS thread, median ms/iter serial -> split over 8-10 alternating GAMP
@@ -116,7 +110,13 @@ class QuadratureError(RuntimeError):
 
 
 class OutputChannel:
-    """Interface: log p(y|z), its z-derivative pair, support checks, sampling."""
+    """Interface: log p(y|z), its z-derivative pair, support checks, sampling,
+    and the two scalar modules on N(z; p_hat, tau_p) p(y|z).
+
+    ``map_moments`` and ``mmse_moments`` take y, p_hat and tau_p as 1-d float
+    arrays of one length and return (point, variance) arrays of that length.
+    Their defaults read only ``log_likelihood``, ``d12`` and ``in_support``.
+    """
 
     #: "real" or "positive" -- valid z domain
     domain = "real"
@@ -134,6 +134,46 @@ class OutputChannel:
 
     def sample(self, z, rng: np.random.Generator):
         raise NotImplementedError
+
+    def map_moments(self, y, p_hat, tau_p):
+        """Mode of f(z, y) - (z - p_hat)^2 / (2 tau_p) and its Laplace variance.
+
+        The mode is ``_newton_map``'s.  The variance solves 1/var =
+        -f''(mode, y) + 1/tau_p, with the f'' that the ascent evaluated at
+        the mode together with f', not a second evaluation; for a
+        log-concave f it is positive and at most tau_p.
+        """
+        point, f2 = _newton_map(self, y, p_hat, tau_p)
+        return point, 1.0 / (-f2 + 1.0 / tau_p)
+
+    def mmse_moments(self, y, p_hat, tau_p, worker=None):
+        """Tilted mean and variance by Gauss-Hermite centred on the Laplace fit.
+
+        The fit is ``posterior_map``'s, one call on the whole batch, as its
+        Newton steps, and so its bits, depend on the batch.  Each component
+        then refines its own order (``_adaptive_gh``), so one hard belief
+        does not raise the order of the others; a component unresolved at
+        order QUAD_MAX_ORDER beyond 1e-7 raises QuadratureError.  The rule
+        holds nodes on axis 0 and components on the contiguous axis 1 and
+        adds each component's nodes in node order, so its bits do not depend
+        on the batch.  Given ``worker`` (an executor) and a batch of
+        ``QUAD_SPLIT_MIN_COMPONENTS`` or more components, the quadrature
+        integrates half of them there and half on the calling thread.
+        """
+        lap = posterior_map(self, y, GaussianBelief(p_hat, tau_p))
+
+        def log_target(z, idx):
+            quad = z - p_hat[idx]
+            np.square(quad, out=quad)
+            quad /= 2.0 * tau_p[idx]
+            out = self.log_likelihood(z, y[idx])
+            out -= quad
+            return out
+
+        scale = np.sqrt(tau_p) + np.abs(p_hat)
+        split = p_hat.shape[0] >= QUAD_SPLIT_MIN_COMPONENTS
+        return _adaptive_gh(log_target, lap.point, np.sqrt(lap.variance), scale,
+                            worker if split else None)
 
 
 def check_range(value, bounds, what):
@@ -166,6 +206,14 @@ class AwgnChannel(OutputChannel):
 
     def sample(self, z, rng):
         return z + rng.normal(scale=np.sqrt(self.noise_variance), size=np.shape(z))
+
+    def map_moments(self, y, p_hat, tau_p):
+        """The conjugate product of the belief and N(y, noise_variance)."""
+        return combine(p_hat, tau_p, y, self.noise_variance)
+
+    def mmse_moments(self, y, p_hat, tau_p, worker=None):
+        """The conjugate posterior, whose mean is its mode."""
+        return self.map_moments(y, p_hat, tau_p)
 
 
 @dataclass(frozen=True)
@@ -232,6 +280,14 @@ class LogisticChannel(BinaryChannel):
         d1 = y * (0.5 * (1.0 - y * th)) / self.scale
         return d1, np.broadcast_arrays(-s * (1.0 - s) / self.scale ** 2, y)[0]
 
+    def mmse_moments(self, y, p_hat, tau_p, worker=None):
+        """A fixed 52-node mixture of probit closed forms (``_logistic_mixture``).
+
+        No Laplace fit, no quadrature and no worker; each component's bits
+        do not depend on its batch.
+        """
+        return _logistic_mixture(y, p_hat, tau_p, self.scale)
+
 
 @dataclass(frozen=True)
 class PoissonChannel(OutputChannel):
@@ -262,25 +318,34 @@ class PoissonChannel(OutputChannel):
             raise ValueError("poisson channel requires z > 0 to sample")
         return rng.poisson(z).astype(float)
 
+    def map_moments(self, y, p_hat, tau_p):
+        """The positive root of z^2 + z(tau_p - p_hat) - y tau_p = 0, held at
+        POISSON_Z_FLOOR, with the default's Laplace variance."""
+        b = p_hat - tau_p
+        point = np.maximum(0.5 * (b + np.sqrt(b * b + 4.0 * y * tau_p)), POISSON_Z_FLOOR)
+        return point, 1.0 / (-self.d12(point, y)[1] + 1.0 / tau_p)
+
+    def mmse_moments(self, y, p_hat, tau_p, worker=None):
+        """Exact moments: z^y e^-z N(z; p_hat, tau_p) on z > 0 is z^y times
+        N(p_hat - tau_p, tau_p) cut off at 0, or, in units of sigma =
+        sqrt(tau_p), w^y N(w; t, 1) on w > 0, whose moment ratios follow a
+        three-term recursion (``gaussian.trunc_gauss_ratios``)."""
+        sigma = np.sqrt(tau_p)
+        ratio, gap = trunc_gauss_ratios(y, (p_hat - tau_p) / sigma)
+        return sigma * ratio, tau_p * ratio * gap
+
 
 # ---------------------------------------------------------------------------
-# MAP path: mode of f(z, y) - (z - mean)^2 / (2 var), Laplace variance.
+# The default MAP module: mode of f(z, y) - (z - mean)^2 / (2 var).
 # ---------------------------------------------------------------------------
-
-def _poisson_map_point(y, p_hat, tau_p):
-    """Positive root of z^2 + z(tau - p) - y tau = 0."""
-    b = p_hat - tau_p
-    z = 0.5 * (b + np.sqrt(b * b + 4.0 * np.asarray(y, dtype=float) * tau_p))
-    return np.maximum(z, POISSON_Z_FLOOR)
-
 
 def _newton_map(channel, y, p_hat, tau_p):
     """Safeguarded vectorized Newton ascent of F(z) = f(z,y) - (z-p)^2/(2 tau).
 
     Returns the mode and f''(mode, y).  ``channel.d12`` runs once at the
     start and once per trial point, and the f'' of the accepted point feeds
-    the next step.  Real-domain channels only: Poisson's mode is
-    ``_poisson_map_point``.
+    the next step.  Real-domain channels only: Poisson overrides
+    ``map_moments``.
     """
     z = np.array(np.broadcast_arrays(p_hat + 0.0 * tau_p, y)[0], dtype=float)
     d1, d2 = channel.d12(z, y)
@@ -307,32 +372,9 @@ def _newton_map(channel, y, p_hat, tau_p):
     return z, d2
 
 
-def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> PosteriorStats:
-    """Mode of the tilted density and its Laplace variance.
-
-    The variance solves 1/var = -f''(mode, y) + 1/belief.variance; for the
-    log-concave shipped channels this is always positive and at most the
-    belief variance.  The f'' is the one ``_newton_map`` evaluated at the
-    mode together with f', not a second evaluation.
-    """
-    p_hat, tau_p = belief.mean, belief.variance
-    if not np.all(channel.in_support(y)):
-        raise ValueError(f"observation outside {channel.name} support")
-    if isinstance(channel, AwgnChannel):
-        point, var = combine(p_hat, tau_p, np.asarray(y), channel.noise_variance)
-        return PosteriorStats(point=point, variance=var)
-    if isinstance(channel, PoissonChannel):
-        point = _poisson_map_point(y, p_hat, tau_p)
-        f2 = channel.d12(point, y)[1]
-    else:
-        point, f2 = _newton_map(channel, y, p_hat, tau_p)
-    prec = -f2 + 1.0 / tau_p
-    return PosteriorStats(point=point, variance=1.0 / prec)
-
-
 # ---------------------------------------------------------------------------
-# MMSE path: the Poisson recursion, the logistic mixture of probit closed
-# forms, else adaptive Gauss-Hermite centered on the Laplace fit.
+# The default MMSE module: adaptive Gauss-Hermite centred on the Laplace fit;
+# and the logistic one, a mixture of probit closed forms.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -544,67 +586,38 @@ def _logistic_mixture(y, p_hat, tau_p, scale):
     return mean, var
 
 
-def _poisson_recursion(y, p_hat, tau_p):
-    """Exact Poisson moments: z^y e^-z N(z; p_hat, tau_p) on z > 0 is z^y times
-    N(p_hat - tau_p, tau_p) cut off at 0, or, in units of sigma = sqrt(tau_p),
-    w^y N(w; t, 1) on w > 0 (``gaussian.trunc_gauss_ratios``)."""
-    sigma = np.sqrt(tau_p)
-    ratio, gap = trunc_gauss_ratios(y, (p_hat - tau_p) / sigma)
-    return sigma * ratio, tau_p * ratio * gap
+# ---------------------------------------------------------------------------
+# Module B's entry points: one call of the channel's scalar module each.
+# ---------------------------------------------------------------------------
+
+def posterior_map(channel: OutputChannel, y, belief: GaussianBelief) -> PosteriorStats:
+    """Mode of the tilted density and its Laplace variance (``channel.map_moments``)."""
+    return _tilted(channel.map_moments, channel, y, belief)
 
 
 def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief,
                    worker=None) -> PosteriorStats:
-    """Exact posterior mean and variance of the tilted scalar model.
+    """Posterior mean and variance of the tilted density (``channel.mmse_moments``).
 
-    AWGN is conjugate.  Poisson is exact too: the tilted density is z^y
-    times a Gaussian cut off at 0, whose moment ratios follow a three-term
-    recursion (``_poisson_recursion``).  Logistic is a fixed 52-node mixture
-    of probit closed forms (``_logistic_mixture``): no Laplace fit, no
-    quadrature and no worker, and each component's bits do not depend on
-    its batch.  Probit is integrated by adaptive Gauss-Hermite quadrature
-    centered on the Laplace fit of the posterior.  Each component refines
-    its own order (see ``_adaptive_gh``), so one hard belief does not raise
-    the order of the others; a component unresolved at order QUAD_MAX_ORDER
-    beyond 1e-7 raises QuadratureError.  With a ``worker`` (an executor),
-    the Laplace fit still runs once on the whole batch, and from
-    ``QUAD_SPLIT_MIN_COMPONENTS`` components up the worker integrates half
-    of the probit components.
+    ``worker``, the solve's executor if any, is handed to the module.
     """
-    if isinstance(channel, AwgnChannel):  # posterior_map checks y's support
-        return posterior_map(channel, y, belief)
+    return _tilted(channel.mmse_moments, channel, y, belief, worker)
+
+
+def _tilted(moments, channel, y, belief, *args):
+    """Module B's entry work around one call of a channel's scalar module.
+
+    Checks y's support, broadcasts y and the belief's two fields and hands
+    them to ``moments`` as 1-d float arrays, holds the variance at
+    POSTERIOR_VARIANCE_FLOOR and gives point and variance the broadcast
+    shape.
+    """
     if not np.all(channel.in_support(y)):
         raise ValueError(f"observation outside {channel.name} support")
-
     p_hat, tau_p, y = np.broadcast_arrays(belief.mean, belief.variance, y)
-    shape = p_hat.shape
-    p_hat = np.atleast_1d(p_hat).astype(float)
-    tau_p = np.atleast_1d(tau_p).astype(float)
-    y = np.atleast_1d(y).astype(float)
-
-    if isinstance(channel, PoissonChannel):
-        mean, var = _poisson_recursion(y, p_hat, tau_p)
-    elif isinstance(channel, LogisticChannel):
-        mean, var = _logistic_mixture(y, p_hat, tau_p, channel.scale)
-    else:
-        lap = posterior_map(channel, y, GaussianBelief(p_hat, tau_p))
-        sigma = np.sqrt(lap.variance)
-        center = lap.point
-
-        def log_target(z, idx):
-            quad = z - p_hat[idx]
-            np.square(quad, out=quad)
-            quad /= 2.0 * tau_p[idx]
-            out = channel.log_likelihood(z, y[idx])
-            out -= quad
-            return out
-
-        scale = np.sqrt(tau_p) + np.abs(p_hat)
-        split = p_hat.shape[0] >= QUAD_SPLIT_MIN_COMPONENTS
-        mean, var = _adaptive_gh(log_target, center, sigma, scale, worker if split else None)
-
+    point, var = moments(*(np.atleast_1d(a).astype(float) for a in (y, p_hat, tau_p)), *args)
     var = np.maximum(var, POSTERIOR_VARIANCE_FLOOR)
-    return PosteriorStats(point=mean.reshape(shape), variance=var.reshape(shape))
+    return PosteriorStats(point=point.reshape(p_hat.shape), variance=var.reshape(p_hat.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from scipy.special import expit, log_ndtr
 # the pseudo-variance at 1/DEFAULT_VARIANCE_FLOOR.
 DEFAULT_VARIANCE_FLOOR = 1e-11
 
-# A scalar module's posterior variance (channels.posterior_mmse, the bg and
-# Laplace MMSE denoisers) is held here, far below the floor above, only so
-# that one which underflows to 0 still passes valid_moments (variance > 0).
+# A scalar module's posterior variance (channels.posterior_mmse and
+# posterior_map, the bg and Laplace MMSE denoisers) is held here, far below
+# the floor above, only so that one which underflows to 0 still passes
+# valid_moments (variance > 0).
 POSTERIOR_VARIANCE_FLOOR = 1e-300
 
 # log sqrt(2 pi), the Gaussian density's normalizer, for every log-density

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Mode, check_range
-from .gaussian import (DEFAULT_VARIANCE_FLOOR, POSTERIOR_VARIANCE_FLOOR, PosteriorStats,
-                       _probit_tilted, combine, mixture_moments)
+from .gaussian import (_LOG_SQRT_2PI, DEFAULT_VARIANCE_FLOOR, POSTERIOR_VARIANCE_FLOOR,
+                       RATIO_FORWARD_MIN_T, PosteriorStats, _probit_tilted, combine,
+                       mixture_moments)
 
 # The Laplace rate's range: the prior variance 2 / rate**2 then lies in
 # [2e-150, 2e150], where its square and reciprocal are finite normal doubles.
@@ -150,8 +151,18 @@ class LaplacePrior(InputPrior):
         # underflows, the probit tilted density at y = +-1 and scale 0
         s = np.sqrt(tau)
         y = np.array([1.0, -1.0]).reshape((2,) + (1,) * r.ndim)
-        log_z, mean, v = _probit_tilted(y, (r - y * self.rate * tau) / s, 1.0, 0.0)
-        point, var = mixture_moments(log_z[0] - log_z[1] - 2.0 * self.rate * r,
+        p = (r - y * self.rate * tau) / s
+        log_z, mean, v = _probit_tilted(y, p, 1.0, 0.0)
+        # the weights' log-odds log Phi(t+) - log Phi(t-) - 2 rate r (t = y p)
+        # is log h(t-) - log h(t+), h = phi / Phi the hazard: the t^2 / 2 terms
+        # of log phi cancel 2 rate r exactly, where the first form subtracts
+        # terms of size t^2 / 2.  Below RATIO_FORWARD_MIN_T, h is y mean - t,
+        # the recursion's excess less t; elsewhere phi(t) / Z.
+        t = y * p
+        log_h = -0.5 * t * t - _LOG_SQRT_2PI - log_z
+        tail = t < RATIO_FORWARD_MIN_T
+        log_h[tail] = np.log((y * mean - t)[tail])
+        point, var = mixture_moments(log_h[1] - log_h[0],
                                      s * mean[0], tau * v[0], s * mean[1], tau * v[1])
         return PosteriorStats(point=point, variance=np.maximum(var, POSTERIOR_VARIANCE_FLOOR))
 

@@ -1,5 +1,8 @@
+import ast
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,10 +13,13 @@ from scipy.stats import norm
 
 from glmamp import channels, gaussian
 from glmamp.channels import (POISSON_MAX_COUNT, QUAD_MAX_ORDER, QUAD_START_ORDER, SCALE_RANGE,
-                             AwgnChannel, LogisticChannel, Mode, PoissonChannel,
-                             ProbitChannel, QuadratureError, awgn_g_out,
+                             AwgnChannel, LogisticChannel, Mode, OutputChannel,
+                             PoissonChannel, ProbitChannel, QuadratureError, awgn_g_out,
                              g_out_with_stats, posterior_map, posterior_mmse)
-from glmamp.gaussian import ExtrinsicMessage, GaussianBelief
+from glmamp.engine import ProblemInstance, run_gamp
+from glmamp.gaussian import ExtrinsicMessage, GaussianBelief, combine
+from glmamp.priors import GaussianPrior
+from glmamp.problems import generate_problem
 from glmamp.specs import _CHANNELS
 
 from oracles import (gauss_hermite_moments, golden_section_max, grid_moments,
@@ -702,6 +708,74 @@ def test_poisson_never_takes_newton(monkeypatch):
         stats = post(PoissonChannel(), y, belief)
         assert np.all(np.asarray(stats.point) > 0)
         assert np.all(np.asarray(stats.variance) > 0)
+
+
+@pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: c.name)
+@pytest.mark.parametrize("post", [posterior_map, posterior_mmse], ids=lambda f: f.__name__)
+def test_0d_belief_and_vector_y_give_moments_of_y_shape(channel, post):
+    _, y = _valid_zy(channel, np.random.default_rng(22), size=3)
+    stats = post(channel, y, GaussianBelief(0.4, 0.7))
+    full = post(channel, y, GaussianBelief(np.full(3, 0.4), np.full(3, 0.7)))
+    assert stats.point.shape == (3,) and stats.variance.shape == (3,)
+    assert np.array_equal(stats.point, full.point)
+    assert np.array_equal(stats.variance, full.variance)
+
+
+@dataclass(frozen=True)
+class WrittenOutGaussian(OutputChannel):
+    """y = z + N(0, noise_variance) with f, f', f'' and the support only, so
+    both scalar modules are the defaults: Newton, and the quadrature."""
+
+    noise_variance: float = 0.1
+    name = "written-out gaussian"
+
+    def log_likelihood(self, z, y):
+        return -0.5 * (y - z) ** 2 / self.noise_variance \
+            - 0.5 * np.log(2.0 * np.pi * self.noise_variance)
+
+    def d12(self, z, y):
+        d1 = (y - z) / self.noise_variance
+        return d1, np.full_like(d1, -1.0 / self.noise_variance)
+
+    def in_support(self, y):
+        return np.isfinite(y)
+
+
+class TestChannelOnTheDefaults:
+    def test_both_modules_give_the_conjugate_product(self):
+        rng = np.random.default_rng(23)
+        mean = rng.uniform(-3.0, 3.0, 200)
+        var = np.exp(rng.uniform(np.log(0.01), np.log(100.0), 200))
+        y = mean + rng.normal(0.0, 3.0, 200)
+        belief = GaussianBelief(mean, var)
+        point, post_var = combine(mean, var, y, 0.1)
+        mp = posterior_map(WrittenOutGaussian(0.1), y, belief)
+        assert np.max(np.abs(mp.point - point)) <= 1e-12
+        assert np.max(np.abs(mp.variance - post_var)) <= 1e-12
+        mm = posterior_mmse(WrittenOutGaussian(0.1), y, belief)
+        scale = np.sqrt(var) + np.abs(mean)  # the quadrature's own yardstick
+        assert np.all(np.abs(mm.point - point) <= 1e-9 * scale)
+        assert np.all(np.abs(mm.variance - post_var) <= 1e-9 * scale ** 2)
+
+    @pytest.mark.parametrize("mode", [Mode.SUM_PRODUCT, Mode.MAX_SUM])
+    def test_gamp_reaches_the_awgn_fixed_point(self, mode):
+        prob = generate_problem(64, 128, GaussianPrior(), AwgnChannel(0.1), 0)
+        twin = ProblemInstance(prob.model, prob.y, WrittenOutGaussian(0.1), prob.prior,
+                               x_true=prob.x_true)
+        (sol, trace), (twin_sol, twin_trace) = run_gamp(prob, mode), run_gamp(twin, mode)
+        assert trace.converged and twin_trace.converged
+        assert np.max(np.abs(twin_sol.point - sol.point)) <= 1e-6
+
+
+def test_channels_pick_their_modules_by_method_not_by_type():
+    # each channel owns its scalar modules, so module B's entry points
+    # (posterior_map, posterior_mmse, g_out_with_stats) test no type
+    tree = ast.parse(Path(channels.__file__).read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"posterior_map", "posterior_mmse", "g_out_with_stats"} <= defined
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "type")]
+    assert calls == []
 
 
 class TestGOut:

@@ -81,7 +81,8 @@ class TestLaplacePrior:
         assert np.all(np.abs(st_.point - ref[:, 0]) <= 1e-13 * (np.sqrt(tau) + np.abs(r)))
 
     # both branches in the hazard's tail, t = (+-r - rate tau) / sqrt(tau) < -8,
-    # with |r| / sqrt(tau) up to 1e3: the posterior hugs x = 0
+    # with |r| / sqrt(tau) up to 1e3: the posterior hugs x = 0, and the weights'
+    # log-odds is O(1) where log Phi(t+-) are each about -t^2 / 2 (5e7 at 1e4)
     @pytest.mark.parametrize("tau", [0.01, 3.0])
     @pytest.mark.parametrize("rate_sd", [9.0, 30.0, 1e3 + 9.0, 1e4])
     def test_mmse_against_mpmath_with_both_branches_in_the_tail(self, rate_sd, tau):
@@ -92,7 +93,7 @@ class TestLaplacePrior:
         st_ = LaplacePrior(rate).denoise(Mode.SUM_PRODUCT, r, np.full_like(r, tau))
         ref = np.array([laplace_mmse_mp(rate, ri, tau) for ri in r])
         np.testing.assert_allclose(st_.variance, ref[:, 1], rtol=1e-13, atol=0)
-        assert np.all(np.abs(st_.point - ref[:, 0]) <= 1e-13 * (np.sqrt(tau) + np.abs(r)))
+        assert np.all(np.abs(st_.point - ref[:, 0]) <= 1e-12 * np.sqrt(ref[:, 1]))
 
     def test_scalar_r_and_tau_give_0d_moments(self):
         st_ = LaplacePrior(1.5).denoise(Mode.SUM_PRODUCT, 0.3, 0.5)
