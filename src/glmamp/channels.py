@@ -3,9 +3,10 @@
 Each channel gives the log-likelihood f(z, y) = log p(y|z), the pair
 ``d12`` = (f', f'') from one evaluation (probit shares one hazard phi/Phi,
 logistic one tanh), ``in_support`` and ``sample``; probit and logistic share
-``BinaryChannel``.  As each prior owns ``denoise``, each channel owns the
-scalar modules that close GAMP at the output end, both on the density
-N(z; p_hat, tau_p) p(y|z) tilted by the likelihood:
+``BinaryChannel``.  Each channel owns the two scalar modules that close
+GAMP at the output end, as each prior owns the two at the input end
+(``priors``), both on the density N(z; p_hat, tau_p) p(y|z) tilted by the
+likelihood:
 
 * ``map_moments`` -- the max-sum module: the mode with its Laplace variance.
   The default is a safeguarded Newton ascent (``_newton_map``); AWGN and
@@ -16,9 +17,9 @@ N(z; p_hat, tau_p) p(y|z) tilted by the likelihood:
 
 A channel that gives only f, ``d12`` and ``in_support`` runs on both
 defaults.  ``posterior_map`` and ``posterior_mmse`` are module B's entry
-points: they check y's support, broadcast y and the belief to 1-d float
-arrays, call the channel's module once, hold its variance at
-``POSTERIOR_VARIANCE_FLOOR`` and restore the broadcast shape.
+points: they check y's support and call the channel's module once through
+``gaussian.scalar_module``, the entry the priors' modules share, which
+broadcasts, floors the variance and restores the shape.
 
 ``g_out_with_stats``, the one output score, packages either summary as
 (point - mean)/var and the curvature correction (var - post_var)/var**2,
@@ -32,14 +33,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .gaussian import (_LOG_SQRT_2PI, POSTERIOR_VARIANCE_FLOOR, GaussianBelief,
-                       PosteriorStats, _norm_hazard, _probit_tilted, combine,
-                       trunc_gauss_ratios)
+from .gaussian import (_LOG_SQRT_2PI, GaussianBelief, PosteriorStats, _norm_hazard,
+                       _probit_tilted, combine, scalar_module, trunc_gauss_ratios)
 from .slm import _pair
 
 # Lower clamp for the Poisson latent when the unconstrained mode would sit on
@@ -347,7 +347,7 @@ def _newton_map(channel, y, p_hat, tau_p):
     the next step.  Real-domain channels only: Poisson overrides
     ``map_moments``.
     """
-    z = np.array(np.broadcast_arrays(p_hat + 0.0 * tau_p, y)[0], dtype=float)
+    z = p_hat + 0.0  # turns -0.0 into +0.0
     d1, d2 = channel.d12(z, y)
     scale = 1.0 + np.abs(d1)
     # rounding of (z - p_hat)/tau_p bounds the achievable residual
@@ -599,25 +599,17 @@ def posterior_mmse(channel: OutputChannel, y, belief: GaussianBelief,
                    worker=None) -> PosteriorStats:
     """Posterior mean and variance of the tilted density (``channel.mmse_moments``).
 
-    ``worker``, the solve's executor if any, is handed to the module.
+    ``worker``, the solve's executor if any, is bound to the module.
     """
-    return _tilted(channel.mmse_moments, channel, y, belief, worker)
+    return _tilted(partial(channel.mmse_moments, worker=worker), channel, y, belief)
 
 
-def _tilted(moments, channel, y, belief, *args):
-    """Module B's entry work around one call of a channel's scalar module.
-
-    Checks y's support, broadcasts y and the belief's two fields and hands
-    them to ``moments`` as 1-d float arrays, holds the variance at
-    POSTERIOR_VARIANCE_FLOOR and gives point and variance the broadcast
-    shape.
-    """
+def _tilted(moments, channel, y, belief):
+    """Module B's entry work: checks y's support, then runs ``moments`` on
+    (y, p_hat, tau_p) through ``gaussian.scalar_module``."""
     if not np.all(channel.in_support(y)):
         raise ValueError(f"observation outside {channel.name} support")
-    p_hat, tau_p, y = np.broadcast_arrays(belief.mean, belief.variance, y)
-    point, var = moments(*(np.atleast_1d(a).astype(float) for a in (y, p_hat, tau_p)), *args)
-    var = np.maximum(var, POSTERIOR_VARIANCE_FLOOR)
-    return PosteriorStats(point=point.reshape(p_hat.shape), variance=var.reshape(p_hat.shape))
+    return scalar_module(moments, y, belief.mean, belief.variance)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import Mode
-from .engine import SLM_BACKENDS, SolverConfig, nmse, run_gamp, run_modular
+from .engine import SLM_BACKENDS, SolverConfig, json_number, nmse, run_gamp, run_modular
 from .problems import (MATRIX_DISTS, generate_problem, load_problem, make_matrix,
                        observe, save_problem)
 from .specs import SpecError, non_negative_int, parse_channel, parse_prior, positive_int
@@ -84,8 +84,7 @@ def cmd_solve(args) -> int:
                "iterations": len(trace), "converged": trace.converged,
                "diverged": trace.diverged, "floor_events": trace.floor_events,
                "wall_time_s": round(elapsed, 6),
-               "nmse": nmse(solution.point, problem.x_true)
-               if problem.x_true is not None else None}
+               "nmse": json_number(nmse(solution.point, problem.x_true))}
     text = json.dumps(summary, sort_keys=True, indent=2)
     if args.summary:
         Path(args.summary).write_text(text + "\n")

@@ -158,7 +158,8 @@ class IterationTrace:
     Each record keeps its vectors as the float64 ndarrays the loop handed to
     ``append`` (8 bytes a value); the loop builds them fresh every iteration
     and never writes to them afterwards, so they are stored without a copy.
-    JSON lists exist only inside ``to_jsonl``, one line at a time.
+    JSON lists exist only inside ``to_jsonl``, one line at a time; it writes
+    a NaN nmse (no x_true, or an all-zero one) as null.
     """
 
     records: list = field(default_factory=list)
@@ -176,16 +177,22 @@ class IterationTrace:
         with open(path, "w") as fh:
             for rec in self.records:
                 line = {k: (rec[k].tolist() if isinstance(rec[k], np.ndarray)
-                            else rec[k]) for k in TRACE_FIELDS}
+                            else json_number(rec[k])) for k in TRACE_FIELDS}
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def nmse(x_hat, x_true) -> float:
-    """Normalized mean squared error ||x_hat - x_true||^2 / ||x_true||^2."""
-    denom = float(np.sum(np.asarray(x_true) ** 2))
+    """Normalized mean squared error ||x_hat - x_true||^2 / ||x_true||^2; NaN
+    where x_true is None or all zero."""
+    denom = 0.0 if x_true is None else float(np.sum(np.asarray(x_true) ** 2))
     if denom == 0.0:
         return float("nan")
     return float(np.sum((np.asarray(x_hat) - np.asarray(x_true)) ** 2) / denom)
+
+
+def json_number(value):
+    """A number as JSON holds it: a NaN, which JSON has no token for, as None (null)."""
+    return None if np.isnan(value) else value
 
 
 class _AmpStep:
@@ -420,7 +427,7 @@ def _iterate(problem, mode, config, step, monolithic, worker):
         trace.append(iter=it, x_hat=x_hat, tau_x=tau_x, p_hat=p_hat, tau_p=tau_p,
                      z0=stats.point, z_var=stats.variance, y_tilde=y_tilde,
                      sigma2_tilde=sigma2_tilde, floor_events=floors,
-                     nmse=float("nan") if problem.x_true is None else nmse(x_hat, problem.x_true))
+                     nmse=nmse(x_hat, problem.x_true))
         if it >= 2 and delta < config.tol:
             trace.converged = True
             break

@@ -2,6 +2,11 @@
 one truncated-Gaussian recursion, one cut-off-Gaussian closed form (tilted by
 Phi; at scale 0, cut off at 0) and one two-component mixture.
 
+``scalar_module`` is the one entry to GAMP's scalar modules at both ends of
+the GLM, a channel's on the z side and a prior's on the x side: it
+broadcasts the fields, calls the module once on 1-d float arrays, holds the
+variance at POSTERIOR_VARIANCE_FLOOR and restores the broadcast shape.
+
 This module owns the message format: a message's two moment fields are
 float64 arrays, converted once when it is built (a scalar becomes a 0-d
 array), and ``ExtrinsicMessage.floored`` is a bool array.  Only
@@ -24,10 +29,9 @@ from scipy.special import expit, log_ndtr
 # the pseudo-variance at 1/DEFAULT_VARIANCE_FLOOR.
 DEFAULT_VARIANCE_FLOOR = 1e-11
 
-# A scalar module's posterior variance (channels.posterior_mmse and
-# posterior_map, the bg and Laplace MMSE denoisers) is held here, far below
-# the floor above, only so that one which underflows to 0 still passes
-# valid_moments (variance > 0).
+# Every scalar module's posterior variance, a channel's or a prior's, is held
+# here by ``scalar_module``, far below the floor above, only so that one
+# which underflows to 0 still passes valid_moments (variance > 0).
 POSTERIOR_VARIANCE_FLOOR = 1e-300
 
 # log sqrt(2 pi), the Gaussian density's normalizer, for every log-density
@@ -95,6 +99,21 @@ class ExtrinsicMessage:
     def __post_init__(self):
         _store_moments(self, "pseudo_mean", "pseudo_variance")
         object.__setattr__(self, "floored", np.asarray(self.floored, dtype=bool))
+
+
+def scalar_module(moments, *fields) -> PosteriorStats:
+    """One call of a scalar module, MMSE or MAP, at either end of the GLM.
+
+    Broadcasts ``fields`` and hands them to ``moments`` as 1-d float arrays
+    of one length; ``moments`` returns (point, variance) arrays of that
+    length.  Holds the variance at POSTERIOR_VARIANCE_FLOOR and gives point
+    and variance the broadcast shape.
+    """
+    fields = np.broadcast_arrays(*fields)
+    point, var = moments(*(np.ravel(a).astype(float) for a in fields))
+    var = np.maximum(var, POSTERIOR_VARIANCE_FLOOR)
+    shape = fields[0].shape
+    return PosteriorStats(point=point.reshape(shape), variance=var.reshape(shape))
 
 
 def combine(mean_a, var_a, mean_b, var_b):

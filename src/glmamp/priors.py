@@ -1,11 +1,19 @@
-"""Scalar input priors and their MMSE / MAP denoisers.
+"""Scalar input priors, each with its two scalar modules at GAMP's input end.
 
-Each prior answers the scalar model r = x + N(0, tau): SUM_PRODUCT mode
-returns the exact posterior mean and variance of x, for bg and laplace a
-two-component mixture (``gaussian.mixture_moments``; laplace's components
-are Gaussians cut off at 0, the probit closed form at scale 0,
-``gaussian._probit_tilted``), MAX_SUM mode the posterior mode with its
-Laplace variance.  All vectorized over (r, tau).
+Each prior answers the scalar model r = x + N(0, tau) with two modules, as
+each output channel does at the other end (``channels``):
+
+* ``mmse_moments`` -- the sum-product module: the exact posterior mean and
+  variance of x, for bg and laplace a two-component mixture
+  (``gaussian.mixture_moments``; laplace's components are Gaussians cut off
+  at 0, the probit closed form at scale 0, ``gaussian._probit_tilted``); and
+* ``map_moments`` -- the max-sum module: the posterior mode with its
+  Laplace variance.
+
+The gaussian prior's two modules are one.  ``InputPrior.denoise`` is the
+one denoiser: it picks the mode's module and runs it through
+``gaussian.scalar_module``, which broadcasts (r, tau), floors the variance
+and restores the shape.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Mode, check_range
-from .gaussian import (_LOG_SQRT_2PI, DEFAULT_VARIANCE_FLOOR, POSTERIOR_VARIANCE_FLOOR,
-                       RATIO_FORWARD_MIN_T, PosteriorStats, _probit_tilted, combine,
-                       mixture_moments)
+from .gaussian import (_LOG_SQRT_2PI, DEFAULT_VARIANCE_FLOOR, RATIO_FORWARD_MIN_T,
+                       PosteriorStats, _probit_tilted, combine, mixture_moments,
+                       scalar_module)
 
 # The Laplace rate's range: the prior variance 2 / rate**2 then lies in
 # [2e-150, 2e150], where its square and reciprocal are finite normal doubles.
@@ -36,12 +44,25 @@ PRIOR_MEAN_RANGE = (-1e150, 1e150)
 
 
 class InputPrior:
-    """Interface: denoise(mode, r, tau), marginal moments, sampling."""
+    """Interface: the two scalar modules on N(x; r, tau) p(x), marginal
+    moments, sampling.
+
+    ``map_moments`` and ``mmse_moments`` take r and tau as 1-d float arrays
+    of one length and return (point, variance) arrays of that length.
+    """
 
     name = "prior"
 
-    def denoise(self, mode: Mode, r, tau) -> PosteriorStats:
+    def map_moments(self, r, tau):
         raise NotImplementedError
+
+    def mmse_moments(self, r, tau):
+        raise NotImplementedError
+
+    def denoise(self, mode: Mode, r, tau) -> PosteriorStats:
+        """The mode's module on (r, tau), any two broadcastable shapes."""
+        moments = self.mmse_moments if mode is Mode.SUM_PRODUCT else self.map_moments
+        return scalar_module(moments, r, tau)
 
     def marginal_mean(self) -> float:
         raise NotImplementedError
@@ -65,9 +86,11 @@ class GaussianPrior(InputPrior):
         check_range(self.mean, PRIOR_MEAN_RANGE, "gaussian prior mean")
         check_range(self.var, PRIOR_VARIANCE_RANGE, "gaussian prior var")
 
-    def denoise(self, mode, r, tau):
-        point, var = combine(self.mean, self.var, np.asarray(r), np.asarray(tau, dtype=float))
-        return PosteriorStats(point=point, variance=var + 0.0 * point)
+    def mmse_moments(self, r, tau):
+        """The conjugate posterior, whose mean is its mode."""
+        return combine(self.mean, self.var, r, tau)
+
+    map_moments = mmse_moments
 
     def marginal_mean(self):
         return self.mean
@@ -94,27 +117,28 @@ class BernoulliGaussianPrior(InputPrior):
         check_range(self.mean, PRIOR_MEAN_RANGE, "bg mean")
         check_range(self.var, PRIOR_VARIANCE_RANGE, "bg var")
 
-    def denoise(self, mode, r, tau):
-        r = np.asarray(r, dtype=float)
-        tau = np.asarray(tau, dtype=float) + 0.0 * r
+    def mmse_moments(self, r, tau):
+        """The mixture of the slab's posterior and the spike, by their evidences."""
         m1, v1 = combine(self.mean, self.var, r, tau)  # the slab's posterior
         # log evidence of slab and spike, less their shared log sqrt(2 pi)
         log_z1 = np.log(self.rho) - 0.5 * (r - self.mean) ** 2 / (self.var + tau) \
             - 0.5 * np.log(self.var + tau)
         log_z0 = np.log1p(-self.rho) - 0.5 * r ** 2 / tau \
             - 0.5 * np.log(tau) if self.rho < 1.0 else np.full_like(r, -np.inf)
-        if mode is Mode.SUM_PRODUCT:
-            point, var = mixture_moments(log_z1 - log_z0, m1, v1, 0.0, 0.0)
-            return PosteriorStats(point=point, variance=np.maximum(var, POSTERIOR_VARIANCE_FLOOR))
-        # MAX_SUM: compare the penalized objective of the slab mode vs x = 0.
-        # The spike is scored with its mixture weight as a point mass.
+        return mixture_moments(log_z1 - log_z0, m1, v1, 0.0, 0.0)
+
+    def map_moments(self, r, tau):
+        """The slab's mode with its variance, or x = 0 with DEFAULT_VARIANCE_FLOOR.
+
+        Whichever scores the higher penalized objective; the spike is scored
+        with its mixture weight as a point mass.
+        """
+        m1, v1 = combine(self.mean, self.var, r, tau)
         j1 = np.log(self.rho) - 0.5 * (m1 - self.mean) ** 2 / self.var \
             - 0.5 * np.log(2.0 * np.pi * self.var) - 0.5 * (m1 - r) ** 2 / tau
         j0 = (np.log1p(-self.rho) if self.rho < 1.0 else -np.inf) - 0.5 * r ** 2 / tau
         take_slab = j1 >= j0
-        point = np.where(take_slab, m1, 0.0)
-        var = np.where(take_slab, v1, DEFAULT_VARIANCE_FLOOR)
-        return PosteriorStats(point=point, variance=var)
+        return np.where(take_slab, m1, 0.0), np.where(take_slab, v1, DEFAULT_VARIANCE_FLOOR)
 
     def marginal_mean(self):
         return self.rho * self.mean
@@ -137,20 +161,21 @@ class LaplacePrior(InputPrior):
     def __post_init__(self):
         check_range(self.rate, RATE_RANGE, "laplace rate")
 
-    def denoise(self, mode, r, tau):
-        r = np.asarray(r, dtype=float)
-        tau = np.asarray(tau, dtype=float) + 0.0 * r
-        if mode is Mode.MAX_SUM:
-            thresh = self.rate * tau
-            point = np.sign(r) * np.maximum(np.abs(r) - thresh, 0.0)
-            # the prior is piecewise linear: Laplace curvature is zero away
-            # from the kink, and by convention also at the kink
-            return PosteriorStats(point=point, variance=tau)
+    def map_moments(self, r, tau):
+        """Soft thresholding at rate tau, with variance tau.
+
+        The prior is piecewise linear: its Laplace curvature is zero away
+        from the kink, and by convention also at the kink.
+        """
+        return np.sign(r) * np.maximum(np.abs(r) - self.rate * tau, 0.0), tau
+
+    def mmse_moments(self, r, tau):
+        """The mixture of the two cut-off Gaussians x > 0 and x < 0."""
         # N(r -+ rate tau, tau) cut off at +-x > 0, with weights exp(-+rate r +
         # rate^2 tau / 2) Phi(t): in units of s = sqrt(tau), where no tau^2
         # underflows, the probit tilted density at y = +-1 and scale 0
         s = np.sqrt(tau)
-        y = np.array([1.0, -1.0]).reshape((2,) + (1,) * r.ndim)
+        y = np.array([[1.0], [-1.0]])
         p = (r - y * self.rate * tau) / s
         log_z, mean, v = _probit_tilted(y, p, 1.0, 0.0)
         # the weights' log-odds log Phi(t+) - log Phi(t-) - 2 rate r (t = y p)
@@ -162,9 +187,8 @@ class LaplacePrior(InputPrior):
         log_h = -0.5 * t * t - _LOG_SQRT_2PI - log_z
         tail = t < RATIO_FORWARD_MIN_T
         log_h[tail] = np.log((y * mean - t)[tail])
-        point, var = mixture_moments(log_h[1] - log_h[0],
-                                     s * mean[0], tau * v[0], s * mean[1], tau * v[1])
-        return PosteriorStats(point=point, variance=np.maximum(var, POSTERIOR_VARIANCE_FLOOR))
+        return mixture_moments(log_h[1] - log_h[0],
+                               s * mean[0], tau * v[0], s * mean[1], tau * v[1])
 
     def marginal_mean(self):
         return 0.0

@@ -7,6 +7,8 @@ reference for ``slm_solve`` that makes the same LAPACK/BLAS calls on the
 same blocks, through SciPy's f2py wrappers.
 """
 
+import json
+
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.blas import dgemm, dsyrk, dtrmm
@@ -16,6 +18,14 @@ from scipy.stats import norm
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
                              ep_extrinsic)
 from glmamp.slm import SlmResult
+
+
+def strict_json(text):
+    """``json.loads`` as a strict JSON parser reads: NaN and the infinities,
+    which Python writes but JSON has no token for, raise ValueError."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def grid_moments(log_unnorm, center, sd, n_points=4096, width=12.0, lower=None):

@@ -721,6 +721,18 @@ def test_0d_belief_and_vector_y_give_moments_of_y_shape(channel, post):
     assert np.array_equal(stats.variance, full.variance)
 
 
+@pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: c.name)
+@pytest.mark.parametrize("post", [posterior_map, posterior_mmse], ids=lambda f: f.__name__)
+def test_2d_batch_gives_the_moments_of_its_flat_batch(channel, post):
+    # the modules take 1-d arrays: a 2-d batch reaches them flattened
+    z, y = _valid_zy(channel, np.random.default_rng(23), size=6)
+    stats = post(channel, y.reshape(2, 3), GaussianBelief(z.reshape(2, 3), np.full((2, 3), 0.7)))
+    flat = post(channel, y, GaussianBelief(z, np.full(6, 0.7)))
+    assert stats.point.shape == stats.variance.shape == (2, 3)
+    assert np.array_equal(stats.point.ravel(), flat.point)
+    assert np.array_equal(stats.variance.ravel(), flat.variance)
+
+
 @dataclass(frozen=True)
 class WrittenOutGaussian(OutputChannel):
     """y = z + N(0, noise_variance) with f, f', f'' and the support only, so

@@ -19,6 +19,8 @@ from glmamp.gaussian import PosteriorStats
 from glmamp.priors import GaussianPrior
 from glmamp.problems import load_problem
 
+from oracles import strict_json
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -89,6 +91,17 @@ class TestSolve:
         lines = (tmp_path / "t.jsonl").read_text().strip().splitlines()
         assert len(lines) == summary["iterations"]
         assert json.loads(out)["nmse"] == summary["nmse"]
+
+    def test_nmse_of_an_all_zero_x_true_is_json_null(self, tmp_path, capsys):
+        # bg(0.1) draws no nonzero entry of x_true at n = 16, seed 0: its nmse
+        # is NaN, which JSON has no token for
+        code, out, _ = _run(capsys, "solve", "--n", "16", "--m", "32",
+                            "--prior", "bg(rho=0.1,mean=0,var=1)", "--seed", "0",
+                            "--trace", str(tmp_path / "t.jsonl"))
+        assert code == 0
+        assert strict_json(out)["nmse"] is None
+        lines = (tmp_path / "t.jsonl").read_text().splitlines()
+        assert lines and all(strict_json(line)["nmse"] is None for line in lines)
 
     def test_solver_flag_defaults_are_solver_config_defaults(self):
         args = cli.build_parser().parse_args(["solve"])

@@ -21,7 +21,7 @@ from glmamp.problems import generate_problem, observe
 from glmamp.slm import LinearModel, SlmResult
 from glmamp.specs import parse_channel, parse_prior
 
-from oracles import dense_gaussian_posterior, lmmse_solution
+from oracles import dense_gaussian_posterior, lmmse_solution, strict_json
 
 SQRT3 = np.sqrt(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -327,13 +327,24 @@ class TestTrace:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(trace)
         for i, line in enumerate(lines):
-            rec = json.loads(line)
+            rec = strict_json(line)
             assert set(rec) == set(TRACE_FIELDS)
             assert rec["iter"] == i
             assert len(rec["x_hat"]) == 8
             assert len(rec["p_hat"]) == 16
             assert isinstance(rec["floor_events"], int)
-            assert isinstance(rec["nmse"], float)
+            # this x_true is all zero: the record's NaN nmse is written as null
+            assert rec["nmse"] is None and np.isnan(trace.records[i]["nmse"])
+
+    def test_jsonl_writes_a_nan_nmse_as_null(self, tmp_path):
+        # without x_true each record's nmse is NaN, which JSON has no token for
+        prob = replace(_make_problem(1, n=8, m=16), x_true=None)
+        _, trace = run_gamp(prob, Mode.SUM_PRODUCT, SolverConfig(max_iter=10))
+        assert len(trace) > 0 and all(np.isnan(_column(trace, "nmse")))
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path)
+        for line in path.read_text().splitlines():
+            assert strict_json(line)["nmse"] is None
 
 
 VECTOR_FIELDS = ("x_hat", "tau_x", "p_hat", "tau_p", "z0", "z_var",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from glmamp.channels import Mode
-from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
+from glmamp.gaussian import POSTERIOR_VARIANCE_FLOOR
+from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, InputPrior, LaplacePrior
 
 from oracles import bg_mmse_mp, grid_moments, laplace_mmse_mp
 
@@ -211,3 +212,43 @@ def test_sumproduct_variance_at_most_tau(prior):
     st_ = prior.denoise(Mode.SUM_PRODUCT, r, tau)
     assert np.all(np.asarray(st_.variance) <= tau * (1 + 1e-10))
     assert np.all(np.asarray(st_.variance) > 0)
+
+
+class _TwoModulePrior(InputPrior):
+    """A prior given by its two scalar modules alone; each checks its contract."""
+
+    name = "two-module"
+
+    @staticmethod
+    def _check(r, tau):
+        assert r.ndim == 1 and r.shape == tau.shape
+        assert r.dtype == tau.dtype == np.float64
+
+    def mmse_moments(self, r, tau):
+        self._check(r, tau)
+        return r / (1.0 + tau), tau / (1.0 + tau)
+
+    def map_moments(self, r, tau):
+        self._check(r, tau)
+        return r - tau, np.zeros_like(tau)  # a variance of 0, held at the floor
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("r_shape, tau_shape", [((), ()), ((3,), (3,)), ((2, 3), (2, 3)),
+                                                ((2, 3), ()), ((2, 1), (3,))],
+                         ids=["0d", "1d", "2d", "2d-0d", "2d-1d"])
+def test_a_prior_of_two_modules_denoises_through_the_base_denoise(mode, r_shape, tau_shape):
+    rng = np.random.default_rng(5)
+    r, tau = rng.standard_normal(r_shape), rng.uniform(0.5, 2.0, tau_shape)
+    prior = _TwoModulePrior()
+    stats = prior.denoise(mode, r, tau)
+    shape = np.broadcast_shapes(r_shape, tau_shape)
+    assert stats.point.shape == stats.variance.shape == shape
+    module = prior.mmse_moments if mode is Mode.SUM_PRODUCT else prior.map_moments
+    r, tau = np.broadcast_arrays(r, tau)
+    for idx in np.ndindex(shape):
+        point, var = module(np.array([r[idx]]), np.array([tau[idx]]))
+        assert stats.point[idx] == point[0]
+        assert stats.variance[idx] == max(var[0], POSTERIOR_VARIANCE_FLOOR)
+    if mode is Mode.MAX_SUM:
+        assert np.all(stats.variance == POSTERIOR_VARIANCE_FLOOR)

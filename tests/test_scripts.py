@@ -168,3 +168,40 @@ def test_trace_digest_pins_one_blas_thread():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "1"]
+
+
+CODE_LINES_FIXTURE = [
+    '"""Module docstring,',
+    'two lines."""',
+    "",
+    "# a comment",
+    "X = 1  # code with a comment",
+    "",
+    "def f(a,",
+    "      b):",
+    '    """One-line docstring."""',
+    '    text = """a multi-line',
+    'string, not a docstring"""',
+    "    return a + b",
+    "",
+    "",
+    "class C:",
+    '    """Class docstring."""',
+    "",
+    "    y = [1,",
+    "         2]",
+]
+
+
+def test_code_lines_counts_code_but_no_blank_comment_or_docstring(tmp_path):
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text("\n".join(CODE_LINES_FIXTURE) + "\n")
+    # X, def (2), text (2), return, class, y (2)
+    assert _script("code_lines.py", str(fixture)).splitlines() == [f"9 {fixture}", "9 total"]
+
+
+def test_code_lines_totals_every_package_file():
+    lines = _script("code_lines.py").splitlines()
+    package = sorted((ROOT / "src" / "glmamp").glob("*.py"))
+    assert [line.split(" ", 1)[1] for line in lines[:-1]] == [str(p) for p in package]
+    assert lines[-1] == f"{sum(int(line.split()[0]) for line in lines[:-1])} total"
