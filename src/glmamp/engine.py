@@ -10,7 +10,8 @@ the estimate, the trace, the convergence test and the divergence test: each
 hand-over (beliefs on z, module B's posterior and its EP message, the cavity
 on x, the denoised x) passes ``gaussian.valid_moments`` before its reader
 runs, or the solve ends ``diverged`` with the last estimate that passed; so
-does an x moved while module B floored every message on z.
+does a denoised x whose norm overflows, which the convergence test divides
+by, and an x moved while module B floored every message on z.
 
 Module B is one chain for every engine: ``g_out_with_stats`` (the MMSE
 posterior, or the MAP point with its Laplace variance, and the channel's
@@ -44,10 +45,10 @@ worker would share; another BLAS is not measured.  Each step class owns
 its own test: the amp step wants the worker from ``OVERLAP_MIN_BYTES`` of A
 up and runs half of each matvec pair on it; the exact step wants it from
 ``EXACT_OVERLAP_MIN_N`` unknowns up and hands it to ``slm_solve``, which
-runs half of each cut BLAS-3 step on it.  ``_iterate`` hands the worker,
-whichever step wanted it, to module B, which owns its own threshold: its
-probit quadrature integrates half of the components on it from
-``channels.QUAD_SPLIT_MIN_COMPONENTS`` components up.  Every split runs
+runs half of each of its two cut BLAS-3 steps on it.  ``_iterate`` hands
+the worker, whichever step wanted it, to module B, which owns its own
+threshold: its probit quadrature integrates half of the components on it
+from ``channels.QUAD_SPLIT_MIN_COMPONENTS`` components up.  Every split runs
 through ``slm._pair``, and each result is the serial path's, bit for bit.
 The worker runs numpy and BLAS work only: it calls no function the
 benchmark's tracer wraps and builds no message, since the tracer's span
@@ -86,8 +87,9 @@ from .slm import LinearModel, _pair, slm_solve
 OVERLAP_MIN_BYTES = 8 * 2**20
 
 # The fewest unknowns (n) at which the "exact" step wants the worker,
-# whatever A's size: ``slm_solve`` then runs half of each cut BLAS-3 step
-# on it.  Swept on a 2-CPU host, one BLAS thread, m = 2n, awgn(0.01) +
+# whatever A's size: ``slm_solve`` then runs half of each of its two cut
+# BLAS-3 steps on it.  Swept while the triangular inverse was split across
+# the worker too, on a 2-CPU host, one BLAS thread, m = 2n, awgn(0.01) +
 # bg(0.1) MMSE, median ms/iter without -> with the worker over 3 instances
 # x 7 alternating repetitions: it lost at n = 96 (0.26 -> 0.33), tied from
 # 128 to 192 (192: 0.81 -> 0.82) and won from 224 (0.95 -> 0.79; 256:
@@ -414,9 +416,12 @@ def _iterate(problem, mode, config, step, monolithic, worker):
         if not valid_moments(r, tau_r):
             break
         xstats = prior.denoise(mode, r, tau_r)
-        if not valid_moments(xstats.point, xstats.variance):
+        # the step test divides by the new x's norm, whose square can overflow
+        with np.errstate(over="ignore"):
+            x_norm = np.linalg.norm(xstats.point)
+        if not (valid_moments(xstats.point, xstats.variance) and x_norm < np.inf):
             break
-        delta = np.linalg.norm(xstats.point - x_hat) / max(np.linalg.norm(xstats.point), 1e-300)
+        delta = np.linalg.norm(xstats.point - x_hat) / max(x_norm, 1e-300)
         if ext.floored.all() and delta > config.tol:
             break
         floors += step.absorb_x(xstats, r, tau_r)

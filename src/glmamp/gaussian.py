@@ -144,7 +144,11 @@ def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief) -> Extrinsic
     eta = posterior.point / posterior.variance - cavity.mean / cavity.variance
     flagged = lam_raw < DEFAULT_VARIANCE_FLOOR
     lam = np.maximum(lam_raw, DEFAULT_VARIANCE_FLOOR)
-    return ExtrinsicMessage(pseudo_mean=eta / lam, pseudo_variance=1.0 / lam,
+    # a precision-mean too large for the floored precision gives an infinite
+    # pseudo-mean, which the caller's hand-over test rejects
+    with np.errstate(over="ignore"):
+        pseudo_mean = eta / lam
+    return ExtrinsicMessage(pseudo_mean=pseudo_mean, pseudo_variance=1.0 / lam,
                             floored=flagged)
 
 
@@ -152,11 +156,17 @@ def mixture_moments(log_odds, mean1, var1, mean0, var0):
     """(mean, variance) of w1 N(mean1, var1) + w0 N(mean0, var0), log(w1/w0) = log_odds.
 
     The variance is w1 var1 + w0 var0 + w1 w0 (mean1 - mean0)^2, nonnegative
-    terms; E[x^2] - E[x]^2 cancels when the mean dwarfs the spread.
+    terms; E[x^2] - E[x]^2 cancels when the mean dwarfs the spread.  Where
+    one weight is 0 and the means lie too far apart to square, the last term
+    is 0 * inf; the mixture is then the other component, and the term 0.
     """
     w1, w0 = expit(log_odds), expit(-log_odds)
-    return (w1 * mean1 + w0 * mean0,
-            w1 * var1 + w0 * var0 + w1 * w0 * (mean1 - mean0) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = w1 * w0 * (mean1 - mean0) ** 2
+    lost = np.isnan(gap)
+    if lost.any():
+        gap = np.where(lost, 0.0, gap)
+    return w1 * mean1 + w0 * mean0, w1 * var1 + w0 * var0 + gap
 
 
 def _norm_hazard(t, log_cdf=None):
@@ -171,7 +181,8 @@ def _norm_hazard(t, log_cdf=None):
     """
     t = np.asarray(t, dtype=float)
     head = np.maximum(t, HAZARD_TAIL_T)  # the tail's values are replaced below
-    log_phi = -0.5 * head * head - _LOG_SQRT_2PI
+    with np.errstate(over="ignore"):  # where head * head overflows, r is 0
+        log_phi = -0.5 * head * head - _LOG_SQRT_2PI
     if log_cdf is None:
         log_cdf = log_ndtr(head)
     else:  # log_ndtr(head), as log_ndtr increases
@@ -254,7 +265,8 @@ def trunc_gauss_ratios(count, t):
         order = np.argsort(-steps, kind="stable")
         i, depth, steps = i[order], depth[order], steps[order]
         ti = t[i]
-        s2 = ti * ti + 4.0 * depth
+        with np.errstate(over="ignore"):  # where ti * ti overflows, R_K is 0
+            s2 = ti * ti + 4.0 * depth
         r = 2.0 * depth / (np.sqrt(s2) - ti) * (1.0 - 1.0 / s2)  # R_K
         k = depth - 1.0
         gap_k = np.empty_like(r)

@@ -120,12 +120,22 @@ class BernoulliGaussianPrior(InputPrior):
     def mmse_moments(self, r, tau):
         """The mixture of the slab's posterior and the spike, by their evidences."""
         m1, v1 = combine(self.mean, self.var, r, tau)  # the slab's posterior
-        # log evidence of slab and spike, less their shared log sqrt(2 pi)
-        log_z1 = np.log(self.rho) - 0.5 * (r - self.mean) ** 2 / (self.var + tau) \
-            - 0.5 * np.log(self.var + tau)
-        log_z0 = np.log1p(-self.rho) - 0.5 * r ** 2 / tau \
-            - 0.5 * np.log(tau) if self.rho < 1.0 else np.full_like(r, -np.inf)
-        return mixture_moments(log_z1 - log_z0, m1, v1, 0.0, 0.0)
+        # log evidence of slab and spike, less their shared log sqrt(2 pi); a
+        # square too large for a double makes one -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_z1 = np.log(self.rho) - 0.5 * (r - self.mean) ** 2 / (self.var + tau) \
+                - 0.5 * np.log(self.var + tau)
+            log_z0 = np.log1p(-self.rho) - 0.5 * r ** 2 / tau \
+                - 0.5 * np.log(tau) if self.rho < 1.0 else np.full_like(r, -np.inf)
+            log_odds = log_z1 - log_z0
+            # both are -inf where r lies too many spreads from slab and spike:
+            # the nearer in units of its spread wins by more than any double
+            lost = np.isnan(log_odds)
+            if lost.any():
+                slab = (np.abs(r - self.mean) * np.sqrt(tau)
+                        <= np.abs(r) * np.sqrt(self.var + tau)) | (self.rho == 1.0)
+                log_odds[lost] = np.where(slab, np.inf, -np.inf)[lost]
+        return mixture_moments(log_odds, m1, v1, 0.0, 0.0)
 
     def map_moments(self, r, tau):
         """The slab's mode with its variance, or x = 0 with DEFAULT_VARIANCE_FLOOR.
@@ -184,7 +194,8 @@ class LaplacePrior(InputPrior):
         # terms of size t^2 / 2.  Below RATIO_FORWARD_MIN_T, h is y mean - t,
         # the recursion's excess less t; elsewhere phi(t) / Z.
         t = y * p
-        log_h = -0.5 * t * t - _LOG_SQRT_2PI - log_z
+        with np.errstate(over="ignore", invalid="ignore"):  # -inf, or NaN in the tail
+            log_h = -0.5 * t * t - _LOG_SQRT_2PI - log_z
         tail = t < RATIO_FORWARD_MIN_T
         log_h[tail] = np.log((y * mean - t)[tail])
         return mixture_moments(log_h[1] - log_h[0],

@@ -46,20 +46,27 @@ inverse of that order or less is exactly the TRTRI result.  Above it most
 flops run at TRMM speed: on one OpenBLAS thread TRTRI reaches about a fifth
 of the GFlop/s of the SYRK and TRMM around it at n = 384, and the recursion
 takes 1.3-1.4 ms where TRTRI takes 2.9-3.7 ms (17 against 27 ms at n = 1024).
+Every level runs whole BLAS calls, in turn, on the calling thread.
 
-Above ``TRI_INV_LEAF`` every BLAS-3 step is cut into two independent halves
-(``_cut``), and with a ``worker`` thread the second half of each runs on
-it while the calling thread runs the first:
+Above ``TRI_INV_LEAF`` the two BLAS-3 steps that pay for a second thread
+are cut into two independent halves (``_cut``), and with a ``worker``
+thread the second half of each runs on it while the calling thread runs
+the first:
 
 * P's lower triangle is two diagonal-block SYRKs and one GEMM: rows split
   at k, the multiple of ``CUT_ALIGN`` = 32 nearest n / sqrt(2), so that
   P11's SYRK (about k^2 m / 2 multiply-adds) weighs as much as P21's GEMM
   and P22's SYRK;
-* the inverse's two top-level diagonal blocks are inverted one on each
-  thread, and its off-diagonal block X21 = -X22 L21 X11 is two TRMMs each
-  cut in two (L21's columns, then the product's rows);
 * W_s is two TRMMs on column blocks of B^T, cut at the multiple of 32
   nearest m / 2.
+
+Timed at n = 384, m = 768 on a 2-vCPU Intel Xeon (KVM) with one OpenBLAS
+thread, medians of 15 alternating rounds: the SYRK split took 1.9 ms
+against 3.3 whole and the TRMM split 2.1 against 4.1.  The inverse paired
+at its top level (its diagonal blocks one on each thread, its TRMMs cut in
+two) took 1.46 ms against 1.15 in whole calls, slower in 15 of 15 rounds.
+It pays only from about n = 512 (n = 1024: 7.9 ms paired, 10.3 whole), a
+size at which no benchmarked solve runs the exact backend.
 
 The mean's DPOTRS (0.05 ms at n = 384) runs first, alone: beside the
 inverse it would need a copy of L, which the inverse overwrites, and the
@@ -76,7 +83,6 @@ n = 256 and 1024 with m = 2n none did.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -135,7 +141,7 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     the n per-component Gaussian priors.  Returns componentwise posterior
     stats on x, marginal stats on z = A x, and the EP extrinsic on z.
     ``worker``, an executor with one thread, runs the second half of each
-    cut BLAS step; the result is the same bits without it.
+    of the two cut BLAS steps; the result is the same bits without it.
 
     The steps, and why one O(n) finiteness test on P's diagonal and the
     right-hand side suffices, are in the module docstring.  The inputs are
@@ -151,7 +157,6 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     cut = n > TRI_INV_LEAF
     if cut:
         k, c = _cut(n / math.sqrt(2.0), n), _cut(m / 2, m)
-        pair = functools.partial(_pair, worker)
 
     # The one n x m buffer: B^T = (A diag(pv)^-1/2)^T, Fortran-ordered whatever
     # A's layout.  A's second read follows at once, before SYRK's passes over
@@ -165,7 +170,7 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
         def lower_rows():
             blas.dgemm(bt[k:], bt[:k], prec[k:, :k])
             blas.dsyrk(bt[k:], prec[k:, k:])
-        pair(lambda: blas.dsyrk(bt[:k], prec[:k, :k]), lower_rows)
+        _pair(worker, lambda: blas.dsyrk(bt[:k], prec[:k, :k]), lower_rows)
     else:
         blas.dsyrk(bt, prec)
     # P is Fortran-ordered, so its diagonal is every (n + 1)-th entry of a view
@@ -186,12 +191,11 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     blas.dpotrs(chol, mu)
     # L is not needed past dpotrs: L^-1 overwrites it, and W_s = L^-1 B^T
     # overwrites B^T (bt is never a view of A)
-    w_s = bt
+    w_s, chol_inv = bt, _tri_inv(chol)
     if cut:
-        chol_inv = _tri_inv(chol, out=chol, pair=pair)
-        pair(lambda: blas.dtrmm(chol_inv, w_s[:, :c]), lambda: blas.dtrmm(chol_inv, w_s[:, c:]))
+        _pair(worker, lambda: blas.dtrmm(chol_inv, w_s[:, :c]),
+              lambda: blas.dtrmm(chol_inv, w_s[:, c:]))
     else:
-        chol_inv = _tri_inv(chol, out=chol)
         blas.dtrmm(chol_inv, w_s)
 
     x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),
@@ -233,41 +237,29 @@ def _vector(values: np.ndarray, size: int) -> np.ndarray:
     return values if values.ndim else np.full(size, values)
 
 
-def _tri_inv(L: np.ndarray, out: np.ndarray, offset: int = 0, pair=None) -> np.ndarray:
-    """Inverse of a lower-triangular L whose strict upper triangle is zero.
+def _tri_inv(L: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Invert in place a lower-triangular L whose strict upper triangle is zero.
 
     With L = [[L11, 0], [L21, L22]], L^-1 = [[X11, 0], [X21, X22]] where
-    X11 = L11^-1 and X22 = L22^-1 recurse and X21 = -X22 L21 X11 is two TRMMs.
-    Every block is written into ``out`` (a Fortran-ordered n x n array or
-    block of one), which is returned; ``out`` may be L itself, since each
-    block of L is read before its block of ``out`` is written.
-    ``offset`` is L's first row in the whole factor.  With ``pair`` (a
-    ``_pair`` bound to a worker or to None), the top level runs X11 and X22
-    as a pair, and each TRMM of X21 as a pair of halves; the recursion below
-    runs whole calls in turn.  Raises ``numpy.linalg.LinAlgError`` when a
-    diagonal entry of L is zero.
+    X11 = L11^-1 and X22 = L22^-1 recurse and X21 = -X22 L21 X11 is two
+    TRMMs, every call on a whole block.  Each block of L^-1 is written over
+    its block of L (a Fortran-ordered n x n array or block of one), which is
+    returned: X21 over L21, which the diagonal blocks do not overlap.
+    ``offset`` is L's first row in the whole factor.  Raises
+    ``numpy.linalg.LinAlgError`` when a diagonal entry of L is zero.
     """
     n = L.shape[0]
-    if out is not L:
-        out[...] = L
     if n <= TRI_INV_LEAF:
-        info = blas.dtrtri(out)
+        info = blas.dtrtri(L)
         if info != 0:
             # info > 0 is the 1-based index of a zero diagonal entry in this block
             raise np.linalg.LinAlgError("dtrtri: singular Cholesky factor "
                                         f"(info={info + offset if info > 0 else info})")
-        return out
+        return L
     k = n // 2
-    x11, x22, x21 = out[:k, :k], out[k:, k:], out[k:, :k]
-    if pair is None:
-        _tri_inv(x11, x11, offset)
-        _tri_inv(x22, x22, offset + k)
-        blas.dtrmm(x22, x21)
-        blas.dtrmm(x11, x21, alpha=-1.0, right=True)
-        return out
-    pair(lambda: _tri_inv(x11, x11, offset), lambda: _tri_inv(x22, x22, offset + k))
-    j, i = _cut(k / 2, k), _cut((n - k) / 2, n - k)
-    pair(lambda: blas.dtrmm(x22, x21[:, :j]), lambda: blas.dtrmm(x22, x21[:, j:]))
-    pair(lambda: blas.dtrmm(x11, x21[:i], alpha=-1.0, right=True),
-         lambda: blas.dtrmm(x11, x21[i:], alpha=-1.0, right=True))
-    return out
+    x11, x22, x21 = L[:k, :k], L[k:, k:], L[k:, :k]
+    _tri_inv(x11, offset)
+    _tri_inv(x22, offset + k)
+    blas.dtrmm(x22, x21)
+    blas.dtrmm(x11, x21, alpha=-1.0, right=True)
+    return L

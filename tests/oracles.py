@@ -107,26 +107,19 @@ def _column_blocks(b, j):
     return [blk for blk in (b[:, :j], b[:, j:]) if blk.size]
 
 
-def _row_blocks(b, i):
-    return [blk for blk in (b[:i], b[i:]) if blk.size]
-
-
-def _wrapper_tri_inv(L, cut):
+def _wrapper_tri_inv(L):
     """L^-1 by recursive 2 x 2 blocks of order LEAF or less, through f2py.
 
     X11 and X22 recurse (``dtrtri`` at the leaves) and X21 = -(X22 L21) X11
-    is two ``dtrmm`` calls; with ``cut`` (the top level only) each of them
-    runs on two halves: L21's columns, then the product's rows.
+    is two ``dtrmm`` calls, each on a whole block.
     """
     n = L.shape[0]
     if n <= LEAF:
         return dtrtri(L, lower=1)[0]
     k = n // 2
-    x11 = _wrapper_tri_inv(L[:k, :k], False)
-    x22 = _wrapper_tri_inv(L[k:, k:], False)
-    j, i = (_cut(k / 2, k), _cut((n - k) / 2, n - k)) if cut else (k, n - k)
-    y = np.hstack([dtrmm(1.0, x22, b, lower=1) for b in _column_blocks(L[k:, :k], j)])
-    x21 = np.vstack([dtrmm(-1.0, x11, b, side=1, lower=1) for b in _row_blocks(y, i)])
+    x11 = _wrapper_tri_inv(L[:k, :k])
+    x22 = _wrapper_tri_inv(L[k:, k:])
+    x21 = dtrmm(-1.0, x11, dtrmm(1.0, x22, L[k:, :k], lower=1), side=1, lower=1)
     out = np.zeros((n, n), order="F")
     out[:k, :k], out[k:, k:], out[k:, :k] = x11, x22, x21
     return out
@@ -141,9 +134,8 @@ def wrapper_slm_solve(model, pseudo, prior_x):
     ``asarray_chkfinite``), the diagonal updated by fancy indexing and every
     input broadcast to full length, so its results are the bits
     ``slm_solve`` must return.  Up to n = LEAF each step is one call.  Above
-    it, P's rows are cut at k near n / sqrt(2) (two SYRKs and a GEMM), the
-    inverse's top level is cut as in ``_wrapper_tri_inv``, and W_s's columns
-    are cut at c near m / 2.
+    it, P's rows are cut at k near n / sqrt(2) (two SYRKs and a GEMM) and W_s's
+    columns at c near m / 2; the inverse is never cut (``_wrapper_tri_inv``).
     """
     A = model.A
     m, n = A.shape
@@ -162,7 +154,7 @@ def wrapper_slm_solve(model, pseudo, prior_x):
     rhs = pm / pvar + A.T @ (py / pv)
     chol = cholesky(prec, lower=True, overwrite_a=True)
     mu = cho_solve((chol, True), rhs)
-    chol_inv = _wrapper_tri_inv(chol, cut=True)
+    chol_inv = _wrapper_tri_inv(chol)
     w_s = np.asfortranarray(np.hstack([dtrmm(1.0, chol_inv, b, lower=1)
                                        for b in _column_blocks(bt, c)]))
     x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),

@@ -172,10 +172,20 @@ class TestSolve:
          "--engine", "modular", "--mode", "map"],
     ], ids=["gaussian-prior-corner", "gaussian-prior-corner-map"])
     def test_formerly_raising_solve_exits_1_diverged(self, capsys, argv):
-        # the gaussian-prior corner still overflows eta / lam (ROADMAP 3(d))
-        with np.errstate(over="ignore"):
-            code, out, _ = _run(capsys, "solve", *argv)
+        code, out, _ = _run(capsys, "solve", *argv)
         assert code == 1 and json.loads(out)["diverged"] is True
+
+    # ROADMAP 3(d): the corner's pseudo-mean eta / lam overflowed with a
+    # RuntimeWarning, a traceback under -W error
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    def test_gaussian_prior_corner_diverges_under_w_error(self, mode):
+        env = dict(os.environ, PYTHONPATH=str(Path(glmamp.__file__).parents[1]))
+        argv = ["-W", "error", "-m", "glmamp", "solve", "--engine", "modular", "--mode", mode,
+                "--prior", "gaussian(mean=1e150,var=1e-150)", "--n", "16", "--m", "32"]
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["diverged"] is True
 
     # raised, then ended ``diverged`` until the amp step removed A's mean
     def test_formerly_raising_laplace_poisson_solve_exits_0_converged(self, capsys):

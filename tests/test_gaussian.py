@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, HAZARD_TAIL_T, ExtrinsicMessage,
                              GaussianBelief, PosteriorStats, _norm_hazard, combine,
-                             ep_extrinsic, trunc_gauss_ratios, valid_moments)
+                             ep_extrinsic, mixture_moments, trunc_gauss_ratios,
+                             valid_moments)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -183,6 +185,18 @@ class TestEpExtrinsic:
         ext = ep_extrinsic(post, cav)
         assert list(ext.floored) == [False, True]
 
+    # ROADMAP 3(d): a precision-mean of 1e300 against the floored precision
+    # overflowed with a RuntimeWarning; the pseudo-mean is inf, which the
+    # loop's hand-over test rejects
+    def test_overflowing_pseudo_mean_is_inf_without_a_warning(self):
+        post = PosteriorStats(np.array([1e150, 0.5]), np.array([1e-150, 0.5]))
+        cav = GaussianBelief(np.array([0.0, 0.0]), np.array([1e-150, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ext = ep_extrinsic(post, cav)
+        assert list(ext.floored) == [True, False]
+        assert ext.pseudo_mean[0] == np.inf and ext.pseudo_mean[1] == pytest.approx(1.0)
+
 
 @given(
     point=st.floats(-50, 50),
@@ -272,3 +286,30 @@ def test_hazard_tail_is_the_recursion_at_count_0():
     assert np.array_equal(r[tail.size:], r_head) and np.array_equal(excess[tail.size:], e_head)
     r0, e0 = _norm_hazard(tail[3])
     assert r0.shape == () and (r0, e0) == (r[3], excess[3])
+
+
+def test_mixture_with_a_zero_weight_and_means_too_far_to_square():
+    """w1 w0 (mean1 - mean0)^2 is 0 * inf where a weight underflows and the
+    gap overflows; the mixture is then the other component."""
+    log_odds = np.array([np.inf, 800.0, -800.0, 0.0])
+    mean1, mean0 = np.array([1e160, 1e160, 1e160, 1.0]), np.array([0.0, 0.0, 0.0, -1.0])
+    var1, var0 = np.full(4, 2.0), np.full(4, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, var = mixture_moments(log_odds, mean1, var1, mean0, var0)
+    assert np.array_equal(mean[:3], [1e160, 1e160, 0.0])
+    assert np.array_equal(var, [2.0, 2.0, 3.0, 2.5 + 1.0])
+
+
+def test_hazard_and_ratios_at_huge_t_without_a_warning():
+    """Where t * t overflows, the hazard phi(t) / Phi(t) is 0 and the mean of
+    N(t, 1) cut off at 0 is about 1 / |t|."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, excess = _norm_hazard(np.array([1e160, 5.0]))
+        ratio, gap = trunc_gauss_ratios(np.zeros(2), np.array([-1e160, -5.0]))
+    assert r[0] == 0.0 and excess[0] == 1e160
+    assert ratio[0] == pytest.approx(1e-160, rel=1e-12) and gap[0] >= 0.0
+    assert (r[1], excess[1]) == tuple(x[0] for x in _norm_hazard(np.array([5.0])))
+    assert (ratio[1], gap[1]) == tuple(x[0] for x in trunc_gauss_ratios(np.zeros(1),
+                                                                        np.array([-5.0])))

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,37 @@ class TestBernoulliGaussianPrior:
             BernoulliGaussianPrior(2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             BernoulliGaussianPrior(0.1, 0.0, -1.0)
+
+
+# At |r| = 1e160 every square of r overflows, both bg evidences were -inf and
+# the mixture's spread term 0 * inf: the posterior was NaN, with warnings.
+# The dominant branch is the answer there: bg's slab, r v / (v + tau) with
+# variance v tau / (v + tau), and laplace's branch on r's side, r -+ rate tau
+# with variance tau.  An ordinary value in the same batch keeps its bits.
+@pytest.mark.parametrize("prior, huge_point, huge_var", [
+    (BernoulliGaussianPrior(0.1, 0.0, 1.0), lambda r: r / 2, 0.5),
+    (BernoulliGaussianPrior(1.0, 0.0, 1.0), lambda r: r / 2, 0.5),
+    (LaplacePrior(1.0), lambda r: r - np.sign(r), 1.0)], ids=["bg", "bg-rho-1", "laplace"])
+def test_mmse_at_huge_cavity_means_takes_the_dominant_branch(prior, huge_point, huge_var):
+    r = np.array([1e160, -1e160, 1e100, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st_ = prior.denoise(Mode.SUM_PRODUCT, r, 1.0)
+        alone = prior.denoise(Mode.SUM_PRODUCT, r[3:], 1.0)
+    assert np.array_equal(st_.point[:3], huge_point(r[:3]))
+    assert np.array_equal(st_.variance[:3], np.full(3, huge_var))
+    assert st_.point[3] == alone.point[0] and st_.variance[3] == alone.variance[0]
+
+
+# Both bg evidences are -inf here too, but the spike is the nearer in units of
+# its spread: the slab is a point at -1e150, and r = 1e155 lies 1e80 prior
+# sds from 0 against 1.00001e80 from the slab.
+def test_bg_mmse_at_a_huge_cavity_mean_can_take_the_spike():
+    prior = BernoulliGaussianPrior(0.5, -1e150, 1e-150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st_ = prior.denoise(Mode.SUM_PRODUCT, 1e155, 1e150)
+    assert st_.point == 0.0 and st_.variance == POSTERIOR_VARIANCE_FLOOR
 
 
 @pytest.mark.parametrize("prior", [

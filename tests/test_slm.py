@@ -17,7 +17,7 @@ from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage,
                              GaussianBelief, combine)
 from glmamp.slm import TRI_INV_LEAF, LinearModel, _pair, _tri_inv, slm_solve
 
-from oracles import dense_gaussian_posterior, wrapper_slm_solve
+from oracles import _wrapper_tri_inv, dense_gaussian_posterior, wrapper_slm_solve
 
 
 def _fields(res):
@@ -263,8 +263,8 @@ def worker():
         yield pool
 
 
-# Above TRI_INV_LEAF every BLAS-3 step is cut in two.  These shapes hold odd
-# sizes and cuts off the middle; at each, some cut rounded differently from
+# Above TRI_INV_LEAF P's rows and W_s's columns are cut in two.  These shapes
+# hold odd sizes and cuts off the middle; at each, some cut rounded differently from
 # one whole call in probes: P's rows at 257 x 300 and 199 x 997, W_s's
 # columns at all three
 ODD_SHAPES = [(257, 300), (500, 1000), (199, 997), (65, 40)]
@@ -308,13 +308,14 @@ class TestAgainstWrapperRoute:
         assert calls == ["dsyrk", "dtrtri", "dtrmm"]
         assert worker.submitted == 0
 
-    # the worker runs half of each cut step: P's SYRKs and GEMM, the inverse's
-    # top-level diagonal blocks, each of X21's two TRMMs, and W_s
+    # the worker runs half of each cut step: P's lower rows (a SYRK and a
+    # GEMM) and W_s's second column block; the inverse runs whole calls on
+    # the calling thread
     @pytest.mark.parametrize("n, m", ODD_SHAPES + [(384, 768)])
     def test_same_bits_with_the_worker(self, n, m, worker):
         args = _random_inputs(n, m, seed=n * m)
         _assert_same_bits(slm_solve(*args, worker=worker), slm_solve(*args))
-        assert worker.submitted == 5
+        assert worker.submitted == 2
 
     def test_slm_binds_no_f2py_routine(self):
         fortran = type(scipy.linalg.blas.dsyrk)
@@ -353,8 +354,9 @@ def _cholesky_factor(n, seed=0):
     return cholesky(A.T @ A + np.eye(n), lower=True)
 
 
-def _new_out(L):
-    return np.zeros(L.shape, order="F")
+def _work(L):
+    """A Fortran-ordered copy of L, for ``_tri_inv`` to invert in place."""
+    return L.copy(order="F")
 
 
 class TestPair:
@@ -391,57 +393,31 @@ class TestTriInv:
     @pytest.mark.parametrize("n", [1, 17, TRI_INV_LEAF])
     def test_leaf_is_dtrtri_bit_for_bit(self, n):
         L = _cholesky_factor(n)
-        assert np.array_equal(_tri_inv(L, _new_out(L)), dtrtri(L, lower=1)[0])
+        assert np.array_equal(_tri_inv(_work(L)), dtrtri(L, lower=1)[0])
 
-    @pytest.mark.parametrize("n", [65, 127, 128, 129, 384])
+    @pytest.mark.parametrize("n", [65, 127, 128, 129, 257, 384])
     def test_recursion_matches_dtrtri(self, n):
         L = _cholesky_factor(n)
         want = dtrtri(L, lower=1)[0]
-        out = _new_out(L)
-        got = _tri_inv(L, out)
-        assert got is out and got.flags.f_contiguous
+        work = _work(L)
+        got = _tri_inv(work)
+        assert got is work and got.flags.f_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert not np.triu(got, 1).any()
 
-    def test_zero_diagonal_in_a_recursed_block_raises(self):
-        L = _cholesky_factor(130)
-        L[100, 100] = 0.0
-        with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
-            _tri_inv(L, _new_out(L))
-        work = L.copy(order="F")
-        with pytest.raises(np.linalg.LinAlgError, match=r"\(info=101\)"):
-            _tri_inv(work, out=work)
-
-    # with a pair the top level's X22 is inverted by the pair's second call,
-    # on the worker if there is one; its dtrtri info keeps X22's offset, and
-    # a zero in X11 wins over one in X22, as in turn
+    # a dtrtri info keeps its block's offset in the factor, and a zero in
+    # X11 wins over one in X22, since X11 is inverted first
     @pytest.mark.parametrize("zeros, info", [((100,), 101), ((10,), 11), ((10, 100), 11)])
-    @pytest.mark.parametrize("threaded", [False, True], ids=["in-turn", "worker"])
-    def test_zero_diagonal_with_a_pair_keeps_its_offset(self, zeros, info, threaded):
+    def test_zero_diagonal_reports_its_row_in_the_factor(self, zeros, info):
         L = _cholesky_factor(130)
         for z in zeros:
             L[z, z] = 0.0
-        with ThreadPoolExecutor(1) as pool:
-            pair = functools.partial(_pair, pool if threaded else None)
-            with pytest.raises(np.linalg.LinAlgError, match=rf"\(info={info}\)"):
-                _tri_inv(L, _new_out(L), pair=pair)
+        with pytest.raises(np.linalg.LinAlgError, match=rf"\(info={info}\)"):
+            _tri_inv(_work(L))
 
-    @pytest.mark.parametrize("n", [65, 130, 257, 384])
-    def test_a_pair_matches_dtrtri(self, n, worker):
-        L = _cholesky_factor(n)
-        want = dtrtri(L, lower=1)[0]
-        got = _tri_inv(L, _new_out(L), pair=functools.partial(_pair, worker))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert not np.triu(got, 1).any()
-        assert np.array_equal(got, _tri_inv(L, _new_out(L), pair=functools.partial(_pair, None)))
-
-    # slm_solve writes L^-1 over L; each block of L is read before its block
-    # of the output is written, so the result is the same bits
+    # each block of L is read before its block of L^-1 is written over it,
+    # so the in-place inverse is the bits of the wrapper chain, which copies
     @pytest.mark.parametrize("n", [64, 65, 130, 384])
-    def test_in_place_matches_new_array_bit_for_bit(self, n):
+    def test_in_place_matches_the_wrapper_chain_bit_for_bit(self, n):
         L = _cholesky_factor(n)
-        want = _tri_inv(L, _new_out(L))
-        work = L.copy(order="F")
-        got = _tri_inv(work, out=work)
-        assert got is work
-        assert np.array_equal(got, want)
+        assert np.array_equal(_tri_inv(_work(L)), _wrapper_tri_inv(L))
