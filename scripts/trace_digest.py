@@ -37,9 +37,11 @@ directories' fixed points lie apart.
 
 The script pins BLAS to one thread: it sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before it imports numpy,
-whatever the caller's environment holds.  A threaded BLAS may split a
-product's sums differently, and at n=128 and above the exact backend's
-digests then depend on the thread count, not on the build.
+whatever the caller's environment holds.  Every solve now runs on one BLAS
+thread by itself (``glmamp.blas.one_thread``), but builds from before that
+left the count to the caller, and there the exact backend's digests at n=128
+and above depend on it.  Pinning here runs an older build as the newer
+one runs, so a diff of the two compares the builds, not the thread counts.
 """
 
 import os

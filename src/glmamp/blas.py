@@ -20,16 +20,23 @@ At import each capsule's signature is checked against the one these calls
 assume, 32-bit ``int *`` sizes included; a SciPy whose BLAS takes other
 arguments fails the import with ``ImportError`` instead of a wrong call.
 
-``threads`` reports how many threads the OpenBLAS behind these calls runs
-one call on, looked up among the libraries ``cython_blas`` loads.
+``one_thread`` runs a block with both OpenBLAS copies of the process on
+one thread per call: numpy's, which runs its matrix products, and SciPy's,
+which runs the routines here.
 """
 
 from __future__ import annotations
 
 import ctypes
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.linalg import cython_blas, cython_lapack
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
 
 # each routine's arguments: "c" a char, "i" an int, "d" a double, all by pointer
 SIGNATURES = {
@@ -88,26 +95,40 @@ _SCALARS = (ctypes.c_double * 2)(1.0, 0.0)
 _ONE, _ZERO = ctypes.addressof(_SCALARS), ctypes.addressof(_SCALARS) + 8
 
 
-def _thread_query():
-    """OpenBLAS's thread-count function, found from ``cython_blas``, or None."""
-    try:
-        lib = ctypes.CDLL(cython_blas.__file__)
-    except OSError:
+def _thread_count(module, suffix=""):
+    """OpenBLAS's thread-count (getter, setter) in the library ``module`` links, or None."""
+    lib = ctypes.CDLL(module.__file__)
+    get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+    put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+    if get is None or put is None:
         return None
-    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-        query = getattr(lib, name, None)
-        if query is not None:
-            query.restype, query.argtypes = ctypes.c_int, []
-            return query
-    return None
+    put.restype = None
+    return get, put
 
 
-_threads = _thread_query()
+# numpy's OpenBLAS (64-bit integers), then SciPy's
+_COUNTS = (_thread_count(_multiarray_umath, "64_"), _thread_count(cython_blas))
 
 
-def threads() -> int | None:
-    """OpenBLAS's thread count for one call, read now; None for another BLAS."""
-    return None if _threads is None else _threads()
+@contextmanager
+def one_thread():
+    """Run the block with each OpenBLAS copy on one thread per call.
+
+    Yields whether both copies were pinned; one without a thread-count
+    setter (another BLAS) is left as it is.  On exit, by return or raise,
+    each count is set back to what it was on entry.  The count is the
+    process's, not the thread's: blocks running at once in one process
+    share it, and the first to exit restores it for all.
+    """
+    counts = [count for count in _COUNTS if count is not None]
+    start = [get() for get, _ in counts]
+    for _, put in counts:
+        put(1)
+    try:
+        yield len(counts) == len(_COUNTS)
+    finally:
+        for (_, put), threads in zip(counts, start):
+            put(threads)
 
 
 def _ld(a: np.ndarray) -> int:

@@ -36,12 +36,14 @@ Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
   damped EP messages carrying non-Gaussian priors on the x side.
 
 A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``_solve``
-calls ``cls(problem, config, worker)`` as a solve starts, after the one
-decision on the solve's one worker thread: it creates the worker when the
-step class ``wants_worker`` for the model and OpenBLAS runs a call on one
-thread (``blas.threads() == 1``), and joins it when the solve returns or
-raises.  With more BLAS threads, each call already uses the CPUs the
-worker would share; another BLAS is not measured.  Each step class owns
+runs every solve with numpy's and SciPy's OpenBLAS on one thread per call
+(``blas.one_thread``), so neither a solve's bits nor its worker depend on
+the caller's BLAS thread count, and sets both counts back when the solve
+returns or raises.  It calls ``cls(problem, config, worker)`` as the solve
+starts, after the one decision on the solve's one worker thread: it
+creates the worker when the step class ``wants_worker`` for the model and
+both libraries were pinned, and joins it before the counts are restored.
+Another BLAS is not measured, so it gets no worker.  Each step class owns
 its own test: the amp step wants the worker from ``OVERLAP_MIN_BYTES`` of A
 up and runs half of each matvec pair on it; the exact step wants it from
 ``EXACT_OVERLAP_MIN_N`` unknowns up and hands it to ``slm_solve``, which
@@ -444,19 +446,17 @@ def _iterate(problem, mode, config, step, monolithic, worker):
 def _solve(problem, mode, config, backend, monolithic):
     """``_iterate`` with module A ``SLM_BACKENDS[backend]`` and the solve's worker, if any.
 
-    The worker exists when the step class wants it for the model and
-    OpenBLAS runs a call on one thread.  The step's test runs first, so a
-    solve whose step wants no worker never reads the thread count.  With
-    two BLAS threads the worker lost wherever it was measured (2-CPU host,
-    m = 2n, bg(0.1) MMSE, ms/iter without -> with it): GAMP at n = 1024,
-    probit(0.3) 2.89 -> 3.08 and awgn(0.01) 0.91 -> 1.70; module B's
-    quadrature split at m = 1448, 7.72 -> 8.27; the exact step at n = 384,
-    2.2-3.0 -> 3.9-4.2.
+    The solve runs inside ``blas.one_thread``.  The worker exists when the
+    step class wants it for the model and both OpenBLAS copies were pinned.
+    The thread count is the process's: solves running at once in one
+    process share it.
     """
     cls = SLM_BACKENDS[backend]
-    wanted = cls.wants_worker(problem.model) and blas.threads() == 1
-    with ThreadPoolExecutor(1) if wanted else nullcontext() as worker:
-        return _iterate(problem, mode, config, cls(problem, config, worker), monolithic, worker)
+    with blas.one_thread() as pinned:
+        wanted = cls.wants_worker(problem.model) and pinned
+        with ThreadPoolExecutor(1) if wanted else nullcontext() as worker:
+            return _iterate(problem, mode, config, cls(problem, config, worker),
+                            monolithic, worker)
 
 
 def run_gamp(problem: ProblemInstance, mode: Mode,

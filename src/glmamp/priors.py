@@ -127,14 +127,7 @@ class BernoulliGaussianPrior(InputPrior):
                 - 0.5 * np.log(self.var + tau)
             log_z0 = np.log1p(-self.rho) - 0.5 * r ** 2 / tau \
                 - 0.5 * np.log(tau) if self.rho < 1.0 else np.full_like(r, -np.inf)
-            log_odds = log_z1 - log_z0
-            # both are -inf where r lies too many spreads from slab and spike:
-            # the nearer in units of its spread wins by more than any double
-            lost = np.isnan(log_odds)
-            if lost.any():
-                slab = (np.abs(r - self.mean) * np.sqrt(tau)
-                        <= np.abs(r) * np.sqrt(self.var + tau)) | (self.rho == 1.0)
-                log_odds[lost] = np.where(slab, np.inf, -np.inf)[lost]
+            log_odds = self._settle(log_z1 - log_z0, r, tau)
         return mixture_moments(log_odds, m1, v1, 0.0, 0.0)
 
     def map_moments(self, r, tau):
@@ -144,11 +137,29 @@ class BernoulliGaussianPrior(InputPrior):
         with its mixture weight as a point mass.
         """
         m1, v1 = combine(self.mean, self.var, r, tau)
-        j1 = np.log(self.rho) - 0.5 * (m1 - self.mean) ** 2 / self.var \
-            - 0.5 * np.log(2.0 * np.pi * self.var) - 0.5 * (m1 - r) ** 2 / tau
-        j0 = (np.log1p(-self.rho) if self.rho < 1.0 else -np.inf) - 0.5 * r ** 2 / tau
-        take_slab = j1 >= j0
+        # a square too large for a double makes an objective -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            j1 = np.log(self.rho) - 0.5 * (m1 - self.mean) ** 2 / self.var \
+                - 0.5 * np.log(2.0 * np.pi * self.var) - 0.5 * (m1 - r) ** 2 / tau
+            j0 = (np.log1p(-self.rho) if self.rho < 1.0 else -np.inf) - 0.5 * r ** 2 / tau
+            take_slab = self._settle(j1 - j0, r, tau) >= 0.0
         return np.where(take_slab, m1, 0.0), np.where(take_slab, v1, DEFAULT_VARIANCE_FLOOR)
+
+    def _settle(self, slab_odds, r, tau):
+        """``slab_odds``, the slab's score less the spike's, with each NaN decided.
+
+        Both scores are -inf where r lies too many spreads from slab and
+        spike.  Up to constants, either module's scores are then
+        -(r - mean)^2 / (var + tau) and -r^2 / tau, so the branch nearer to r
+        in units of its own spread wins by more than any double: +inf for the
+        slab, -inf for the spike.  Call under ``np.errstate(over="ignore")``.
+        """
+        lost = np.isnan(slab_odds)
+        if lost.any():
+            slab = (np.abs(r - self.mean) * np.sqrt(tau)
+                    <= np.abs(r) * np.sqrt(self.var + tau)) | (self.rho == 1.0)
+            slab_odds[lost] = np.where(slab, np.inf, -np.inf)[lost]
+        return slab_odds
 
     def marginal_mean(self):
         return self.rho * self.mean

@@ -159,17 +159,44 @@ thread.join()
         assert int(run.stdout) > 1000
 
 
-class TestThreads:
-    def test_reports_the_openblas_thread_count(self):
-        # OpenBLAS reads the variable as it loads, so the check runs in a child;
-        # a count above one may be capped at the CPUs there are
-        code = "from glmamp import blas; print(blas.threads())"
-        for count, allowed in (("1", {"1"}), ("2", {"1", "2"})):
-            run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                 text=True, timeout=60,
-                                 env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": count})
-            assert run.returncode == 0, run.stderr
-            assert run.stdout.strip() in allowed
+def _counts():
+    return [get() for get, _ in blas._COUNTS]
+
+
+@pytest.fixture
+def two_threads():
+    """Both libraries on two threads for the test, then as they were."""
+    start = _counts()
+    for _, put in blas._COUNTS:
+        put(2)
+    yield _counts()
+    for (_, put), threads in zip(blas._COUNTS, start):
+        put(threads)
+
+
+class TestOneThread:
+    def test_both_libraries_are_found(self):
+        assert None not in blas._COUNTS
+
+    def test_pins_both_counts_and_restores_them_on_return(self, two_threads):
+        with blas.one_thread() as pinned:
+            assert pinned and _counts() == [1, 1]
+        assert _counts() == two_threads
+
+    def test_restores_both_counts_on_raise(self, two_threads):
+        with pytest.raises(ZeroDivisionError):
+            with blas.one_thread():
+                assert _counts() == [1, 1]
+                1 / 0
+        assert _counts() == two_threads
+
+    def test_a_library_without_a_setter_is_left_as_it_is(self, two_threads, monkeypatch):
+        numpy_count, scipy_count = blas._COUNTS
+        monkeypatch.setattr(blas, "_COUNTS", (None, scipy_count))
+        with blas.one_thread() as pinned:
+            assert not pinned
+            assert [numpy_count[0](), scipy_count[0]()] == [two_threads[0], 1]
+        assert [numpy_count[0](), scipy_count[0]()] == two_threads
 
 
 class TestSignatureCheck:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glmamp import channels, engine, slm
+from glmamp import blas, channels, engine, slm
 from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
                              ProbitChannel, QuadratureError, awgn_g_out)
 from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
@@ -390,11 +390,8 @@ class TestTraceStorage:
 def workers(monkeypatch):
     """Every worker the engine creates, each counting the work handed to it:
     all of it, and the module-B quadrature halves (the ``channels._refine``
-    calls that run off the main thread, on the one live worker).  BLAS
-    reports one thread, as the benchmark and the trace digest run it; only
-    then does ``_solve`` create a worker."""
+    calls that run off the main thread, on the one live worker)."""
     made = []
-    monkeypatch.setattr(engine.blas, "threads", lambda: 1)
 
     class Recording(ThreadPoolExecutor):
         def __init__(self, *args, **kw):
@@ -544,31 +541,35 @@ class TestOverlappedMatvecs:
         run_modular(prob, Mode.SUM_PRODUCT, replace(config, slm_backend="amp"))
         assert len(workers) == 1
 
-    # with BLAS on more than one thread, or another BLAS, no step gets a
-    # worker, however low the amp, exact and module-B thresholds are
+    # a BLAS copy without a thread-count setter cannot be pinned, and then no
+    # step gets a worker, however low the amp, exact and module-B thresholds are
     @pytest.mark.parametrize("solver", [*AMP_SOLVERS, "modular-exact"])
-    @pytest.mark.parametrize("threads", [2, None])
-    def test_worker_needs_one_blas_thread(self, threads, solver, workers, monkeypatch):
+    @pytest.mark.parametrize("unpinned", [0, 1], ids=["numpy", "scipy"])
+    def test_worker_needs_the_blas_pin(self, unpinned, solver, workers, monkeypatch):
         prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)", n=80)
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
         monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", 0)
         monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", 0)
         config = SolverConfig(max_iter=3)
-        monkeypatch.setattr(engine.blas, "threads", lambda: threads)
+        counts = blas._COUNTS
+        monkeypatch.setattr(blas, "_COUNTS", tuple(None if i == unpinned else count
+                                                   for i, count in enumerate(counts)))
         SOLVERS[solver](prob, Mode.SUM_PRODUCT, config)
         assert workers == []
-        # at one thread the same solve has the worker, and every consumer uses it
-        monkeypatch.setattr(engine.blas, "threads", lambda: 1)
+        # pinned, the same solve has the worker, and every consumer uses it
+        monkeypatch.setattr(blas, "_COUNTS", counts)
         _, trace = SOLVERS[solver](prob, Mode.SUM_PRODUCT, config)
         assert [w.quadrature for w in workers] == [len(trace)]
         assert workers[0].submitted - workers[0].quadrature >= 2 * len(trace) > 0
 
-    def test_real_blas_on_two_threads_gets_no_worker(self):
-        # OpenBLAS reads the variable as it loads, so the solve runs in a
-        # child; a count above one may be capped at the CPUs there are, and
-        # only a count of one gets the worker
-        code = """
-from glmamp import blas, engine
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS as it loads, so each run is a child.  It
+# prints the digest of an exact solve at n = 384 (10 iterations, tol 0), the
+# workers a GAMP solve at A = 8.4 MiB made, and both libraries' thread counts
+# before the solves, after them and after an exact solve whose dpotrf fails.
+PIN_CHILD = """
+import hashlib
+from glmamp import blas, engine, slm
 from glmamp.channels import Mode
 from glmamp.problems import generate_problem
 from glmamp.specs import parse_channel, parse_prior
@@ -578,18 +579,48 @@ class Recording(engine.ThreadPoolExecutor):
         super().__init__(*args, **kw)
         made.append(self)
 engine.ThreadPoolExecutor = Recording
-engine.OVERLAP_MIN_BYTES = 0
-prob = generate_problem(64, 128, parse_prior("bg(rho=0.1,mean=0,var=1)"),
-                        parse_channel("probit(scale=0.3)"), 0)
-engine.run_gamp(prob, Mode.SUM_PRODUCT, engine.SolverConfig(max_iter=3))
-print(blas.threads(), len(made))
+def counts():
+    return ",".join(str(get()) for get, _ in blas._COUNTS)
+prior = parse_prior("bg(rho=0.1,mean=0,var=1)")
+start = counts()
+prob = generate_problem(384, 768, prior, parse_channel("awgn(var=0.01)"), 0)
+sol, _ = engine.run_modular(prob, Mode.SUM_PRODUCT, engine.SolverConfig(max_iter=10, tol=0))
+digest = hashlib.sha256(sol.point.tobytes() + sol.variance.tobytes()).hexdigest()
+prob = generate_problem(725, 1450, prior, parse_channel("probit(scale=0.3)"), 0)
+assert prob.model.A.nbytes >= engine.OVERLAP_MIN_BYTES
+engine.run_gamp(prob, Mode.SUM_PRODUCT, engine.SolverConfig(max_iter=2))
+solved, workers = counts(), len(made)
+slm.blas.dpotrf = lambda a: 1
+try:
+    engine.run_modular(prob, Mode.SUM_PRODUCT, engine.SolverConfig(max_iter=2))
+except slm.np.linalg.LinAlgError:
+    raised = counts()
+print(digest, workers, start, solved, raised)
 """
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "2"},
-                             timeout=60)
-        assert run.returncode == 0, run.stderr
-        threads, made = run.stdout.split()
-        assert made == ("1" if threads == "1" else "0")
+
+
+def _pin_child(threads):
+    env = {"PYTHONPATH": str(SRC)}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    run = subprocess.run([sys.executable, "-c", PIN_CHILD], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+@pytest.fixture(scope="module")
+def pinned_digest():
+    return _pin_child("1")[0]
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+def test_a_solve_runs_on_one_blas_thread_whatever_the_variable(threads, pinned_digest):
+    digest, workers, start, solved, raised = _pin_child(threads)
+    assert digest == pinned_digest
+    # the exact solve at n >= EXACT_OVERLAP_MIN_N and the GAMP solve
+    assert workers == "2"
+    assert start == solved == raised
 
 
 class TestWorkerLifetime:

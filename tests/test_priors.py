@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from glmamp.channels import Mode
-from glmamp.gaussian import POSTERIOR_VARIANCE_FLOOR
+from glmamp.gaussian import DEFAULT_VARIANCE_FLOOR, POSTERIOR_VARIANCE_FLOOR
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, InputPrior, LaplacePrior
 
 from oracles import bg_mmse_mp, grid_moments, laplace_mmse_mp
@@ -223,6 +223,21 @@ def test_bg_mmse_at_a_huge_cavity_mean_can_take_the_spike():
         warnings.simplefilter("error")
         st_ = prior.denoise(Mode.SUM_PRODUCT, 1e155, 1e150)
     assert st_.point == 0.0 and st_.variance == POSTERIOR_VARIANCE_FLOOR
+
+
+# The MAP objectives are -inf there too, and the MAP module settles the tie by
+# the same distances: the spike at 1e155, the slab (the nearer, a point at 0
+# with prior variance 1) at 1e160.  A tie used to take the slab, with an
+# overflow warning.
+def test_bg_map_at_huge_cavity_means_takes_the_nearer_branch():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spike = BernoulliGaussianPrior(0.5, -1e150, 1e-150).denoise(Mode.MAX_SUM, 1e155, 1e150)
+        slab = BernoulliGaussianPrior(0.1, 0.0, 1.0).denoise(
+            Mode.MAX_SUM, np.array([1e160, -1e160]), 1.0)
+    assert spike.point == 0.0 and spike.variance == DEFAULT_VARIANCE_FLOOR
+    assert np.array_equal(slab.point, [5e159, -5e159])
+    assert np.array_equal(slab.variance, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("prior", [
