@@ -47,14 +47,18 @@ Another BLAS is not measured, so it gets no worker.  Each step class owns
 its own test: the amp step wants the worker from ``OVERLAP_MIN_BYTES`` of A
 up and runs half of each matvec pair on it; the exact step wants it from
 ``EXACT_OVERLAP_MIN_N`` unknowns up and hands it to ``slm_solve``, which
-runs half of each of its two cut BLAS-3 steps on it.  ``_iterate`` hands
-the worker, whichever step wanted it, to module B, which owns its own
-threshold: its probit quadrature integrates half of the components on it
-from ``channels.QUAD_SPLIT_MIN_COMPONENTS`` components up.  Every split runs
-through ``slm._pair``, and each result is the serial path's, bit for bit.
-The worker runs numpy and BLAS work only: it calls no function the
-benchmark's tracer wraps and builds no message, since the tracer's span
-stack and object counter are not thread-safe.
+runs one piece of each of four cut steps on it: B^T's second column block
+with A^T (py / pv), P's lower rows, z's mean A mu beside the triangular
+inverse, and W_s's second column block with its squared norms.
+``_iterate`` hands the worker, whichever step wanted it, to module B, which
+owns its own threshold: its probit quadrature integrates half of the
+components on it from ``channels.QUAD_SPLIT_MIN_COMPONENTS`` components up.
+Every split runs through ``slm._pair``, and each result is the serial
+path's, bit for bit.  The worker runs numpy and BLAS work only: it calls no
+function the benchmark's tracer wraps and builds no message, since the
+tracer's span stack and object counter are not thread-safe.  The exact
+step's share enters no function of ``gaussian``, ``channels``, ``priors``
+or this module; a test records every function its thread enters.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -89,13 +93,15 @@ from .slm import LinearModel, _pair, slm_solve
 OVERLAP_MIN_BYTES = 8 * 2**20
 
 # The fewest unknowns (n) at which the "exact" step wants the worker,
-# whatever A's size: ``slm_solve`` then runs half of each of its two cut
-# BLAS-3 steps on it.  Swept while the triangular inverse was split across
-# the worker too, on a 2-CPU host, one BLAS thread, m = 2n, awgn(0.01) +
-# bg(0.1) MMSE, median ms/iter without -> with the worker over 3 instances
-# x 7 alternating repetitions: it lost at n = 96 (0.26 -> 0.33), tied from
-# 128 to 192 (192: 0.81 -> 0.82) and won from 224 (0.95 -> 0.79; 256:
-# 1.46 -> 1.28; 384: 3.58 -> 2.60).  256 leaves a margin above the tie.
+# whatever A's size: ``slm_solve`` then runs one piece of each of its four
+# cut steps on it.  Swept on a 2-CPU host, one BLAS thread, m = 2n,
+# awgn(0.01) + bg(0.1) MMSE, median ms/iter without -> with the worker over
+# 3 instances x 7 alternating repetitions, two sweeps: it lost up to n = 224
+# (96: 0.79 -> 1.42; 224: 3.00 -> 3.55), tied at 256 (4.86 -> 4.13, then
+# 3.98 -> 4.13) and won from 320 (7.84 -> 6.80; 384: 9.96 -> 8.99).  An
+# earlier sweep on a faster host, when the worker took half of the
+# triangular inverse instead of A mu and B^T's second block, won from 224
+# (256: 1.46 -> 1.28; 384: 3.58 -> 2.60).
 EXACT_OVERLAP_MIN_N = 256
 
 # A's spread about its mean counts as 0 (``_spike`` never fires) at or below

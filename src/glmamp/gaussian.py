@@ -120,10 +120,20 @@ def combine(mean_a, var_a, mean_b, var_b):
     """(mean, variance) of the product N(mean_a, var_a) N(mean_b, var_b).
 
     Moment arrays in and out, not messages: the conjugate updates in the hot
-    path build and validate nothing.
+    path build and validate nothing.  Where the precision-weighted mean is
+    not finite, because a mean over its variance overflows (1e160 / 1e-160),
+    it is taken as mean_a + (mean_b - mean_a) var_a / (var_a + var_b).
     """
     lam = 1.0 / var_a + 1.0 / var_b
-    return (mean_a / var_a + mean_b / var_b) / lam, 1.0 / lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (mean_a / var_a + mean_b / var_b) / lam
+    lost = ~np.isfinite(mean)
+    if lost.any():
+        a, va, b, vb = (np.broadcast_to(x, lost.shape)[lost]
+                        for x in (mean_a, var_a, mean_b, var_b))
+        mean = np.array(mean)
+        mean[lost] = a + (b - a) * va / (va + vb)
+    return mean, 1.0 / lam
 
 
 def ep_extrinsic(posterior: PosteriorStats, cavity: GaussianBelief) -> ExtrinsicMessage:

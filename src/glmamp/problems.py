@@ -111,11 +111,13 @@ def load_matrix_binary(path) -> np.ndarray:
         if len(header) != 16:
             raise ValueError(f"{path}: truncated matrix header")
         m, n = struct.unpack("<QQ", header)
-        # checked before reading: read() would try to allocate the claimed size
+        # checked before allocating: A would take the claimed size
         if 8 * m * n > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"{path}: truncated matrix payload")
-        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-    return data.reshape(m, n).astype(float)
+        # the payload is read straight into A, held once
+        A = np.empty((m, n), dtype="<f8")
+        fh.readinto(A)
+    return A.astype(float, copy=False)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -32,7 +32,8 @@ except a negative one, which leaves P finite but indefinite.  A non-finite
 prior or pseudo-observation mean spoils the right-hand side.
 
 A is read three times, in this order: once into B^T, at once again for
-A^T (py / sv) while it is still in cache, and last for z's mean A mu.
+A^T (py / sv) while it is still in cache, and last for z's mean A mu,
+which runs beside the triangular inverse.
 
 Memory is one n x m buffer and one n x n buffer per call.  B^T is built
 once, Fortran-ordered, and read by SYRK; TRMM then overwrites it with W_s.
@@ -48,29 +49,47 @@ of the GFlop/s of the SYRK and TRMM around it at n = 384, and the recursion
 takes 1.3-1.4 ms where TRTRI takes 2.9-3.7 ms (17 against 27 ms at n = 1024).
 Every level runs whole BLAS calls, in turn, on the calling thread.
 
-Above ``TRI_INV_LEAF`` the two BLAS-3 steps that pay for a second thread
-are cut into two independent halves (``_cut``), and with a ``worker``
-thread the second half of each runs on it while the calling thread runs
-the first:
+Above ``TRI_INV_LEAF`` each call is cut into independent pieces on
+(m, n) alone (``_cut``), and with a ``worker`` thread one piece of each of
+four pairs runs on it while the calling thread runs the other (``_pair``):
 
-* P's lower triangle is two diagonal-block SYRKs and one GEMM: rows split
-  at k, the multiple of ``CUT_ALIGN`` = 32 nearest n / sqrt(2), so that
-  P11's SYRK (about k^2 m / 2 multiply-adds) weighs as much as P21's GEMM
-  and P22's SYRK;
+* B^T is built in the two column blocks of W_s's cut below; the worker
+  builds the second and then forms A^T (py / sv);
+* P's lower triangle is two diagonal-block SYRKs and one GEMM, rows cut at
+  k, the multiple of ``CUT_ALIGN`` = 32 nearest 3n / 4: the calling thread
+  runs P11's SYRK, the worker P21's GEMM and P22's SYRK;
+* z's mean A mu (a matrix-vector product) runs beside the triangular
+  inverse;
 * W_s is two TRMMs on column blocks of B^T, cut at the multiple of 32
-  nearest m / 2.
+  nearest m / 2, and each thread takes the squared norms of its own block.
 
-Timed at n = 384, m = 768 on a 2-vCPU Intel Xeon (KVM) with one OpenBLAS
-thread, medians of 15 alternating rounds: the SYRK split took 1.9 ms
-against 3.3 whole and the TRMM split 2.1 against 4.1.  The inverse paired
-at its top level (its diagonal blocks one on each thread, its TRMMs cut in
-two) took 1.46 ms against 1.15 in whole calls, slower in 15 of 15 rounds.
-It pays only from about n = 512 (n = 1024: 7.9 ms paired, 10.3 whole), a
-size at which no benchmarked solve runs the exact backend.
+P's halves weigh the same in flops at k = n / sqrt(2), but the split ran
+fastest near 3n / 4.  Swept at m = 2n on a 2-vCPU Intel Xeon (KVM) with one
+OpenBLAS thread, ms for one whole SYRK and for the split at each k, medians
+of 15 interleaved rounds (5 at n = 1024):
+
+    n      whole   k at n / sqrt(2)   k at 3n / 4
+    256    0.90    192   0.73         192   0.73
+    384    2.67    256   2.40         288   1.97
+    512    7.48    352   5.35         384   4.53
+    1024   42.3    736   34.4         768   33.5
+
+At n = 1024 every k from 704 to 896 ran within the noise of the others.
+An earlier sweep on a faster host of the same class gave 1.84-1.90 ms at
+k = 256 against 1.49 at 288 (n = 384).  There the TRMM split took 2.1 ms
+against 4.1 whole, and the inverse paired at its top level (its diagonal
+blocks one on each thread, its TRMMs cut in two) took 1.46 ms against 1.15
+in whole calls, slower in 15 of 15 rounds.  It pays only from about
+n = 512 (n = 1024: 7.9 ms paired, 10.3 whole), a size at which no
+benchmarked solve runs the exact backend; A mu takes the worker's share of
+that step instead.
 
 The mean's DPOTRS (0.05 ms at n = 384) runs first, alone: beside the
 inverse it would need a copy of L, which the inverse overwrites, and the
-copy costs about what the overlap saves.  The worker runs BLAS calls only.
+copy costs about what the overlap saves.  The worker runs BLAS calls and
+numpy loops over whole blocks (the scaling of B^T, A's products with a
+vector, the squared norms), all of which release the interpreter lock; it
+builds no message.
 
 Bit policy: the cuts depend on (m, n) alone, so a call returns the same bits
 with and without the worker.  At and below ``TRI_INV_LEAF`` there is no cut:
@@ -78,12 +97,17 @@ one SYRK, one TRTRI and one TRMM, the chain of earlier releases bit for bit.
 Above it, a BLAS call cut into blocks may round differently from one call
 over the whole (by about 1e-16 relative), so exact-backend results at
 n > 64 may differ in the last bits from releases without the cut; at
-n = 256 and 1024 with m = 2n none did.
+n = 256 and 1024 with m = 2n none did.  Moving P's row cut from n / sqrt(2)
+to 3n / 4 kept every bit at m = 2n (n = 96 to 1024) and at (n, m) =
+(384, 384) and (384, 1536), and moved the last bits at (500, 1000),
+(199, 997), (768, 700) and (65, 40).  The pieces the worker runs
+besides the BLAS-3 halves are elementwise products, products with a vector
+and column norms, each the same operation on the same operands as in one
+call, so they keep every bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +164,8 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     ``pseudo`` holds the m pseudo-observations (means, variances); ``prior_x``
     the n per-component Gaussian priors.  Returns componentwise posterior
     stats on x, marginal stats on z = A x, and the EP extrinsic on z.
-    ``worker``, an executor with one thread, runs the second half of each
-    of the two cut BLAS steps; the result is the same bits without it.
+    ``worker``, an executor with one thread, runs one piece of each of the
+    four cut steps; the result is the same bits without it.
 
     The steps, and why one O(n) finiteness test on P's diagonal and the
     right-hand side suffices, are in the module docstring.  The inputs are
@@ -154,15 +178,24 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     m, n = A.shape
     py, pv = _vector(pseudo.pseudo_mean, m), _vector(pseudo.pseudo_variance, m)
     pm, pvar = _vector(prior_x.mean, n), _vector(prior_x.variance, n)
+    # at and below the leaf nothing is cut and the worker gets nothing
     cut = n > TRI_INV_LEAF
-    if cut:
-        k, c = _cut(n / math.sqrt(2.0), n), _cut(m / 2, m)
+    k, c = (_cut(0.75 * n, n), _cut(m / 2, m)) if cut else (n, m)
+    worker = worker if cut else None
 
     # The one n x m buffer: B^T = (A diag(pv)^-1/2)^T, Fortran-ordered whatever
-    # A's layout.  A's second read follows at once, before SYRK's passes over
-    # B^T evict it.
-    bt = np.multiply(A.T, np.sqrt(1.0 / pv), order="F")
-    rhs = pm / pvar + A.T @ (py / pv)
+    # A's layout, built in W_s's two column blocks.  A's second read follows
+    # the second block at once, before SYRK's passes over B^T evict it.
+    bt = np.empty((n, m), order="F")
+    scale = np.sqrt(1.0 / pv)
+
+    def scale_rows(rows):
+        np.multiply(A.T[:, rows], scale[rows], out=bt[:, rows])
+
+    def second_block():
+        scale_rows(slice(c, m))
+        return A.T @ (py / pv)
+    rhs = pm / pvar + _pair(worker, lambda: scale_rows(slice(0, c)), second_block)[1]
     # only P's lower triangle is written; its zero upper triangle stays zero
     # through the factor and the inverse
     prec = np.zeros((n, n), order="F")
@@ -190,18 +223,18 @@ def slm_solve(model: LinearModel, pseudo: ExtrinsicMessage,
     chol, mu = prec, rhs
     blas.dpotrs(chol, mu)
     # L is not needed past dpotrs: L^-1 overwrites it, and W_s = L^-1 B^T
-    # overwrites B^T (bt is never a view of A)
-    w_s, chol_inv = bt, _tri_inv(chol)
+    # overwrites B^T (bt is never a view of A); z's mean needs only mu
+    chol_inv, z_mean = _pair(worker, lambda: _tri_inv(chol), lambda: A @ mu)
+    w_s = bt
     if cut:
-        _pair(worker, lambda: blas.dtrmm(chol_inv, w_s[:, :c]),
-              lambda: blas.dtrmm(chol_inv, w_s[:, c:]))
+        w_sq = np.concatenate(_pair(worker, lambda: _trmm_sq_norms(chol_inv, w_s[:, :c]),
+                                    lambda: _trmm_sq_norms(chol_inv, w_s[:, c:])))
     else:
-        blas.dtrmm(chol_inv, w_s)
+        w_sq = _trmm_sq_norms(chol_inv, w_s)
 
     x_var = np.maximum(np.einsum("ij,ij->j", chol_inv, chol_inv),
                        DEFAULT_VARIANCE_FLOOR)
-    z_mean = A @ mu
-    z_var = np.maximum(np.einsum("ij,ij->j", w_s, w_s) * pv, DEFAULT_VARIANCE_FLOOR)
+    z_var = np.maximum(w_sq * pv, DEFAULT_VARIANCE_FLOOR)
 
     x_stats = PosteriorStats(point=mu, variance=x_var)
     z_stats = PosteriorStats(point=z_mean, variance=z_var)
@@ -230,6 +263,12 @@ def _pair(worker, first, second) -> tuple:
     finally:
         done.exception()  # waits for ``second`` whether or not ``first`` raised
     return result, done.result()
+
+
+def _trmm_sq_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b := a b in place (``blas.dtrmm``); returns the squared norms of b's columns."""
+    blas.dtrmm(a, b)
+    return np.einsum("ij,ij->j", b, b)
 
 
 def _vector(values: np.ndarray, size: int) -> np.ndarray:

@@ -134,7 +134,7 @@ def wrapper_slm_solve(model, pseudo, prior_x):
     ``asarray_chkfinite``), the diagonal updated by fancy indexing and every
     input broadcast to full length, so its results are the bits
     ``slm_solve`` must return.  Up to n = LEAF each step is one call.  Above
-    it, P's rows are cut at k near n / sqrt(2) (two SYRKs and a GEMM) and W_s's
+    it, P's rows are cut at k near 3n / 4 (two SYRKs and a GEMM) and W_s's
     columns at c near m / 2; the inverse is never cut (``_wrapper_tri_inv``).
     """
     A = model.A
@@ -143,7 +143,7 @@ def wrapper_slm_solve(model, pseudo, prior_x):
     pv = np.broadcast_to(np.asarray(pseudo.pseudo_variance, dtype=float), (m,))
     pm = np.broadcast_to(np.asarray(prior_x.mean, dtype=float), (n,))
     pvar = np.broadcast_to(np.asarray(prior_x.variance, dtype=float), (n,))
-    k, c = (n, m) if n <= LEAF else (_cut(n / np.sqrt(2.0), n), _cut(m / 2, m))
+    k, c = (n, m) if n <= LEAF else (_cut(0.75 * n, n), _cut(m / 2, m))
     bt = np.multiply(A.T, np.sqrt(1.0 / pv), order="F")
     prec = np.zeros((n, n), order="F")
     prec[:k, :k] = dsyrk(1.0, bt[:k], lower=1)

@@ -132,6 +132,14 @@ def test_probit_derivatives_against_mpmath_down_to_far_tail(scale):
         assert np.all((f2 >= -1.0 / scale ** 2) & (f2 <= 0.0))
 
 
+# ROADMAP 3(d): y / noise variance = 1e310 overflowed with a warning (an error
+# under this suite's warning filter) and gave an infinite point
+def test_awgn_map_where_the_precision_weighted_mean_overflows():
+    st_ = posterior_map(AwgnChannel(1e-150), np.array([1e160]), GaussianBelief(0.0, 1.0))
+    assert st_.point[0] == 1e160
+    assert st_.variance[0] == pytest.approx(1e-150, rel=1e-15)
+
+
 class TestPosteriorMmse:
     def test_awgn_conjugate(self):
         st_ = posterior_mmse(AwgnChannel(1.0), 2.0, GaussianBelief(0.0, 1.0))

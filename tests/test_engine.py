@@ -14,8 +14,8 @@ from glmamp.channels import (AwgnChannel, LogisticChannel, Mode, PoissonChannel,
                              ProbitChannel, QuadratureError, awgn_g_out)
 from glmamp.engine import (TRACE_FIELDS, ProblemInstance, SolverConfig,
                            nmse, run_gamp, run_modular)
-from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, GaussianBelief, PosteriorStats,
-                             ep_extrinsic, valid_moments)
+from glmamp.gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
+                             PosteriorStats, ep_extrinsic, valid_moments)
 from glmamp.priors import BernoulliGaussianPrior, GaussianPrior, LaplacePrior
 from glmamp.problems import generate_problem, observe
 from glmamp.slm import LinearModel, SlmResult
@@ -511,8 +511,9 @@ class TestOverlappedMatvecs:
         quadrature = len(trace) if channel in QUADRATURE_CHANNELS else 0
         assert workers[0].submitted == workers[0].quadrature == quadrature
 
-    # Above TRI_INV_LEAF unknowns each slm_solve call hands the worker two
-    # BLAS halves: P's lower rows and W_s's second column block.  At these
+    # Above TRI_INV_LEAF unknowns each slm_solve call hands the worker four
+    # pieces: B^T's second column block with A^T (py / pv), P's lower rows,
+    # z's mean A mu and W_s's second column block with its norms.  At these
     # shapes some cut of a BLAS call rounded differently from one whole call
     # in probes.
     @pytest.mark.parametrize("channel, n, m", [
@@ -525,7 +526,7 @@ class TestOverlappedMatvecs:
                                                      workers, monkeypatch, tmp_path)
         quadrature = len(trace) if channel in QUADRATURE_CHANNELS else 0
         assert workers[0].quadrature == quadrature
-        assert workers[0].submitted - quadrature == 2 * len(trace) > 0
+        assert workers[0].submitted - quadrature == 4 * len(trace) > 0
 
     def test_exact_threshold_is_inclusive(self, workers, monkeypatch):
         prob = _generated("gaussian(mean=0,var=1)", "awgn(var=0.1)", n=80)
@@ -535,7 +536,7 @@ class TestOverlappedMatvecs:
         assert workers == []
         monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", prob.model.n)
         run_modular(prob, Mode.SUM_PRODUCT, config)
-        assert [w.submitted for w in workers] == [6]
+        assert [w.submitted for w in workers] == [12]
         # the unknowns gate the exact backend only
         run_gamp(prob, Mode.SUM_PRODUCT, config)
         run_modular(prob, Mode.SUM_PRODUCT, replace(config, slm_backend="amp"))
@@ -630,15 +631,17 @@ class TestWorkerLifetime:
         before = threading.active_count()
         _, trace = run_modular(prob, Mode.SUM_PRODUCT, SolverConfig())
         assert threading.active_count() == before
-        assert [w.submitted for w in workers] == [2 * len(trace)]
+        assert [w.submitted for w in workers] == [4 * len(trace)]
 
-    # the second slm_solve call raises on the calling thread, after it has
-    # handed the worker P's lower rows: in its dpotrf, or in a dtrtri of the
-    # inverse's X22 block (the first of them, rows 129-192 of the factor)
-    @pytest.mark.parametrize("routine, message", [
-        ("dpotrf", r"dpotrf: the 1-th leading minor"),
-        ("dtrtri", r"dtrtri: singular Cholesky factor \(info=129\)")])
-    def test_no_thread_outlives_an_exact_solve_that_raises(self, routine, message,
+    # the second slm_solve call raises on the calling thread, after the first
+    # handed the worker its four pieces: in its dpotrf, after it has handed
+    # the worker B^T's second block and P's lower rows, or in a dtrtri of the
+    # inverse's X22 block (the first of them, rows 129-192 of the factor),
+    # while the worker forms z's mean
+    @pytest.mark.parametrize("routine, message, submitted", [
+        ("dpotrf", r"dpotrf: the 1-th leading minor", 4 + 2),
+        ("dtrtri", r"dtrtri: singular Cholesky factor \(info=129\)", 4 + 3)])
+    def test_no_thread_outlives_an_exact_solve_that_raises(self, routine, message, submitted,
                                                            workers, monkeypatch):
         real, seen = getattr(slm.blas, routine), []
 
@@ -654,7 +657,7 @@ class TestWorkerLifetime:
         with pytest.raises(np.linalg.LinAlgError, match=message):
             run_modular(prob, Mode.SUM_PRODUCT, SolverConfig())
         assert threading.active_count() == before
-        assert [w.submitted for w in workers] == [3]
+        assert [w.submitted for w in workers] == [submitted]
 
     def test_no_thread_outlives_a_solve(self, workers, monkeypatch):
         prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)")
@@ -722,6 +725,58 @@ class TestWorkerLifetime:
             assert str(err.value) == serial[solver]
             assert threading.active_count() == before, solver
         assert [w.quadrature > 0 for w in workers] == [True, True]
+
+
+# The modules whose functions build messages or are wrapped by the benchmark's
+# tracer, whose span stack and object counter are not thread-safe
+MESSAGE_MODULES = ("glmamp.gaussian", "glmamp.channels", "glmamp.priors", "glmamp.engine")
+
+
+class Profiled(ThreadPoolExecutor):
+    """A one-thread executor whose thread records every Python function it
+    enters, as (module, function) pairs in ``entered``."""
+
+    def __init__(self, *args, **kw):
+        self.entered = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                self.entered.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+        super().__init__(*args, initializer=sys.setprofile, initargs=(record,), **kw)
+
+
+class TestWorkerContract:
+    """The exact step's worker runs slm's BLAS and numpy halves, nothing else."""
+
+    @staticmethod
+    def _assert_only_slm_halves(entered):
+        assert not [f for f in entered if f[0] in MESSAGE_MODULES]
+        assert ("glmamp.slm", "slm_solve") not in entered
+        # the worker did run slm_solve's pieces
+        assert ("glmamp.slm", "lower_rows") in entered
+
+    def test_slm_solve_at_the_exact_slm_size(self):
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "awgn(var=0.01)", n=384)
+        rng = np.random.default_rng(0)
+        pseudo = ExtrinsicMessage(rng.standard_normal(768), rng.uniform(0.2, 3.0, 768))
+        with blas.one_thread(), Profiled(1) as worker:
+            slm.slm_solve(prob.model, pseudo, GaussianBelief(np.zeros(384), np.ones(384)),
+                          worker=worker)
+        self._assert_only_slm_halves(worker.entered)
+
+    def test_exact_solve_at_the_overlap_threshold(self, monkeypatch):
+        made = []
+
+        class Made(Profiled):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                made.append(self)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", Made)
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "awgn(var=0.01)",
+                          n=engine.EXACT_OVERLAP_MIN_N)
+        run_modular(prob, Mode.SUM_PRODUCT, SolverConfig(max_iter=3))
+        assert len(made) == 1
+        self._assert_only_slm_halves(made[0].entered)
 
 
 BAD_MEANS = [np.nan, np.inf, -np.inf]

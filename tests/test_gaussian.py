@@ -34,6 +34,18 @@ class TestCombine:
         np.testing.assert_allclose(mean, [2.0, 2.0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(var, [4.0 / 3.0, 4.0 / 3.0], rtol=0, atol=1e-15)
 
+    # ROADMAP 3(d): mean_b / var_b = 1e320 overflowed with a warning and gave
+    # an infinite mean; only such components take the fallback form
+    def test_overflowing_precision_mean_without_a_warning(self):
+        mean_b = np.array([1e160, 2.0, -1e160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, var = combine(0.0, 1.0, mean_b, 1e-160)
+            ordinary = combine(0.0, 1.0, 2.0, 1e-160)
+        assert np.array_equal(mean, [1e160, ordinary[0], -1e160])
+        assert var == ordinary[1]
+        assert combine(0.0, 1.0, 1e160, 1e-160)[0] == 1e160
+
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
             GaussianBelief(0.0, -1.0)

@@ -240,6 +240,22 @@ def test_bg_map_at_huge_cavity_means_takes_the_nearer_branch():
     assert np.array_equal(slab.variance, [0.5, 0.5])
 
 
+# ROADMAP 3(d): the slab's precision-weighted mean r / tau = 1e320 overflowed
+# with a warning and gave an infinite point; the posterior is r's side,
+# 1e160 with variance tau.  An ordinary value in the same batch keeps its bits.
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("prior", [GaussianPrior(0.0, 1.0), BernoulliGaussianPrior(0.1, 0.0, 1.0)],
+                         ids=lambda p: p.name)
+def test_denoise_at_a_mean_whose_precision_weight_overflows(prior, mode):
+    r, tau = np.array([1e160, 0.5]), np.array([1e-160, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st_ = prior.denoise(mode, r, tau)
+        alone = prior.denoise(mode, r[1:], tau[1:])
+    assert st_.point[0] == 1e160 and st_.variance[0] == pytest.approx(1e-160, rel=1e-15)
+    assert st_.point[1] == alone.point[0] and st_.variance[1] == alone.variance[0]
+
+
 @pytest.mark.parametrize("prior", [
     GaussianPrior(0.0, 1.0), LaplacePrior(1.0), BernoulliGaussianPrior(0.2, 0.0, 1.0)],
     ids=lambda p: p.name)

@@ -3,6 +3,7 @@ instance, the problem directory and the matrix file formats."""
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,23 @@ class TestMatrixFiles:
         assert int.from_bytes(raw[4:12], "little") == 5
         assert int.from_bytes(raw[12:20], "little") == 3
         assert len(raw) == 20 + 5 * 3 * 8
+
+    # the payload is read into the one array returned: no bytes object and no
+    # converted copy beside it
+    def test_binary_load_holds_the_matrix_once(self, tmp_path):
+        A = np.random.default_rng(2).standard_normal((200, 300))
+        A[0, :3] = -0.0, 5e-324, np.inf
+        path = tmp_path / "a.bin"
+        save_matrix_binary(path, A)
+        tracemalloc.start()
+        try:
+            got = load_matrix_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == A.tobytes() and got.dtype == np.float64
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert peak < 1.5 * A.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

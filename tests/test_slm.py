@@ -173,7 +173,7 @@ class TestSlmSolve:
         with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
             slm_solve(model, ExtrinsicMessage(np.zeros(310), np.ones(310)), prior_x,
                       worker=worker)
-        assert worker.submitted == 1  # P's lower rows
+        assert worker.submitted == 2  # B^T's second column block, P's lower rows
 
     def test_fortran_order_and_scalar_pseudo_variance(self):
         rng = np.random.default_rng(3)
@@ -266,8 +266,9 @@ def worker():
 # Above TRI_INV_LEAF P's rows and W_s's columns are cut in two.  These shapes
 # hold odd sizes and cuts off the middle; at each, some cut rounded differently from
 # one whole call in probes: P's rows at 257 x 300 and 199 x 997, W_s's
-# columns at all three
-ODD_SHAPES = [(257, 300), (500, 1000), (199, 997), (65, 40)]
+# columns at all three.  Moving P's row cut from n / sqrt(2) to 3n / 4 changed
+# the bits at 500 x 1000, 199 x 997, 768 x 700 and 65 x 40.
+ODD_SHAPES = [(257, 300), (500, 1000), (199, 997), (65, 40), (768, 700)]
 
 
 class TestAgainstWrapperRoute:
@@ -308,14 +309,15 @@ class TestAgainstWrapperRoute:
         assert calls == ["dsyrk", "dtrtri", "dtrmm"]
         assert worker.submitted == 0
 
-    # the worker runs half of each cut step: P's lower rows (a SYRK and a
-    # GEMM) and W_s's second column block; the inverse runs whole calls on
-    # the calling thread
+    # the worker runs four pieces of each call: B^T's second column block with
+    # A^T (py / pv), P's lower rows (a SYRK and a GEMM), z's mean A mu beside
+    # the inverse, and W_s's second column block with its squared norms; the
+    # inverse runs whole calls on the calling thread
     @pytest.mark.parametrize("n, m", ODD_SHAPES + [(384, 768)])
     def test_same_bits_with_the_worker(self, n, m, worker):
         args = _random_inputs(n, m, seed=n * m)
         _assert_same_bits(slm_solve(*args, worker=worker), slm_solve(*args))
-        assert worker.submitted == 2
+        assert worker.submitted == 4
 
     def test_slm_binds_no_f2py_routine(self):
         fortran = type(scipy.linalg.blas.dsyrk)
