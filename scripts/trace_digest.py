@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print one digest line per solve of a fixed cell set, for diffing two builds.
 
-The cell set is the full grid of 3 priors x 4 channels x 2 modes x
-{gamp, modular-amp, modular-exact} at n=64, m=128 with the default
-``SolverConfig``, plus the 4 ``glmamp.verify.EQUIVALENCE_CASES`` instances
+The cell set is the full grid of 3 priors x 4 channels x 2 modes x the
+engines of ``glmamp.engine.ENGINES`` (gamp, modular-amp, modular-exact) at
+n=64, m=128 with the default ``SolverConfig`` and the engine's module-A
+backend, plus the 4 ``glmamp.verify.EQUIVALENCE_CASES`` instances
 (gamp and modular-amp on each).  Every problem is built by
 ``glmamp.problems.generate_problem`` from ``--seed``.  ``--n N`` builds
 every problem at n=N, m=2N instead, to reach code that only runs on larger
@@ -61,15 +62,13 @@ import numpy as np
 
 from glmamp.channels import Mode
 from glmamp.cli import main as glmamp_main
-from glmamp.engine import SolverConfig, run_gamp, run_modular
+from glmamp.engine import ENGINES, SolverConfig, run_gamp, run_modular
 from glmamp.problems import generate_problem
 from glmamp.specs import non_negative_int, parse_channel, parse_prior, positive_int
 from glmamp.verify import EQUIVALENCE_CASES, EQUIVALENCE_CONFIG
 
 PRIORS = ("gaussian(mean=0,var=1)", "bg(rho=0.1,mean=0,var=1)", "laplace(lambda=1)")
 CHANNELS = ("awgn(var=0.1)", "probit(scale=0.3)", "poisson()", "logistic(scale=0.3)")
-ENGINES = {"gamp": (run_gamp, "exact"), "modular-amp": (run_modular, "amp"),
-           "modular-exact": (run_modular, "exact")}
 
 
 def _solve_bytes(solution, trace, scratch: Path) -> bytes:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import Mode
-from .engine import SLM_BACKENDS, SolverConfig, json_number, nmse, run_gamp, run_modular
+from .engine import ENGINES, SolverConfig, json_number, nmse
 from .problems import (MATRIX_DISTS, generate_problem, load_problem, make_matrix,
                        observe, save_problem)
 from .specs import SpecError, non_negative_int, parse_channel, parse_prior, positive_int
@@ -27,6 +27,12 @@ from .verify import CHECKS, run_checks
 
 class UsageError(Exception):
     pass
+
+
+# the flags ``solve`` draws its instance from, with their defaults; a problem
+# directory holds its own instance, so none of them is read beside --problem
+INSTANCE_FLAGS = {"n": 64, "m": 128, "prior": "gaussian(mean=0,var=1)",
+                  "channel": "awgn(var=1.0)", "seed": 0}
 
 
 def load_config_file(path) -> dict:
@@ -64,17 +70,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    given = {key: value for key, value in vars(args).items()
+             if key in INSTANCE_FLAGS and value is not None}
+    if args.problem and given:
+        raise UsageError(f"--problem reads its instance from {args.problem}, so it "
+                         f"takes no {', '.join('--' + key for key in given)}")
+    runner, backend = ENGINES[args.engine]
     try:
         config = SolverConfig(max_iter=args.max_iter, tol=args.tol,
-                              damping=args.damping, slm_backend=args.slm_backend)
+                              damping=args.damping, slm_backend=backend)
         problem = load_problem(args.problem) if args.problem else None
     except ValueError as exc:
         raise UsageError(exc) from None
     if problem is None:
-        problem = generate_problem(args.n, args.m, parse_prior(args.prior),
-                                   parse_channel(args.channel), args.seed)
+        n, m, prior, channel, seed = {**INSTANCE_FLAGS, **given}.values()
+        problem = generate_problem(n, m, parse_prior(prior), parse_channel(channel), seed)
     mode = Mode(args.mode)
-    runner = run_gamp if args.engine == "gamp" else run_modular
     t0 = time.perf_counter()
     solution, trace = runner(problem, mode, config)
     elapsed = time.perf_counter() - t0
@@ -148,9 +159,10 @@ def _sweep_problem(cell):
 
 def _sweep_cell(cell, problem):
     snr_db, rho, ratio, rep = cell[:4]
-    config = SolverConfig(max_iter=200, tol=1e-10)  # modular: exact module A
     rows = []
-    for engine, runner in (("gamp", run_gamp), ("modular", run_modular)):
+    for engine in ("gamp", "modular-exact"):
+        runner, backend = ENGINES[engine]
+        config = SolverConfig(max_iter=200, tol=1e-10, slm_backend=backend)
         row = {"snr_db": snr_db, "rho": rho, "m_over_n": ratio, "rep": rep,
                "engine": engine, "mode": "mmse"}
         try:
@@ -189,16 +201,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_solver_flags(p):
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--damping", type=float, default=SolverConfig.damping)
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--slm-backend", choices=SLM_BACKENDS,
-                   default=SolverConfig.slm_backend,
-                   help="module-A backend for the modular engine")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="glmamp",
                                      description="GLM inference via GAMP and "
@@ -215,18 +217,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--matrix-dist", choices=MATRIX_DISTS, default=None)
     g.set_defaults(func=cmd_gen)
 
-    s = sub.add_parser("solve", help="solve a problem with either engine")
+    s = sub.add_parser("solve", help="solve a problem with any engine")
     s.add_argument("--config", help="key = value config file; flags override it")
-    s.add_argument("--problem", help="directory written by gen")
-    s.add_argument("--n", type=positive_int, default=64)
-    s.add_argument("--m", type=positive_int, default=128)
-    s.add_argument("--prior", default="gaussian(mean=0,var=1)")
-    s.add_argument("--channel", default="awgn(var=1.0)")
-    s.add_argument("--engine", choices=("gamp", "modular"), default="gamp")
+    s.add_argument("--problem", help="directory written by gen, in place of "
+                   + ", ".join("--" + key for key in INSTANCE_FLAGS))
+    s.add_argument("--n", type=positive_int)
+    s.add_argument("--m", type=positive_int)
+    s.add_argument("--prior")
+    s.add_argument("--channel")
+    s.add_argument("--seed", type=non_negative_int)
+    s.add_argument("--engine", choices=ENGINES, default="gamp")
     s.add_argument("--mode", choices=[m.value for m in Mode], default="mmse")
+    s.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    s.add_argument("--tol", type=float, default=SolverConfig.tol)
+    s.add_argument("--damping", type=float, default=SolverConfig.damping)
     s.add_argument("--trace", help="JSON-lines trace output path")
     s.add_argument("--summary", help="JSON summary output path")
-    _add_solver_flags(s)
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="run the verification harness")
@@ -238,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     w = sub.add_parser("sweep", help="SNR/sparsity/ratio sweep to CSV: one gamp "
-                       "row and one modular (exact module A) row per cell")
+                       "row and one modular-exact row per cell")
     w.add_argument("--snr-db", default="0,10,20,30,40",
                    help="comma-separated SNR axis in dB")
     w.add_argument("--rho", default="0.1", help="comma-separated sparsity axis")

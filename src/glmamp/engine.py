@@ -35,7 +35,11 @@ Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
 * ``"exact"`` -- the dense exact Gaussian solve of :mod:`glmamp.slm`, with
   damped EP messages carrying non-Gaussian priors on the x side.
 
-A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``_solve``
+A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``ENGINES``
+names the three solvers the front ends offer, each by its runner and
+backend: ``gamp``, ``modular-amp`` (which reproduces GAMP step for step)
+and ``modular-exact``; ``glmamp solve --engine``, ``glmamp sweep`` and
+``scripts/trace_digest.py`` read it.  ``_solve``
 runs every solve with numpy's and SciPy's OpenBLAS on one thread per call
 (``blas.one_thread``), so neither a solve's bits nor its worker depend on
 the caller's BLAS thread count, and sets both counts back when the solve
@@ -475,3 +479,8 @@ def run_modular(problem: ProblemInstance, mode: Mode,
                 config: SolverConfig = SolverConfig()):
     """Modular SLM + module-B solver; see module docstring for backends."""
     return _solve(problem, mode, config, config.slm_backend, monolithic=False)
+
+
+# engine name -> (runner, module-A backend) (see the module docstring)
+ENGINES = {"gamp": (run_gamp, "amp"), "modular-amp": (run_modular, "amp"),
+           "modular-exact": (run_modular, "exact")}

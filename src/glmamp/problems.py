@@ -1,6 +1,6 @@
 """Problem instances: how one is drawn (A, then x, then y, from one seeded
-generator) and stored.  Matrix files are CSV (one row per line) or binary:
-magic ``GLMA``, uint64 dims, little-endian float64 data."""
+generator) and stored.  The matrix file ``A.bin`` is binary: magic ``GLMA``,
+uint64 dims, little-endian float64 data."""
 
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def load_problem(path) -> ProblemInstance:
     path = Path(path)
     try:
         meta = json.loads((path / "meta.json").read_text())
-        A = load_matrix(path / "A.bin")
+        A = load_matrix_binary(path / "A.bin")
         if (meta["m"], meta["n"]) != A.shape:
             raise ValueError(f"meta.json has n={meta['n']!r}, m={meta['m']!r} "
                              f"but A.bin is {A.shape[0]} x {A.shape[1]}")
@@ -88,10 +88,6 @@ def load_problem(path) -> ProblemInstance:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"cannot load problem from {path}: "
                          f"{type(exc).__name__}: {exc}") from None
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
 
 def save_matrix_binary(path, A: np.ndarray) -> None:
@@ -118,12 +114,3 @@ def load_matrix_binary(path) -> np.ndarray:
         A = np.empty((m, n), dtype="<f8")
         fh.readinto(A)
     return A.astype(float, copy=False)
-
-
-def load_matrix(path) -> np.ndarray:
-    """Dispatch on the binary magic; fall back to CSV."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == MATRIX_MAGIC:
-        return load_matrix_binary(path)
-    return load_matrix_csv(path)

@@ -14,10 +14,12 @@ from scipy.stats import spearmanr
 import glmamp
 from glmamp import cli
 from glmamp.cli import main
-from glmamp.engine import SolverConfig
+from glmamp.channels import Mode
+from glmamp.engine import ENGINES, SolverConfig
 from glmamp.gaussian import PosteriorStats
 from glmamp.priors import GaussianPrior
-from glmamp.problems import load_problem
+from glmamp.problems import generate_problem, load_problem
+from glmamp.specs import parse_channel, parse_prior
 
 from oracles import strict_json
 
@@ -35,6 +37,13 @@ def _sha256(path):
 def _edit_meta(directory, **changes):
     meta = directory / "meta.json"
     meta.write_text(json.dumps({**json.loads(meta.read_text()), **changes}))
+
+
+def _gen(capsys, out, *flags):
+    """Write a problem directory with ``gen``: n = 4, m = 8 unless ``flags`` say."""
+    argv = ["gen", "--n", "4", "--m", "8", "--prior", "gaussian(mean=0,var=1)",
+            "--channel", "awgn(var=0.1)", *flags, "--out", str(out)]
+    assert _run(capsys, *argv)[0] == 0
 
 
 def _poisson_counts(directory, first):
@@ -103,19 +112,61 @@ class TestSolve:
         lines = (tmp_path / "t.jsonl").read_text().splitlines()
         assert lines and all(strict_json(line)["nmse"] is None for line in lines)
 
+    # module A's backend is not a flag: the engine names it (ENGINES)
     def test_solver_flag_defaults_are_solver_config_defaults(self):
         args = cli.build_parser().parse_args(["solve"])
-        assert SolverConfig(max_iter=args.max_iter, tol=args.tol, damping=args.damping,
-                            slm_backend=args.slm_backend) == SolverConfig()
+        assert SolverConfig(max_iter=args.max_iter, tol=args.tol,
+                            damping=args.damping) == SolverConfig()
+
+    def test_engine_choices_are_the_engine_table(self):
+        solve = cli.build_parser()._subparsers._group_actions[0].choices["solve"]
+        engine = next(action for action in solve._actions if action.dest == "engine")
+        assert list(engine.choices) == list(ENGINES)
+
+    # the trace of the table's runner with the table's backend, byte for byte
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_each_engine_runs_its_table_entry(self, tmp_path, capsys, engine):
+        code, _, _ = _run(capsys, "solve", "--engine", engine, "--n", "16", "--m", "32",
+                          "--channel", "probit(scale=1.0)", "--seed", "3",
+                          "--trace", str(tmp_path / "cli.jsonl"))
+        assert code == 0
+        runner, backend = ENGINES[engine]
+        problem = generate_problem(16, 32, parse_prior("gaussian(mean=0,var=1)"),
+                                   parse_channel("probit(scale=1.0)"), 3)
+        _, trace = runner(problem, Mode.SUM_PRODUCT, SolverConfig(slm_backend=backend))
+        trace.to_jsonl(tmp_path / "lib.jsonl")
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
 
     def test_solve_from_disk_matches_inline(self, tmp_path, capsys):
-        gen = ["gen", "--n", "16", "--m", "32", "--prior", "gaussian(mean=0,var=1)",
-               "--channel", "awgn(var=0.1)", "--seed", "1",
-               "--out", str(tmp_path / "prob")]
-        assert _run(capsys, *gen)[0] == 0
-        code, out, _ = _run(capsys, "solve", "--problem", str(tmp_path / "prob"))
+        flags = ["--n", "16", "--m", "32", "--seed", "1"]
+        _gen(capsys, tmp_path / "prob", *flags)
+        code, out, _ = _run(capsys, "solve", "--problem", str(tmp_path / "prob"),
+                            "--trace", str(tmp_path / "disk.jsonl"))
         assert code == 0
         assert json.loads(out)["converged"] is True
+        code, _, _ = _run(capsys, "solve", *flags, "--channel", "awgn(var=0.1)",
+                          "--trace", str(tmp_path / "inline.jsonl"))
+        assert code == 0
+        assert _sha256(tmp_path / "disk.jsonl") == _sha256(tmp_path / "inline.jsonl")
+
+    # the directory holds the instance: a flag that would draw another one
+    # goes unread, on the command line or in a config file
+    @pytest.mark.parametrize("flag,value", [("--n", "999"), ("--m", "5"),
+                                            ("--prior", "laplace(lambda=1)"),
+                                            ("--channel", "probit(scale=1.0)"),
+                                            ("--seed", "7")])
+    @pytest.mark.parametrize("where", ["command-line", "config"])
+    def test_instance_flag_beside_problem_exits_2(self, tmp_path, capsys, flag, value,
+                                                  where):
+        _gen(capsys, tmp_path / "prob")
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        extra = [flag, value] if where == "command-line" else ["--config", str(cfg)]
+        code, out, err = _run(capsys, "solve", "--problem", str(tmp_path / "prob"),
+                              *extra)
+        assert code == 2 and out == ""
+        assert err == (f"error: --problem reads its instance from {tmp_path / 'prob'}, "
+                       f"so it takes no {flag}\n")
 
     def test_missing_problem_dir_exits_2(self, capsys):
         code, _, err = _run(capsys, "solve", "--problem", "/nonexistent/dir")
@@ -167,9 +218,9 @@ class TestSolve:
     # each ended in a ValueError traceback while every message checked itself
     @pytest.mark.parametrize("argv", [
         ["--n", "16", "--m", "32", "--prior", "gaussian(mean=1e150,var=1e-150)",
-         "--engine", "modular"],
+         "--engine", "modular-exact"],
         ["--n", "16", "--m", "32", "--prior", "gaussian(mean=1e150,var=1e-150)",
-         "--engine", "modular", "--mode", "map"],
+         "--engine", "modular-exact", "--mode", "map"],
     ], ids=["gaussian-prior-corner", "gaussian-prior-corner-map"])
     def test_formerly_raising_solve_exits_1_diverged(self, capsys, argv):
         code, out, _ = _run(capsys, "solve", *argv)
@@ -180,8 +231,9 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["mmse", "map"])
     def test_gaussian_prior_corner_diverges_under_w_error(self, mode):
         env = dict(os.environ, PYTHONPATH=str(Path(glmamp.__file__).parents[1]))
-        argv = ["-W", "error", "-m", "glmamp", "solve", "--engine", "modular", "--mode", mode,
-                "--prior", "gaussian(mean=1e150,var=1e-150)", "--n", "16", "--m", "32"]
+        argv = ["-W", "error", "-m", "glmamp", "solve", "--engine", "modular-exact",
+                "--mode", mode, "--prior", "gaussian(mean=1e150,var=1e-150)",
+                "--n", "16", "--m", "32"]
         proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                               text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (1, "")
@@ -202,13 +254,10 @@ class TestSolve:
     # ROADMAP 3(d), logistic half: beliefs wide against the scale ended in a
     # QuadratureError traceback while the logistic MMSE was a quadrature
     @pytest.mark.parametrize("scale", ["1e-150", "1e-100", "1e-50", "1e-7", "1e-3"])
-    @pytest.mark.parametrize("engine", [["--engine", "gamp"],
-                                        ["--engine", "modular", "--slm-backend", "amp"],
-                                        ["--engine", "modular"]],
-                             ids=["gamp", "modular-amp", "modular-exact"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_logistic_mmse_at_tiny_scales_ends_in_a_summary(self, capsys, scale, engine):
         code, out, _ = _run(capsys, "solve", "--n", "16", "--m", "32", "--mode", "mmse",
-                            "--channel", f"logistic(scale={scale})", *engine)
+                            "--channel", f"logistic(scale={scale})", "--engine", engine)
         summary = json.loads(out)
         assert code in (0, 1) and summary["diverged"] is (code == 1)
 
@@ -236,13 +285,12 @@ class TestSolve:
         lambda d: _poisson_counts(d, np.inf),
         lambda d: _poisson_counts(d, 1e9),
         lambda d: np.savetxt(d / "x_true.csv", [0.0, np.nan, 1.0, 0.0]),
+        lambda d: np.savetxt(d / "A.bin", load_problem(d).model.A, delimiter=","),
     ], ids=["malformed-meta", "missing-key", "unreadable-matrix", "oversized-matrix",
             "meta-disagrees", "meta-n", "meta-m", "meta-n-m-swapped", "meta-matrix-dist",
-            "poisson-infinite-count", "poisson-huge-count", "x-true-nan"])
+            "poisson-infinite-count", "poisson-huge-count", "x-true-nan", "csv-matrix"])
     def test_corrupt_problem_dir_exits_2(self, tmp_path, capsys, corrupt):
-        gen = ["gen", "--n", "4", "--m", "8", "--prior", "gaussian(mean=0,var=1)",
-               "--channel", "awgn(var=0.1)", "--out", str(tmp_path / "prob")]
-        assert _run(capsys, *gen)[0] == 0
+        _gen(capsys, tmp_path / "prob")
         corrupt(tmp_path / "prob")
         code, _, err = _run(capsys, "solve", "--problem", str(tmp_path / "prob"))
         assert code == 2
@@ -265,10 +313,9 @@ class TestSolve:
         assert summaries[0] == summaries[1]
 
     def test_modular_map_engine(self, capsys):
-        code, out, _ = _run(capsys, "solve", "--engine", "modular", "--mode", "map",
+        code, out, _ = _run(capsys, "solve", "--engine", "modular-amp", "--mode", "map",
                             "--prior", "laplace(lambda=1)",
-                            "--channel", "probit(scale=1.0)",
-                            "--slm-backend", "amp", "--damping", "0.8",
+                            "--channel", "probit(scale=1.0)", "--damping", "0.8",
                             "--max-iter", "300", "--tol", "1e-8")
         assert code == 0
         assert json.loads(out)["converged"] is True
@@ -328,8 +375,10 @@ class TestSolve:
         assert err.startswith(f"error: {cfg}:2: a config file cannot name")
 
     @pytest.mark.parametrize("line", ["mode = xyz", "engine = foo", "max_iter = 2.5",
-                                      "no_such_key = 1", "seed = -1"],
-                             ids=["mode", "engine", "max-iter", "unknown-key", "seed-neg"])
+                                      "no_such_key = 1", "seed = -1", "engine = modular",
+                                      "slm_backend = amp"],
+                             ids=["mode", "engine", "max-iter", "unknown-key", "seed-neg",
+                                  "engine-modular", "slm-backend"])
     def test_config_values_validated_like_flags(self, tmp_path, capsys, line):
         cfg = tmp_path / "solve.cfg"
         cfg.write_text(f"n = 8\nm = 16\n{line}\n")
@@ -398,17 +447,17 @@ class TestSweep:
         # 4 SNRs x 3 reps x 2 engines
         assert len(rows) == 24
         assert all(r["status"] == "ok" for r in rows)
-        for engine in ("gamp", "modular"):
+        for engine in ("gamp", "modular-exact"):
             snr = [float(r["snr_db"]) for r in rows if r["engine"] == engine]
             err = [float(r["nmse"]) for r in rows if r["engine"] == engine]
             corr, _ = spearmanr(snr, err)
             assert corr < 0, engine  # NMSE falls as SNR rises
-        # the exact-backed modular engine lands near gamp's fixed point
+        # modular-exact lands near gamp's fixed point
         # (ratio at most 1.44 on the default grid), not on it
         gamp = {(r["snr_db"], r["rep"]): float(r["nmse"])
                 for r in rows if r["engine"] == "gamp"}
         for r in rows:
-            if r["engine"] == "modular":
+            if r["engine"] == "modular-exact":
                 ratio = float(r["nmse"]) / gamp[(r["snr_db"], r["rep"])]
                 assert 0.5 <= ratio <= 2.0, r
 
@@ -423,8 +472,8 @@ class TestSweep:
             solves.append(args)
             raise RuntimeError("no solve expected")
 
-        monkeypatch.setattr(cli, "run_gamp", spy)
-        monkeypatch.setattr(cli, "run_modular", spy)
+        for engine, (_, backend) in ENGINES.items():
+            monkeypatch.setitem(ENGINES, engine, (spy, backend))
         out = tmp_path / "s.csv"
         code, _, err = _run(capsys, "sweep", "--reps", "1", flag, value, "--out", str(out))
         assert code == 2 and not solves
@@ -455,13 +504,16 @@ class TestSweep:
     ["solve", "--channel", "awgn(var=1,var=2)"],
     ["gen", "--n", "4", "--m", "8", "--seed", "-1"],
     ["solve", "--seed", "-1"],
+    ["solve", "--engine", "modular"],
+    ["solve", "--slm-backend", "amp"],
     ["verify", "--seed", "-1"],
     ["sweep", "--seed", "-5000"],
 ], ids=["gen-n-0", "gen-n-neg", "verify-samples-0", "verify-samples-neg",
         "sweep-rho-0", "sweep-rho-1.5", "sweep-snr-text", "sweep-ratio-neg",
         "spec-mean-inf", "spec-lambda-inf", "spec-mean-nan", "spec-var-inf",
         "spec-repeated-prior-key", "spec-repeated-channel-key",
-        "gen-seed-neg", "solve-seed-neg", "verify-seed-neg", "sweep-seed-neg"])
+        "gen-seed-neg", "solve-seed-neg", "engine-modular", "slm-backend",
+        "verify-seed-neg", "sweep-seed-neg"])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     extra = {"gen": ["--prior", "gaussian(mean=0,var=1)", "--channel", "awgn(var=1)",

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from glmamp.cli import main
-from glmamp.problems import (MATRIX_DISTS, generate_problem, load_matrix,
-                             load_matrix_binary, load_matrix_csv, load_problem,
-                             make_matrix, save_matrix_binary)
+from glmamp.problems import (MATRIX_DISTS, generate_problem, load_matrix_binary,
+                             load_problem, make_matrix, save_matrix_binary)
 from glmamp.specs import parse_channel, parse_prior
 
 POISSON = ["--prior", "gaussian(mean=2,var=0.25)", "--channel", "poisson()", "--seed", "0"]
@@ -66,22 +65,6 @@ def test_load_problem_raises_value_error_naming_the_directory(tmp_path):
 
 
 class TestMatrixFiles:
-    def test_csv_round_trip(self, tmp_path):
-        A = np.arange(12.0).reshape(3, 4) / 7.0
-        path = tmp_path / "a.csv"
-        np.savetxt(path, A, delimiter=",")
-        np.testing.assert_allclose(load_matrix_csv(path), A, rtol=1e-15)
-
-    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (1, 1), (3, 2)])
-    def test_csv_round_trip_keeps_shape(self, tmp_path, shape):
-        # a one-column file is m x 1, not a row
-        A = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7.0
-        path = tmp_path / "a.csv"
-        np.savetxt(path, A, delimiter=",")
-        got = load_matrix(path)
-        assert got.shape == shape
-        np.testing.assert_allclose(got, A, rtol=1e-15)
-
     def test_binary_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((5, 3))
@@ -128,10 +111,3 @@ class TestMatrixFiles:
         path.write_bytes(b"GLMA" + struct.pack("<QQ", *dims) + payload)
         with pytest.raises(ValueError, match="truncated matrix payload"):
             load_matrix_binary(path)
-
-    def test_load_matrix_dispatch(self, tmp_path):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        save_matrix_binary(tmp_path / "a.bin", A)
-        np.savetxt(tmp_path / "a.csv", A, delimiter=",")
-        assert np.array_equal(load_matrix(tmp_path / "a.bin"), A)
-        np.testing.assert_allclose(load_matrix(tmp_path / "a.csv"), A)
