@@ -15,15 +15,18 @@ by, and an x moved while module B floored every message on z.
 
 Module B is one chain for every engine: ``g_out_with_stats`` (the MMSE
 posterior, or the MAP point with its Laplace variance, and the channel's
-output score) then ``ep_extrinsic``.  The engines differ only in the score
-module A gets, which ``verify.check_equivalence`` compares: ``run_gamp``
-passes the channel's score, ``run_modular`` the closed-form AWGN score of
-the EP pseudo-observations (``awgn_g_out``), so module A sees only those.
-A step class whose ``reads_score`` is false gets no score and the loop
-computes none: the exact step takes its cavity on x from its own solve.
+output score) then ``ep_extrinsic``.  The loop hands module A all of it,
+the EP message, the belief on z and the channel's score, and module A
+reads what its step needs.  The engines differ only in the score the amp
+step reads, which ``verify.check_equivalence`` compares: GAMP's step
+(``run_gamp``) the channel's score, the modular amp step the closed-form
+AWGN score of the EP pseudo-observations (``awgn_g_out``), so it sees only
+those.  The exact step reads the EP message and takes its cavity on x from
+its own solve, so no score is computed for it.
 
 Module A is one step class per backend, listed by name in ``SLM_BACKENDS``
-(``run_modular`` takes ``SolverConfig.slm_backend``, ``run_gamp`` ``"amp"``):
+(``run_modular`` takes ``SolverConfig.slm_backend``; ``run_gamp`` runs
+``_GampStep``, the ``"amp"`` step on the channel's score):
 
 * ``"amp"``   -- the AWGN-GAMP linear step (Onsager-corrected matvecs),
   which makes the modular loop reproduce the monolithic GAMP trajectory
@@ -39,30 +42,32 @@ A backend is its step class plus its ``SLM_BACKENDS`` entry.  ``ENGINES``
 names the three solvers the front ends offer, each by its runner and
 backend: ``gamp``, ``modular-amp`` (which reproduces GAMP step for step)
 and ``modular-exact``; ``glmamp solve --engine``, ``glmamp sweep`` and
-``scripts/trace_digest.py`` read it.  ``_solve``
+``scripts/trace_digest.py`` read it.
+
+A step class is a module-A protocol of four methods: ``__init__(problem,
+config, worker)``, ``z_belief``, ``x_cavity`` and ``absorb_x``.  ``_solve``
 runs every solve with numpy's and SciPy's OpenBLAS on one thread per call
 (``blas.one_thread``), so neither a solve's bits nor its worker depend on
 the caller's BLAS thread count, and sets both counts back when the solve
-returns or raises.  It calls ``cls(problem, config, worker)`` as the solve
-starts, after the one decision on the solve's one worker thread: it
-creates the worker when the step class ``wants_worker`` for the model and
-both libraries were pinned, and joins it before the counts are restored.
-Another BLAS is not measured, so it gets no worker.  Each step class owns
-its own test: the amp step wants the worker from ``OVERLAP_MIN_BYTES`` of A
-up and runs half of each matvec pair on it; the exact step wants it from
+returns or raises.  When both libraries were pinned it makes the solve's
+one worker, an executor whose thread starts only when some layer first
+hands it work, and joins it before the counts are restored; another BLAS
+is not measured, so it gets none.  Every consumer applies its own size
+test: the amp step keeps the worker from ``OVERLAP_MIN_BYTES`` of A up
+and runs half of each matvec pair on it; the exact step keeps it from
 ``EXACT_OVERLAP_MIN_N`` unknowns up and hands it to ``slm_solve``, which
 runs one piece of each of four cut steps on it: B^T's second column block
 with A^T (py / pv), P's lower rows, z's mean A mu beside the triangular
 inverse, and W_s's second column block with its squared norms.
-``_iterate`` hands the worker, whichever step wanted it, to module B, which
-owns its own threshold: its probit quadrature integrates half of the
-components on it from ``channels.QUAD_SPLIT_MIN_COMPONENTS`` components up.
-Every split runs through ``slm._pair``, and each result is the serial
-path's, bit for bit.  The worker runs numpy and BLAS work only: it calls no
-function the benchmark's tracer wraps and builds no message, since the
-tracer's span stack and object counter are not thread-safe.  The exact
-step's share enters no function of ``gaussian``, ``channels``, ``priors``
-or this module; a test records every function its thread enters.
+``_iterate`` hands the worker to module B, whose probit quadrature
+integrates half of the components on it from
+``channels.QUAD_SPLIT_MIN_COMPONENTS`` components up.  Every split runs
+through ``slm._pair``, and each result is the serial path's, bit for bit.
+The worker runs numpy and BLAS work only: it calls no function the
+benchmark's tracer wraps and builds no message, since the tracer's span
+stack and object counter are not thread-safe.  The exact step's share
+enters no function of ``gaussian``, ``channels``, ``priors`` or this
+module; a test records every function its thread enters.
 
 Both return the solution and a full per-iteration trace exportable as
 JSON lines.
@@ -85,7 +90,7 @@ from .gaussian import (DEFAULT_VARIANCE_FLOOR, ExtrinsicMessage, GaussianBelief,
 from .priors import InputPrior
 from .slm import LinearModel, _pair, slm_solve
 
-# A in bytes at and above which the "amp" step wants the solve's worker
+# A in bytes at and above which the "amp" step keeps the solve's worker
 # thread (see ``_solve``).  It runs the second of each pair of independent
 # matvecs on it while the calling thread runs the first.  The matvecs are
 # memory-bound, so a second CPU hides one of them; below this size handing
@@ -96,7 +101,7 @@ from .slm import LinearModel, _pair, slm_solve
 # a margin above the break-even band for noisier hosts.
 OVERLAP_MIN_BYTES = 8 * 2**20
 
-# The fewest unknowns (n) at which the "exact" step wants the worker,
+# The fewest unknowns (n) at which the "exact" step keeps the worker,
 # whatever A's size: ``slm_solve`` then runs one piece of each of its four
 # cut steps on it.  Swept on a 2-CPU host, one BLAS thread, m = 2n,
 # awgn(0.01) + bg(0.1) MMSE, median ms/iter without -> with the worker over
@@ -213,10 +218,10 @@ class _AmpStep:
     """Module A as the AWGN-GAMP linear step: Onsager-corrected matvecs.
 
     The matvecs come in independent pairs, A x_hat with A^2 tau_x and A^T s
-    with (A^2)^T tau_s.  With the solve's ``worker`` (``wants_worker``), the
-    second of each pair runs on it while the calling thread runs the first.
-    Each product is still one whole BLAS call on the same operands, so the
-    bits are the serial path's.
+    with (A^2)^T tau_s.  With the solve's ``worker``, kept from
+    ``OVERLAP_MIN_BYTES`` of A up, the second of each pair runs on it while
+    the calling thread runs the first.  Each product is still one whole
+    BLAS call on the same operands, so the bits are the serial path's.
 
     When A's mean is a spike outside its bulk (``_spike``), the step runs on
     the mean-removed A~ = A - mu, augmented in closed form (Vila, Schniter,
@@ -229,15 +234,11 @@ class _AmpStep:
     denoiser still see only the m outputs and n inputs.
     """
 
-    reads_score = True
-
-    @staticmethod
-    def wants_worker(model):
-        return model.A.nbytes >= OVERLAP_MIN_BYTES
+    monolithic = False  # reads the AWGN score of module B's EP message, not the channel's
 
     def __init__(self, problem, config, worker):
         A = problem.model.A
-        self.worker = worker
+        self.worker = worker if A.nbytes >= OVERLAP_MIN_BYTES else None
         self.A2 = A * A
         self.damp = 1.0 if config.damping is None else config.damping
         self.s = np.zeros(problem.model.m)
@@ -275,8 +276,8 @@ class _AmpStep:
         tau_p = np.maximum(A2tau, DEFAULT_VARIANCE_FLOOR)
         return Ax - tau_p * self.s, tau_p, 0
 
-    def x_cavity(self, x_hat, ext, score):
-        val, nd = score
+    def x_cavity(self, x_hat, ext, belief, score):
+        val, nd = score if self.monolithic else awgn_g_out(ext, belief)
         damp = self.damp
         self.s = damp * val + (1.0 - damp) * self.s
         self.tau_s = damp * np.maximum(nd, 0.0) + (1.0 - damp) * self.tau_s
@@ -298,6 +299,12 @@ class _AmpStep:
 
     def absorb_x(self, xstats, r, tau_r):
         return 0
+
+
+class _GampStep(_AmpStep):
+    """GAMP's module A: the amp step on the channel's own output score."""
+
+    monolithic = True
 
 
 def _spike(A, A2):
@@ -331,16 +338,10 @@ def _absorb(lam, eta, ext, damp):
 class _ExactStep:
     """Module A as the exact dense SLM solve; EP messages carry the prior on x."""
 
-    reads_score = False  # module B's score: the cavity comes from the SLM solve
-
-    @staticmethod
-    def wants_worker(model):
-        return model.n >= EXACT_OVERLAP_MIN_N
-
     def __init__(self, problem, config, worker):
         model, prior = problem.model, problem.prior
         self.model = model
-        self.worker = worker
+        self.worker = worker if model.n >= EXACT_OVERLAP_MIN_N else None
         self.damp = 0.7 if config.damping is None else config.damping
         # pseudo-observations on z, natural parameters (precision, precision*mean)
         v0 = 1e6 * max(1.0, prior.marginal_variance())
@@ -375,7 +376,8 @@ class _ExactStep:
         floored = np.count_nonzero(ext.floored) + np.count_nonzero(self.cavity.floored)
         return ext.pseudo_mean, ext.pseudo_variance, held + int(floored)
 
-    def x_cavity(self, x_hat, ext, score):
+    def x_cavity(self, x_hat, ext, belief, score):
+        # reads the EP message only: the cavity on x comes from the SLM solve
         self.lam_z, self.eta_z = _absorb(self.lam_z, self.eta_z, ext, self.damp)
         y_tilde, sigma2_tilde, _ = self._pseudo_z()
         return (self.cavity.pseudo_mean, self.cavity.pseudo_variance,
@@ -391,17 +393,18 @@ class _ExactStep:
 SLM_BACKENDS = {"exact": _ExactStep, "amp": _AmpStep}
 
 
-def _iterate(problem, mode, config, step, monolithic, worker):
+def _iterate(problem, mode, config, step, worker):
     """The GLM loop: module A ``step``, module B, the prior's denoiser.
 
     ``step`` supplies the beliefs on z, the cavity on x and the absorption
-    of the denoised x; ``monolithic`` picks the score it gets (see the module
-    docstring); ``worker``, if any, is handed to module B, which decides
-    what it splits onto it.  Returns (solution PosteriorStats,
-    IterationTrace).  Besides a failed hand-over, the solve ends
-    ``diverged`` when module B floors every EP message on z and x still
-    moves by more than ``tol``: module B told module A nothing, so the
-    floors alone moved x.
+    of the denoised x.  It gets module B's whole result, the EP message,
+    the belief on z and the channel's (score, curvature), and picks what it
+    reads (see the module docstring).  ``worker``, if any, is handed to
+    module B, which decides what it splits onto it.  Returns (solution
+    PosteriorStats, IterationTrace).  Besides a failed hand-over, the solve
+    ends ``diverged`` when module B floors every EP message on z and x
+    still moves by more than ``tol``: module B told module A nothing, so
+    the floors alone moved x.
     """
     channel, y, prior = problem.channel, problem.y, problem.prior
     x_hat = np.full(problem.model.n, prior.marginal_mean(), dtype=float)
@@ -422,9 +425,7 @@ def _iterate(problem, mode, config, step, monolithic, worker):
             break
         floors += int(np.count_nonzero(ext.floored))
 
-        score = ((val, nd) if monolithic else awgn_g_out(ext, belief)
-                 if step.reads_score else None)
-        r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, ext, score)
+        r, tau_r, y_tilde, sigma2_tilde = step.x_cavity(x_hat, ext, belief, (val, nd))
         if not valid_moments(r, tau_r):
             break
         xstats = prior.denoise(mode, r, tau_r)
@@ -453,32 +454,29 @@ def _iterate(problem, mode, config, step, monolithic, worker):
     return PosteriorStats(point=x_hat, variance=tau_x), trace
 
 
-def _solve(problem, mode, config, backend, monolithic):
-    """``_iterate`` with module A ``SLM_BACKENDS[backend]`` and the solve's worker, if any.
+def _solve(problem, mode, config, cls):
+    """``_iterate`` with module A ``cls`` and the solve's worker, if any.
 
-    The solve runs inside ``blas.one_thread``.  The worker exists when the
-    step class wants it for the model and both OpenBLAS copies were pinned.
-    The thread count is the process's: solves running at once in one
-    process share it.
+    The solve runs inside ``blas.one_thread``.  The worker exists when both
+    OpenBLAS copies were pinned; its thread starts only when some layer
+    first hands it work.  The thread count is the process's: solves running
+    at once in one process share it.
     """
-    cls = SLM_BACKENDS[backend]
     with blas.one_thread() as pinned:
-        wanted = cls.wants_worker(problem.model) and pinned
-        with ThreadPoolExecutor(1) if wanted else nullcontext() as worker:
-            return _iterate(problem, mode, config, cls(problem, config, worker),
-                            monolithic, worker)
+        with ThreadPoolExecutor(1) if pinned else nullcontext() as worker:
+            return _iterate(problem, mode, config, cls(problem, config, worker), worker)
 
 
 def run_gamp(problem: ProblemInstance, mode: Mode,
              config: SolverConfig = SolverConfig()):
     """Monolithic GAMP; returns (solution PosteriorStats, IterationTrace)."""
-    return _solve(problem, mode, config, "amp", monolithic=True)
+    return _solve(problem, mode, config, _GampStep)
 
 
 def run_modular(problem: ProblemInstance, mode: Mode,
                 config: SolverConfig = SolverConfig()):
     """Modular SLM + module-B solver; see module docstring for backends."""
-    return _solve(problem, mode, config, config.slm_backend, monolithic=False)
+    return _solve(problem, mode, config, SLM_BACKENDS[config.slm_backend])
 
 
 # engine name -> (runner, module-A backend) (see the module docstring)

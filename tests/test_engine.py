@@ -182,7 +182,7 @@ class TestModular:
         # the 8 held pseudo-variances count as floor events
         assert floors == 8 + np.count_nonzero(step.res.z_extrinsic.floored)
         # and the cavity reports the pseudo-variances module A used
-        sigma2_tilde = step.x_cavity(None, step.res.z_extrinsic, None)[3]
+        sigma2_tilde = step.x_cavity(None, step.res.z_extrinsic, None, None)[3]
         assert np.all(sigma2_tilde >= DEFAULT_VARIANCE_FLOOR)
 
     def test_exact_backend_counts_floored_x_cavity(self):
@@ -195,7 +195,7 @@ class TestModular:
         _, _, floors = step.z_belief(np.zeros(64), np.ones(64))
         assert not np.any(step.res.z_extrinsic.floored)
         assert floors == len(raised)
-        r, tau_r, _, _ = step.x_cavity(None, step.res.z_extrinsic, None)
+        r, tau_r, _, _ = step.x_cavity(None, step.res.z_extrinsic, None, None)
         assert np.flatnonzero(tau_r == 1.0 / DEFAULT_VARIANCE_FLOOR).tolist() == raised
         assert np.all(np.isfinite(r))
 
@@ -422,20 +422,27 @@ def _generated(prior, channel, n=64, m=None):
                             parse_channel(channel), 0)
 
 
+def _assert_same_bits(serial, overlapped, tmp_path):
+    """Two (solution, trace) pairs agree bit for bit, down to the trace's bytes."""
+    _assert_same_run(serial, overlapped)
+    for name, (_, trace) in (("serial", serial), ("overlapped", overlapped)):
+        trace.to_jsonl(tmp_path / name)
+    assert (tmp_path / "serial").read_bytes() == (tmp_path / "overlapped").read_bytes()
+
+
 def _assert_same_bits_with_the_worker(solver, prob, mode, workers, monkeypatch, tmp_path):
-    """Solve ``prob`` serially, then with the worker; returns the worker's run."""
+    """Solve ``prob`` serially, then with the worker; returns the worker's run,
+    whose executor is left as ``workers[0]``."""
     monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", prob.model.n + 1)
     serial = SOLVERS[solver](prob, mode, SolverConfig())
-    assert workers == []
+    assert [w.submitted for w in workers] == [0]
+    workers.clear()
     monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
     monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", 0)
     monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", 0)
     overlapped = SOLVERS[solver](prob, mode, SolverConfig())
     assert len(workers) == 1
-    _assert_same_run(serial, overlapped)
-    for name, (_, trace) in (("serial", serial), ("overlapped", overlapped)):
-        trace.to_jsonl(tmp_path / name)
-    assert (tmp_path / "serial").read_bytes() == (tmp_path / "overlapped").read_bytes()
+    _assert_same_bits(serial, overlapped, tmp_path)
     return overlapped
 
 
@@ -485,10 +492,10 @@ class TestOverlappedMatvecs:
         config = SolverConfig(max_iter=3)
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", prob.model.A.nbytes + 1)
         run_gamp(prob, Mode.SUM_PRODUCT, config)
-        assert workers == []
+        assert [w.submitted for w in workers] == [0]
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", prob.model.A.nbytes)
-        run_gamp(prob, Mode.SUM_PRODUCT, config)
-        assert len(workers) == 1
+        _, trace = run_gamp(prob, Mode.SUM_PRODUCT, config)
+        assert [w.submitted for w in workers] == [0, 2 * len(trace)]
 
     def test_quadrature_split_threshold_is_inclusive(self, workers, monkeypatch):
         prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)", n=8)
@@ -499,6 +506,31 @@ class TestOverlappedMatvecs:
         monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m)
         run_gamp(prob, Mode.SUM_PRODUCT, config)
         assert [w.quadrature for w in workers] == [0, 3]
+
+    # every layer applies its own threshold to the one worker: below module
+    # A's, module B still splits its quadrature from its own up
+    @pytest.mark.parametrize("solver", ["gamp", "modular-exact"])
+    def test_module_b_splits_below_module_a_threshold(self, solver, workers, monkeypatch,
+                                                       tmp_path):
+        prob = _generated("bg(rho=0.1,mean=0,var=1)", "probit(scale=0.3)",
+                          m=channels.QUAD_SPLIT_MIN_COMPONENTS)
+        assert prob.model.A.nbytes < engine.OVERLAP_MIN_BYTES
+        assert prob.model.n < engine.EXACT_OVERLAP_MIN_N
+        handed = []  # the worker each slm_solve call gets
+
+        def slm_solve(*args, worker):
+            handed.append(worker)
+            return slm.slm_solve(*args, worker=worker)
+        monkeypatch.setattr(engine, "slm_solve", slm_solve)
+        monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m + 1)
+        serial = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+        monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", prob.model.m)
+        split = SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
+        _assert_same_bits(serial, split, tmp_path)
+        # one quadrature half per iteration, and no matvec or slm_solve piece
+        iters = len(split[1])
+        assert [(w.submitted, w.quadrature) for w in workers] == [(0, 0), (iters, iters)]
+        assert iters > 0 and set(handed) == ({None} if solver == "modular-exact" else set())
 
     @pytest.mark.parametrize("channel", ["probit(scale=0.3)", "awgn(var=0.1)"])
     def test_exact_backend_same_bits_with_the_worker(self, channel, workers,
@@ -533,14 +565,14 @@ class TestOverlappedMatvecs:
         config = SolverConfig(max_iter=3)
         monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", prob.model.n + 1)
         run_modular(prob, Mode.SUM_PRODUCT, config)
-        assert workers == []
+        assert [w.submitted for w in workers] == [0]
         monkeypatch.setattr(engine, "EXACT_OVERLAP_MIN_N", prob.model.n)
         run_modular(prob, Mode.SUM_PRODUCT, config)
-        assert [w.submitted for w in workers] == [12]
+        assert [w.submitted for w in workers] == [0, 12]
         # the unknowns gate the exact backend only
         run_gamp(prob, Mode.SUM_PRODUCT, config)
         run_modular(prob, Mode.SUM_PRODUCT, replace(config, slm_backend="amp"))
-        assert len(workers) == 1
+        assert [w.submitted for w in workers] == [0, 12, 0, 0]
 
     # a BLAS copy without a thread-count setter cannot be pinned, and then no
     # step gets a worker, however low the amp, exact and module-B thresholds are
@@ -664,12 +696,13 @@ class TestWorkerLifetime:
         before = threading.active_count()
         for solver in AMP_SOLVERS:
             SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
-        assert workers == []  # below the threshold: serial
+        # below the threshold: serial, the executors handed no work
+        assert [w.submitted for w in workers] == [0, 0]
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
         for solver in AMP_SOLVERS:
             SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
             assert threading.active_count() == before, solver
-        assert [w.submitted > 0 for w in workers] == [True, True]
+        assert [w.submitted > 0 for w in workers] == [False, False, True, True]
 
     def test_no_thread_outlives_a_solve_that_diverges(self, workers, monkeypatch):
         # Gaussian-prior Poisson MAP at seed 2 diverges on both amp engines:
@@ -715,7 +748,7 @@ class TestWorkerLifetime:
             with pytest.raises(QuadratureError) as err:
                 SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
             serial[solver] = str(err.value)
-        assert workers == []
+        assert [w.submitted for w in workers] == [0, 0]
         monkeypatch.setattr(engine, "OVERLAP_MIN_BYTES", 0)
         monkeypatch.setattr(channels, "QUAD_SPLIT_MIN_COMPONENTS", 0)
         before = threading.active_count()
@@ -724,7 +757,7 @@ class TestWorkerLifetime:
                 SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
             assert str(err.value) == serial[solver]
             assert threading.active_count() == before, solver
-        assert [w.quadrature > 0 for w in workers] == [True, True]
+        assert [w.quadrature > 0 for w in workers] == [False, False, True, True]
 
 
 # The modules whose functions build messages or are wrapped by the benchmark's
@@ -863,7 +896,7 @@ class TestHandOverTests:
         prob = _generated("gaussian(mean=0,var=1)", "probit(scale=0.3)", n=32)
         _inject(monkeypatch, "module_b", prob.prior, field, value)
         seen = _reading(monkeypatch, engine.SLM_BACKENDS.values(), "x_cavity",
-                        lambda x_hat, ext, score: (ext.pseudo_mean, ext.pseudo_variance))
+                        lambda x_hat, ext, *_: (ext.pseudo_mean, ext.pseudo_variance))
         with np.errstate(all="ignore"):
             SOLVERS[solver](prob, Mode.SUM_PRODUCT, SolverConfig())
         assert seen == [True] * INJECT_AT

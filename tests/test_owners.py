@@ -5,7 +5,8 @@
 alike, and ``InputPrior.denoise`` alone picks a prior's module by mode: no
 prior class defines ``denoise`` or reads the mode.  ``blas`` alone binds
 the OpenBLAS thread counts and ``engine`` alone pins them, once per solve;
-no module reads the environment.
+no module reads the environment.  ``engine`` alone makes the solve's worker
+and ``slm._pair`` alone hands it work.
 """
 
 import ast
@@ -68,3 +69,21 @@ def test_only_engine_pins_the_blas_threads():
 def test_no_module_reads_the_environment():
     assert {name for name, tree in _trees().items()
             if {"environ", "getenv", "environb", "getenvb"} & set(_names(tree))} == set()
+
+
+def test_only_engine_makes_the_worker():
+    assert {name for name, tree in _trees().items()
+            if "ThreadPoolExecutor" in _names(tree)} == {"engine.py"}
+
+
+def _submits(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "submit"]
+
+
+def test_only_pair_hands_the_worker_work():
+    submits = {name: len(_submits(tree)) for name, tree in _trees().items() if _submits(tree)}
+    assert submits == {"slm.py": 1}
+    pair, = [node for node in _trees()["slm.py"].body
+             if isinstance(node, ast.FunctionDef) and node.name == "_pair"]
+    assert len(_submits(pair)) == 1

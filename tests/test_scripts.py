@@ -22,13 +22,12 @@ def _script(name, *args):
     return proc.stdout
 
 
-@pytest.mark.parametrize("backend", ["amp", "exact"])
-def test_run_equivalence(backend):
-    out = _script("run_equivalence.py", "--n", "16", "--m", "32",
-                  "--slm-backend", backend)
+@pytest.mark.parametrize("engine", ["modular-amp", "modular-exact"])
+def test_run_equivalence(engine):
+    out = _script("run_equivalence.py", "--n", "16", "--m", "32", "--engine", engine)
     distance = float(out.split("fixed-point distance :")[1].split()[0])
-    assert distance < (1e-12 if backend == "amp" else 0.1)
-    assert f"(backend={backend})" in out
+    assert distance < (1e-12 if engine == "modular-amp" else 0.1)
+    assert f"(engine={engine})" in out
 
 
 @pytest.mark.parametrize("argv", [["run_equivalence.py", "--n", "0"],
